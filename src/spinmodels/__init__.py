@@ -5,7 +5,7 @@ Modules:
     lattice       — finite volumes, embeddings, permutation unitaries
     interactions  — built-in models and Hamiltonian assembly
     krylov        — block Lanczos low-end eigensolver (sparse route)
-    spectra       — spectra, ground spaces, gaps, correlations
+    spectra       — shared eigendecomposition, low-end spectra, gaps, correlations
     states        — state containers, Gibbs states, equilibrium criteria
     dynamics      — Heisenberg-picture evolution and light-cone scans
     symmetry      — symmetry generators and invariance residuals
@@ -70,10 +70,12 @@ from .interactions import (
 from .krylov import KrylovResult, lowest_eigenpairs
 from .spectra import (
     DEGENERACY_TOL,
-    EigenSolution,
+    EigenSystem,
     GroundSpace,
+    LowLevels,
     full_spectrum,
     ground_space,
+    low_levels,
     spectral_gap,
     structure_factor,
     two_point,

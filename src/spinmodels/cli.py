@@ -46,12 +46,7 @@ from .interactions import (
 )
 from .lattice import MAX_HILBERT_DIM, Volume, build_volume
 from .probes import random_probe_pairs
-from .spectra import (
-    DEGENERACY_TOL,
-    full_spectrum,
-    ground_space,
-    spectral_gap,
-)
+from .spectra import DEGENERACY_TOL, EigenSystem, ground_space, low_levels
 from .spin_algebra import (
     DENSE_CUTOFF,
     SOLVER_TOL,
@@ -408,38 +403,29 @@ def _build_hamiltonian(spec: RunSpec, volume: Volume, cap_dense: int, cap_sparse
     )
 
 
-def _task_spectrum(spec: RunSpec, volume: Volume, h, cap_dense: int) -> tuple[dict, list]:
+def _task_spectrum(spec: RunSpec, h, cap_dense: int) -> tuple[dict, list]:
     method = spec.params["method"]
-    if method == "auto":
-        method = "dense" if volume.hilbert_dim <= cap_dense else "krylov"
     _progress("spectrum", 1, 1)
-    if method == "dense":
-        sol = full_spectrum(h)
-        eigenvalues = [float(v) for v in sol.eigenvalues]
-    else:
-        from .krylov import lowest_eigenpairs
-
-        k = min(spec.params["num_eigenvalues"], volume.hilbert_dim)
-        res = lowest_eigenpairs(h, k)
-        eigenvalues = [float(v) for v in res.eigenvalues]
-    gs = ground_space(h, method=method)
-    gap = spectral_gap(h, method=method)
+    low = low_levels(h, spec.params["num_eigenvalues"],
+                     method=None if method == "auto" else method, cap_dense=cap_dense)
+    eigenvalues = [float(v) for v in low.eigenvalues]
     payload = {
-        "method": method,
+        "method": low.method,
         "eigenvalues": eigenvalues,
-        "ground_energy": gs.energy,
-        "degeneracy": gs.degeneracy,
-        "gap": gap,
+        "ground_energy": low.energy,
+        "degeneracy": low.degeneracy,
+        "gap": low.gap,
     }
     rows = [(i, v) for i, v in enumerate(eigenvalues)]
     return payload, [("index", "eigenvalue")] + rows
 
 
-def _task_thermal(spec: RunSpec, volume: Volume, h) -> tuple[dict, list]:
+def _task_thermal(spec: RunSpec, h, cap_dense: int) -> tuple[dict, list]:
     betas = spec.params["betas"]
+    es = EigenSystem(h, cap_dense=cap_dense)
     points = []
     for i, beta in enumerate(betas):
-        state = gibbs(h, beta)
+        state = gibbs(es, beta)
         energy = float(expectation(state.rho, h).real)
         points.append({"beta": beta, "log_z": state.log_z, "energy": energy})
         _progress("thermal", i + 1, len(betas))
@@ -448,7 +434,7 @@ def _task_thermal(spec: RunSpec, volume: Volume, h) -> tuple[dict, list]:
     return payload, [("beta", "log_z", "energy")] + rows
 
 
-def _task_dynamics(spec: RunSpec, volume: Volume) -> tuple[dict, list]:
+def _task_dynamics(spec: RunSpec, volume: Volume, cap_dense: int) -> tuple[dict, list]:
     interaction = model_interaction(spec.model_name, spec.model_params)
     ops = spin_matrices((volume.local_dim - 1) / 2.0)
     local = {"s1": ops.s1, "s2": ops.s2, "s3": ops.s3}[spec.params["observable"]]
@@ -459,6 +445,7 @@ def _task_dynamics(spec: RunSpec, volume: Volume) -> tuple[dict, list]:
         local,
         spec.params["times"],
         spec.params["distances"],
+        dense_cutoff=cap_dense,
     )
     _progress("dynamics", 1, 2)
     fit = lr_fit(scan)
@@ -509,20 +496,20 @@ def _verify_symmetry(spec: RunSpec, volume: Volume, h) -> dict:
     }
 
 
-def _verify_kms(spec: RunSpec, volume: Volume, h) -> dict:
+def _verify_kms(spec: RunSpec, volume: Volume, es: EigenSystem) -> dict:
     betas = spec.params["betas"]
     pairs = random_probe_pairs(volume, spec.seed, spec.params["num_probes"])
     worst = 0.0
     per_beta = []
     for beta in betas:
-        r = max(kms_residual(h, beta, a, b) for a, b in pairs)
+        r = max(kms_residual(es, beta, a, b) for a, b in pairs)
         per_beta.append({"beta": beta, "max_residual": r})
         worst = max(worst, r)
     return {"points": per_beta, "max_residual": worst,
             "threshold": 1e-10, "ok": worst <= 1e-10}
 
 
-def _verify_eeb(spec: RunSpec, volume: Volume, h) -> dict:
+def _verify_eeb(spec: RunSpec, volume: Volume, h, es: EigenSystem) -> dict:
     betas = spec.params["betas"]
     pairs = random_probe_pairs(volume, 0 if spec.seed is None else spec.seed + 1,
                                spec.params["num_probes"])
@@ -530,7 +517,7 @@ def _verify_eeb(spec: RunSpec, volume: Volume, h) -> dict:
     worst = np.inf
     per_beta = []
     for beta in betas:
-        state = gibbs(h, beta).rho
+        state = gibbs(es, beta).rho
         m = min(eeb_deficit(h, beta, x, state) for x in probes)
         per_beta.append({"beta": beta, "min_deficit": m})
         worst = min(worst, m)
@@ -538,8 +525,8 @@ def _verify_eeb(spec: RunSpec, volume: Volume, h) -> dict:
             "threshold": -1e-10, "ok": worst >= -1e-10}
 
 
-def _verify_stability(spec: RunSpec, volume: Volume, h) -> dict:
-    gs = ground_space(h)
+def _verify_stability(spec: RunSpec, volume: Volume, h, es: EigenSystem) -> dict:
+    gs = ground_space(es)
     state = DensityMatrix.mixture(gs.basis)
     pairs = random_probe_pairs(volume, 0 if spec.seed is None else spec.seed + 2,
                                spec.params["num_probes"])
@@ -547,8 +534,12 @@ def _verify_stability(spec: RunSpec, volume: Volume, h) -> dict:
     return {"min_value": worst, "threshold": -1e-12, "ok": worst >= -1e-12}
 
 
-def _task_verify(spec: RunSpec, volume: Volume, h) -> tuple[dict, list]:
+def _task_verify(spec: RunSpec, volume: Volume, h, cap_dense: int) -> tuple[dict, list]:
     checks = spec.params["checks"]
+    # the randomized checks all read the spectrum of h; they share one EigenSystem
+    es = None
+    if set(checks) & set(_RANDOMIZED_CHECKS):
+        es = EigenSystem(h, cap_dense=cap_dense)
     results = {}
     for i, check in enumerate(checks):
         if check == "algebra":
@@ -556,11 +547,11 @@ def _task_verify(spec: RunSpec, volume: Volume, h) -> tuple[dict, list]:
         elif check == "symmetry":
             results[check] = _verify_symmetry(spec, volume, h)
         elif check == "kms":
-            results[check] = _verify_kms(spec, volume, h)
+            results[check] = _verify_kms(spec, volume, es)
         elif check == "eeb":
-            results[check] = _verify_eeb(spec, volume, h)
+            results[check] = _verify_eeb(spec, volume, h, es)
         else:
-            results[check] = _verify_stability(spec, volume, h)
+            results[check] = _verify_stability(spec, volume, h, es)
         _progress("verify", i + 1, len(checks))
     payload = {"checks": results, "all_ok": all(r["ok"] for r in results.values())}
     rows = [(name, r.get("residual", r.get("min_deficit", r.get("min_value", 0.0))),
@@ -577,14 +568,12 @@ def _scan_point(spec: RunSpec, volume: Volume, value: float,
     params[spec.params["variable"]] = value
     h = build_model_hamiltonian(spec.model_name, params, volume,
                                 dense_cutoff=cap_dense, max_hilbert_dim=cap_sparse)
-    method = "dense" if volume.hilbert_dim <= cap_dense else "krylov"
-    gs = ground_space(h, method=method)
-    gap = spectral_gap(h, method=method)
+    low = low_levels(h, cap_dense=cap_dense)
     return {
         "value": float(value),
-        "ground_energy": gs.energy,
-        "degeneracy": gs.degeneracy,
-        "gap": gap,
+        "ground_energy": low.energy,
+        "degeneracy": low.degeneracy,
+        "gap": low.gap,
     }
 
 
@@ -643,17 +632,17 @@ def run_spec(spec: RunSpec, out_dir: Path, *, workers: int = 1,
     volume = _build_volume(spec, cap_sparse)
     csv_table = None
     if spec.task == "dynamics":
-        payload, csv_table = _task_dynamics(spec, volume)
+        payload, csv_table = _task_dynamics(spec, volume, cap_dense)
     elif spec.task == "scan":
         payload, csv_table = _task_scan(spec, volume, cap_dense, cap_sparse, workers)
     else:
         h = _build_hamiltonian(spec, volume, cap_dense, cap_sparse)
         if spec.task == "spectrum":
-            payload, csv_table = _task_spectrum(spec, volume, h, cap_dense)
+            payload, csv_table = _task_spectrum(spec, h, cap_dense)
         elif spec.task == "thermal":
-            payload, csv_table = _task_thermal(spec, volume, h)
+            payload, csv_table = _task_thermal(spec, h, cap_dense)
         else:
-            payload, csv_table = _task_verify(spec, volume, h)
+            payload, csv_table = _task_verify(spec, volume, h, cap_dense)
 
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -696,7 +685,7 @@ def main(argv=None) -> int:
     runp.add_argument("--workers", type=int, default=1,
                       help="worker threads for scan points")
     runp.add_argument("--cap-dense", type=int, default=DENSE_CUTOFF,
-                      help="largest dimension handled densely")
+                      help="largest dimension diagonalized densely, for every task")
     runp.add_argument("--cap-sparse", type=int, default=MAX_HILBERT_DIM,
                       help="largest dimension handled at all")
     args = parser.parse_args(argv)

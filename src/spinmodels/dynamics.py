@@ -3,9 +3,12 @@
 Evolution is by exact eigendecomposition of the Hamiltonian — no
 Trotterization anywhere: in the eigenbasis, conjugation by exp(itH) is an
 entrywise phase exp(it(w_j - w_k)), and imaginary time replaces the phase by
-exp(-beta(w_j - w_k)).  Operator evolution is therefore a dense-mode
-operation; sparse Hamiltonians still get vector propagation through a
-Krylov-based matrix-exponential action.
+exp(-beta(w_j - w_k)).  The decomposition is the shared
+:class:`spinmodels.spectra.EigenSystem` (``Propagator`` is its old name), so
+evolving, spectra, and Gibbs states of one Hamiltonian cost one ``eigh``.
+Operator evolution is therefore a dense-mode operation; sparse Hamiltonians
+still get vector propagation through a Krylov-based matrix-exponential
+action.
 """
 
 from __future__ import annotations
@@ -15,15 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    RangeLimitError,
-    ResourceCapError,
-    SolverError,
-)
+from .errors import DegenerateInputError, DomainError, SolverError
 from .interactions import Interaction, assemble_hamiltonian
 from .lattice import Volume, embed
+from .spectra import RANGE_LIMIT, EigenSystem
 from .spin_algebra import (
     DENSE_CUTOFF,
     Operator,
@@ -33,98 +31,31 @@ from .spin_algebra import (
     operator_norm,
 )
 
-#: Largest exponent fed to exp(); beyond this the call is refused.
-RANGE_LIMIT = 700.0
-
-
-class Propagator:
-    """Cached eigendecomposition of a Hamiltonian, reused across time points.
-
-    All evolutions for one Hamiltonian share a single Hermitian
-    diagonalization; each time point then costs two dense multiplications.
-    """
-
-    def __init__(self, h, *, range_limit: float = RANGE_LIMIT):
-        if not is_hermitian(h):
-            raise DomainError("propagator requires a Hermitian Hamiltonian")
-        m = as_matrix(h)
-        dim = m.shape[0]
-        if dim > DENSE_CUTOFF:
-            raise ResourceCapError(
-                f"eigendecomposition propagator refused at dim {dim} > {DENSE_CUTOFF}"
-            )
-        if sp.issparse(m):
-            m = m.toarray()
-        self.range_limit = float(range_limit)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(m)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def _to_eigenbasis(self, a) -> np.ndarray:
-        m = as_matrix(a)
-        if m.shape[0] != self.dim:
-            raise DomainError(
-                f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
-            )
-        if sp.issparse(m):
-            m = m.toarray()
-        v = self.eigenvectors
-        return v.conj().T @ m @ v
-
-    def evolve(self, a, t: float) -> Operator:
-        """alpha_t(A) = exp(itH) A exp(-itH).  t = 0 returns A unchanged."""
-        t = float(t)
-        if t == 0.0:
-            return a if isinstance(a, Operator) else Operator(a)
-        w = self.eigenvalues
-        at = self._to_eigenbasis(a)
-        phases = np.exp(1j * t * (w[:, None] - w[None, :]))
-        v = self.eigenvectors
-        return Operator(v @ (at * phases) @ v.conj().T)
-
-    def evolve_imaginary(self, a, beta: float) -> Operator:
-        """exp(-beta H) A exp(beta H).  Refused when beta * spread > limit."""
-        beta = float(beta)
-        if beta == 0.0:
-            return a if isinstance(a, Operator) else Operator(a)
-        w = self.eigenvalues
-        spread = float(w[-1] - w[0])
-        if abs(beta) * spread > self.range_limit:
-            raise RangeLimitError(
-                f"imaginary-time exponent {abs(beta) * spread:.3g} exceeds "
-                f"range limit {self.range_limit}"
-            )
-        at = self._to_eigenbasis(a)
-        factors = np.exp(-beta * (w[:, None] - w[None, :]))
-        v = self.eigenvectors
-        return Operator(v @ (at * factors) @ v.conj().T)
-
-    def evolve_vector(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """Schroedinger evolution exp(-itH) psi."""
-        psi = np.asarray(psi, dtype=np.complex128)
-        if psi.shape != (self.dim,):
-            raise DomainError(f"state shape {psi.shape} does not match dim {self.dim}")
-        v = self.eigenvectors
-        return v @ (np.exp(-1j * float(t) * self.eigenvalues) * (v.conj().T @ psi))
+#: Earlier name of EigenSystem, kept importable.
+Propagator = EigenSystem
 
 
 def evolve(h, a, t: float) -> Operator:
-    """One-shot Heisenberg evolution; builds a Propagator and discards it."""
-    return Propagator(h).evolve(a, t)
+    """One-shot Heisenberg evolution; ``h`` is a Hamiltonian or its EigenSystem."""
+    return EigenSystem.of(h).evolve(a, t)
 
 
 def evolve_imaginary(h, a, beta: float, *, range_limit: float = RANGE_LIMIT) -> Operator:
-    """One-shot imaginary-time conjugation exp(-beta H) A exp(beta H)."""
-    return Propagator(h, range_limit=range_limit).evolve_imaginary(a, beta)
+    """One-shot imaginary-time conjugation exp(-beta H) A exp(beta H).
+
+    ``range_limit`` applies when ``h`` is a Hamiltonian; an EigenSystem
+    carries its own.
+    """
+    return EigenSystem.of(h, range_limit=range_limit).evolve_imaginary(a, beta)
 
 
 def evolve_state(h, psi: np.ndarray, t: float) -> np.ndarray:
     """exp(-itH) psi; uses the sparse Krylov exponential above the dense cutoff."""
+    if isinstance(h, EigenSystem):
+        return h.evolve_vector(psi, t)
     m = as_matrix(h)
     if m.shape[0] <= DENSE_CUTOFF:
-        return Propagator(h).evolve_vector(psi, t)
+        return EigenSystem(h).evolve_vector(psi, t)
     if not is_hermitian(h):
         raise DomainError("evolution requires a Hermitian Hamiltonian")
     from scipy.sparse.linalg import expm_multiply
@@ -197,16 +128,13 @@ def lr_scan(
 ) -> LRScan:
     """Evolve A at the chain origin and tabulate ||[alpha_t(A), B_x]||.
 
-    Requires a 1-d volume small enough for dense propagation.  The t = 0 row
-    is exactly zero off-site: evolution returns A unchanged at t = 0 and
-    embeddings on disjoint supports commute exactly.
+    Requires a 1-d volume whose dimension is at most ``dense_cutoff``, for
+    dense propagation.  The t = 0 row is exactly zero off-site: evolution
+    returns A unchanged at t = 0 and embeddings on disjoint supports commute
+    exactly.
     """
     if volume.dimension != 1:
         raise DomainError(f"light-cone scans run on chains; volume dims {volume.dims}")
-    if volume.hilbert_dim > dense_cutoff:
-        raise ResourceCapError(
-            f"scan needs dense propagation; dim {volume.hilbert_dim} > {dense_cutoff}"
-        )
     times = np.asarray(list(times), dtype=float)
     distances = np.asarray(list(distances), dtype=int)
     if times.size == 0 or distances.size == 0:
@@ -216,12 +144,12 @@ def lr_scan(
         raise DomainError(f"distances must lie in 0..{length - 1}")
 
     h = assemble_hamiltonian(interaction, volume, dense_cutoff=dense_cutoff)
+    prop = EigenSystem(h, cap_dense=dense_cutoff)
     a0 = embed(a_local, [(0,)], volume)
     b_ops = [embed(b_local, [(int(x),)], volume) for x in distances]
     a_norm = operator_norm(a0)
     b_norm = operator_norm(b_ops[0]) if b_ops else 0.0
 
-    prop = Propagator(h)
     norms = np.zeros((times.size, distances.size))
     for i, t in enumerate(times):
         at = prop.evolve(a0, float(t))

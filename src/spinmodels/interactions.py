@@ -13,7 +13,7 @@ so it is exposed as a direct Hamiltonian builder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +39,6 @@ class Interaction:
     site_term: np.ndarray | None = None
     bond_term: np.ndarray | None = None
     name: str = "custom"
-    translation_invariant: bool = field(default=True)
 
     def __post_init__(self):
         n = self.local_dim
@@ -224,11 +223,8 @@ def lambda_norm(interaction: Interaction, lam: float, spatial_dim: int = 1) -> f
     exp(lam * |X|) ||term(X)||.
 
     For a site + nearest-neighbour bundle on Z^d this is
-    exp(lam)*||site|| + 2*d*exp(2*lam)*||bond||.  Defined for translation-
-    invariant interactions and lam >= 0 only.
+    exp(lam)*||site|| + 2*d*exp(2*lam)*||bond||.  Defined for lam >= 0 only.
     """
-    if not interaction.translation_invariant:
-        raise DomainError("lambda norm requires a translation-invariant interaction")
     lam = float(lam)
     if lam < 0:
         raise DomainError(f"lambda must be >= 0, got {lam}")

@@ -5,7 +5,7 @@ orthogonalized twice against the whole retained basis).  Blocks matter for
 degenerate multiplets: the Krylov space grown from one starting block can
 never hold more of an eigenspace than the starting block's slice of it, so a
 multiplet of dimension m needs block_size >= m to come out complete.  The
-ground-space drivers in :mod:`spinmodels.spectra` size the block to the
+low-end routine :func:`spinmodels.spectra.low_levels` sizes the block to the
 number of requested pairs for exactly this reason; the default block of 4 is
 for generic low-end queries.
 

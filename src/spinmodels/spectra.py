@@ -1,10 +1,19 @@
 """Spectra, ground spaces, gaps, and equal-time correlations.
 
-Two independent diagonalization routes are exposed: dense LAPACK ``eigh``
-(exact, for Hilbert dimensions up to the dense cutoff) and the in-house block
-Lanczos from :mod:`spinmodels.krylov` for sparse operators.  ``ground_space``
-and ``spectral_gap`` pick a route automatically from the dimension but accept
-an explicit ``method`` so the two can be cross-checked.
+A Hamiltonian is diagonalized once.  :class:`EigenSystem` holds H with its
+dense LAPACK ``eigh`` decomposition; ``full_spectrum``, ``ground_space``,
+``spectral_gap``, the Gibbs and KMS routines of :mod:`spinmodels.states` and
+the evolutions of :mod:`spinmodels.dynamics` accept either a Hamiltonian (and
+then build an EigenSystem with the default cap) or an EigenSystem built once
+and shared.  Its constructor is the only dense-size guard; the cap is an
+argument.
+
+The low end of the spectrum has one routine, :func:`low_levels`, with two
+independent routes: the EigenSystem (exact, up to the dense cap) and the
+in-house block Lanczos from :mod:`spinmodels.krylov` for sparse operators.
+It picks the route from the dimension but accepts an explicit ``method`` so
+the two can be cross-checked; ``ground_space`` and ``spectral_gap`` are
+views of its result.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, ResourceCapError, SolverError
+from .errors import DomainError, RangeLimitError, ResourceCapError, SolverError
 from .krylov import lowest_eigenpairs
 from .lattice import Volume, embed
 from .spin_algebra import (
@@ -33,14 +42,103 @@ DEGENERACY_TOL = 1e-8
 #: Largest certifiable ground-space degeneracy on the sparse route.
 MAX_SPARSE_DEGENERACY = 64
 
+#: Largest exponent fed to exp(); beyond this the call is refused.
+RANGE_LIMIT = 700.0
 
-@dataclass
-class EigenSolution:
-    """Full eigensystem with per-pair residual norms ||H v - w v||."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residuals: np.ndarray
+def _require_hermitian(h):
+    if not is_hermitian(h):
+        raise DomainError("operator is not Hermitian")
+
+
+class EigenSystem:
+    """A Hermitian Hamiltonian with its full eigendecomposition, computed once.
+
+    ``h`` is the Hamiltonian as given (ndarray or CSR), ``eigenvalues`` are
+    ascending and the columns of ``eigenvectors`` are the matching
+    eigenvectors.  In the eigenbasis, conjugation by exp(itH) is an entrywise
+    phase, so each evolution costs two dense multiplications.
+    """
+
+    def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF, range_limit: float = RANGE_LIMIT):
+        _require_hermitian(h)
+        m = as_matrix(h)
+        dim = m.shape[0]
+        if dim > cap_dense:
+            raise ResourceCapError(
+                f"dense eigendecomposition refused at dim {dim} > {cap_dense}"
+            )
+        self.h = m
+        self.range_limit = float(range_limit)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(
+            m.toarray() if sp.issparse(m) else m
+        )
+
+    @classmethod
+    def of(cls, h, **kwargs) -> "EigenSystem":
+        """``h`` itself if it is an EigenSystem, else a new one built from it."""
+        return h if isinstance(h, cls) else cls(h, **kwargs)
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.shape[0]
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """Per-pair residual norms ||H v - w v||."""
+        v = self.eigenvectors
+        return np.linalg.norm(self.h @ v - v * self.eigenvalues, axis=0)
+
+    def require_range(self, beta: float, limit: float) -> None:
+        """Refuse imaginary time beta when |beta| * spread exceeds ``limit``."""
+        exponent = abs(beta) * float(self.eigenvalues[-1] - self.eigenvalues[0])
+        if exponent > limit:
+            raise RangeLimitError(
+                f"imaginary-time exponent {exponent:.3g} exceeds range limit {limit}"
+            )
+
+    def to_eigenbasis(self, a) -> np.ndarray:
+        """V^dagger A V as a dense array."""
+        m = as_matrix(a)
+        if m.shape[0] != self.dim:
+            raise DomainError(
+                f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
+            )
+        if sp.issparse(m):
+            m = m.toarray()
+        v = self.eigenvectors
+        return v.conj().T @ m @ v
+
+    def evolve(self, a, t: float) -> Operator:
+        """alpha_t(A) = exp(itH) A exp(-itH).  t = 0 returns A unchanged."""
+        t = float(t)
+        if t == 0.0:
+            return a if isinstance(a, Operator) else Operator(a)
+        w = self.eigenvalues
+        at = self.to_eigenbasis(a)
+        phases = np.exp(1j * t * (w[:, None] - w[None, :]))
+        v = self.eigenvectors
+        return Operator(v @ (at * phases) @ v.conj().T)
+
+    def evolve_imaginary(self, a, beta: float) -> Operator:
+        """exp(-beta H) A exp(beta H).  Refused when beta * spread > range_limit."""
+        beta = float(beta)
+        if beta == 0.0:
+            return a if isinstance(a, Operator) else Operator(a)
+        self.require_range(beta, self.range_limit)
+        w = self.eigenvalues
+        at = self.to_eigenbasis(a)
+        factors = np.exp(-beta * (w[:, None] - w[None, :]))
+        v = self.eigenvectors
+        return Operator(v @ (at * factors) @ v.conj().T)
+
+    def evolve_vector(self, psi: np.ndarray, t: float) -> np.ndarray:
+        """Schroedinger evolution exp(-itH) psi."""
+        psi = np.asarray(psi, dtype=np.complex128)
+        if psi.shape != (self.dim,):
+            raise DomainError(f"state shape {psi.shape} does not match dim {self.dim}")
+        v = self.eigenvectors
+        return v @ (np.exp(-1j * float(t) * self.eigenvalues) * (v.conj().T @ psi))
 
 
 @dataclass
@@ -52,28 +150,29 @@ class GroundSpace:
     basis: np.ndarray
 
 
-def _require_hermitian(h):
-    if not is_hermitian(h):
-        raise DomainError("operator is not Hermitian")
+@dataclass
+class LowLevels:
+    """The low end of a spectrum, from one solver run.
+
+    ``eigenvalues`` are ascending: the whole spectrum on the dense route, the
+    lowest ``num`` on the krylov route.  ``basis`` spans the ground multiplet
+    of ``degeneracy`` levels; ``gap`` is 0.0 when no level lies above it.
+    """
+
+    method: str
+    eigenvalues: np.ndarray
+    degeneracy: int
+    gap: float
+    basis: np.ndarray
+
+    @property
+    def energy(self) -> float:
+        return float(self.eigenvalues[0])
 
 
-def full_spectrum(h, *, compute_residuals: bool = True) -> EigenSolution:
+def full_spectrum(h) -> EigenSystem:
     """All eigenvalues (ascending) and eigenvectors, dense route only."""
-    _require_hermitian(h)
-    m = as_matrix(h)
-    dim = m.shape[0]
-    if dim > DENSE_CUTOFF:
-        raise ResourceCapError(
-            f"full spectrum needs the dense route; dim {dim} > {DENSE_CUTOFF}"
-        )
-    if sp.issparse(m):
-        m = m.toarray()
-    w, v = np.linalg.eigh(m)
-    if compute_residuals:
-        resid = np.linalg.norm(m @ v - v * w, axis=0)
-    else:
-        resid = np.zeros(dim)
-    return EigenSolution(eigenvalues=w, eigenvectors=v, residuals=resid)
+    return EigenSystem.of(h)
 
 
 def _sparse_spectral_scale(m, seed: int = 0x5CA1E) -> float:
@@ -91,6 +190,64 @@ def _window(e0: float, scale: float, degeneracy_tol: float) -> float:
     return e0 + degeneracy_tol * max(1.0, scale)
 
 
+def _gap(w: np.ndarray, degeneracy: int) -> float:
+    return float(w[degeneracy] - w[0]) if degeneracy < w.size else 0.0
+
+
+def low_levels(
+    h,
+    num: int = 1,
+    degeneracy_tol: float = DEGENERACY_TOL,
+    *,
+    method: str | None = None,
+    cap_dense: int = DENSE_CUTOFF,
+    tol: float = SOLVER_TOL,
+    seed: int = 7,
+) -> LowLevels:
+    """Ground multiplet, gap, and at least the ``num`` lowest eigenvalues.
+
+    Eigenvalues within ``degeneracy_tol * max(1, ||H||)`` of the minimum
+    count as one multiplet.  ``method`` is "dense", "krylov", or None (dense
+    for an EigenSystem or when the dimension is at most ``cap_dense``, block
+    Lanczos otherwise).  The krylov route makes one ARPACK scale estimate and
+    grows a Lanczos run, block as wide as the number of pairs, from
+    max(num, 6) pairs until a level lies above the ground window.
+    """
+    m = h.h if isinstance(h, EigenSystem) else as_matrix(h)
+    dim = m.shape[0]
+    if method is None:
+        method = "dense" if isinstance(h, EigenSystem) or dim <= cap_dense else "krylov"
+    if method not in ("dense", "krylov"):
+        raise DomainError(f"method must be 'dense' or 'krylov', got {method!r}")
+
+    if method == "dense":
+        es = EigenSystem.of(h, cap_dense=cap_dense)
+        w = es.eigenvalues
+        win = _window(w[0], float(np.max(np.abs(w))), degeneracy_tol)
+        deg = max(int(np.searchsorted(w, win, side="right")), 1)
+        return LowLevels("dense", w, deg, _gap(w, deg), es.eigenvectors[:, :deg])
+
+    if not isinstance(h, EigenSystem):
+        _require_hermitian(h)
+    msp = m if sp.issparse(m) else sp.csr_array(m)
+    scale = _sparse_spectral_scale(msp)
+    k = min(dim, max(num, 6))
+    while True:
+        # block as wide as k so a k-fold multiplet survives the Krylov slice
+        res = lowest_eigenpairs(msp, k, block_size=k, tol=tol, seed=seed)
+        w = res.eigenvalues
+        deg = int(np.sum(w <= _window(float(w[0]), scale, degeneracy_tol)))
+        if deg < k or k == dim:
+            return LowLevels("krylov", w[:num], deg, _gap(w, deg),
+                             res.eigenvectors[:, :deg])
+        if k >= MAX_SPARSE_DEGENERACY:
+            raise SolverError(
+                f"ground-space degeneracy exceeds {MAX_SPARSE_DEGENERACY}; "
+                "use the dense route"
+            )
+        k = min(dim, max(k + 1, 2 * k))
+
+
 def ground_space(
     h,
     degeneracy_tol: float = DEGENERACY_TOL,
@@ -101,49 +258,10 @@ def ground_space(
 ) -> GroundSpace:
     """Lowest eigenvalue with multiplicity, grouped by a relative window.
 
-    Eigenvalues within ``degeneracy_tol * max(1, ||H||)`` of the minimum
-    count as one multiplet.  ``method`` is "dense", "krylov", or None
-    (dense when the dimension allows, block Lanczos otherwise).
+    A view of :func:`low_levels`, which documents the window and ``method``.
     """
-    _require_hermitian(h)
-    m = as_matrix(h)
-    dim = m.shape[0]
-    if method is None:
-        method = "dense" if dim <= DENSE_CUTOFF else "krylov"
-    if method not in ("dense", "krylov"):
-        raise DomainError(f"method must be 'dense' or 'krylov', got {method!r}")
-
-    if method == "dense":
-        if dim > DENSE_CUTOFF:
-            raise ResourceCapError(
-                f"dense ground space refused at dim {dim} > {DENSE_CUTOFF}"
-            )
-        sol = full_spectrum(h, compute_residuals=False)
-        w, v = sol.eigenvalues, sol.eigenvectors
-        win = _window(w[0], float(np.max(np.abs(w))), degeneracy_tol)
-        deg = int(np.searchsorted(w, win, side="right"))
-        deg = max(deg, 1)
-        return GroundSpace(energy=float(w[0]), degeneracy=deg, basis=v[:, :deg])
-
-    msp = sp.csr_array(m) if not sp.issparse(m) else m
-    scale = _sparse_spectral_scale(msp)
-    k = min(dim, 6)
-    while True:
-        # block as wide as k so a k-fold multiplet survives the Krylov slice
-        res = lowest_eigenpairs(msp, k, block_size=k, tol=tol, seed=seed)
-        w = res.eigenvalues
-        win = _window(float(w[0]), scale, degeneracy_tol)
-        deg = int(np.sum(w <= win))
-        if deg < k or k == dim:
-            return GroundSpace(
-                energy=float(w[0]), degeneracy=deg, basis=res.eigenvectors[:, :deg]
-            )
-        if k >= MAX_SPARSE_DEGENERACY:
-            raise SolverError(
-                f"ground-space degeneracy exceeds {MAX_SPARSE_DEGENERACY}; "
-                "use the dense route"
-            )
-        k = min(dim, max(k + 1, 2 * k))
+    low = low_levels(h, 1, degeneracy_tol, method=method, tol=tol, seed=seed)
+    return GroundSpace(energy=low.energy, degeneracy=low.degeneracy, basis=low.basis)
 
 
 def spectral_gap(
@@ -157,39 +275,10 @@ def spectral_gap(
     """Energy difference between the ground multiplet and the next level.
 
     Returns 0.0 when no eigenvalue lies above the degeneracy window (the
-    operator is a multiple of the identity to within the window).
+    operator is a multiple of the identity to within the window).  A view of
+    :func:`low_levels`.
     """
-    _require_hermitian(h)
-    m = as_matrix(h)
-    dim = m.shape[0]
-    if method is None:
-        method = "dense" if dim <= DENSE_CUTOFF else "krylov"
-
-    if method == "dense":
-        sol = full_spectrum(h, compute_residuals=False)
-        w = sol.eigenvalues
-        win = _window(float(w[0]), float(np.max(np.abs(w))), degeneracy_tol)
-        above = w[w > win]
-        return float(above[0] - w[0]) if above.size else 0.0
-
-    msp = sp.csr_array(m) if not sp.issparse(m) else m
-    scale = _sparse_spectral_scale(msp)
-    k = min(dim, 6)
-    while True:
-        res = lowest_eigenpairs(msp, k, block_size=k, tol=tol, seed=seed)
-        w = res.eigenvalues
-        win = _window(float(w[0]), scale, degeneracy_tol)
-        above = w[w > win]
-        if above.size:
-            return float(above[0] - w[0])
-        if k == dim:
-            return 0.0
-        if k >= MAX_SPARSE_DEGENERACY:
-            raise SolverError(
-                f"no gap found below multiplicity {MAX_SPARSE_DEGENERACY}; "
-                "use the dense route"
-            )
-        k = min(dim, max(k + 1, 2 * k))
+    return low_levels(h, 1, degeneracy_tol, method=method, tol=tol, seed=seed).gap
 
 
 # ---------------------------------------------------------------------------

@@ -221,11 +221,6 @@ class Operator:
             return self._data
         return sp.csr_array(self._data)
 
-    def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) triplets of the stored nonzero entries."""
-        coo = sp.coo_array(self._data)
-        return coo.row.copy(), coo.col.copy(), coo.data.copy()
-
     def adjoint(self) -> "Operator":
         return Operator(self._data.conj().T, hermitian=self._hermitian)
 

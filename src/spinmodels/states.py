@@ -1,7 +1,9 @@
 """State containers, Gibbs states, and the equilibrium criteria.
 
 The three equilibrium checks all evaluate finite-volume identities exactly
-(up to rounding) through the dense eigendecomposition route:
+(up to rounding).  ``gibbs`` and ``kms_residual`` read the dense
+eigendecomposition of H from a :class:`spinmodels.spectra.EigenSystem`: pass
+one built once to share it across calls, or pass H to build one per call.
 
 * boundary condition relating a state to its imaginary-time flow:
   omega(A alpha_{i beta}(B)) = omega(B A), evaluated as a residual;
@@ -18,15 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import RANGE_LIMIT
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    DomainError,
-    RangeLimitError,
-    ResourceCapError,
-)
-from .spin_algebra import DENSE_CUTOFF, Operator, as_matrix, commutator, is_hermitian
+from .errors import DegenerateInputError, DimensionMismatchError, DomainError
+from .spectra import RANGE_LIMIT, EigenSystem
+from .spin_algebra import Operator, as_matrix, commutator
 
 #: Validation tolerance for state invariants (Hermiticity, trace, positivity).
 STATE_TOL = 1e-12
@@ -141,22 +137,16 @@ class GibbsState:
 def gibbs(h, beta: float) -> GibbsState:
     """Gibbs state at inverse temperature beta >= 0 (dense route).
 
-    Weights are computed relative to the smallest eigenvalue, so no beta
-    overflows; the result is re-symmetrized and re-normalized so the state
-    invariants hold to rounding at any beta.
+    ``h`` is a Hamiltonian or its EigenSystem.  Weights are computed relative
+    to the smallest eigenvalue, so no beta overflows; the result is
+    re-symmetrized and re-normalized so the state invariants hold to rounding
+    at any beta.
     """
     beta = float(beta)
     if not np.isfinite(beta) or beta < 0:
         raise DomainError(f"beta must be finite and >= 0, got {beta}")
-    if not is_hermitian(h):
-        raise DomainError("gibbs state requires a Hermitian Hamiltonian")
-    m = as_matrix(h)
-    dim = m.shape[0]
-    if dim > DENSE_CUTOFF:
-        raise ResourceCapError(f"gibbs is a dense-mode operation; dim {dim} too large")
-    if sp.issparse(m):
-        m = m.toarray()
-    w, v = np.linalg.eigh(m)
+    es = EigenSystem.of(h)
+    w, v = es.eigenvalues, es.eigenvectors
     weights = np.exp(-beta * (w - w[0]))
     s = float(np.sum(weights))
     rho = (v * (weights / s)) @ v.conj().T
@@ -200,7 +190,8 @@ def kms_residual(h, beta: float, a, b, *, range_limit: float = RANGE_LIMIT) -> f
     """| omega(A alpha_{i beta}(B)) - omega(B A) | in the Gibbs state at beta.
 
     Zero (to rounding) exactly when omega is the Gibbs state; the residual is
-    the worst absolute deviation for this observable pair.
+    the worst absolute deviation for this observable pair.  ``h`` is a
+    Hamiltonian or its EigenSystem; both sides share its decomposition.
 
     The flow side folds the Boltzmann weight into the conjugation factors in
     the energy eigenbasis, where the growing and decaying exponentials cancel
@@ -211,38 +202,25 @@ def kms_residual(h, beta: float, a, b, *, range_limit: float = RANGE_LIMIT) -> f
     beta = float(beta)
     if not np.isfinite(beta) or beta < 0:
         raise DomainError(f"beta must be finite and >= 0, got {beta}")
-    if not is_hermitian(h):
-        raise DomainError("boundary-condition check requires a Hermitian Hamiltonian")
-    m = as_matrix(h)
-    dim = m.shape[0]
-    if dim > DENSE_CUTOFF:
-        raise ResourceCapError(
-            f"kms_residual is a dense-mode operation; dim {dim} too large"
-        )
-    if sp.issparse(m):
-        m = m.toarray()
+    es = EigenSystem.of(h)
     a_op = a if isinstance(a, Operator) else Operator(as_matrix(a))
     b_op = b if isinstance(b, Operator) else Operator(as_matrix(b))
     for name, op in (("A", a_op), ("B", b_op)):
-        if op.dim != dim:
+        if op.dim != es.dim:
             raise DimensionMismatchError(
-                f"{name} dim {op.dim} vs Hamiltonian dim {dim}"
+                f"{name} dim {op.dim} vs Hamiltonian dim {es.dim}"
             )
-    w, v = np.linalg.eigh(m)
-    spread = float(w[-1] - w[0])
-    if beta * spread > range_limit:
-        raise RangeLimitError(
-            f"imaginary-time exponent {beta * spread:.3g} exceeds "
-            f"range limit {range_limit}"
-        )
+    es.require_range(beta, range_limit)
     # flow side: omega(A alpha_{i beta}(B)) term-by-term in the eigenbasis;
     # the weight attaches to the index the flow transports it to, which is
     # what distinguishes it from omega(A B)
-    at = v.conj().T @ a_op.toarray() @ v
-    bt = v.conj().T @ b_op.toarray() @ v
+    at = es.to_eigenbasis(a_op)
+    bt = es.to_eigenbasis(b_op)
+    w = es.eigenvalues
     weights = np.exp(-beta * (w - w[0]))
     lhs = complex(np.einsum("jk,kj,k->", at, bt, weights)) / float(weights.sum())
-    rhs = expectation(gibbs(h, beta).rho, b_op @ a_op)
+    # comparison side: omega(B A) in the Gibbs density matrix
+    rhs = expectation(gibbs(es, beta).rho, b_op @ a_op)
     return float(abs(lhs - rhs))
 
 

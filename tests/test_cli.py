@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from spinmodels.cli import (
     run_spec,
     write_csv,
 )
+
+
+RUNSPECS = Path(__file__).resolve().parent.parent / "runspecs"
 
 
 def _spec(task, section, *, model=None, volume=None, seed=None, output=None):
@@ -310,3 +314,62 @@ def test_console_entry_point_subprocess(tmp_path):
     assert json.loads(lines[0])["ok"] is True
     assert "wall_time" in proc.stderr
     assert "task=thermal" in proc.stderr
+
+
+def test_krylov_spectrum_lists_whole_multiplets(tmp_path):
+    # ferromagnetic 8-site ring: the ground multiplet is 9-fold at E = -2, so
+    # the six lowest levels are all -2, even on the block Lanczos route
+    doc_in = _spec("spectrum", {"method": "krylov", "num_eigenvalues": 6},
+                   model={"name": "heisenberg", "params": {"J": 1.0}},
+                   volume={"dims": [8], "boundary": "periodic"})
+    doc = json.loads(run_spec(parse_spec_dict(doc_in), tmp_path).read_text())
+    payload = doc["payload"]
+    assert payload["method"] == "krylov"
+    assert payload["degeneracy"] == 9
+    assert len(payload["eigenvalues"]) == 6
+    assert np.allclose(payload["eigenvalues"], -2.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name, code", [
+    ("verify.json", 3),
+    ("thermal.json", 3),
+    ("dynamics.json", 3),
+    ("spectrum.json", 0),
+    ("scan.json", 0),
+])
+def test_cap_dense_reaches_every_task(tmp_path, capsys, name, code):
+    # dims 32..256 exceed a dense cap of 16: tasks that need the full
+    # eigendecomposition refuse, low-end tasks switch to block Lanczos
+    out = tmp_path / "out"
+    assert main(["run", str(RUNSPECS / name), "--out", str(out),
+                 "--cap-dense", "16"]) == code
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    if code:
+        assert line["error"]["kind"] == "ResourceCapError"
+        return
+    doc = json.loads(Path(line["result"]).read_text())
+    points = doc["payload"].get("points", [doc["payload"]])
+    assert all(p.get("method", "krylov") == "krylov" for p in points)
+    assert doc["provenance"]["caps"]["dense"] == 16
+
+
+@pytest.mark.parametrize("name, dim, per_point", [
+    ("verify.json", 32, False),
+    ("thermal.json", 64, False),
+    ("spectrum.json", 256, False),
+    ("scan.json", 64, True),
+])
+def test_one_dense_eigendecomposition_per_hamiltonian(tmp_path, monkeypatch,
+                                                      name, dim, per_point):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.shape(a)[-1] == dim:
+            calls.append(1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    doc = json.loads(run_spec(parse_spec_file(RUNSPECS / name), tmp_path).read_text())
+    hamiltonians = len(doc["payload"]["points"]) if per_point else 1
+    assert len(calls) == hamiltonians

@@ -5,6 +5,7 @@ import scipy.linalg
 from spinmodels import (
     DegenerateInputError,
     DomainError,
+    EigenSystem,
     LRScan,
     Propagator,
     RangeLimitError,
@@ -166,6 +167,19 @@ def test_lr_scan_rejects_out_of_volume_distance():
     ops = spin_matrices(0.5)
     with pytest.raises(DomainError):
         lr_scan(heisenberg(j=1.0), vol, ops.s3, ops.s3, (0.5,), (1, 4))
+
+
+def test_one_shot_helpers_accept_an_eigen_system():
+    h = _chain_hamiltonian(3)
+    es = EigenSystem(h)
+    assert Propagator is EigenSystem
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    psi = rng.standard_normal(8) + 0j
+    assert np.array_equal(evolve(es, a, 0.4).toarray(), evolve(h, a, 0.4).toarray())
+    assert np.array_equal(evolve_imaginary(es, a, 0.4).toarray(),
+                          evolve_imaginary(h, a, 0.4).toarray())
+    assert np.array_equal(evolve_state(es, psi, 0.4), evolve_state(h, psi, 0.4))
 
 
 def test_propagator_requires_hermitian():

@@ -7,6 +7,8 @@ import scipy.sparse as sp
 from spinmodels import (
     DensityMatrix,
     DomainError,
+    EigenSystem,
+    ResourceCapError,
     SolverError,
     StateVector,
     assemble_hamiltonian,
@@ -17,6 +19,7 @@ from spinmodels import (
     ground_space,
     heisenberg,
     ising,
+    low_levels,
     spectral_gap,
     structure_factor,
     two_point,
@@ -40,6 +43,42 @@ def test_full_spectrum_matches_numpy():
 def test_full_spectrum_rejects_non_hermitian():
     with pytest.raises(DomainError):
         full_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigen_system_is_shared_by_the_spectral_views():
+    vol = chain_volume(6, boundary="periodic")
+    h = assemble_hamiltonian(heisenberg(j=-1.0), vol)
+    es = EigenSystem(h)
+    assert full_spectrum(es) is es
+    assert np.array_equal(full_spectrum(h).eigenvalues, es.eigenvalues)
+    gs = ground_space(es)
+    assert gs.energy == ground_space(h).energy == es.eigenvalues[0]
+    assert spectral_gap(es) == spectral_gap(h)
+    low = low_levels(es)
+    assert low.method == "dense"
+    assert np.array_equal(low.eigenvalues, es.eigenvalues)
+    assert (low.degeneracy, low.gap) == (gs.degeneracy, spectral_gap(h))
+
+
+def test_eigen_system_cap_is_an_argument():
+    h = assemble_hamiltonian(heisenberg(j=1.0), chain_volume(5))
+    with pytest.raises(ResourceCapError):
+        EigenSystem(h, cap_dense=16)
+    with pytest.raises(ResourceCapError):
+        low_levels(h, method="dense", cap_dense=16)
+    # without an explicit method a small cap selects block Lanczos
+    assert low_levels(h, cap_dense=16).method == "krylov"
+
+
+def test_low_levels_krylov_lists_requested_levels():
+    vol = chain_volume(8, boundary="periodic")
+    h = assemble_hamiltonian(heisenberg(j=-1.0), vol)
+    w = np.linalg.eigvalsh(h.toarray())
+    low = low_levels(h.tocsr(), 10, method="krylov")
+    assert low.eigenvalues.shape == (10,)
+    assert np.allclose(low.eigenvalues, w[:10], atol=1e-8)
+    assert low.degeneracy == 1
+    assert abs(low.gap - (w[1] - w[0])) < 1e-8
 
 
 def test_ground_space_ferromagnet_multiplet():

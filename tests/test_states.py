@@ -14,6 +14,7 @@ from spinmodels import (
     DegenerateInputError,
     DensityMatrix,
     DomainError,
+    EigenSystem,
     RangeLimitError,
     StateVector,
     assemble_hamiltonian,
@@ -128,6 +129,19 @@ def test_kms_residual_random_pairs_on_chain():
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         assert kms_residual(h, 0.7, a, b) < 1e-10
+
+
+def test_gibbs_and_kms_accept_a_shared_eigen_system():
+    h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(4, boundary="periodic"))
+    es = EigenSystem(h)
+    for beta in (0.0, 0.7, 3.0):
+        assert np.array_equal(gibbs(es, beta).rho.matrix, gibbs(h, beta).rho.matrix)
+        assert gibbs(es, beta).log_z == gibbs(h, beta).log_z
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    b = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    assert kms_residual(es, 1.2, a, b) == kms_residual(h, 1.2, a, b)
+    assert kms_residual(es, 1.2, a, b) < 1e-12
 
 
 def test_kms_residual_stays_at_rounding_for_deep_beta():
