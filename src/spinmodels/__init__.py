@@ -1,7 +1,8 @@
 """Exact diagonalization and verification for finite quantum spin systems.
 
 Modules:
-    spin_algebra  — spin-S matrices, Operator container, norms, commutators
+    spin_algebra  — spin-S matrices, Operator container, norms, commutators,
+                    the block-by-block Hermitian eigensolver
     lattice       — finite volumes, embeddings, permutation unitaries
     interactions  — built-in models and Hamiltonian assembly
     krylov        — block Lanczos low-end eigensolver (sparse route)

@@ -5,7 +5,12 @@ Trotterization anywhere: in the eigenbasis, conjugation by exp(itH) is an
 entrywise phase exp(it(w_j - w_k)), and imaginary time replaces the phase by
 exp(-beta(w_j - w_k)).  The decomposition is the shared
 :class:`spinmodels.spectra.EigenSystem` (``Propagator`` is its old name), so
-evolving, spectra, and Gibbs states of one Hamiltonian cost one ``eigh``.
+evolving, spectra, and Gibbs states of one Hamiltonian share one
+decomposition: one ``eigh`` per invariant block of H's nonzero pattern, in
+real arithmetic when H is real.  Its eigenvectors keep the exact zeros of the
+blocks, so an operator that H's blocks leave invariant (S3 at a site, for
+the built-in models) stays block-diagonal under evolution, and the
+commutator norms of a light-cone scan are solved block by block as well.
 Operator evolution is therefore a dense-mode operation; sparse Hamiltonians
 still get vector propagation through a Krylov-based matrix-exponential
 action.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .spin_algebra import SOLVER_TOL, as_matrix
+from .spin_algebra import SOLVER_TOL, as_matrix, hermitian_eig
 
 
 @dataclass
@@ -40,16 +40,16 @@ def _orthonormal_block(cand, basis, rng, dim):
     always comes back full rank (keeps degenerate subspaces explorable).
     """
     b = cand.shape[1]
-    out = np.zeros((dim, b), dtype=np.complex128)
+    out = np.zeros((dim, b), dtype=np.complex128, order="F")
     filled = 0
     for j in range(b):
         v = cand[:, j].astype(np.complex128, copy=True)
         for attempt in range(6):
             for _ in range(2):  # two Gram-Schmidt sweeps
                 if basis is not None and basis.shape[1]:
-                    v -= basis @ (basis.conj().T @ v)
+                    v -= basis @ (v.conj() @ basis).conj()
                 if filled:
-                    v -= out[:, :filled] @ (out[:, :filled].conj().T @ v)
+                    v -= out[:, :filled] @ (v.conj() @ out[:, :filled]).conj()
             nv = float(np.linalg.norm(v))
             if nv > 1e-8:
                 out[:, filled] = v / nv
@@ -100,8 +100,9 @@ def lowest_eigenpairs(
     max_basis = int(min(dim, max(max_basis, k + 2 * b)))
 
     rng = np.random.default_rng(seed)
-    V = np.zeros((dim, max_basis), dtype=np.complex128)
-    W = np.zeros((dim, max_basis), dtype=np.complex128)
+    # column-major, so the leading columns in use are one contiguous block
+    V = np.zeros((dim, max_basis), dtype=np.complex128, order="F")
+    W = np.zeros((dim, max_basis), dtype=np.complex128, order="F")
     nbasis = 0
     X = _orthonormal_block(
         rng.standard_normal((dim, b)) + 1j * rng.standard_normal((dim, b)),
@@ -128,7 +129,7 @@ def lowest_eigenpairs(
             # thick restart: compress onto the lowest Ritz vectors
             T = V[:, :nbasis].conj().T @ W[:, :nbasis]
             T = (T + T.conj().T) / 2.0
-            theta, Y = np.linalg.eigh(T)
+            theta, Y, _ = hermitian_eig(T)
             keep = min(k + 2 * b, nbasis - bw)
             keep = max(keep, 1)
             V[:, :keep] = V[:, :nbasis] @ Y[:, :keep]
@@ -141,7 +142,7 @@ def lowest_eigenpairs(
 
         T = V[:, :nbasis].conj().T @ W[:, :nbasis]
         T = (T + T.conj().T) / 2.0
-        theta, Y = np.linalg.eigh(T)
+        theta, Y, _ = hermitian_eig(T)
         kk = min(k, nbasis)
         ritz_v = V[:, :nbasis] @ Y[:, :kk]
         ritz_w = W[:, :nbasis] @ Y[:, :kk]
@@ -159,7 +160,7 @@ def lowest_eigenpairs(
                 )
         # next block: residual directions of the newest block
         last = W[:, nbasis - bw:nbasis]
-        cand = last - V[:, :nbasis] @ (V[:, :nbasis].conj().T @ last)
+        cand = last - V[:, :nbasis] @ (last.conj().T @ V[:, :nbasis]).conj().T
         X = _orthonormal_block(cand, V[:, :nbasis], rng, dim)
 
     raise SolverError(

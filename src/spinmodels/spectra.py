@@ -1,8 +1,11 @@
 """Spectra, ground spaces, gaps, and equal-time correlations.
 
 A Hamiltonian is diagonalized once.  :class:`EigenSystem` holds H with its
-dense LAPACK ``eigh`` decomposition; ``full_spectrum``, ``ground_space``,
-``spectral_gap``, the Gibbs and KMS routines of :mod:`spinmodels.states` and
+dense decomposition from :func:`spinmodels.spin_algebra.hermitian_eig`: one
+LAPACK ``eigh`` per invariant block of H's exact nonzero pattern (for the
+built-in models, the conserved total-S3 sectors or finer), in float64 when
+the block's imaginary part is exactly zero.  ``full_spectrum``,
+``ground_space``, ``spectral_gap``, the Gibbs and KMS routines of :mod:`spinmodels.states` and
 the evolutions of :mod:`spinmodels.dynamics` accept either a Hamiltonian (and
 then build an EigenSystem with the default cap) or an EigenSystem built once
 and shared.  Its constructor is the only dense-size guard; the cap is an
@@ -32,6 +35,7 @@ from .spin_algebra import (
     SOLVER_TOL,
     Operator,
     as_matrix,
+    hermitian_eig,
     is_hermitian,
     spin_matrices,
 )
@@ -56,8 +60,11 @@ class EigenSystem:
 
     ``h`` is the Hamiltonian as given (ndarray or CSR), ``eigenvalues`` are
     ascending and the columns of ``eigenvectors`` are the matching
-    eigenvectors.  In the eigenbasis, conjugation by exp(itH) is an entrywise
-    phase, so each evolution costs two dense multiplications.
+    eigenvectors, float64 when H has no imaginary part.  ``block_sizes`` are
+    the invariant blocks the decomposition was solved in (see
+    :func:`~spinmodels.spin_algebra.hermitian_eig`).  In the eigenbasis,
+    conjugation by exp(itH) is an entrywise phase, so each evolution costs two
+    dense multiplications.
     """
 
     def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF, range_limit: float = RANGE_LIMIT):
@@ -70,9 +77,7 @@ class EigenSystem:
             )
         self.h = m
         self.range_limit = float(range_limit)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(
-            m.toarray() if sp.issparse(m) else m
-        )
+        self.eigenvalues, self.eigenvectors, self.block_sizes = hermitian_eig(m)
 
     @classmethod
     def of(cls, h, **kwargs) -> "EigenSystem":
@@ -157,6 +162,8 @@ class LowLevels:
     ``eigenvalues`` are ascending: the whole spectrum on the dense route, the
     lowest ``num`` on the krylov route.  ``basis`` spans the ground multiplet
     of ``degeneracy`` levels; ``gap`` is 0.0 when no level lies above it.
+    ``block_sizes`` are the EigenSystem's invariant blocks on the dense route
+    and None on the krylov route.
     """
 
     method: str
@@ -164,6 +171,7 @@ class LowLevels:
     degeneracy: int
     gap: float
     basis: np.ndarray
+    block_sizes: list[int] | None = None
 
     @property
     def energy(self) -> float:
@@ -179,7 +187,7 @@ def _sparse_spectral_scale(m, seed: int = 0x5CA1E) -> float:
     """Deterministic largest-|eigenvalue| estimate for Hermitian sparse m."""
     dim = m.shape[0]
     if dim <= 16:
-        return float(np.max(np.abs(np.linalg.eigvalsh(m.toarray()))))
+        return float(np.max(np.abs(hermitian_eig(m, vectors=False).eigenvalues)))
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     vals = spla.eigsh(m, k=1, which="LM", v0=v0, return_eigenvectors=False)
@@ -225,7 +233,8 @@ def low_levels(
         w = es.eigenvalues
         win = _window(w[0], float(np.max(np.abs(w))), degeneracy_tol)
         deg = max(int(np.searchsorted(w, win, side="right")), 1)
-        return LowLevels("dense", w, deg, _gap(w, deg), es.eigenvectors[:, :deg])
+        return LowLevels("dense", w, deg, _gap(w, deg), es.eigenvectors[:, :deg],
+                         es.block_sizes)
 
     if not isinstance(h, EigenSystem):
         _require_hermitian(h)

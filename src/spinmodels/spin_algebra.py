@@ -12,6 +12,10 @@ doubled matrices 2*Si are the Pauli matrices.
 Everything is complex double precision.  Structure checks (Hermiticity,
 commutation relations) use STRUCTURE_TOL; iterative-solver residuals are
 judged against SOLVER_TOL relative to the operator norm.
+
+Every dense Hermitian eigensolve goes through :func:`hermitian_eig`, which
+splits the matrix into the invariant blocks of its exact nonzero pattern and
+solves each block in float64 when its imaginary part is exactly zero.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatchError, DomainError, SolverError
 
@@ -367,6 +373,79 @@ def anticommutator(a, b):
     return c
 
 
+class HermitianEig(NamedTuple):
+    """Eigenvalues (ascending), eigenvectors as columns (None when not asked
+    for), and the sizes of the invariant blocks they were solved in."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray | None
+    block_sizes: list[int]
+
+
+def _pattern_blocks(m) -> np.ndarray:
+    """Block label of each basis index: the connected components of the
+    undirected graph of the exact nonzero pattern of ``m``."""
+    pattern = m != 0
+    if not sp.issparse(pattern):
+        if pattern.all():  # no zero entry: one block, no graph search needed
+            return np.zeros(m.shape[0], dtype=np.intp)
+        pattern = sp.csr_array(pattern)
+    return connected_components(pattern, directed=False)[1]
+
+
+def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
+    """Eigendecomposition of a Hermitian ndarray or CSR matrix, block by block.
+
+    The blocks are the connected components of the exact nonzero pattern
+    (read as an undirected graph), so each is an invariant subspace spanned by
+    basis vectors and no tolerance decides them: a coupling of any size, noise
+    included, joins two blocks.  Each block of size > 1 is one LAPACK call, in
+    float64 when its imaginary part is exactly zero; size-1 blocks are their
+    diagonal entries, read in one step.  Eigenvalues are merged by a stable
+    ascending sort.  Eigenvectors, when ``vectors``, are scattered into one
+    dense dim x dim array whose columns follow that order; it is float64 iff
+    every block was real, and its entries outside a column's block are exact
+    zeros.  ``block_sizes`` lists the blocks in the order of their first basis
+    index.  Like LAPACK, only the lower triangle of each block is read.
+    """
+    m = as_matrix(m)
+    n = m.shape[0]
+    labels = _pattern_blocks(m)
+    sizes = np.bincount(labels)
+    members = np.argsort(labels, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+
+    singles = np.flatnonzero(sizes[labels] == 1)
+    values = [m.diagonal()[singles].real]
+    solved = []  # (basis indices, eigenvectors) of each block of size > 1
+    for b in np.flatnonzero(sizes > 1):
+        idx = members[starts[b]:starts[b + 1]]
+        block = m[idx][:, idx].toarray() if sp.issparse(m) else m[np.ix_(idx, idx)]
+        if np.iscomplexobj(block) and not block.imag.any():
+            block = block.real
+        if vectors:
+            w, v = np.linalg.eigh(block)
+            solved.append((idx, v))
+        else:
+            w = np.linalg.eigvalsh(block)
+        values.append(w)
+    w = np.concatenate(values)
+    order = np.argsort(w, kind="stable")
+    if not vectors:
+        return HermitianEig(w[order], None, sizes.tolist())
+
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    real = all(v.dtype.kind == "f" for _, v in solved)
+    out = np.zeros((n, n), dtype=np.float64 if real else np.complex128)
+    out[singles, column[:singles.size]] = 1.0
+    offset = singles.size
+    for idx, v in solved:
+        out[np.ix_(idx, column[offset:offset + idx.size])] = v
+        offset += idx.size
+    return HermitianEig(w[order], out, sizes.tolist())
+
+
 _NORM_SEED = 0x5EED
 
 
@@ -391,11 +470,11 @@ def operator_norm(a) -> float:
         return 0.0
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
     if herm_dev <= STRUCTURE_TOL:
-        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+        return float(np.max(np.abs(hermitian_eig(m, vectors=False).eigenvalues)))
     anti_dev = float(np.max(np.abs(m + m.conj().T)))
     if anti_dev <= STRUCTURE_TOL:
         # i*A is Hermitian when A is anti-Hermitian; same norm, cheaper than SVD.
-        return float(np.max(np.abs(np.linalg.eigvalsh(1j * m))))
+        return float(np.max(np.abs(hermitian_eig(1j * m, vectors=False).eigenvalues)))
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

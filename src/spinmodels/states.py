@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import DegenerateInputError, DimensionMismatchError, DomainError
 from .spectra import RANGE_LIMIT, EigenSystem
-from .spin_algebra import Operator, as_matrix, commutator
+from .spin_algebra import Operator, as_matrix, commutator, hermitian_eig
 
 #: Validation tolerance for state invariants (Hermiticity, trace, positivity).
 STATE_TOL = 1e-12
@@ -80,7 +80,8 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > max(tol, 1e-12 * m.shape[0]):
             raise DomainError(f"density matrix trace {tr} is not 1")
-        wmin = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
+        w = hermitian_eig((m + m.conj().T) / 2.0, vectors=False).eigenvalues
+        wmin = float(np.min(w))
         if wmin < -tol:
             raise DomainError(f"density matrix has negative eigenvalue {wmin:.3e}")
 

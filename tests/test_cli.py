@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinmodels import SolverError, SpecFileError
+from spinmodels import SolverError, SpecFileError, spin_algebra
 from spinmodels.cli import (
     RunSpec,
     canonical_json,
@@ -215,6 +215,16 @@ def test_run_spectrum_end_to_end(tmp_path):
     assert prov["tolerances"]["solver"] == 1e-10
 
 
+def test_dense_spectrum_payload_lists_invariant_blocks(tmp_path):
+    # 4-site ring: one block per total-S3 sector, ordered by first basis index
+    doc = json.loads(run_spec(parse_spec_dict(_spec("spectrum", {"method": "dense"})),
+                              tmp_path).read_text())
+    assert doc["payload"]["block_sizes"] == [1, 4, 6, 4, 1]
+    doc = json.loads(run_spec(parse_spec_dict(_spec("spectrum", {"method": "krylov"})),
+                              tmp_path).read_text())
+    assert "block_sizes" not in doc["payload"]
+
+
 def test_run_thermal_consistency(tmp_path):
     spec = parse_spec_dict(_spec("thermal", {"betas": [0.0, 0.5, 1.0, 2.0]}))
     doc = json.loads(run_spec(spec, tmp_path).read_text())
@@ -361,15 +371,20 @@ def test_cap_dense_reaches_every_task(tmp_path, capsys, name, code):
 ])
 def test_one_dense_eigendecomposition_per_hamiltonian(tmp_path, monkeypatch,
                                                       name, dim, per_point):
+    # every dense eigensolve goes through hermitian_eig; a full-dimension call
+    # with eigenvectors is a decomposition of H (norms ask for eigenvalues only)
     calls = []
-    eigh = np.linalg.eigh
+    solve = spin_algebra.hermitian_eig
 
-    def counting_eigh(a, *args, **kwargs):
-        if np.shape(a)[-1] == dim:
+    def counting_solve(m, vectors=True):
+        if vectors and np.shape(m)[-1] == dim:
             calls.append(1)
-        return eigh(a, *args, **kwargs)
+        return solve(m, vectors)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("spinmodels")
+                and getattr(module, "hermitian_eig", None) is solve):
+            monkeypatch.setattr(module, "hermitian_eig", counting_solve)
     doc = json.loads(run_spec(parse_spec_file(RUNSPECS / name), tmp_path).read_text())
     hamiltonians = len(doc["payload"]["points"]) if per_point else 1
     assert len(calls) == hamiltonians

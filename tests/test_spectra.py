@@ -8,12 +8,14 @@ from spinmodels import (
     DensityMatrix,
     DomainError,
     EigenSystem,
+    Interaction,
     ResourceCapError,
     SolverError,
     StateVector,
     assemble_hamiltonian,
     basis_index,
     basis_vector,
+    build_model_hamiltonian,
     chain_volume,
     full_spectrum,
     ground_space,
@@ -21,6 +23,7 @@ from spinmodels import (
     ising,
     low_levels,
     spectral_gap,
+    spin_matrices,
     structure_factor,
     two_point,
 )
@@ -38,6 +41,52 @@ def test_full_spectrum_matches_numpy():
         d = sol.eigenvectors.conj().T @ m @ sol.eigenvectors
         assert np.allclose(d, np.diag(sol.eigenvalues), atol=1e-11)
         assert np.max(sol.residuals) < 1e-12 * max(1.0, np.max(np.abs(w)))
+
+
+def _custom_chain(site_term, bond_term, length=6):
+    vol = chain_volume(length, "open")
+    return assemble_hamiltonian(Interaction(2, site_term, bond_term), vol)
+
+
+_S = spin_matrices(0.5)
+
+# (Hamiltonian, number of invariant blocks of its nonzero pattern)
+BLOCK_ORACLE_CASES = {
+    # the built-in models conserve total S3; each magnetization sector is one block
+    "heisenberg": (lambda: build_model_hamiltonian(
+        "heisenberg", {"J": -1.0}, chain_volume(8, "periodic")), 9),
+    "xy_field": (lambda: build_model_hamiltonian(
+        "xy_field", {"h": 0.3}, chain_volume(8, "periodic")), 9),
+    "ising": (lambda: build_model_hamiltonian(
+        "ising", {"h": 0.3}, chain_volume(8, "periodic")), 256),
+    "aklt": (lambda: build_model_hamiltonian(
+        "aklt", {}, chain_volume(5, "periodic", local_dim=3)), 11),
+    "xxz_suq2": (lambda: build_model_hamiltonian(
+        "xxz_suq2", {"q": 0.5}, chain_volume(8, "open")), 9),
+    # a transverse field connects every product state: one block
+    "transverse_ising": (lambda: _custom_chain(
+        -0.7 * _S.s1, -np.kron(_S.s3, _S.s3)), 1),
+    # z-axis Dzyaloshinskii-Moriya bond: purely imaginary, still conserves S3
+    "dm_bond": (lambda: _custom_chain(
+        -0.3 * _S.s3, np.kron(_S.s1, _S.s2) - np.kron(_S.s2, _S.s1)), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_ORACLE_CASES))
+def test_eigen_system_blocks_match_full_complex_eigh(name):
+    build, num_blocks = BLOCK_ORACLE_CASES[name]
+    h = build()
+    hd = np.asarray(h.toarray(), dtype=complex)
+    es = EigenSystem(h)
+    w_full = np.linalg.eigh(hd)[0]
+    scale = max(1.0, float(np.max(np.abs(w_full))))
+    assert len(es.block_sizes) == num_blocks
+    assert sum(es.block_sizes) == hd.shape[0]
+    assert np.max(np.abs(es.eigenvalues - w_full)) < 1e-12 * scale
+    assert np.max(es.residuals) < 1e-12 * scale
+    v = es.eigenvectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(hd.shape[0]))) < 1e-12
+    assert (v.dtype == np.float64) == (not np.any(hd.imag))
 
 
 def test_full_spectrum_rejects_non_hermitian():

@@ -16,6 +16,7 @@ from spinmodels import (
     pauli_matrices,
     spin_matrices,
 )
+from spinmodels.spin_algebra import hermitian_eig
 
 # hand-written references for S = 1/2 and S = 1
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -177,6 +178,55 @@ def test_operator_norm_matches_dense_oracle():
     anti = m - m.conj().T
     want = np.max(np.abs(np.linalg.eigvalsh(1j * anti)))
     assert abs(operator_norm(anti) - want) < 1e-12
+
+
+def _permuted_block_diagonal(rng, sizes, complex_blocks):
+    """Random Hermitian blocks of the given sizes, basis randomly permuted."""
+    n = sum(sizes)
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for k, cplx in zip(sizes, complex_blocks):
+        b = rng.standard_normal((k, k)) + (1j * rng.standard_normal((k, k)) if cplx else 0)
+        m[start:start + k, start:start + k] = b + b.conj().T
+        start += k
+    perm = rng.permutation(n)
+    return m[np.ix_(perm, perm)]
+
+
+def test_hermitian_eig_matches_full_eigh_on_permuted_blocks():
+    rng = np.random.default_rng(23)
+    sizes = [3, 1, 5, 1, 2, 4]
+    for complex_blocks in ([False] * 6, [False, False, True, False, False, True]):
+        m = _permuted_block_diagonal(rng, sizes, complex_blocks)
+        w_full = np.linalg.eigvalsh(m)
+        for given in (m, sp.csr_array(m)):
+            w, v, blocks = hermitian_eig(given)
+            assert sorted(blocks) == sorted(sizes)
+            assert np.max(np.abs(w - w_full)) < 1e-12 * np.max(np.abs(w_full))
+            assert np.max(np.abs(m @ v - v * w)) < 1e-12 * np.max(np.abs(w_full))
+            assert np.max(np.abs(v.conj().T @ v - np.eye(m.shape[0]))) < 1e-12
+            assert (v.dtype == np.float64) == (not any(complex_blocks))
+            w_only = hermitian_eig(given, vectors=False).eigenvalues
+            assert np.max(np.abs(w_only - w_full)) < 1e-12 * np.max(np.abs(w_full))
+        assert abs(operator_norm(m) - np.max(np.abs(w_full))) < 1e-12
+        # anti-Hermitian input takes the same block route through i*A
+        anti = 1j * m
+        want = np.max(np.abs(np.linalg.eigvalsh(1j * anti)))
+        assert abs(operator_norm(anti) - want) < 1e-12
+        # only exact zeros split: a coupling far below any tolerance joins blocks
+        j = np.flatnonzero(m[0] == 0)[0]  # an index outside the block of index 0
+        joined = m.copy()
+        joined[0, j] = joined[j, 0] = 1e-300
+        assert len(hermitian_eig(joined, vectors=False).block_sizes) == len(sizes) - 1
+
+
+def test_hermitian_eig_of_zero_matrix_is_all_size_one_blocks():
+    z = np.zeros((6, 6), dtype=complex)
+    w, v, blocks = hermitian_eig(z)
+    assert blocks == [1] * 6
+    assert np.array_equal(w, np.zeros(6))
+    assert v.dtype == np.float64 and np.array_equal(v, np.eye(6))
+    assert operator_norm(z) == np.max(np.abs(np.linalg.eigvalsh(z))) == 0.0
 
 
 def test_operator_norm_sparse_large():
