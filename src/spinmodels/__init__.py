@@ -4,7 +4,7 @@ Modules:
     spin_algebra  — spin-S matrices, Operator container, norms, commutators,
                     the block-by-block Hermitian eigensolver
     lattice       — finite volumes, embeddings, permutation unitaries
-    interactions  — built-in models and Hamiltonian assembly
+    interactions  — built-in models, Hamiltonian assembly, model registry
     krylov        — block Lanczos low-end eigensolver (sparse route)
     spectra       — shared eigendecomposition, low-end spectra, gaps, correlations
     states        — state containers, Gibbs states, equilibrium criteria
@@ -65,6 +65,7 @@ from .interactions import (
     lambda_norm,
     model_interaction,
     resolve_q,
+    xxz_suq2,
     xxz_suq2_chain,
     xy_field,
 )

@@ -38,12 +38,7 @@ from .errors import (
     SpinModelError,
 )
 from .dynamics import lr_fit, lr_scan
-from .interactions import (
-    MODEL_NAMES,
-    build_model_hamiltonian,
-    model_interaction,
-    resolve_q,
-)
+from .interactions import MODEL_NAMES, MODELS, Interaction, Model, assemble_hamiltonian
 from .lattice import MAX_HILBERT_DIM, Volume, build_volume
 from .probes import random_probe_pairs
 from .spectra import DEGENERACY_TOL, EigenSystem, ground_space, low_levels
@@ -51,7 +46,6 @@ from .spin_algebra import (
     DENSE_CUTOFF,
     SOLVER_TOL,
     STRUCTURE_TOL,
-    Spin,
     commutator,
     operator_norm,
     spin_matrices,
@@ -64,7 +58,7 @@ from .states import (
     kms_residual,
     stability_value,
 )
-from .symmetry import GeneratorSet, invariance_residual, suq2_generators, total_spin
+from .symmetry import invariance_residual
 
 SCHEMA_VERSION = 1
 
@@ -182,11 +176,7 @@ def parse_spec_dict(doc: dict) -> RunSpec:
         trial_sets = [dict(params, **{var: v}) for v in norm["values"]]
     try:
         for trial in trial_sets:
-            if name == "xxz_suq2":
-                _check_keys(trial, {"q", "delta"}, "model.params")
-                resolve_q(trial.get("q"), trial.get("delta"))
-            else:
-                model_interaction(name, trial)
+            MODELS[name].interaction(trial)
     except (DomainError, DimensionMismatchError) as exc:
         raise SpecFileError(f"invalid model parameters: {exc}") from exc
 
@@ -219,8 +209,6 @@ def _validate_task_section(task: str, section: dict, model: str, seed) -> dict:
         return {"betas": betas}
     if task == "dynamics":
         _check_keys(section, {"times", "distances", "observable"}, "dynamics")
-        _expect(model != "xxz_suq2",
-                "dynamics task needs a translation-invariant bundled model")
         times = _number_list(section.get("times"), "dynamics.times")
         distances = section.get("distances")
         _expect(
@@ -252,8 +240,7 @@ def _validate_task_section(task: str, section: dict, model: str, seed) -> dict:
     # scan
     _check_keys(section, {"variable", "values", "grid"}, "scan")
     variable = section.get("variable")
-    allowed = {"xxz_suq2": ("q", "delta"), "heisenberg": ("J",),
-               "ising": ("J", "h"), "xy_field": ("h",), "aklt": ()}[model]
+    allowed = MODELS[model].scan_variables
     _expect(variable in allowed,
             f"scan.variable for {model} must be one of {list(allowed)}, got {variable!r}")
     values = section.get("values")
@@ -380,27 +367,26 @@ def _progress(task: str, point: int, total: int) -> None:
     print(f"task={task} point={point}/{total}", file=sys.stderr, flush=True)
 
 
-def _model_local_dim(name: str, params: dict) -> int:
-    if name == "aklt":
-        return 3
-    if name == "heisenberg":
-        return Spin.coerce(params.get("spin", 0.5)).dim
-    return 2
+def _point_params(spec: RunSpec, value: float) -> dict:
+    """model.params of one scan point."""
+    return dict(spec.model_params, **{spec.params["variable"]: value})
 
 
-def _build_volume(spec: RunSpec, cap_sparse: int) -> Volume:
-    local_dim = _model_local_dim(spec.model_name, spec.model_params)
-    return build_volume(spec.dims, spec.boundary, local_dim, max_hilbert_dim=cap_sparse)
+def _build_model(spec: RunSpec, cap_sparse: int) -> tuple[Model, Interaction, Volume]:
+    """The model record, its interaction and the volume, which every task uses.
 
-
-def _build_hamiltonian(spec: RunSpec, volume: Volume, cap_dense: int, cap_sparse: int):
-    return build_model_hamiltonian(
-        spec.model_name,
-        spec.model_params,
-        volume,
-        dense_cutoff=cap_dense,
-        max_hilbert_dim=cap_sparse,
-    )
+    A scan's interaction is built at its first point; no scan variable
+    changes the local dimension.
+    """
+    model = MODELS[spec.model_name]
+    params = spec.model_params
+    if spec.task == "scan":
+        params = _point_params(spec, spec.params["values"][0])
+    interaction = model.interaction(params)
+    volume = build_volume(spec.dims, spec.boundary, interaction.local_dim,
+                          max_hilbert_dim=cap_sparse)
+    model.check_volume(volume)
+    return model, interaction, volume
 
 
 def _task_spectrum(spec: RunSpec, h, cap_dense: int) -> tuple[dict, list]:
@@ -436,8 +422,8 @@ def _task_thermal(spec: RunSpec, h, cap_dense: int) -> tuple[dict, list]:
     return payload, [("beta", "log_z", "energy")] + rows
 
 
-def _task_dynamics(spec: RunSpec, volume: Volume, cap_dense: int) -> tuple[dict, list]:
-    interaction = model_interaction(spec.model_name, spec.model_params)
+def _task_dynamics(spec: RunSpec, interaction: Interaction, volume: Volume,
+                   cap_dense: int) -> tuple[dict, list]:
     ops = spin_matrices((volume.local_dim - 1) / 2.0)
     local = {"s1": ops.s1, "s2": ops.s2, "s3": ops.s3}[spec.params["observable"]]
     scan = lr_scan(
@@ -480,15 +466,9 @@ def _verify_algebra(volume: Volume) -> dict:
     return {"residual": worst, "threshold": STRUCTURE_TOL, "ok": worst <= STRUCTURE_TOL}
 
 
-def _verify_symmetry(spec: RunSpec, volume: Volume, h) -> dict:
-    if spec.model_name == "xxz_suq2":
-        q = resolve_q(spec.model_params.get("q"), spec.model_params.get("delta"))
-        gens = suq2_generators(volume, q)
-    elif spec.model_name in ("heisenberg", "aklt"):
-        gens = total_spin(volume)
-    else:  # field models only conserve the 3-component
-        full = total_spin(volume)
-        gens = GeneratorSet("s3_total", {"S3": full.generators["S3"]})
+def _verify_symmetry(spec: RunSpec, model: Model, volume: Volume, h,
+                     cap_dense: int) -> dict:
+    gens = model.symmetry(spec.model_params, volume, dense_cutoff=cap_dense)
     res = invariance_residual(h, gens)
     return {
         "generators": gens.name,
@@ -536,7 +516,8 @@ def _verify_stability(spec: RunSpec, volume: Volume, h, es: EigenSystem) -> dict
     return {"min_value": worst, "threshold": -1e-12, "ok": worst >= -1e-12}
 
 
-def _task_verify(spec: RunSpec, volume: Volume, h, cap_dense: int) -> tuple[dict, list]:
+def _task_verify(spec: RunSpec, model: Model, volume: Volume, h,
+                 cap_dense: int) -> tuple[dict, list]:
     checks = spec.params["checks"]
     # the randomized checks all read the spectrum of h; they share one EigenSystem
     es = None
@@ -547,7 +528,7 @@ def _task_verify(spec: RunSpec, volume: Volume, h, cap_dense: int) -> tuple[dict
         if check == "algebra":
             results[check] = _verify_algebra(volume)
         elif check == "symmetry":
-            results[check] = _verify_symmetry(spec, volume, h)
+            results[check] = _verify_symmetry(spec, model, volume, h, cap_dense)
         elif check == "kms":
             results[check] = _verify_kms(spec, volume, es)
         elif check == "eeb":
@@ -561,15 +542,10 @@ def _task_verify(spec: RunSpec, volume: Volume, h, cap_dense: int) -> tuple[dict
     return payload, [("check", "value", "ok")] + rows
 
 
-def _scan_point(spec: RunSpec, volume: Volume, value: float,
+def _scan_point(spec: RunSpec, model: Model, volume: Volume, value: float,
                 cap_dense: int, cap_sparse: int) -> dict:
-    params = dict(spec.model_params)
-    if spec.model_name == "xxz_suq2":
-        params.pop("q", None)
-        params.pop("delta", None)
-    params[spec.params["variable"]] = value
-    h = build_model_hamiltonian(spec.model_name, params, volume,
-                                dense_cutoff=cap_dense, max_hilbert_dim=cap_sparse)
+    h = assemble_hamiltonian(model.interaction(_point_params(spec, value)), volume,
+                             dense_cutoff=cap_dense, max_hilbert_dim=cap_sparse)
     low = low_levels(h, cap_dense=cap_dense)
     return {
         "value": float(value),
@@ -579,27 +555,16 @@ def _scan_point(spec: RunSpec, volume: Volume, value: float,
     }
 
 
-def _task_scan(spec: RunSpec, volume: Volume, cap_dense: int, cap_sparse: int,
-               workers: int) -> tuple[dict, list]:
+def _task_scan(spec: RunSpec, model: Model, volume: Volume, cap_dense: int,
+               cap_sparse: int, workers: int) -> tuple[dict, list]:
     values = spec.params["values"]
-    done = 0
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_point, spec, volume, v, cap_dense, cap_sparse)
-                for v in values
-            ]
-            rows = []
-            for i, fut in enumerate(futures):  # collection order = spec order
-                rows.append(fut.result())
-                done += 1
-                _progress("scan", done, len(values))
-    else:
-        rows = []
-        for v in values:
-            rows.append(_scan_point(spec, volume, v, cap_dense, cap_sparse))
-            done += 1
-            _progress("scan", done, len(values))
+    rows = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        points = pool.map(
+            lambda v: _scan_point(spec, model, volume, v, cap_dense, cap_sparse), values)
+        for row in points:  # map yields in spec order
+            rows.append(row)
+            _progress("scan", len(rows), len(values))
     payload = {"variable": spec.params["variable"], "points": rows}
     table = [(r["value"], r["ground_energy"], r["gap"], r["degeneracy"]) for r in rows]
     return payload, [("value", "ground_energy", "gap", "degeneracy")] + table
@@ -631,20 +596,21 @@ def run_spec(spec: RunSpec, out_dir: Path, *, workers: int = 1,
              cap_dense: int = DENSE_CUTOFF, cap_sparse: int = MAX_HILBERT_DIM) -> Path:
     """Execute one run spec; returns the path of the JSON result."""
     started = time.monotonic()
-    volume = _build_volume(spec, cap_sparse)
+    model, interaction, volume = _build_model(spec, cap_sparse)
     csv_table = None
     if spec.task == "dynamics":
-        payload, csv_table = _task_dynamics(spec, volume, cap_dense)
+        payload, csv_table = _task_dynamics(spec, interaction, volume, cap_dense)
     elif spec.task == "scan":
-        payload, csv_table = _task_scan(spec, volume, cap_dense, cap_sparse, workers)
+        payload, csv_table = _task_scan(spec, model, volume, cap_dense, cap_sparse, workers)
     else:
-        h = _build_hamiltonian(spec, volume, cap_dense, cap_sparse)
+        h = assemble_hamiltonian(interaction, volume, dense_cutoff=cap_dense,
+                                 max_hilbert_dim=cap_sparse)
         if spec.task == "spectrum":
             payload, csv_table = _task_spectrum(spec, h, cap_dense)
         elif spec.task == "thermal":
             payload, csv_table = _task_thermal(spec, h, cap_dense)
         else:
-            payload, csv_table = _task_verify(spec, volume, h, cap_dense)
+            payload, csv_table = _task_verify(spec, model, volume, h, cap_dense)
 
     record = {
         "schema_version": SCHEMA_VERSION,

@@ -1,18 +1,18 @@
-"""Built-in interactions and Hamiltonian assembly.
+"""Built-in interactions, Hamiltonian assembly and the model registry.
 
 An Interaction is a translation-invariant bundle of at most one single-site
 term and one nearest-neighbour bond term (both Hermitian matrices in the
 product basis, first tensor factor = lower-ranked site).  Assembly sums the
-site term over all sites and the bond term over all bonds of a volume.
-
-The deformed anisotropic chain is special: its boundary-field bookkeeping
-makes it a per-chain construction rather than a translation-invariant bundle,
-so it is exposed as a direct Hamiltonian builder.
+site term over all sites and the bond term over all bonds of a volume.  Every
+built-in model, the SU_q(2)-symmetric deformed chain included, is such a
+bundle; ``MODELS`` holds one record per named model (parameters, builder,
+symmetry generators, scan variables, allowed volumes).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from .errors import DimensionMismatchError, DomainError, ResourceCapError
 from .lattice import MAX_HILBERT_DIM, Volume, _embed_coo, chain_volume
 from .spin_algebra import DENSE_CUTOFF, STRUCTURE_TOL, Operator, Spin, spin_matrices
+from .symmetry import GeneratorSet, suq2_generators, total_spin
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,6 @@ def empty(local_dim: int = 2) -> Interaction:
     return Interaction(local_dim=local_dim, name="empty")
 
 
-# ---------------------------------------------------------------------------
-# Deformed anisotropic chain
-# ---------------------------------------------------------------------------
-
-
 def resolve_q(q: float | None = None, delta: float | None = None) -> float:
     """Deformation parameter from either q in (0, 1] or anisotropy delta >= 1.
 
@@ -139,20 +135,19 @@ def resolve_q(q: float | None = None, delta: float | None = None) -> float:
     return delta - math.sqrt(delta * delta - 1.0)
 
 
-def xxz_suq2_chain(
-    length: int, q: float, *, dense_cutoff: int = DENSE_CUTOFF
-) -> Operator:
-    """Spin-1/2 anisotropic chain with the boundary fields that make it
-    commute with the q-deformed total-spin generators.
+def xxz_suq2(q: float) -> Interaction:
+    """Spin-1/2 anisotropic bond term whose open-chain sum commutes with the
+    q-deformed total-spin generators (Pasquier & Saleur, Nucl. Phys. B 330,
+    523 (1990)).
 
-    Per bond (x, x+1), x = 1..L-1:
+    On every bond (x, x+1):
         -(1/delta)(S1 S1 + S2 S2) - (S3 S3 - 1/4)
         + (1/2) sqrt(1 - delta^-2) (S3_{x+1} - S3_x)
-    with delta = (q + 1/q)/2.  At q = 1 this is the isotropic chain shifted
-    by (L-1)/4.  Open boundary, kernel of dimension L+1.
+    with delta = (q + 1/q)/2.  The field difference is the same matrix on
+    every bond; over an open chain it telescopes to boundary fields.  At
+    q = 1 this is the isotropic chain shifted by 1/4 per bond.  On an open
+    chain of L sites the kernel has dimension L+1.
     """
-    if not isinstance(length, (int, np.integer)) or length < 2:
-        raise DomainError(f"chain length must be an integer >= 2, got {length!r}")
     q = float(q)
     if not 0.0 < q <= 1.0:
         raise DomainError(f"q must lie in (0, 1], got {q}")
@@ -165,14 +160,18 @@ def xxz_suq2_chain(
         - (np.kron(ops.s3, ops.s3) - np.eye(4, dtype=np.complex128) / 4.0)
         + a * (np.kron(eye2, ops.s3) - np.kron(ops.s3, eye2))
     )
-    volume = chain_volume(length, "open", 2)
-    total = None
-    for edge in volume.edges:
-        part = sp.csr_array(_embed_coo(bond, list(edge), volume))
-        total = part if total is None else total + part
-    if volume.hilbert_dim <= dense_cutoff:
-        return Operator(total.toarray(), hermitian=True)
-    return Operator(total, hermitian=True)
+    return Interaction(local_dim=2, bond_term=bond, name="xxz_suq2")
+
+
+def xxz_suq2_chain(
+    length: int, q: float, *, dense_cutoff: int = DENSE_CUTOFF
+) -> Operator:
+    """The ``xxz_suq2(q)`` bond term summed over an open chain of ``length``."""
+    if not isinstance(length, (int, np.integer)) or length < 2:
+        raise DomainError(f"chain length must be an integer >= 2, got {length!r}")
+    return assemble_hamiltonian(
+        xxz_suq2(q), chain_volume(length, "open", 2), dense_cutoff=dense_cutoff
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,41 +242,97 @@ def lambda_norm(interaction: Interaction, lam: float, spatial_dim: int = 1) -> f
 
 
 # ---------------------------------------------------------------------------
-# Named-model dispatch (shared by the CLI and tests)
+# Model registry (shared by the CLI and tests)
 # ---------------------------------------------------------------------------
 
-MODEL_NAMES = ("heisenberg", "xy_field", "ising", "aklt", "xxz_suq2")
 
-_MODEL_PARAMS = {
-    "heisenberg": {"J": 1.0, "spin": 0.5},
-    "xy_field": {"h": 0.0},
-    "ising": {"J": 1.0, "h": 0.0},
-    "aklt": {},
-    "xxz_suq2": None,  # q xor delta, validated separately
+@dataclass(frozen=True)
+class Model:
+    """Registry record of a named model.
+
+    Attributes:
+        name: model tag used in run specs (also the built Interaction's name).
+        defaults: parameter name -> default (None: no default); any other
+            parameter name is refused.
+        build: keyword parameters -> Interaction.
+        generators: (volume, dense_cutoff, keyword parameters) ->
+            GeneratorSet of charges that commute with the assembled H.
+        scan_variables: parameters a scan may sweep.
+        open_chain_only: the model is defined on open 1-d chains only.
+    """
+
+    name: str
+    defaults: dict
+    build: Callable[..., Interaction]
+    generators: Callable[..., GeneratorSet]
+    scan_variables: tuple = ()
+    open_chain_only: bool = False
+
+    def with_defaults(self, params: dict | None = None) -> dict:
+        """``params`` over the defaults; DomainError on an unknown name."""
+        params = dict(params or {})
+        unknown = set(params) - set(self.defaults)
+        if unknown:
+            raise DomainError(f"unknown parameters for {self.name}: {sorted(unknown)}")
+        return {**self.defaults, **params}
+
+    def interaction(self, params: dict | None = None) -> Interaction:
+        return self.build(**self.with_defaults(params))
+
+    def symmetry(
+        self, params: dict | None, volume: Volume, *, dense_cutoff: int = DENSE_CUTOFF
+    ) -> GeneratorSet:
+        return self.generators(volume, dense_cutoff, **self.with_defaults(params))
+
+    def check_volume(self, volume: Volume) -> None:
+        """DomainError if the model is not defined on ``volume``."""
+        if self.open_chain_only and (volume.dimension != 1 or volume.boundary != "open"):
+            raise DomainError(
+                f"{self.name} is defined on open chains; got "
+                f"dims={volume.dims}, boundary={volume.boundary}"
+            )
+
+
+def _total_spin(volume, dense_cutoff, **_):
+    return total_spin(volume, dense_cutoff=dense_cutoff)
+
+
+def _s3_total(volume, dense_cutoff, **_):
+    s3 = total_spin(volume, dense_cutoff=dense_cutoff).generators["S3"]
+    return GeneratorSet("s3_total", {"S3": s3})
+
+
+MODELS = {
+    model.name: model
+    for model in (
+        Model("heisenberg", {"J": 1.0, "spin": 0.5},
+              build=lambda J, spin: heisenberg(j=J, spin=spin),
+              generators=_total_spin, scan_variables=("J",)),
+        Model("xy_field", {"h": 0.0}, build=lambda h: xy_field(h=h),
+              generators=_s3_total, scan_variables=("h",)),
+        Model("ising", {"J": 1.0, "h": 0.0}, build=lambda J, h: ising(j=J, h=h),
+              generators=_s3_total, scan_variables=("J", "h")),
+        Model("aklt", {}, build=aklt, generators=_total_spin),
+        Model("xxz_suq2", {"q": None, "delta": None},
+              build=lambda q, delta: xxz_suq2(resolve_q(q, delta)),
+              generators=lambda volume, dense_cutoff, q, delta: suq2_generators(
+                  volume, resolve_q(q, delta), dense_cutoff=dense_cutoff),
+              scan_variables=("q", "delta"), open_chain_only=True),
+    )
 }
+
+MODEL_NAMES = tuple(MODELS)
+
+
+def _model(name: str) -> Model:
+    if name not in MODELS:
+        raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    return MODELS[name]
 
 
 def model_interaction(name: str, params: dict | None = None) -> Interaction:
-    """Interaction bundle for a named translation-invariant model."""
-    params = dict(params or {})
-    if name not in MODEL_NAMES:
-        raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    if name == "xxz_suq2":
-        raise DomainError(
-            "xxz_suq2 is a per-chain construction; use build_model_hamiltonian"
-        )
-    allowed = _MODEL_PARAMS[name]
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise DomainError(f"unknown parameters for {name}: {sorted(unknown)}")
-    merged = {**allowed, **params}
-    if name == "heisenberg":
-        return heisenberg(j=merged["J"], spin=merged["spin"])
-    if name == "xy_field":
-        return xy_field(h=merged["h"])
-    if name == "ising":
-        return ising(j=merged["J"], h=merged["h"])
-    return aklt()
+    """Interaction of a named model; ``params`` override its defaults."""
+    return _model(name).interaction(params)
 
 
 def build_model_hamiltonian(
@@ -288,24 +343,10 @@ def build_model_hamiltonian(
     dense_cutoff: int = DENSE_CUTOFF,
     max_hilbert_dim: int = MAX_HILBERT_DIM,
 ) -> Operator:
-    """Hamiltonian of a named model on a volume (CLI entry point)."""
-    params = dict(params or {})
-    if name == "xxz_suq2":
-        unknown = set(params) - {"q", "delta"}
-        if unknown:
-            raise DomainError(f"unknown parameters for xxz_suq2: {sorted(unknown)}")
-        if volume.dimension != 1 or volume.boundary != "open" or volume.local_dim != 2:
-            raise DomainError(
-                "xxz_suq2 is defined on open spin-1/2 chains; got "
-                f"dims={volume.dims}, boundary={volume.boundary}, n={volume.local_dim}"
-            )
-        if volume.hilbert_dim > max_hilbert_dim:
-            raise ResourceCapError(
-                f"Hilbert dimension {volume.hilbert_dim} exceeds cap {max_hilbert_dim}"
-            )
-        q = resolve_q(params.get("q"), params.get("delta"))
-        return xxz_suq2_chain(volume.num_sites, q, dense_cutoff=dense_cutoff)
-    interaction = model_interaction(name, params)
+    """Hamiltonian of a named model on a volume it is defined on."""
+    model = _model(name)
+    model.check_volume(volume)
     return assemble_hamiltonian(
-        interaction, volume, dense_cutoff=dense_cutoff, max_hilbert_dim=max_hilbert_dim
+        model.interaction(params), volume,
+        dense_cutoff=dense_cutoff, max_hilbert_dim=max_hilbert_dim,
     )

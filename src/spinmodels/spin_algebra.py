@@ -302,12 +302,12 @@ class Operator:
 def _binary_operands(a, b):
     """Unwrap two operands to a compatible (both-sparse or both-dense) pair."""
     ma, mb = _unwrap(a), _unwrap(b)
+    if not (sp.issparse(ma) or isinstance(ma, np.ndarray)):
+        ma = np.asarray(ma, dtype=np.complex128)
     if not (sp.issparse(mb) or isinstance(mb, np.ndarray)):
         mb = np.asarray(mb, dtype=np.complex128)
     if mb.ndim != 2 or ma.shape != mb.shape:
-        raise DimensionMismatchError(
-            f"operand shapes differ: {ma.shape} vs {getattr(mb, 'shape', None)}"
-        )
+        raise DimensionMismatchError(f"operand shapes differ: {ma.shape} vs {mb.shape}")
     a_sp, b_sp = sp.issparse(ma), sp.issparse(mb)
     if a_sp and not b_sp:
         ma = ma.toarray()
@@ -341,36 +341,16 @@ def commutator(a, b):
     Returns an Operator if either input is one, otherwise the raw matrix type
     of the inputs.
     """
-    ma, mb = _unwrap(a), _unwrap(b)
-    if not (sp.issparse(ma) or isinstance(ma, np.ndarray)):
-        ma = np.asarray(ma, dtype=np.complex128)
-    if not (sp.issparse(mb) or isinstance(mb, np.ndarray)):
-        mb = np.asarray(mb, dtype=np.complex128)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"operand shapes differ: {ma.shape} vs {mb.shape}")
-    a_sp, b_sp = sp.issparse(ma), sp.issparse(mb)
-    if a_sp != b_sp:
-        ma = ma.toarray() if a_sp else ma
-        mb = mb.toarray() if b_sp else mb
+    ma, mb = _binary_operands(a, b)
     c = ma @ mb - mb @ ma
-    if isinstance(a, Operator) or isinstance(b, Operator):
-        return Operator(c)
-    return c
+    return Operator(c) if isinstance(a, Operator) or isinstance(b, Operator) else c
 
 
 def anticommutator(a, b):
     """{A, B} = AB + BA, same container conventions as commutator."""
-    ma, mb = _unwrap(a), _unwrap(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"operand shapes differ: {ma.shape} vs {mb.shape}")
-    a_sp, b_sp = sp.issparse(ma), sp.issparse(mb)
-    if a_sp != b_sp:
-        ma = ma.toarray() if a_sp else ma
-        mb = mb.toarray() if b_sp else mb
+    ma, mb = _binary_operands(a, b)
     c = ma @ mb + mb @ ma
-    if isinstance(a, Operator) or isinstance(b, Operator):
-        return Operator(c)
-    return c
+    return Operator(c) if isinstance(a, Operator) or isinstance(b, Operator) else c
 
 
 class HermitianEig(NamedTuple):

@@ -42,14 +42,14 @@ class GeneratorSet:
         return iter(self.generators.items())
 
 
-def total_spin(volume: Volume) -> GeneratorSet:
-    """Total S1, S2, S3 summed over all sites of the volume."""
+def total_spin(volume: Volume, *, dense_cutoff: int = DENSE_CUTOFF) -> GeneratorSet:
+    """Total S1, S2, S3 summed over all sites; dense up to ``dense_cutoff``."""
     ops = spin_matrices((volume.local_dim - 1) / 2.0)
     gens = {}
     for label, local in (("S1", ops.s1), ("S2", ops.s2), ("S3", ops.s3)):
         total = None
         for site in volume.sites:
-            part = embed(local, [site], volume)
+            part = embed(local, [site], volume, dense_cutoff=dense_cutoff)
             total = part if total is None else total + part
         gens[label] = total
     return GeneratorSet(name="total_spin", generators=gens)
@@ -84,7 +84,7 @@ def suq2_generators(volume: Volume, q: float, *, dense_cutoff: int = DENSE_CUTOF
 
     k3 = None
     for site in volume.sites:
-        part = embed(ops.s3, [site], volume)
+        part = embed(ops.s3, [site], volume, dense_cutoff=dense_cutoff)
         k3 = part if k3 is None else k3 + part
 
     kp = None

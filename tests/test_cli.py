@@ -9,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinmodels import SolverError, SpecFileError, spin_algebra
+from spinmodels import (
+    SolverError,
+    SpecFileError,
+    chain_volume,
+    cli,
+    invariance_residual,
+    lr_scan,
+    spin_algebra,
+    spin_matrices,
+    xxz_suq2,
+)
 from spinmodels.cli import (
     RunSpec,
     canonical_json,
@@ -98,19 +108,24 @@ class TestParsing:
         with pytest.raises(SpecFileError):
             parse_spec_dict(_spec("thermal", {"betas": [-0.5]}))
 
-    def test_dynamics_section(self):
+    def test_dynamics_section(self, tmp_path):
         sec = {"times": [0, 0.5], "distances": [1, 2], "observable": "s1"}
         spec = parse_spec_dict(_spec("dynamics", sec))
         assert spec.params["observable"] == "s1"
         sec = {"times": [0.5], "distances": [1.5]}
         with pytest.raises(SpecFileError):
             parse_spec_dict(_spec("dynamics", sec))
-        # the deformed chain has no translation-invariant bulk interaction
-        doc = _spec("dynamics", {"times": [0.5], "distances": [1]},
-                    model={"name": "xxz_suq2", "params": {"q": 0.5}},
-                    volume={"dims": [4], "boundary": "open"})
-        with pytest.raises(SpecFileError):
-            parse_spec_dict(doc)
+        # the deformed chain is an ordinary bond term: its light cone is the
+        # lr_scan of xxz_suq2(q) on the open chain
+        sec = {"times": [0.0, 0.5, 1.0], "distances": [1, 2, 3]}
+        doc = _spec("dynamics", sec, model={"name": "xxz_suq2", "params": {"q": 0.5}},
+                    volume={"dims": [5], "boundary": "open"})
+        payload = json.loads(run_spec(parse_spec_dict(doc), tmp_path).read_text())["payload"]
+        s3 = spin_matrices(0.5).s3
+        ref = lr_scan(xxz_suq2(0.5), chain_volume(5, "open"), s3, s3,
+                      sec["times"], sec["distances"])
+        assert payload["norms"] == ref.norms.tolist()
+        assert payload["bound"] == ref.bound
 
     def test_verify_requires_seed_for_randomized_checks(self):
         with pytest.raises(SpecFileError):
@@ -361,6 +376,32 @@ def test_cap_dense_reaches_every_task(tmp_path, capsys, name, code):
     points = doc["payload"].get("points", [doc["payload"]])
     assert all(p.get("method", "krylov") == "krylov" for p in points)
     assert doc["provenance"]["caps"]["dense"] == 16
+
+
+@pytest.mark.parametrize("model", [
+    {"name": "xxz_suq2", "params": {"q": 0.5}},
+    {"name": "heisenberg", "params": {"J": -1.0}},
+    {"name": "ising", "params": {"h": 0.3}},
+])
+def test_symmetry_check_under_small_dense_cap(tmp_path, capsys, monkeypatch, model):
+    # dim 32 > cap 16: H and every generator stay sparse
+    sparse = []
+
+    def recording_residual(h, gens):
+        sparse.extend([h.is_sparse] + [g.is_sparse for _, g in gens])
+        return invariance_residual(h, gens)
+
+    monkeypatch.setattr(cli, "invariance_residual", recording_residual)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec(
+        "verify", {"checks": ["algebra", "symmetry"]}, model=model,
+        volume={"dims": [5], "boundary": "open"})))
+    assert main(["run", str(spec_path), "--out", str(tmp_path), "--cap-dense", "16"]) == 0
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    payload = json.loads(Path(line["result"]).read_text())["payload"]
+    assert payload["all_ok"] is True
+    assert payload["checks"]["symmetry"]["ok"] is True
+    assert len(sparse) >= 2 and all(sparse)
 
 
 @pytest.mark.parametrize("name, dim, per_point", [

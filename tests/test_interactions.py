@@ -20,14 +20,18 @@ from spinmodels import (
     chain_volume,
     empty,
     heisenberg,
+    invariance_residual,
     ising,
     lambda_norm,
     model_interaction,
     resolve_q,
     spin_matrices,
+    xxz_suq2,
     xxz_suq2_chain,
     xy_field,
 )
+from spinmodels.cli import parse_spec_dict
+from spinmodels.interactions import MODEL_NAMES, MODELS
 
 I2 = np.eye(2)
 SP = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -166,6 +170,27 @@ def test_resolve_q_from_delta():
             resolve_q(**kwargs)
 
 
+def test_xxz_suq2_matches_kron_reference():
+    # per bond: -(1/delta)(S1 S1 + S2 S2) - (S3 S3 - 1/4) + a (S3_{x+1} - S3_x)
+    ops = spin_matrices(0.5)
+    for length, q in ((2, 0.5), (4, 0.3), (5, 0.8)):
+        delta = (q + 1 / q) / 2
+        a = 0.5 * np.sqrt(1 - 1 / delta ** 2)
+        want = np.zeros((2 ** length, 2 ** length), dtype=complex)
+        for x in range(length - 1):
+            def at(*pairs):
+                factors = [I2] * length
+                for site, op in pairs:
+                    factors[site] = op
+                return _kron(*factors)
+            want -= (at((x, ops.s1), (x + 1, ops.s1)) + at((x, ops.s2), (x + 1, ops.s2))) / delta
+            want -= at((x, ops.s3), (x + 1, ops.s3)) - np.eye(2 ** length) / 4
+            want += a * (at((x + 1, ops.s3)) - at((x, ops.s3)))
+        got = assemble_hamiltonian(xxz_suq2(q), chain_volume(length, "open")).toarray()
+        assert np.allclose(got, want, atol=1e-14)
+        assert np.array_equal(xxz_suq2_chain(length, q).toarray(), got)
+
+
 def test_xxz_single_bond_spectrum():
     # L=2, q=1/2: eigenvalues {0, 0, 0, 1} worked out by hand
     h = xxz_suq2_chain(2, 0.5).toarray()
@@ -235,3 +260,40 @@ def test_build_model_hamiltonian_matches_assemble():
     via_name = build_model_hamiltonian("heisenberg", {"J": -1.0}, vol).toarray()
     direct = assemble_hamiltonian(heisenberg(j=-1.0), vol).toarray()
     assert np.array_equal(via_name, direct)
+
+
+# representative values of every scannable parameter
+_PARAM_VALUES = {"J": [-1.0, 0.5], "h": [0.0, 0.3], "q": [0.5, 1.0], "delta": [1.0, 2.0]}
+_MODEL_PARAMS = {"xy_field": {"h": 0.3}, "ising": {"h": 0.4}, "xxz_suq2": {"q": 0.5}}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_registry_record(name):
+    model = MODELS[name]
+    params = _MODEL_PARAMS.get(name, {})
+    inter = model.interaction(params)
+    assert inter.name == name
+    vol = chain_volume(4, "open", local_dim=inter.local_dim)
+    h = build_model_hamiltonian(name, params, vol)
+    assert np.array_equal(h.toarray(), assemble_hamiltonian(inter, vol).toarray())
+    gens = model.symmetry(params, vol)
+    assert len(gens.generators) >= 1
+    assert invariance_residual(h, gens) <= 1e-10
+    periodic = chain_volume(4, "periodic", local_dim=inter.local_dim)
+    if model.open_chain_only:
+        with pytest.raises(DomainError):
+            model.check_volume(periodic)
+    else:
+        model.check_volume(periodic)
+    with pytest.raises(DomainError):
+        model.interaction({"bogus": 1.0})
+    for variable in model.scan_variables:
+        fixed = {k: v for k, v in params.items() if k not in model.scan_variables}
+        doc = {
+            "task": "scan",
+            "model": {"name": name, "params": fixed},
+            "volume": {"dims": [4], "boundary": "open"},
+            "scan": {"variable": variable, "values": _PARAM_VALUES[variable]},
+        }
+        spec = parse_spec_dict(doc)
+        assert spec.params["variable"] == variable

@@ -162,6 +162,10 @@ def test_commutator_and_anticommutator():
         assert np.allclose(anticommutator(a, b), a @ b + b @ a)
     # self-commutator is exactly zero
     assert np.all(commutator(SX, SX) == 0)
+    # plain nested lists are accepted by both brackets
+    x, z = [[0, 1], [1, 0]], [[1, 0], [0, -1]]
+    assert np.array_equal(commutator(x, z), [[0, -2], [2, 0]])
+    assert np.array_equal(anticommutator(x, z), np.zeros((2, 2)))
 
 
 def test_operator_norm_matches_dense_oracle():

@@ -69,6 +69,15 @@ def test_suq2_reduces_to_total_spin_at_q_one():
     assert np.allclose(gens.generators["K+"].toarray(), sp_total, atol=1e-15)
 
 
+def test_generators_honour_dense_cutoff():
+    vol = chain_volume(5, boundary="open")  # dim 32
+    for gens in (total_spin(vol, dense_cutoff=16), suq2_generators(vol, 0.5, dense_cutoff=16)):
+        assert len(gens.generators) == 3
+        assert all(g.is_sparse for _, g in gens)
+    for gens in (total_spin(vol, dense_cutoff=32), suq2_generators(vol, 0.5, dense_cutoff=32)):
+        assert not any(g.is_sparse for _, g in gens)
+
+
 def test_suq2_domain_checks():
     vol = chain_volume(4, boundary="open")
     for bad_q in (0.0, -0.3, 1.2):
