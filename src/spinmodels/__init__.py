@@ -3,7 +3,7 @@
 Modules:
     spin_algebra  — spin-S matrices, Operator container, norms, commutators,
                     the block-by-block Hermitian eigensolver
-    lattice       — finite volumes, embeddings, permutation unitaries
+    lattice       — finite volumes, CSR embeddings, permutation unitaries
     interactions  — built-in models, Hamiltonian assembly, model registry
     krylov        — block Lanczos low-end eigensolver (sparse route)
     spectra       — shared eigendecomposition, low-end spectra, gaps, correlations

@@ -433,7 +433,7 @@ def _task_dynamics(spec: RunSpec, interaction: Interaction, volume: Volume,
         local,
         spec.params["times"],
         spec.params["distances"],
-        dense_cutoff=cap_dense,
+        cap_dense=cap_dense,
     )
     _progress("dynamics", 1, 2)
     fit = lr_fit(scan)
@@ -466,9 +466,8 @@ def _verify_algebra(volume: Volume) -> dict:
     return {"residual": worst, "threshold": STRUCTURE_TOL, "ok": worst <= STRUCTURE_TOL}
 
 
-def _verify_symmetry(spec: RunSpec, model: Model, volume: Volume, h,
-                     cap_dense: int) -> dict:
-    gens = model.symmetry(spec.model_params, volume, dense_cutoff=cap_dense)
+def _verify_symmetry(spec: RunSpec, model: Model, volume: Volume, h) -> dict:
+    gens = model.symmetry(spec.model_params, volume)
     res = invariance_residual(h, gens)
     return {
         "generators": gens.name,
@@ -528,7 +527,7 @@ def _task_verify(spec: RunSpec, model: Model, volume: Volume, h,
         if check == "algebra":
             results[check] = _verify_algebra(volume)
         elif check == "symmetry":
-            results[check] = _verify_symmetry(spec, model, volume, h, cap_dense)
+            results[check] = _verify_symmetry(spec, model, volume, h)
         elif check == "kms":
             results[check] = _verify_kms(spec, volume, es)
         elif check == "eeb":
@@ -545,7 +544,7 @@ def _task_verify(spec: RunSpec, model: Model, volume: Volume, h,
 def _scan_point(spec: RunSpec, model: Model, volume: Volume, value: float,
                 cap_dense: int, cap_sparse: int) -> dict:
     h = assemble_hamiltonian(model.interaction(_point_params(spec, value)), volume,
-                             dense_cutoff=cap_dense, max_hilbert_dim=cap_sparse)
+                             max_hilbert_dim=cap_sparse)
     low = low_levels(h, cap_dense=cap_dense)
     return {
         "value": float(value),
@@ -603,8 +602,7 @@ def run_spec(spec: RunSpec, out_dir: Path, *, workers: int = 1,
     elif spec.task == "scan":
         payload, csv_table = _task_scan(spec, model, volume, cap_dense, cap_sparse, workers)
     else:
-        h = assemble_hamiltonian(interaction, volume, dense_cutoff=cap_dense,
-                                 max_hilbert_dim=cap_sparse)
+        h = assemble_hamiltonian(interaction, volume, max_hilbert_dim=cap_sparse)
         if spec.task == "spectrum":
             payload, csv_table = _task_spectrum(spec, h, cap_dense)
         elif spec.task == "thermal":

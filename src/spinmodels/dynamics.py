@@ -11,9 +11,11 @@ real arithmetic when H is real.  Its eigenvectors keep the exact zeros of the
 blocks, so an operator that H's blocks leave invariant (S3 at a site, for
 the built-in models) stays block-diagonal under evolution, and the
 commutator norms of a light-cone scan are solved block by block as well.
-Operator evolution is therefore a dense-mode operation; sparse Hamiltonians
-still get vector propagation through a Krylov-based matrix-exponential
-action.
+An evolved operator is dense, as eigendecomposition products are; the local
+operators it is compared with stay CSR, so each commutator costs
+O(dim^2 n) rather than a dense O(dim^3) product.  Above the dense cutoff,
+Hamiltonians still get vector propagation through a Krylov-based
+matrix-exponential action.
 """
 
 from __future__ import annotations
@@ -129,14 +131,14 @@ def lr_scan(
     times,
     distances,
     *,
-    dense_cutoff: int = DENSE_CUTOFF,
+    cap_dense: int = DENSE_CUTOFF,
 ) -> LRScan:
     """Evolve A at the chain origin and tabulate ||[alpha_t(A), B_x]||.
 
-    Requires a 1-d volume whose dimension is at most ``dense_cutoff``, for
-    dense propagation.  The t = 0 row is exactly zero off-site: evolution
-    returns A unchanged at t = 0 and embeddings on disjoint supports commute
-    exactly.
+    Requires a 1-d volume whose dimension is at most ``cap_dense``, the cap
+    of the dense eigendecomposition that propagates A.  The t = 0 row is
+    exactly zero off-site: evolution returns A unchanged at t = 0 and
+    embeddings on disjoint supports commute exactly.
     """
     if volume.dimension != 1:
         raise DomainError(f"light-cone scans run on chains; volume dims {volume.dims}")
@@ -148,8 +150,7 @@ def lr_scan(
     if np.any(distances < 0) or np.any(distances >= length):
         raise DomainError(f"distances must lie in 0..{length - 1}")
 
-    h = assemble_hamiltonian(interaction, volume, dense_cutoff=dense_cutoff)
-    prop = EigenSystem(h, cap_dense=dense_cutoff)
+    prop = EigenSystem(assemble_hamiltonian(interaction, volume), cap_dense=cap_dense)
     a0 = embed(a_local, [(0,)], volume)
     b_ops = [embed(b_local, [(int(x),)], volume) for x in distances]
     a_norm = operator_norm(a0)

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, DomainError, ResourceCapError
 from .lattice import MAX_HILBERT_DIM, Volume, _embed_coo, chain_volume
-from .spin_algebra import DENSE_CUTOFF, STRUCTURE_TOL, Operator, Spin, spin_matrices
+from .spin_algebra import STRUCTURE_TOL, Operator, Spin, spin_matrices
 from .symmetry import GeneratorSet, suq2_generators, total_spin
 
 
@@ -163,15 +163,11 @@ def xxz_suq2(q: float) -> Interaction:
     return Interaction(local_dim=2, bond_term=bond, name="xxz_suq2")
 
 
-def xxz_suq2_chain(
-    length: int, q: float, *, dense_cutoff: int = DENSE_CUTOFF
-) -> Operator:
+def xxz_suq2_chain(length: int, q: float) -> Operator:
     """The ``xxz_suq2(q)`` bond term summed over an open chain of ``length``."""
     if not isinstance(length, (int, np.integer)) or length < 2:
         raise DomainError(f"chain length must be an integer >= 2, got {length!r}")
-    return assemble_hamiltonian(
-        xxz_suq2(q), chain_volume(length, "open", 2), dense_cutoff=dense_cutoff
-    )
+    return assemble_hamiltonian(xxz_suq2(q), chain_volume(length, "open", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +179,12 @@ def assemble_hamiltonian(
     interaction: Interaction,
     volume: Volume,
     *,
-    dense_cutoff: int = DENSE_CUTOFF,
     max_hilbert_dim: int = MAX_HILBERT_DIM,
 ) -> Operator:
     """Sum the interaction's site term over sites and bond term over bonds.
 
-    The result is Hermitian by construction (exactly: embeddings copy entries
-    and sparse sums align them).  Dense below ``dense_cutoff``, CSR above.
+    The result is CSR at every size and Hermitian by construction (exactly:
+    embeddings copy entries and sparse sums align them).
     """
     if interaction.local_dim != volume.local_dim:
         raise DimensionMismatchError(
@@ -212,8 +207,6 @@ def assemble_hamiltonian(
             total = total + sp.csr_array(
                 _embed_coo(interaction.bond_term, list(edge), volume)
             )
-    if dim <= dense_cutoff:
-        return Operator(total.toarray(), hermitian=True)
     return Operator(total, hermitian=True)
 
 
@@ -255,8 +248,8 @@ class Model:
         defaults: parameter name -> default (None: no default); any other
             parameter name is refused.
         build: keyword parameters -> Interaction.
-        generators: (volume, dense_cutoff, keyword parameters) ->
-            GeneratorSet of charges that commute with the assembled H.
+        generators: (volume, keyword parameters) -> GeneratorSet of charges
+            that commute with the assembled H.
         scan_variables: parameters a scan may sweep.
         open_chain_only: the model is defined on open 1-d chains only.
     """
@@ -279,10 +272,8 @@ class Model:
     def interaction(self, params: dict | None = None) -> Interaction:
         return self.build(**self.with_defaults(params))
 
-    def symmetry(
-        self, params: dict | None, volume: Volume, *, dense_cutoff: int = DENSE_CUTOFF
-    ) -> GeneratorSet:
-        return self.generators(volume, dense_cutoff, **self.with_defaults(params))
+    def symmetry(self, params: dict | None, volume: Volume) -> GeneratorSet:
+        return self.generators(volume, **self.with_defaults(params))
 
     def check_volume(self, volume: Volume) -> None:
         """DomainError if the model is not defined on ``volume``."""
@@ -293,12 +284,12 @@ class Model:
             )
 
 
-def _total_spin(volume, dense_cutoff, **_):
-    return total_spin(volume, dense_cutoff=dense_cutoff)
+def _total_spin(volume, **_):
+    return total_spin(volume)
 
 
-def _s3_total(volume, dense_cutoff, **_):
-    s3 = total_spin(volume, dense_cutoff=dense_cutoff).generators["S3"]
+def _s3_total(volume, **_):
+    s3 = total_spin(volume).generators["S3"]
     return GeneratorSet("s3_total", {"S3": s3})
 
 
@@ -315,8 +306,8 @@ MODELS = {
         Model("aklt", {}, build=aklt, generators=_total_spin),
         Model("xxz_suq2", {"q": None, "delta": None},
               build=lambda q, delta: xxz_suq2(resolve_q(q, delta)),
-              generators=lambda volume, dense_cutoff, q, delta: suq2_generators(
-                  volume, resolve_q(q, delta), dense_cutoff=dense_cutoff),
+              generators=lambda volume, q, delta: suq2_generators(
+                  volume, resolve_q(q, delta)),
               scan_variables=("q", "delta"), open_chain_only=True),
     )
 }
@@ -340,13 +331,11 @@ def build_model_hamiltonian(
     params: dict | None,
     volume: Volume,
     *,
-    dense_cutoff: int = DENSE_CUTOFF,
     max_hilbert_dim: int = MAX_HILBERT_DIM,
 ) -> Operator:
     """Hamiltonian of a named model on a volume it is defined on."""
     model = _model(name)
     model.check_volume(volume)
     return assemble_hamiltonian(
-        model.interaction(params), volume,
-        dense_cutoff=dense_cutoff, max_hilbert_dim=max_hilbert_dim,
+        model.interaction(params), volume, max_hilbert_dim=max_hilbert_dim
     )

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, DomainError, ResourceCapError
-from .spin_algebra import DENSE_CUTOFF, Operator
+from .spin_algebra import Operator
 
 #: Hard cap on the total Hilbert-space dimension (sparse storage included).
 MAX_HILBERT_DIM = 65536
@@ -262,18 +262,16 @@ def _embed_coo(local_op, support: list[Site], volume: Volume) -> sp.coo_array:
     return sp.coo_array((data, (rows, cols)), shape=(dim, dim))
 
 
-def embed(local_op, support, volume: Volume, *, dense_cutoff: int = DENSE_CUTOFF) -> Operator:
+def embed(local_op, support, volume: Volume) -> Operator:
     """Embed a k-site operator into the full volume (identity on other sites).
 
     ``support`` is an ordered list of sites; the first tensor factor of
     ``local_op`` acts on ``support[0]``, and so on.  A single site may be
-    passed bare.  The result is dense below ``dense_cutoff`` and CSR above.
+    passed bare.  The result is CSR at every size, with at most dim * n^k
+    stored entries.
     """
     sites = _normalize_support(support, volume)
-    coo = _embed_coo(local_op, sites, volume)
-    if volume.hilbert_dim <= dense_cutoff:
-        return Operator(coo.toarray())
-    return Operator(sp.csr_array(coo))
+    return Operator(sp.csr_array(_embed_coo(local_op, sites, volume)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +345,8 @@ class SitePermutation:
         return cls(m)
 
 
-def permutation_unitary(
-    perm, volume: Volume, *, dense_cutoff: int = DENSE_CUTOFF
-) -> Operator:
-    """The unitary that relabels sites by ``perm``.
+def permutation_unitary(perm, volume: Volume) -> Operator:
+    """The unitary that relabels sites by ``perm``, as a CSR permutation matrix.
 
     Moves the digit at site x to site g(x), so U A U^dagger carries an
     operator supported on x to one supported on g(x), and the map g -> U_g
@@ -372,7 +368,4 @@ def permutation_unitary(
     digits = (idx[:, None] // strides[None, :]) % n
     rows = digits @ target
     data = np.ones(dim, dtype=np.complex128)
-    coo = sp.coo_array((data, (rows, idx)), shape=(dim, dim))
-    if dim <= dense_cutoff:
-        return Operator(coo.toarray())
-    return Operator(sp.csr_array(coo))
+    return Operator(sp.csr_array(sp.coo_array((data, (rows, idx)), shape=(dim, dim))))

@@ -109,8 +109,6 @@ class EigenSystem:
             raise DomainError(
                 f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
             )
-        if sp.issparse(m):
-            m = m.toarray()
         v = self.eigenvectors
         return v.conj().T @ m @ v
 

@@ -37,7 +37,10 @@ STRUCTURE_TOL = 1e-12
 #: Relative tolerance for iterative eigensolver residuals.
 SOLVER_TOL = 1e-10
 
-#: Largest Hilbert-space dimension stored densely; above this, operators are CSR.
+#: Largest Hilbert-space dimension diagonalized densely (the default of
+#: ``--cap-dense``).  It also switches ``operator_norm`` of a sparse matrix and
+#: ``evolve_state`` to their iterative routes above it; storage never depends
+#: on it: operators built from local terms are CSR at every size.
 DENSE_CUTOFF = 4096
 
 
@@ -177,8 +180,10 @@ def as_matrix(a):
 class Operator:
     """A complex square matrix on a finite Hilbert space, dense or sparse.
 
-    Dense operators are plain complex128 ndarrays; sparse ones are CSR.
-    Instances are treated as immutable once constructed.  A cached
+    Sparse operators are CSR: everything built from local terms (embeddings,
+    Hamiltonians, generators, probes) at every size.  Dense ones are plain
+    complex128 ndarrays and come from eigendecompositions (evolved
+    operators).  Instances are treated as immutable once constructed.  A cached
     Hermiticity flag can be supplied by builders that know it.
     """
 
@@ -190,7 +195,7 @@ class Operator:
             self._hermitian = data._hermitian if hermitian is None else hermitian
             return
         if sp.issparse(data):
-            data = sp.csr_array(data).astype(np.complex128)
+            data = sp.csr_array(data).astype(np.complex128, copy=False)
         else:
             data = np.asarray(data, dtype=np.complex128)
             if data.ndim != 2:
@@ -236,12 +241,7 @@ class Operator:
     def is_hermitian(self, tol: float = STRUCTURE_TOL) -> bool:
         """Whether ||A - A^dagger||_max <= tol (cached after first call)."""
         if self._hermitian is None:
-            d = self._data - self._data.conj().T
-            if sp.issparse(d):
-                dev = 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
-            else:
-                dev = float(np.max(np.abs(d))) if d.size else 0.0
-            self._hermitian = dev <= tol
+            self._hermitian = is_hermitian(self._data, tol)
         return self._hermitian
 
     def norm(self) -> float:
@@ -300,7 +300,9 @@ class Operator:
 
 
 def _binary_operands(a, b):
-    """Unwrap two operands to a compatible (both-sparse or both-dense) pair."""
+    """Unwrap two operands of equal shape.  A mixed (ndarray, sparse) pair is
+    kept as it is: scipy's products and sums of such a pair are ndarrays
+    computed at the cost of the sparse side."""
     ma, mb = _unwrap(a), _unwrap(b)
     if not (sp.issparse(ma) or isinstance(ma, np.ndarray)):
         ma = np.asarray(ma, dtype=np.complex128)
@@ -308,11 +310,6 @@ def _binary_operands(a, b):
         mb = np.asarray(mb, dtype=np.complex128)
     if mb.ndim != 2 or ma.shape != mb.shape:
         raise DimensionMismatchError(f"operand shapes differ: {ma.shape} vs {mb.shape}")
-    a_sp, b_sp = sp.issparse(ma), sp.issparse(mb)
-    if a_sp and not b_sp:
-        ma = ma.toarray()
-    elif b_sp and not a_sp:
-        mb = mb.toarray()
     return ma, mb
 
 
@@ -329,10 +326,7 @@ def is_hermitian(a, tol: float = STRUCTURE_TOL) -> bool:
     if isinstance(a, Operator):
         return a.is_hermitian(tol)
     m = as_matrix(a)
-    d = m - m.conj().T
-    if sp.issparse(d):
-        return d.nnz == 0 or float(np.max(np.abs(d.data))) <= tol
-    return d.size == 0 or float(np.max(np.abs(d))) <= tol
+    return m.shape[0] == 0 or float(abs(m - m.conj().T).max()) <= tol
 
 
 def commutator(a, b):
@@ -432,30 +426,29 @@ _NORM_SEED = 0x5EED
 def operator_norm(a) -> float:
     """Spectral norm ||A|| (largest singular value).
 
-    Dense matrices use exact LAPACK routes: eigvalsh for (anti-)Hermitian
-    input, full SVD otherwise.  Large sparse matrices use a deterministic
-    Lanczos/ARPACK estimate of the dominant singular value.
+    (Anti-)Hermitian input takes the largest |eigenvalue| from
+    :func:`hermitian_eig`, which solves a CSR matrix block by block; other
+    input takes a full SVD of the densified matrix.  Sparse matrices above
+    DENSE_CUTOFF use a deterministic Lanczos/ARPACK estimate of the dominant
+    singular value instead.
     """
     m = _unwrap(a)
     if sp.issparse(m):
-        if m.shape[0] <= DENSE_CUTOFF:
-            m = m.toarray()
-        else:
-            return _sparse_norm(sp.csr_array(m))
+        m = sp.csr_array(m)
+        if m.shape[0] > DENSE_CUTOFF:
+            return _sparse_norm(m)
     else:
         m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if m.size == 0:
+    if m.shape[0] == 0:
         return 0.0
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev <= STRUCTURE_TOL:
-        return float(np.max(np.abs(hermitian_eig(m, vectors=False).eigenvalues)))
-    anti_dev = float(np.max(np.abs(m + m.conj().T)))
-    if anti_dev <= STRUCTURE_TOL:
-        # i*A is Hermitian when A is anti-Hermitian; same norm, cheaper than SVD.
-        return float(np.max(np.abs(hermitian_eig(1j * m, vectors=False).eigenvalues)))
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    # i*A is Hermitian when A is anti-Hermitian; same norm, cheaper than SVD
+    h = m if is_hermitian(m) else 1j * m
+    if h is m or is_hermitian(h):
+        return float(np.max(np.abs(hermitian_eig(h, vectors=False).eigenvalues)))
+    dense = m.toarray() if sp.issparse(m) else m
+    return float(np.linalg.svd(dense, compute_uv=False)[0])
 
 
 def _sparse_norm(m) -> float:
@@ -464,10 +457,8 @@ def _sparse_norm(m) -> float:
     n = m.shape[0]
     rng = np.random.default_rng(_NORM_SEED)
     v0 = rng.standard_normal(n)
-    d = m - m.conj().T
-    herm = d.nnz == 0 or float(np.max(np.abs(d.data))) <= STRUCTURE_TOL
     try:
-        if herm:
+        if is_hermitian(m):
             vals = spla.eigsh(m, k=1, which="LM", v0=v0, return_eigenvectors=False)
             return float(np.max(np.abs(vals)))
         vals = spla.svds(m, k=1, v0=v0, return_singular_vectors=False)

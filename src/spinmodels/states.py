@@ -4,6 +4,8 @@ The three equilibrium checks all evaluate finite-volume identities exactly
 (up to rounding).  ``gibbs`` and ``kms_residual`` read the dense
 eigendecomposition of H from a :class:`spinmodels.spectra.EigenSystem`: pass
 one built once to share it across calls, or pass H to build one per call.
+Probes and H stay CSR, so products such as X* [H, X] are sparse, and an
+expectation in a density matrix is an elementwise trace costing O(nnz).
 
 * boundary condition relating a state to its imaginary-time flow:
   omega(A alpha_{i beta}(B)) = omega(B A), evaluated as a residual;
@@ -168,10 +170,8 @@ def expectation(state, a) -> complex:
             raise DimensionMismatchError(
                 f"state dim {rho.shape[0]} vs operator dim {m.shape[0]}"
             )
-        prod = m @ rho  # Tr(rho A) = Tr(A rho); sparse @ dense stays dense
-        if sp.issparse(prod):
-            return complex(prod.trace())
-        return complex(np.trace(prod))
+        # Tr(A rho) = sum_jk A_jk rho_kj, elementwise: O(nnz) for CSR A
+        return complex((m * rho.T).sum())
     else:
         arr = np.asarray(state, dtype=np.complex128)
         if arr.ndim == 1:

@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from .errors import DimensionMismatchError, DomainError
 from .lattice import Volume, embed
 from .spin_algebra import (
-    DENSE_CUTOFF,
     STRUCTURE_TOL,
     Operator,
     as_matrix,
@@ -42,14 +41,14 @@ class GeneratorSet:
         return iter(self.generators.items())
 
 
-def total_spin(volume: Volume, *, dense_cutoff: int = DENSE_CUTOFF) -> GeneratorSet:
-    """Total S1, S2, S3 summed over all sites; dense up to ``dense_cutoff``."""
+def total_spin(volume: Volume) -> GeneratorSet:
+    """Total S1, S2, S3 summed over all sites, as CSR operators."""
     ops = spin_matrices((volume.local_dim - 1) / 2.0)
     gens = {}
     for label, local in (("S1", ops.s1), ("S2", ops.s2), ("S3", ops.s3)):
         total = None
         for site in volume.sites:
-            part = embed(local, [site], volume, dense_cutoff=dense_cutoff)
+            part = embed(local, [site], volume)
             total = part if total is None else total + part
         gens[label] = total
     return GeneratorSet(name="total_spin", generators=gens)
@@ -63,8 +62,9 @@ def _kron_chain(mats) -> sp.csr_array:
     return out
 
 
-def suq2_generators(volume: Volume, q: float, *, dense_cutoff: int = DENSE_CUTOFF) -> GeneratorSet:
-    """q-deformed total-spin generators K3, K+, K- on an open spin-1/2 chain.
+def suq2_generators(volume: Volume, q: float) -> GeneratorSet:
+    """q-deformed total-spin generators K3, K+, K- on an open spin-1/2 chain,
+    as CSR operators.
 
     Raises DomainError off the supported geometry or for q outside (0, 1].
     """
@@ -84,7 +84,7 @@ def suq2_generators(volume: Volume, q: float, *, dense_cutoff: int = DENSE_CUTOF
 
     k3 = None
     for site in volume.sites:
-        part = embed(ops.s3, [site], volume, dense_cutoff=dense_cutoff)
+        part = embed(ops.s3, [site], volume)
         k3 = part if k3 is None else k3 + part
 
     kp = None
@@ -94,24 +94,14 @@ def suq2_generators(volume: Volume, q: float, *, dense_cutoff: int = DENSE_CUTOF
         minus = _kron_chain([eye] * x + [ops.sm] + [t_inv] * (length - 1 - x))
         kp = plus if kp is None else kp + plus
         km = minus if km is None else km + minus
-    dim = volume.hilbert_dim
-    if dim <= dense_cutoff:
-        kp_op = Operator(kp.toarray())
-        km_op = Operator(km.toarray())
-    else:
-        kp_op = Operator(kp)
-        km_op = Operator(km)
     return GeneratorSet(
-        name="suq2", generators={"K3": k3, "K+": kp_op, "K-": km_op}
+        name="suq2", generators={"K3": k3, "K+": Operator(kp), "K-": Operator(km)}
     )
 
 
 def _is_unitary(u, tol: float = STRUCTURE_TOL) -> bool:
     m = as_matrix(u)
-    test = m.conj().T @ m
-    if sp.issparse(test):
-        test = test.toarray()
-    return float(np.max(np.abs(test - np.eye(m.shape[0])))) <= tol
+    return float(abs(m.conj().T @ m - sp.eye_array(m.shape[0])).max()) <= tol
 
 
 def invariance_residual(h, symmetry) -> float:

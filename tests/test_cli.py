@@ -378,6 +378,26 @@ def test_cap_dense_reaches_every_task(tmp_path, capsys, name, code):
     assert doc["provenance"]["caps"]["dense"] == 16
 
 
+@pytest.mark.parametrize("task, section, model", [
+    ("verify", {"checks": ["kms", "eeb", "stability"], "betas": [0.5, 1.0],
+                "num_probes": 6}, {"name": "xxz_suq2", "params": {"q": 0.5}}),
+    ("dynamics", {"times": [0.0, 0.5, 1.0], "distances": [0, 1, 2, 3, 4, 5],
+                  "observable": "s3"}, {"name": "heisenberg", "params": {"J": 1.0}}),
+], ids=["verify", "dynamics"])
+def test_local_operators_are_never_densified(tmp_path, capsys, forbid_full_toarray,
+                                             task, section, model):
+    # probes, H and products of local operators stay CSR: no sparse matrix
+    # of the full dimension 64 is ever turned into a dense array
+    forbid_full_toarray(64)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec(
+        task, section, model=model, volume={"dims": [6], "boundary": "open"}, seed=3)))
+    assert main(["run", str(spec_path), "--out", str(tmp_path)]) == 0
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    payload = json.loads(Path(line["result"]).read_text())["payload"]
+    assert payload.get("all_ok", True) is True
+
+
 @pytest.mark.parametrize("model", [
     {"name": "xxz_suq2", "params": {"q": 0.5}},
     {"name": "heisenberg", "params": {"J": -1.0}},

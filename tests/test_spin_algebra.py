@@ -137,6 +137,26 @@ def test_operator_mixed_sparse_dense():
     assert np.allclose(prod.toarray(), b.toarray() @ a)
 
 
+def test_mixed_dense_sparse_pairs_stay_mixed():
+    # a mixed pair is not densified: scipy returns ndarrays, equal to the
+    # all-dense result to rounding
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    b = sp.random_array((8, 8), density=0.3, rng=rng, dtype=complex)
+    bd = b.toarray()
+    scale = 1e-15 * np.linalg.norm(a, 2) * np.linalg.norm(bd, 2)
+    for x, y, xd, yd in ((a, b, a, bd), (b, a, bd, a)):
+        pairs = [
+            (commutator(x, y), xd @ yd - yd @ xd),
+            (anticommutator(x, y), xd @ yd + yd @ xd),
+            ((Operator(x) + Operator(y)).data, xd + yd),
+            ((Operator(x) - Operator(y)).data, xd - yd),
+        ]
+        for got, want in pairs:
+            assert isinstance(got, np.ndarray)
+            assert np.max(np.abs(got - want)) <= scale
+
+
 def test_operator_matmul_vector():
     ops = spin_matrices(0.5)
     v = np.array([1.0, 0.0], dtype=complex)
@@ -242,6 +262,19 @@ def test_operator_norm_sparse_large():
     # non-Hermitian shift matrix has all singular values <= 1
     shift = sp.eye_array(n, format="csr", k=1)
     assert abs(operator_norm(shift) - 1.0) < 1e-8
+
+
+def test_operator_norm_of_sparse_input_solves_blocks(forbid_full_toarray):
+    # a block-diagonal CSR matrix is normed block by block, never densified,
+    # and gives exactly the dense-route norm
+    rng = np.random.default_rng(37)
+    herm = _permuted_block_diagonal(rng, [5, 1, 7, 3], [True, False, False, True])
+    cases = [herm, 1j * herm]  # Hermitian and anti-Hermitian
+    want = [operator_norm(m) for m in cases]
+    forbid_full_toarray(herm.shape[0])
+    for m, w in zip(cases, want):
+        assert operator_norm(sp.csr_array(m)) == w
+        assert operator_norm(Operator(sp.csr_array(m))) == w
 
 
 def test_operator_rejects_nonsquare():

@@ -9,12 +9,14 @@ The single-spin closed forms used as oracles, for H = S3:
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinmodels import (
     DegenerateInputError,
     DensityMatrix,
     DomainError,
     EigenSystem,
+    Operator,
     RangeLimitError,
     StateVector,
     assemble_hamiltonian,
@@ -113,6 +115,17 @@ def test_expectation_routes_agree():
         via_vec = expectation(StateVector(psi), a)
         via_rho = expectation(DensityMatrix.pure(psi), a)
         assert abs(via_vec - via_rho) < 1e-12
+
+
+def test_expectation_trace_is_elementwise_for_dense_and_csr():
+    rng = np.random.default_rng(31)
+    psi = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    rho = DensityMatrix.mixture(psi)
+    dense = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    csr = sp.random_array((12, 12), density=0.2, rng=rng, dtype=complex, format="csr")
+    for a, ad in ((dense, dense), (csr, csr.toarray()), (Operator(csr), csr.toarray())):
+        want = np.trace(ad @ rho.matrix)
+        assert abs(expectation(rho, a) - want) <= 1e-14
 
 
 def test_kms_residual_single_spin():

@@ -9,14 +9,17 @@ from spinmodels import (
     basis_vector,
     chain_volume,
     default_probe_set,
+    embed,
     heisenberg,
     aklt,
     invariance_residual,
     permutation_unitary,
+    random_local_operator,
     resolve_q,
     state_invariance_residual,
     StateVector,
     suq2_generators,
+    spin_matrices,
     total_spin,
     xxz_suq2_chain,
     xy_field,
@@ -69,13 +72,27 @@ def test_suq2_reduces_to_total_spin_at_q_one():
     assert np.allclose(gens.generators["K+"].toarray(), sp_total, atol=1e-15)
 
 
-def test_generators_honour_dense_cutoff():
-    vol = chain_volume(5, boundary="open")  # dim 32
-    for gens in (total_spin(vol, dense_cutoff=16), suq2_generators(vol, 0.5, dense_cutoff=16)):
+@pytest.mark.parametrize("length", [4, 10], ids=["dim16", "dim1024"])
+def test_local_builders_return_csr(length):
+    # everything built from local terms is CSR at every size, with at most
+    # dim * n^k stored entries per k-site term
+    vol = chain_volume(length, boundary="open")
+    dim, n = vol.hilbert_dim, vol.local_dim
+    ops = spin_matrices(0.5)
+    built = [
+        (embed(ops.s1, [(1,)], vol), dim * n),
+        (embed(np.kron(ops.s3, ops.sp), [(0,), (length - 1,)], vol), dim * n**2),
+        (assemble_hamiltonian(heisenberg(j=-1.0), vol), len(vol.edges) * dim * n**2),
+        (permutation_unitary(SitePermutation.translation(vol, 1), vol), dim),
+        (random_local_operator(vol, 5, num_sites=1), dim * n),
+        (random_local_operator(vol, 5, num_sites=2), dim * n**2),
+    ]
+    for gens in (total_spin(vol), suq2_generators(vol, 0.5)):
         assert len(gens.generators) == 3
-        assert all(g.is_sparse for _, g in gens)
-    for gens in (total_spin(vol, dense_cutoff=32), suq2_generators(vol, 0.5, dense_cutoff=32)):
-        assert not any(g.is_sparse for _, g in gens)
+        built += [(g, length * dim * n) for _, g in gens]
+    for op, max_nnz in built:
+        assert op.is_sparse and op.data.format == "csr"
+        assert op.dim == dim and op.data.nnz <= max_nnz
 
 
 def test_suq2_domain_checks():
