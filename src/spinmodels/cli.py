@@ -401,9 +401,8 @@ def _task_spectrum(spec: RunSpec, h, cap_dense: int) -> tuple[dict, list]:
         "ground_energy": low.energy,
         "degeneracy": low.degeneracy,
         "gap": low.gap,
+        **low.diagnostics,
     }
-    if low.block_sizes is not None:
-        payload["block_sizes"] = low.block_sizes
     rows = [(i, v) for i, v in enumerate(eigenvalues)]
     return payload, [("index", "eigenvalue")] + rows
 

@@ -16,7 +16,9 @@ independent routes: the EigenSystem (exact, up to the dense cap) and the
 in-house block Lanczos from :mod:`spinmodels.krylov` for sparse operators.
 It picks the route from the dimension but accepts an explicit ``method`` so
 the two can be cross-checked; ``ground_space`` and ``spectral_gap`` are
-views of its result.
+views of its result.  Both routes take float64 by the same rule,
+:func:`~spinmodels.spin_algebra.exact_real`: the dense route per block, the
+krylov route for the whole matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .spin_algebra import (
     SOLVER_TOL,
     Operator,
     as_matrix,
+    exact_real,
     hermitian_eig,
     is_hermitian,
     spin_matrices,
@@ -160,8 +163,10 @@ class LowLevels:
     ``eigenvalues`` are ascending: the whole spectrum on the dense route, the
     lowest ``num`` on the krylov route.  ``basis`` spans the ground multiplet
     of ``degeneracy`` levels; ``gap`` is 0.0 when no level lies above it.
-    ``block_sizes`` are the EigenSystem's invariant blocks on the dense route
-    and None on the krylov route.
+    The route's own diagnostics are set on its route only: ``block_sizes``,
+    the EigenSystem's invariant blocks, on the dense route; ``iterations``
+    and ``max_residual`` (largest ||H v - theta v|| of the returned pairs) of
+    the last Lanczos run on the krylov route.
     """
 
     method: str
@@ -170,10 +175,18 @@ class LowLevels:
     gap: float
     basis: np.ndarray
     block_sizes: list[int] | None = None
+    iterations: int | None = None
+    max_residual: float | None = None
 
     @property
     def energy(self) -> float:
         return float(self.eigenvalues[0])
+
+    @property
+    def diagnostics(self) -> dict:
+        """The route's own diagnostics by name, for a result payload."""
+        keys = ("block_sizes",) if self.method == "dense" else ("iterations", "max_residual")
+        return {key: getattr(self, key) for key in keys}
 
 
 def full_spectrum(h) -> EigenSystem:
@@ -215,9 +228,12 @@ def low_levels(
     Eigenvalues within ``degeneracy_tol * max(1, ||H||)`` of the minimum
     count as one multiplet.  ``method`` is "dense", "krylov", or None (dense
     for an EigenSystem or when the dimension is at most ``cap_dense``, block
-    Lanczos otherwise).  The krylov route makes one ARPACK scale estimate and
-    grows a Lanczos run, block as wide as the number of pairs, from
-    max(num, 6) pairs until a level lies above the ground window.
+    Lanczos otherwise).  The krylov route runs in float64 when H's imaginary
+    part is exactly zero (ARPACK ``dsaupd`` and a real Lanczos basis), in
+    complex128 otherwise.  It makes one ARPACK scale estimate and grows a
+    Lanczos run, block as wide as the number of pairs, from max(num, 6) pairs
+    until a level lies above the ground window; ``iterations`` and
+    ``max_residual`` are those of the last run.
     """
     m = h.h if isinstance(h, EigenSystem) else as_matrix(h)
     dim = m.shape[0]
@@ -236,7 +252,7 @@ def low_levels(
 
     if not isinstance(h, EigenSystem):
         _require_hermitian(h)
-    msp = m if sp.issparse(m) else sp.csr_array(m)
+    msp = exact_real(m if sp.issparse(m) else sp.csr_array(m))
     scale = _sparse_spectral_scale(msp)
     k = min(dim, max(num, 6))
     while True:
@@ -246,7 +262,8 @@ def low_levels(
         deg = int(np.sum(w <= _window(float(w[0]), scale, degeneracy_tol)))
         if deg < k or k == dim:
             return LowLevels("krylov", w[:num], deg, _gap(w, deg),
-                             res.eigenvectors[:, :deg])
+                             res.eigenvectors[:, :deg], iterations=res.iterations,
+                             max_residual=float(np.max(res.residuals)))
         if k >= MAX_SPARSE_DEGENERACY:
             raise SolverError(
                 f"ground-space degeneracy exceeds {MAX_SPARSE_DEGENERACY}; "

@@ -15,7 +15,8 @@ judged against SOLVER_TOL relative to the operator norm.
 
 Every dense Hermitian eigensolve goes through :func:`hermitian_eig`, which
 splits the matrix into the invariant blocks of its exact nonzero pattern and
-solves each block in float64 when its imaginary part is exactly zero.
+solves each block in float64 when its imaginary part is exactly zero
+(:func:`exact_real`, the one rule every solver uses to choose float64).
 """
 
 from __future__ import annotations
@@ -329,6 +330,14 @@ def is_hermitian(a, tol: float = STRUCTURE_TOL) -> bool:
     return m.shape[0] == 0 or float(abs(m - m.conj().T).max()) <= tol
 
 
+def exact_real(m):
+    """``m.real`` when the imaginary part of ndarray or sparse ``m`` is exactly
+    zero, else ``m`` itself: the one rule by which a solver runs in float64."""
+    if not np.iscomplexobj(m) or (m.data if sp.issparse(m) else m).imag.any():
+        return m
+    return m.real
+
+
 def commutator(a, b):
     """[A, B] = AB - BA.
 
@@ -361,7 +370,8 @@ def _pattern_blocks(m) -> np.ndarray:
     undirected graph of the exact nonzero pattern of ``m``."""
     pattern = m != 0
     if not sp.issparse(pattern):
-        if pattern.all():  # no zero entry: one block, no graph search needed
+        # a row with no zero joins every index: one block, no graph search
+        if m.shape[0] == 0 or pattern.all(axis=1).any():
             return np.zeros(m.shape[0], dtype=np.intp)
         pattern = sp.csr_array(pattern)
     return connected_components(pattern, directed=False)[1]
@@ -395,8 +405,7 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     for b in np.flatnonzero(sizes > 1):
         idx = members[starts[b]:starts[b + 1]]
         block = m[idx][:, idx].toarray() if sp.issparse(m) else m[np.ix_(idx, idx)]
-        if np.iscomplexobj(block) and not block.imag.any():
-            block = block.real
+        block = exact_real(block)
         if vectors:
             w, v = np.linalg.eigh(block)
             solved.append((idx, v))

@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 import scipy.sparse as sp
+
+from spinmodels import Interaction, assemble_hamiltonian, chain_volume, spin_matrices
 
 
 @pytest.fixture
@@ -17,3 +20,19 @@ def forbid_full_toarray(monkeypatch):
             monkeypatch.setattr(cls, "toarray", guarded)
 
     return install
+
+
+@pytest.fixture
+def dm_chain():
+    """Builder of a spin-1/2 ring: ferromagnetic Heisenberg exchange plus a
+    z-axis Dzyaloshinskii-Moriya term d (S1 S2 - S2 S1) on every bond, a
+    Hermitian CSR matrix with a nonzero imaginary part."""
+
+    def build(length, d=0.7):
+        ops = spin_matrices(0.5)
+        bond = -sum(np.kron(a, a) for a in ops.vector())
+        bond = bond + d * (np.kron(ops.s1, ops.s2) - np.kron(ops.s2, ops.s1))
+        chain = Interaction(local_dim=2, bond_term=bond, name="dm")
+        return assemble_hamiltonian(chain, chain_volume(length, boundary="periodic")).tocsr()
+
+    return build

@@ -235,9 +235,24 @@ def test_dense_spectrum_payload_lists_invariant_blocks(tmp_path):
     doc = json.loads(run_spec(parse_spec_dict(_spec("spectrum", {"method": "dense"})),
                               tmp_path).read_text())
     assert doc["payload"]["block_sizes"] == [1, 4, 6, 4, 1]
+    assert "iterations" not in doc["payload"] and "max_residual" not in doc["payload"]
     doc = json.loads(run_spec(parse_spec_dict(_spec("spectrum", {"method": "krylov"})),
                               tmp_path).read_text())
     assert "block_sizes" not in doc["payload"]
+
+
+def test_krylov_spectrum_payload_records_solver_diagnostics(tmp_path):
+    # the last Lanczos run's step count and largest residual, and a rerun
+    # writes the same bytes
+    spec = parse_spec_dict(_spec("spectrum", {"method": "krylov", "num_eigenvalues": 4},
+                                 volume={"dims": [8], "boundary": "periodic"}))
+    text = run_spec(spec, tmp_path / "a").read_text()
+    payload = json.loads(text)["payload"]
+    assert payload["method"] == "krylov"
+    assert isinstance(payload["iterations"], int) and payload["iterations"] >= 1
+    scale = max(abs(v) for v in payload["eigenvalues"])
+    assert 0.0 <= payload["max_residual"] <= 1e-10 * scale
+    assert run_spec(spec, tmp_path / "b").read_text() == text
 
 
 def test_run_thermal_consistency(tmp_path):

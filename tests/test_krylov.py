@@ -85,3 +85,49 @@ def test_reports_iterations_and_residuals():
     assert res.iterations >= 1
     assert res.residuals.shape == (2,)
     assert np.all(res.residuals >= 0)
+
+
+def test_real_matrix_is_solved_in_float64():
+    # assembled H is stored complex128 with an exactly zero imaginary part
+    h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(8, boundary="periodic")).tocsr()
+    assert h.dtype == np.complex128
+    want = np.linalg.eigvalsh(h.toarray())[:3]
+    for m in (h, h.real):
+        res = lowest_eigenpairs(m, 3)
+        assert res.eigenvectors.dtype == np.float64
+        assert np.abs(res.eigenvalues - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_complex_dm_chain_stays_complex(dm_chain):
+    h = dm_chain(8)
+    assert h.imag.count_nonzero() > 0
+    res = lowest_eigenpairs(h, 4)
+    assert res.eigenvectors.dtype == np.complex128
+    want = np.linalg.eigvalsh(h.toarray())
+    scale = np.abs(want).max()
+    assert np.abs(res.eigenvalues - want[:4]).max() <= 1e-10 * scale
+    v = res.eigenvectors
+    assert np.linalg.norm(h @ v - v * res.eigenvalues, axis=0).max() <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("case", ["ferromagnet_multiplet", "random_complex"])
+def test_thick_restarts_keep_accuracy(case):
+    if case == "ferromagnet_multiplet":
+        # L=8 ring ferromagnet: the lowest 9 levels are one 9-fold multiplet
+        m = assemble_hamiltonian(heisenberg(j=1.0), chain_volume(8, boundary="periodic"))
+        m = m.tocsr()
+        k = b = 9
+    else:
+        m = _random_sparse_hermitian(300, 0.05, 5)
+        k = b = 4
+    # a restart keeps k + 2b vectors, so after the first fill every second
+    # step restarts; ten steps past the fill are five restarts
+    max_basis = k + 4 * b
+    res = lowest_eigenpairs(m, k, block_size=b, max_basis=max_basis)
+    assert res.iterations - max_basis // b >= 10
+    want = np.linalg.eigvalsh(m.toarray())
+    scale = max(1.0, np.abs(want).max())
+    assert np.abs(res.eigenvalues - want[:k]).max() <= 1e-10 * scale
+    v = res.eigenvectors
+    assert np.abs(v.conj().T @ v - np.eye(k)).max() <= 1e-12
+    assert np.linalg.norm(m @ v - v * res.eigenvalues, axis=0).max() <= 1e-8 * scale

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spinmodels import (
     DensityMatrix,
@@ -27,6 +28,9 @@ from spinmodels import (
     structure_factor,
     two_point,
 )
+from spinmodels.interactions import MODEL_NAMES, MODELS
+from spinmodels.spectra import DEGENERACY_TOL
+from spinmodels.spin_algebra import exact_real
 
 
 def test_full_spectrum_matches_numpy():
@@ -128,6 +132,59 @@ def test_low_levels_krylov_lists_requested_levels():
     assert np.allclose(low.eigenvalues, w[:10], atol=1e-8)
     assert low.degeneracy == 1
     assert abs(low.gap - (w[1] - w[0])) < 1e-8
+
+
+def test_krylov_route_runs_real_only_on_real_input(monkeypatch, dm_chain):
+    # ARPACK (the scale estimate) takes the matrix as low_levels passes it:
+    # float64 selects dsaupd, complex128 znaupd
+    seen = []
+    eigsh = spla.eigsh
+
+    def recording(m, *args, **kwargs):
+        seen.append(m.dtype)
+        return eigsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recording)
+    real = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(8, boundary="periodic"))
+    for h, dtype in ((real, np.float64), (dm_chain(8), np.complex128)):
+        seen.clear()
+        low = low_levels(h, 4, method="krylov")
+        assert seen == [dtype]
+        assert low.basis.dtype == dtype
+        w = np.linalg.eigvalsh(h.toarray())
+        assert np.abs(low.eigenvalues - w[:4]).max() <= 1e-10 * np.abs(w).max()
+        assert low.iterations >= 1
+        assert 0.0 <= low.max_residual <= 1e-10 * np.abs(w).max()
+
+
+# Fields for xy_field and ising, q for xxz_suq2.  The ground levels of the
+# heisenberg ferromagnet and xxz_suq2 (9-fold) and aklt (4-fold) are multiplets.
+_MODEL_PARAMS = {"xy_field": {"h": 0.3}, "ising": {"h": 0.4}, "xxz_suq2": {"q": 0.5}}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_krylov_dense_and_arpack_agree_on_every_model(name):
+    params = _MODEL_PARAMS.get(name, {})
+    local_dim = MODELS[name].interaction(params).local_dim
+    length = 6 if local_dim > 2 else 8
+    h = build_model_hamiltonian(name, params, chain_volume(length, "open", local_dim=local_dim))
+    dense = low_levels(EigenSystem(h))
+    krylov = low_levels(h, 6, method="krylov")
+    w = dense.eigenvalues
+    scale = max(1.0, np.abs(w).max())
+    n = krylov.eigenvalues.size
+    assert np.abs(krylov.eigenvalues - w[:n]).max() <= 1e-10 * scale
+    assert abs(krylov.gap - dense.gap) <= 1e-10 * scale
+    # ARPACK is single-vector Lanczos: a Krylov space as large as the matrix
+    # lets its invariant-subspace restarts reach every copy of a multiplet
+    m = exact_real(h.tocsr())
+    k = dense.degeneracy + 2
+    v0 = np.random.default_rng(0).standard_normal(m.shape[0])
+    arpack = np.sort(spla.eigsh(m, k=k, which="SA", ncv=m.shape[0], v0=v0, tol=1e-12,
+                                return_eigenvectors=False))
+    assert np.abs(arpack - w[:k]).max() <= 1e-10 * scale
+    window = w[0] + DEGENERACY_TOL * scale
+    assert krylov.degeneracy == dense.degeneracy == int(np.sum(arpack <= window))
 
 
 def test_ground_space_ferromagnet_multiplet():
