@@ -4,18 +4,15 @@ Evolution is by exact eigendecomposition of the Hamiltonian — no
 Trotterization anywhere: in the eigenbasis, conjugation by exp(itH) is an
 entrywise phase exp(it(w_j - w_k)), and imaginary time replaces the phase by
 exp(-beta(w_j - w_k)).  The decomposition is the shared
-:class:`spinmodels.spectra.EigenSystem` (``Propagator`` is its old name), so
-evolving, spectra, and Gibbs states of one Hamiltonian share one
-decomposition: one ``eigh`` per invariant block of H's nonzero pattern, in
-real arithmetic when H is real.  Its eigenvectors keep the exact zeros of the
-blocks, so an operator that H's blocks leave invariant (S3 at a site, for
-the built-in models) stays block-diagonal under evolution, and the
-commutator norms of a light-cone scan are solved block by block as well.
-An evolved operator is dense, as eigendecomposition products are; the local
-operators it is compared with stay CSR, so each commutator costs
-O(dim^2 n) rather than a dense O(dim^3) product.  Above the dense cutoff,
-Hamiltonians still get vector propagation through a Krylov-based
-matrix-exponential action.
+:class:`spinmodels.spectra.EigenSystem` (``Propagator`` is its old name), kept
+as one block of eigenvectors per invariant block of H's nonzero pattern.  An
+evolution runs over the block pairs that the operator couples, and the
+result keeps the operator's storage: CSR in gives CSR out, nonzero only on
+those pairs, so S3 at a site (which the built-in models' blocks leave
+invariant) stays block-diagonal.  A light-cone scan takes each norm as the
+largest |eigenvalue| of the Hermitian i[alpha_t(A), B_x], a product of CSR
+matrices solved block by block.  Above the dense cutoff, Hamiltonians still
+get vector propagation through a Krylov-based matrix-exponential action.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from .spin_algebra import (
     DENSE_CUTOFF,
     Operator,
     as_matrix,
-    commutator,
+    hermitian_eig,
     is_hermitian,
     operator_norm,
 )
@@ -58,11 +55,9 @@ def evolve_imaginary(h, a, beta: float, *, range_limit: float = RANGE_LIMIT) -> 
 
 def evolve_state(h, psi: np.ndarray, t: float) -> np.ndarray:
     """exp(-itH) psi; uses the sparse Krylov exponential above the dense cutoff."""
-    if isinstance(h, EigenSystem):
-        return h.evolve_vector(psi, t)
+    if isinstance(h, EigenSystem) or as_matrix(h).shape[0] <= DENSE_CUTOFF:
+        return EigenSystem.of(h).evolve_vector(psi, t)
     m = as_matrix(h)
-    if m.shape[0] <= DENSE_CUTOFF:
-        return EigenSystem(h).evolve_vector(psi, t)
     if not is_hermitian(h):
         raise DomainError("evolution requires a Hermitian Hamiltonian")
     from scipy.sparse.linalg import expm_multiply
@@ -150,17 +145,22 @@ def lr_scan(
     if np.any(distances < 0) or np.any(distances >= length):
         raise DomainError(f"distances must lie in 0..{length - 1}")
 
+    if not (is_hermitian(a_local) and is_hermitian(b_local)):
+        raise DomainError("light-cone scans take Hermitian observables")
     prop = EigenSystem(assemble_hamiltonian(interaction, volume), cap_dense=cap_dense)
     a0 = embed(a_local, [(0,)], volume)
     b_ops = [embed(b_local, [(int(x),)], volume) for x in distances]
     a_norm = operator_norm(a0)
     b_norm = operator_norm(b_ops[0]) if b_ops else 0.0
 
+    # i[alpha_t(A), B] is Hermitian: its norm is its largest |eigenvalue|
+    ib_ops = [1j * b.data for b in b_ops]
     norms = np.zeros((times.size, distances.size))
     for i, t in enumerate(times):
-        at = prop.evolve(a0, float(t))
-        for j, b in enumerate(b_ops):
-            norms[i, j] = operator_norm(commutator(at, b))
+        at = prop.evolve(a0, float(t)).data
+        for j, ib in enumerate(ib_ops):
+            c = at @ ib - ib @ at
+            norms[i, j] = np.max(np.abs(hermitian_eig(c, vectors=False).eigenvalues))
     return LRScan(
         times=times,
         distances=distances,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .spin_algebra import SOLVER_TOL, as_matrix, exact_real, hermitian_eig
+from .spin_algebra import SOLVER_TOL, as_matrix, eigenvector_columns, exact_real, hermitian_eig
 
 
 @dataclass
@@ -133,7 +133,8 @@ def lowest_eigenpairs(
             expected among the lowest k (see module docstring).
         tol: convergence threshold, relative to the running spectral-scale
             estimate (max |Ritz value| seen).
-        max_basis: retained basis cap before a thick restart.
+        max_basis: retained basis cap before a thick restart, at least
+            k + 3 * block_size so that a restart keeps k + 2 * block_size.
         max_steps: total block-expansion budget before giving up.
         seed: seed for the start block and rank-repair vectors.
 
@@ -151,7 +152,7 @@ def lowest_eigenpairs(
     b = int(min(max(1, block_size), dim))
     if max_basis is None:
         max_basis = max(3 * k + 2 * b, 10 * b)
-    max_basis = int(min(dim, max(max_basis, k + 2 * b)))
+    max_basis = int(min(dim, max(max_basis, k + 3 * b)))
 
     dtype = np.result_type(m.dtype, np.float64)
     rng = np.random.default_rng(seed)
@@ -191,7 +192,8 @@ def lowest_eigenpairs(
         nbasis += bw
         steps += 1
 
-        theta, Y, _ = hermitian_eig(T[:nbasis, :nbasis])
+        ritz = hermitian_eig(T[:nbasis, :nbasis])
+        theta, Y = ritz.eigenvalues, eigenvector_columns(ritz)
         scale_seen = max(scale_seen, abs(float(theta[0])), abs(float(theta[-1])))
         # next block: the new block's image with its first projection on V
         # taken from T's new columns, so no second V^H W product is needed

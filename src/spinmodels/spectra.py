@@ -1,15 +1,15 @@
 """Spectra, ground spaces, gaps, and equal-time correlations.
 
 A Hamiltonian is diagonalized once.  :class:`EigenSystem` holds H with its
-dense decomposition from :func:`spinmodels.spin_algebra.hermitian_eig`: one
-LAPACK ``eigh`` per invariant block of H's exact nonzero pattern (for the
-built-in models, the conserved total-S3 sectors or finer), in float64 when
-the block's imaginary part is exactly zero.  ``full_spectrum``,
-``ground_space``, ``spectral_gap``, the Gibbs and KMS routines of :mod:`spinmodels.states` and
-the evolutions of :mod:`spinmodels.dynamics` accept either a Hamiltonian (and
-then build an EigenSystem with the default cap) or an EigenSystem built once
-and shared.  Its constructor is the only dense-size guard; the cap is an
-argument.
+decomposition from :func:`spinmodels.spin_algebra.hermitian_eig`, kept as
+blocks: one LAPACK ``eigh`` per invariant block of H's exact nonzero pattern
+(for the built-in models, the conserved total-S3 sectors or finer), in
+float64 when the block is real, and no dim x dim eigenvector matrix.
+``full_spectrum``, ``ground_space``, ``spectral_gap``, the Gibbs and KMS
+routines of :mod:`spinmodels.states` and the evolutions of
+:mod:`spinmodels.dynamics` accept a Hamiltonian (and then build an
+EigenSystem with the default cap) or an EigenSystem built once and shared.
+Its constructor is the only dense-size guard; the cap is an argument.
 
 The low end of the spectrum has one routine, :func:`low_levels`, with two
 independent routes: the EigenSystem (exact, up to the dense cap) and the
@@ -24,6 +24,7 @@ krylov route for the whole matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,7 @@ from .spin_algebra import (
     SOLVER_TOL,
     Operator,
     as_matrix,
+    eigenvector_columns,
     exact_real,
     hermitian_eig,
     is_hermitian,
@@ -62,12 +64,12 @@ class EigenSystem:
     """A Hermitian Hamiltonian with its full eigendecomposition, computed once.
 
     ``h`` is the Hamiltonian as given (ndarray or CSR), ``eigenvalues`` are
-    ascending and the columns of ``eigenvectors`` are the matching
-    eigenvectors, float64 when H has no imaginary part.  ``block_sizes`` are
-    the invariant blocks the decomposition was solved in (see
-    :func:`~spinmodels.spin_algebra.hermitian_eig`).  In the eigenbasis,
-    conjugation by exp(itH) is an entrywise phase, so each evolution costs two
-    dense multiplications.
+    ascending, and the eigenvectors stay per invariant block: ``blocks`` are
+    the (basis indices, eigenvalues, eigenvectors) triples of
+    :class:`~spinmodels.spin_algebra.HermitianEig`, float64 when H has no
+    imaginary part, and ``block_sizes`` the blocks solved.  In the eigenbasis,
+    conjugation by exp(itH) is an entrywise phase, so an evolution costs a
+    few products per pair of blocks that the operator couples.
     """
 
     def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF, range_limit: float = RANGE_LIMIT):
@@ -80,7 +82,14 @@ class EigenSystem:
             )
         self.h = m
         self.range_limit = float(range_limit)
-        self.eigenvalues, self.eigenvectors, self.block_sizes = hermitian_eig(m)
+        self.eigenvalues, self.blocks, self.block_sizes = hermitian_eig(m)
+        self.gibbs_memo = None  # the last state built by states.gibbs
+        # block order lists the blocks' basis indices, and their columns, in turn
+        sizes = [idx.size for idx, _, _ in self.blocks]
+        self._start, self._label = np.cumsum([0] + sizes), np.repeat(np.arange(len(sizes)), sizes)
+        self._basis = np.concatenate([idx for idx, _, _ in self.blocks])
+        w = np.concatenate([w for _, w, _ in self.blocks])
+        self._rank = np.argsort(np.argsort(w, kind="stable"))  # ascending index
 
     @classmethod
     def of(cls, h, **kwargs) -> "EigenSystem":
@@ -91,10 +100,15 @@ class EigenSystem:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """All eigenvectors as dense columns, scattered on first use."""
+        return eigenvector_columns(self)
+
     @property
     def residuals(self) -> np.ndarray:
         """Per-pair residual norms ||H v - w v||."""
-        v = self.eigenvectors
+        v = eigenvector_columns(self)
         return np.linalg.norm(self.h @ v - v * self.eigenvalues, axis=0)
 
     def require_range(self, beta: float, limit: float) -> None:
@@ -105,46 +119,76 @@ class EigenSystem:
                 f"imaginary-time exponent {exponent:.3g} exceeds range limit {limit}"
             )
 
-    def to_eigenbasis(self, a) -> np.ndarray:
-        """V^dagger A V as a dense array."""
+    def pairs(self, a):
+        """Yield (b, c, V_b^H A_bc V_c), dense, for each pair of ``blocks``
+        that A couples; between size-1 blocks (block 0, vectors the identity)
+        it is A's own entries as a COO array."""
         m = as_matrix(a)
         if m.shape[0] != self.dim:
             raise DomainError(
                 f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
             )
-        v = self.eigenvectors
-        return v.conj().T @ m @ v
+        coo = sp.coo_array(m[self._basis][:, self._basis])  # A in block order
+        nb = len(self.blocks)
+        key = self._label[coo.row] * nb + self._label[coo.col]
+        order = np.argsort(key, kind="stable")
+        keys, first = np.unique(key[order], return_index=True)
+        for k, group in zip(keys.tolist(), np.split(order, first[1:])):
+            b, c = divmod(k, nb)
+            (_, wb, vb), (_, wc, vc) = self.blocks[b], self.blocks[c]
+            i, j = coo.row[group] - self._start[b], coo.col[group] - self._start[c]
+            if not (b or c):
+                yield b, c, sp.coo_array((coo.data[group], (i, j)), shape=(wb.size, wc.size))
+                continue
+            x = np.zeros((wb.size, wc.size), dtype=coo.data.dtype)
+            x[i, j] = coo.data[group]
+            yield b, c, vb.conj().T @ x @ vc
+
+    def _conjugate(self, a, z=None):
+        """V^H A V in the order of ``eigenvalues`` when ``z`` is None, else
+        exp(zH) A exp(-zH) = V (V^H A V * exp(z (w_j - w_k))) V^H; stored as A is."""
+        target = self._rank if z is None else self._basis
+        parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+        for b, c, x in self.pairs(a):
+            (_, wb, vb), (_, wc, vc) = self.blocks[b], self.blocks[c]
+            if z is not None and sp.issparse(x):
+                x.data = x.data * np.exp(z * (wb[x.row] - wc[x.col]))
+            elif z is not None:
+                x = vb @ (x * np.exp(z * (wb[:, None] - wc[None, :]))) @ vc.conj().T
+            x = sp.coo_array(x)
+            parts.append((target[self._start[b] + x.row], target[self._start[c] + x.col], x.data))
+        rows, cols, vals = map(np.concatenate, zip(*parts))
+        out = sp.coo_array((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
+        return out if sp.issparse(as_matrix(a)) else out.toarray()
+
+    def to_eigenbasis(self, a):
+        """V^dagger A V in the order of ``eigenvalues``, stored as A is."""
+        return self._conjugate(a)
 
     def evolve(self, a, t: float) -> Operator:
         """alpha_t(A) = exp(itH) A exp(-itH).  t = 0 returns A unchanged."""
-        t = float(t)
-        if t == 0.0:
-            return a if isinstance(a, Operator) else Operator(a)
-        w = self.eigenvalues
-        at = self.to_eigenbasis(a)
-        phases = np.exp(1j * t * (w[:, None] - w[None, :]))
-        v = self.eigenvectors
-        return Operator(v @ (at * phases) @ v.conj().T)
+        return self._flow(a, 1j * float(t))
 
     def evolve_imaginary(self, a, beta: float) -> Operator:
         """exp(-beta H) A exp(beta H).  Refused when beta * spread > range_limit."""
-        beta = float(beta)
-        if beta == 0.0:
+        self.require_range(float(beta), self.range_limit)
+        return self._flow(a, -float(beta))
+
+    def _flow(self, a, z) -> Operator:
+        """exp(zH) A exp(-zH); z = 0 returns A unchanged."""
+        if z == 0:
             return a if isinstance(a, Operator) else Operator(a)
-        self.require_range(beta, self.range_limit)
-        w = self.eigenvalues
-        at = self.to_eigenbasis(a)
-        factors = np.exp(-beta * (w[:, None] - w[None, :]))
-        v = self.eigenvectors
-        return Operator(v @ (at * factors) @ v.conj().T)
+        return Operator(self._conjugate(a, z))
 
     def evolve_vector(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """Schroedinger evolution exp(-itH) psi."""
+        """Schroedinger evolution exp(-itH) psi, block by block."""
         psi = np.asarray(psi, dtype=np.complex128)
         if psi.shape != (self.dim,):
             raise DomainError(f"state shape {psi.shape} does not match dim {self.dim}")
-        v = self.eigenvectors
-        return v @ (np.exp(-1j * float(t) * self.eigenvalues) * (v.conj().T @ psi))
+        out = np.empty_like(psi)
+        for idx, w, v in self.blocks:
+            out[idx] = v @ (np.exp(-1j * float(t) * w) * (v.conj().T @ psi[idx]))
+        return out
 
 
 @dataclass
@@ -247,8 +291,8 @@ def low_levels(
         w = es.eigenvalues
         win = _window(w[0], float(np.max(np.abs(w))), degeneracy_tol)
         deg = max(int(np.searchsorted(w, win, side="right")), 1)
-        return LowLevels("dense", w, deg, _gap(w, deg), es.eigenvectors[:, :deg],
-                         es.block_sizes)
+        return LowLevels("dense", w, deg, _gap(w, deg),
+                         eigenvector_columns(es, np.arange(deg)), es.block_sizes)
 
     if not isinstance(h, EigenSystem):
         _require_hermitian(h)

@@ -182,10 +182,10 @@ class Operator:
     """A complex square matrix on a finite Hilbert space, dense or sparse.
 
     Sparse operators are CSR: everything built from local terms (embeddings,
-    Hamiltonians, generators, probes) at every size.  Dense ones are plain
-    complex128 ndarrays and come from eigendecompositions (evolved
-    operators).  Instances are treated as immutable once constructed.  A cached
-    Hermiticity flag can be supplied by builders that know it.
+    Hamiltonians, generators, probes) at every size, and their evolutions.
+    Dense ones are plain complex128 ndarrays.  Instances are treated as
+    immutable once constructed.  A cached Hermiticity flag can be supplied by
+    builders that know it.
     """
 
     __slots__ = ("_data", "_hermitian")
@@ -357,11 +357,12 @@ def anticommutator(a, b):
 
 
 class HermitianEig(NamedTuple):
-    """Eigenvalues (ascending), eigenvectors as columns (None when not asked
-    for), and the sizes of the invariant blocks they were solved in."""
+    """Eigenvalues (ascending), the blocks (None when eigenvectors were not
+    asked for) as (basis indices, eigenvalues, eigenvectors): all size-1
+    blocks together with an identity, then each larger block; their sizes."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    blocks: list[tuple] | None
     block_sizes: list[int]
 
 
@@ -386,47 +387,44 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     included, joins two blocks.  Each block of size > 1 is one LAPACK call, in
     float64 when its imaginary part is exactly zero; size-1 blocks are their
     diagonal entries, read in one step.  Eigenvalues are merged by a stable
-    ascending sort.  Eigenvectors, when ``vectors``, are scattered into one
-    dense dim x dim array whose columns follow that order; it is float64 iff
-    every block was real, and its entries outside a column's block are exact
-    zeros.  ``block_sizes`` lists the blocks in the order of their first basis
-    index.  Like LAPACK, only the lower triangle of each block is read.
+    ascending sort.  The eigenvectors stay per block (see
+    :class:`HermitianEig`); :func:`eigenvector_columns` scatters them.
+    ``block_sizes`` lists the blocks in the order of their first basis index.
+    Like LAPACK, only the lower triangle of each block is read.
     """
     m = as_matrix(m)
-    n = m.shape[0]
     labels = _pattern_blocks(m)
     sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))
 
     singles = np.flatnonzero(sizes[labels] == 1)
-    values = [m.diagonal()[singles].real]
-    solved = []  # (basis indices, eigenvectors) of each block of size > 1
+    eye = sp.eye_array(singles.size, format="csr") if singles.size else np.eye(0)
+    blocks = [(singles, m.diagonal()[singles].real, eye)]
     for b in np.flatnonzero(sizes > 1):
         idx = members[starts[b]:starts[b + 1]]
-        block = m[idx][:, idx].toarray() if sp.issparse(m) else m[np.ix_(idx, idx)]
-        block = exact_real(block)
-        if vectors:
-            w, v = np.linalg.eigh(block)
-            solved.append((idx, v))
-        else:
-            w = np.linalg.eigvalsh(block)
-        values.append(w)
-    w = np.concatenate(values)
-    order = np.argsort(w, kind="stable")
-    if not vectors:
-        return HermitianEig(w[order], None, sizes.tolist())
+        block = exact_real(m[idx][:, idx].toarray() if sp.issparse(m) else m[np.ix_(idx, idx)])
+        blocks.append((idx, *np.linalg.eigh(block)) if vectors
+                      else (idx, np.linalg.eigvalsh(block), None))
+    w = np.sort(np.concatenate([w for _, w, _ in blocks]), kind="stable")
+    return HermitianEig(w, blocks if vectors else None, sizes.tolist())
 
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    real = all(v.dtype.kind == "f" for _, v in solved)
-    out = np.zeros((n, n), dtype=np.float64 if real else np.complex128)
-    out[singles, column[:singles.size]] = 1.0
-    offset = singles.size
-    for idx, v in solved:
-        out[np.ix_(idx, column[offset:offset + idx.size])] = v
-        offset += idx.size
-    return HermitianEig(w[order], out, sizes.tolist())
+
+def eigenvector_columns(eig, columns=slice(None)) -> np.ndarray:
+    """The eigenvectors of ``eig`` (a HermitianEig or an EigenSystem) with
+    ascending indices ``columns`` (default all) as dense columns, scattered
+    from the blocks: entries outside a column's block are exact zeros."""
+    position = np.argsort(np.concatenate([w for _, w, _ in eig.blocks]), kind="stable")[columns]
+    dtype = np.result_type(*(v.dtype for _, _, v in eig.blocks))
+    out = np.zeros((eig.eigenvalues.size, position.size), dtype)
+    start = 0
+    for idx, _, v in eig.blocks:
+        sel = np.flatnonzero((position >= start) & (position < start + idx.size))
+        if sel.size:
+            part = v[:, position[sel] - start]
+            out[np.ix_(idx, sel)] = part.toarray() if sp.issparse(part) else part
+        start += idx.size
+    return out
 
 
 _NORM_SEED = 0x5EED

@@ -1,11 +1,11 @@
 """State containers, Gibbs states, and the equilibrium criteria.
 
 The three equilibrium checks all evaluate finite-volume identities exactly
-(up to rounding).  ``gibbs`` and ``kms_residual`` read the dense
-eigendecomposition of H from a :class:`spinmodels.spectra.EigenSystem`: pass
-one built once to share it across calls, or pass H to build one per call.
-Probes and H stay CSR, so products such as X* [H, X] are sparse, and an
-expectation in a density matrix is an elementwise trace costing O(nnz).
+(up to rounding).  ``gibbs`` and ``kms_residual`` work block by block on
+the eigendecomposition of a :class:`spinmodels.spectra.EigenSystem`: pass one
+built once to share it (and its last Gibbs state), or pass H to build one per
+call.  Probes and H stay CSR, so products such as X* [H, X] are sparse, and
+an expectation in a density matrix is an elementwise trace costing O(nnz).
 
 * boundary condition relating a state to its imaginary-time flow:
   omega(A alpha_{i beta}(B)) = omega(B A), evaluated as a residual;
@@ -140,23 +140,28 @@ class GibbsState:
 def gibbs(h, beta: float) -> GibbsState:
     """Gibbs state at inverse temperature beta >= 0 (dense route).
 
-    ``h`` is a Hamiltonian or its EigenSystem.  Weights are computed relative
-    to the smallest eigenvalue, so no beta overflows; the result is
-    re-symmetrized and re-normalized so the state invariants hold to rounding
-    at any beta.
+    ``h`` is a Hamiltonian or its EigenSystem, which keeps the last state
+    built.  rho is built one block at a time, with weights relative to the
+    smallest eigenvalue so no beta overflows, then re-symmetrized and
+    re-normalized so the state invariants hold to rounding at any beta.
     """
     beta = float(beta)
     if not np.isfinite(beta) or beta < 0:
         raise DomainError(f"beta must be finite and >= 0, got {beta}")
     es = EigenSystem.of(h)
-    w, v = es.eigenvalues, es.eigenvectors
-    weights = np.exp(-beta * (w - w[0]))
-    s = float(np.sum(weights))
-    rho = (v * (weights / s)) @ v.conj().T
+    if getattr(es.gibbs_memo, "beta", None) == beta:
+        return es.gibbs_memo
+    w0 = es.eigenvalues[0]
+    s = float(np.sum(np.exp(-beta * (es.eigenvalues - w0))))
+    rho = np.zeros((es.dim, es.dim), dtype=np.complex128)
+    for idx, w, v in es.blocks:
+        part = (v * (np.exp(-beta * (w - w0)) / s)) @ v.conj().T
+        rho[np.ix_(idx, idx)] = part.toarray() if sp.issparse(part) else part
     rho = (rho + rho.conj().T) / 2.0
     rho = rho / float(np.trace(rho).real)
-    log_z = float(np.log(s) - beta * w[0])
-    return GibbsState(rho=DensityMatrix(rho, validate=False), log_z=log_z, beta=beta)
+    log_z = float(np.log(s) - beta * w0)
+    es.gibbs_memo = GibbsState(rho=DensityMatrix(rho, validate=False), log_z=log_z, beta=beta)
+    return es.gibbs_memo
 
 
 def expectation(state, a) -> complex:
@@ -214,12 +219,12 @@ def kms_residual(h, beta: float, a, b, *, range_limit: float = RANGE_LIMIT) -> f
     es.require_range(beta, range_limit)
     # flow side: omega(A alpha_{i beta}(B)) term-by-term in the eigenbasis;
     # the weight attaches to the index the flow transports it to, which is
-    # what distinguishes it from omega(A B)
-    at = es.to_eigenbasis(a_op)
-    bt = es.to_eigenbasis(b_op)
-    w = es.eigenvalues
-    weights = np.exp(-beta * (w - w[0]))
-    lhs = complex(np.einsum("jk,kj,k->", at, bt, weights)) / float(weights.sum())
+    # what distinguishes it from omega(A B); block pair (b, c) of A meets (c, b) of B
+    w0 = es.eigenvalues[0]
+    at = {(b, c): x for b, c, x in es.pairs(a_op)}
+    weights = [np.exp(-beta * (w - w0)) for _, w, _ in es.blocks]
+    lhs = sum(complex(((at[b, c] * xb.T) @ weights[c]).sum())
+              for c, b, xb in es.pairs(b_op) if (b, c) in at) / sum(map(np.sum, weights))
     # comparison side: omega(B A) in the Gibbs density matrix
     rhs = expectation(gibbs(es, beta).rho, b_op @ a_op)
     return float(abs(lhs - rhs))

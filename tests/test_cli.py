@@ -447,20 +447,32 @@ def test_symmetry_check_under_small_dense_cap(tmp_path, capsys, monkeypatch, mod
 ])
 def test_one_dense_eigendecomposition_per_hamiltonian(tmp_path, monkeypatch,
                                                       name, dim, per_point):
-    # every dense eigensolve goes through hermitian_eig; a full-dimension call
-    # with eigenvectors is a decomposition of H (norms ask for eigenvalues only)
-    calls = []
-    solve = spin_algebra.hermitian_eig
+    # every dense eigensolve goes through hermitian_eig; a call whose blocks of
+    # eigenvectors cover the full dimension is a decomposition of H (norms ask
+    # for eigenvalues only, and then no blocks come back)
+    calls, scattered = [], []
+    solve, scatter = spin_algebra.hermitian_eig, spin_algebra.eigenvector_columns
 
     def counting_solve(m, vectors=True):
-        if vectors and np.shape(m)[-1] == dim:
+        eig = solve(m, vectors)
+        if eig.blocks is not None and sum(idx.size for idx, _, _ in eig.blocks) == dim:
             calls.append(1)
-        return solve(m, vectors)
+        return eig
+
+    def recording_scatter(eig, *args):
+        out = scatter(eig, *args)
+        scattered.append(out.shape)
+        return out
 
     for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("spinmodels")
-                and getattr(module, "hermitian_eig", None) is solve):
-            monkeypatch.setattr(module, "hermitian_eig", counting_solve)
+        if getattr(module, "__name__", "").startswith("spinmodels"):
+            for attr, original, patched in (
+                    ("hermitian_eig", solve, counting_solve),
+                    ("eigenvector_columns", scatter, recording_scatter)):
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, patched)
     doc = json.loads(run_spec(parse_spec_file(RUNSPECS / name), tmp_path).read_text())
     hamiltonians = len(doc["payload"]["points"]) if per_point else 1
     assert len(calls) == hamiltonians
+    # the decomposition stays in blocks: no dim x dim eigenvector matrix
+    assert (dim, dim) not in scattered

@@ -131,3 +131,22 @@ def test_thick_restarts_keep_accuracy(case):
     v = res.eigenvectors
     assert np.abs(v.conj().T @ v - np.eye(k)).max() <= 1e-12
     assert np.linalg.norm(m @ v - v * res.eigenvalues, axis=0).max() <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_small_max_basis_is_raised_so_restarts_converge(dtype):
+    # below k + 3b a thick restart cannot keep its k + 2b vectors and the run
+    # restarts on every step; the floor lifts max_basis = 13 to 17 here
+    k, b = 5, 4
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        m = sp.random_array((400, 400), density=0.03, rng=rng, dtype=np.float64)
+        if dtype is np.complex128:
+            m = m + 1j * sp.random_array((400, 400), density=0.03, rng=rng, dtype=np.float64)
+        m = (m + m.conj().T).tocsr()
+        res = lowest_eigenpairs(m, k, block_size=b, max_basis=k + 2 * b)
+        want = np.linalg.eigvalsh(m.toarray())
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(res.eigenvalues - want[:k]).max() <= 1e-10 * scale
+        v = res.eigenvectors
+        assert np.linalg.norm(m @ v - v * res.eigenvalues, axis=0).max() <= 1e-8 * scale

@@ -16,7 +16,7 @@ from spinmodels import (
     pauli_matrices,
     spin_matrices,
 )
-from spinmodels.spin_algebra import hermitian_eig
+from spinmodels.spin_algebra import eigenvector_columns, hermitian_eig
 
 # hand-written references for S = 1/2 and S = 1
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -224,7 +224,8 @@ def test_hermitian_eig_matches_full_eigh_on_permuted_blocks():
         m = _permuted_block_diagonal(rng, sizes, complex_blocks)
         w_full = np.linalg.eigvalsh(m)
         for given in (m, sp.csr_array(m)):
-            w, v, blocks = hermitian_eig(given)
+            eig = hermitian_eig(given)
+            w, v, blocks = eig.eigenvalues, eigenvector_columns(eig), eig.block_sizes
             assert sorted(blocks) == sorted(sizes)
             assert np.max(np.abs(w - w_full)) < 1e-12 * np.max(np.abs(w_full))
             assert np.max(np.abs(m @ v - v * w)) < 1e-12 * np.max(np.abs(w_full))
@@ -246,7 +247,8 @@ def test_hermitian_eig_matches_full_eigh_on_permuted_blocks():
 
 def test_hermitian_eig_of_zero_matrix_is_all_size_one_blocks():
     z = np.zeros((6, 6), dtype=complex)
-    w, v, blocks = hermitian_eig(z)
+    eig = hermitian_eig(z)
+    w, v, blocks = eig.eigenvalues, eigenvector_columns(eig), eig.block_sizes
     assert blocks == [1] * 6
     assert np.array_equal(w, np.zeros(6))
     assert v.dtype == np.float64 and np.array_equal(v, np.eye(6))
