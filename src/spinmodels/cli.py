@@ -5,8 +5,12 @@ Usage:
                              [--cap-dense 4096] [--cap-sparse 65536]
 
 A run spec is a strict JSON document: a task name, a model section, a volume
-section, and one section of task parameters named after the task.  Results go
-to ``result.json`` (plus a CSV table for tabular tasks), written in a
+section, and one section of task parameters named after the task.  As
+``interactions.MODELS`` holds the models, ``TASKS`` holds one ``Task`` record
+per task (section keys with defaults and validators, runner, CSV header) and
+``CHECKS`` one ``Check`` record per check of the ``verify`` task (reported
+value, threshold, pass direction, probe seed).  Results go to ``result.json``,
+plus the task's CSV table when ``output.csv`` names a file, written in a
 canonical form — sorted keys, shortest round-tripping float representation —
 so identical specs produce byte-identical outputs.  Wall-clock time and
 progress go to stderr only.  Exit codes: 0 success, 2 spec error,
@@ -20,8 +24,10 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +44,8 @@ from .errors import (
     SpinModelError,
 )
 from .dynamics import lr_fit, lr_scan
-from .interactions import MODEL_NAMES, MODELS, Interaction, Model, assemble_hamiltonian
-from .lattice import MAX_HILBERT_DIM, Volume, build_volume
+from .interactions import MODEL_NAMES, MODELS, assemble_hamiltonian
+from .lattice import MAX_HILBERT_DIM, build_volume
 from .probes import random_probe_pairs
 from .spectra import DEGENERACY_TOL, EigenSystem, ground_space, low_levels
 from .spin_algebra import (
@@ -61,11 +67,6 @@ from .states import (
 from .symmetry import invariance_residual
 
 SCHEMA_VERSION = 1
-
-TASKS = ("spectrum", "thermal", "dynamics", "verify", "scan")
-
-_VERIFY_CHECKS = ("algebra", "symmetry", "kms", "eeb", "stability")
-_RANDOMIZED_CHECKS = ("kms", "eeb", "stability")
 
 
 @dataclass
@@ -92,10 +93,6 @@ class RunSpec:
             "output": dict(self.output),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunSpec":
-        return parse_spec_dict(doc)
-
 
 def _expect(cond: bool, msg: str):
     if not cond:
@@ -107,14 +104,51 @@ def _check_keys(section: dict, allowed, where: str):
     _expect(not unknown, f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _number_list(values, where: str) -> list[float]:
-    _expect(isinstance(values, list) and values, f"{where} must be a nonempty list")
-    out = []
-    for v in values:
-        _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-                f"{where} entries must be numbers")
-        out.append(float(v))
-    return out
+# Validators: (value, where) -> normalized value, SpecFileError if invalid.
+
+
+def _number(minimum=None):
+    def check(v, where):
+        _expect(isinstance(v, (int, float)) and not isinstance(v, bool)
+                and (minimum is None or v >= minimum),
+                f"{where} must be a number" + ("" if minimum is None else f" >= {minimum}"))
+        return float(v)
+    return check
+
+
+def _integer(minimum):
+    def check(v, where):
+        _expect(isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
+                f"{where} must be an integer >= {minimum}")
+        return v
+    return check
+
+
+def _list_of(entry):
+    def check(values, where):
+        _expect(isinstance(values, list) and values, f"{where} must be a nonempty list")
+        return [entry(v, f"{where} entries") for v in values]
+    return check
+
+
+def _one_of(*options):
+    def check(v, where):
+        _expect(v in options, f"{where} must be one of {list(options)}, got {v!r}")
+        return v
+    return check
+
+
+def _optional(check):
+    return lambda v, where: None if v is None else check(v, where)
+
+
+def _grid(grid, where) -> list[float]:
+    """An evenly spaced {"start", "stop", "num"} grid, expanded to its values."""
+    _expect(isinstance(grid, dict), f"{where} must be an object")
+    _expect(set(grid) == {"start", "stop", "num"}, f"{where} needs exactly start, stop, num")
+    start, stop = (_number()(grid[k], f"{where}.{k}") for k in ("start", "stop"))
+    num = _integer(2)(grid["num"], f"{where}.num")
+    return [float(v) for v in np.linspace(start, stop, num)]
 
 
 def parse_spec_dict(doc: dict) -> RunSpec:
@@ -140,15 +174,8 @@ def parse_spec_dict(doc: dict) -> RunSpec:
     volume = doc.get("volume")
     _expect(isinstance(volume, dict), "volume section must be an object")
     _check_keys(volume, {"dims", "boundary"}, "volume")
-    dims = volume.get("dims")
-    _expect(
-        isinstance(dims, list) and dims
-        and all(isinstance(t, int) and not isinstance(t, bool) and t >= 1 for t in dims),
-        "volume.dims must be a nonempty list of positive integers",
-    )
-    boundary = volume.get("boundary", "open")
-    _expect(boundary in ("open", "periodic"),
-            f"volume.boundary must be 'open' or 'periodic', got {boundary!r}")
+    dims = _list_of(_integer(1))(volume.get("dims"), "volume.dims")
+    boundary = _one_of("open", "periodic")(volume.get("boundary", "open"), "volume.boundary")
 
     seed = doc.get("seed")
     _expect(seed is None or (isinstance(seed, int) and not isinstance(seed, bool)),
@@ -163,103 +190,18 @@ def parse_spec_dict(doc: dict) -> RunSpec:
 
     section = doc.get(task, {})
     _expect(isinstance(section, dict), f"{task} section must be an object")
-    norm = _validate_task_section(task, section, name, seed)
+    norm = TASKS[task].normalize(section, name, seed)
 
-    # Model parameter domains are spec errors at parse time.  A scan leaves
-    # its swept variable out of model.params, so validate with each scan
-    # value substituted in.
-    trial_sets = [dict(params)]
-    if task == "scan":
-        var = norm["variable"]
-        _expect(var not in params,
-                f"model.params must not fix the scanned variable {var!r}")
-        trial_sets = [dict(params, **{var: v}) for v in norm["values"]]
+    # Model parameter domains are spec errors at parse time, checked at
+    # every point the task will build.
     try:
-        for trial in trial_sets:
+        for trial in TASKS[task].points(params, norm):
             MODELS[name].interaction(trial)
     except (DomainError, DimensionMismatchError) as exc:
         raise SpecFileError(f"invalid model parameters: {exc}") from exc
 
-    return RunSpec(
-        task=task,
-        model_name=name,
-        model_params=dict(params),
-        dims=list(dims),
-        boundary=boundary,
-        params=norm,
-        seed=seed,
-        output=dict(output),
-    )
-
-
-def _validate_task_section(task: str, section: dict, model: str, seed) -> dict:
-    if task == "spectrum":
-        _check_keys(section, {"method", "num_eigenvalues"}, "spectrum")
-        method = section.get("method", "auto")
-        _expect(method in ("auto", "dense", "krylov"),
-                f"spectrum.method must be auto|dense|krylov, got {method!r}")
-        k = section.get("num_eigenvalues", 6)
-        _expect(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
-                "spectrum.num_eigenvalues must be a positive integer")
-        return {"method": method, "num_eigenvalues": k}
-    if task == "thermal":
-        _check_keys(section, {"betas"}, "thermal")
-        betas = _number_list(section.get("betas"), "thermal.betas")
-        _expect(all(b >= 0 for b in betas), "thermal.betas must be >= 0")
-        return {"betas": betas}
-    if task == "dynamics":
-        _check_keys(section, {"times", "distances", "observable"}, "dynamics")
-        times = _number_list(section.get("times"), "dynamics.times")
-        distances = section.get("distances")
-        _expect(
-            isinstance(distances, list) and distances
-            and all(isinstance(x, int) and not isinstance(x, bool) and x >= 0
-                    for x in distances),
-            "dynamics.distances must be a nonempty list of nonnegative integers",
-        )
-        obs = section.get("observable", "s3")
-        _expect(obs in ("s1", "s2", "s3"),
-                f"dynamics.observable must be s1|s2|s3, got {obs!r}")
-        return {"times": times, "distances": list(distances), "observable": obs}
-    if task == "verify":
-        _check_keys(section, {"checks", "betas", "num_probes"}, "verify")
-        checks = section.get("checks", list(_VERIFY_CHECKS))
-        _expect(isinstance(checks, list) and checks
-                and all(c in _VERIFY_CHECKS for c in checks),
-                f"verify.checks must be a nonempty subset of {list(_VERIFY_CHECKS)}")
-        betas = _number_list(section.get("betas", [0.5, 1.0]), "verify.betas")
-        _expect(all(b >= 0 for b in betas), "verify.betas must be >= 0")
-        num_probes = section.get("num_probes", 20)
-        _expect(isinstance(num_probes, int) and not isinstance(num_probes, bool)
-                and num_probes >= 1,
-                "verify.num_probes must be a positive integer")
-        if any(c in _RANDOMIZED_CHECKS for c in checks):
-            _expect(seed is not None,
-                    "verify with randomized checks (kms/eeb/stability) requires a seed")
-        return {"checks": list(checks), "betas": betas, "num_probes": num_probes}
-    # scan
-    _check_keys(section, {"variable", "values", "grid"}, "scan")
-    variable = section.get("variable")
-    allowed = MODELS[model].scan_variables
-    _expect(variable in allowed,
-            f"scan.variable for {model} must be one of {list(allowed)}, got {variable!r}")
-    values = section.get("values")
-    grid = section.get("grid")
-    _expect((values is None) != (grid is None),
-            "scan needs exactly one of 'values' or 'grid'")
-    if values is not None:
-        vals = _number_list(values, "scan.values")
-    else:
-        _expect(isinstance(grid, dict), "scan.grid must be an object")
-        _check_keys(grid, {"start", "stop", "num"}, "scan.grid")
-        _expect(all(k in grid for k in ("start", "stop", "num")),
-                "scan.grid needs start, stop, num")
-        num = grid["num"]
-        _expect(isinstance(num, int) and not isinstance(num, bool) and num >= 2,
-                "scan.grid.num must be an integer >= 2")
-        vals = [float(v) for v in np.linspace(float(grid["start"]),
-                                              float(grid["stop"]), num)]
-    return {"variable": variable, "values": vals}
+    return RunSpec(task=task, model_name=name, model_params=dict(params), dims=dims,
+                   boundary=boundary, params=norm, seed=seed, output=dict(output))
 
 
 def parse_spec_file(path) -> RunSpec:
@@ -367,73 +309,61 @@ def _progress(task: str, point: int, total: int) -> None:
     print(f"task={task} point={point}/{total}", file=sys.stderr, flush=True)
 
 
-def _point_params(spec: RunSpec, value: float) -> dict:
-    """model.params of one scan point."""
-    return dict(spec.model_params, **{spec.params["variable"]: value})
+class _Run:
+    """What a task runner reads: the spec, the caps, the model record, its
+    interaction and the volume.  H and its EigenSystem are built on first use.
 
-
-def _build_model(spec: RunSpec, cap_sparse: int) -> tuple[Model, Interaction, Volume]:
-    """The model record, its interaction and the volume, which every task uses.
-
-    A scan's interaction is built at its first point; no scan variable
-    changes the local dimension.
+    A scan's interaction is built at its first point; no scan variable changes
+    the local dimension.
     """
-    model = MODELS[spec.model_name]
-    params = spec.model_params
-    if spec.task == "scan":
-        params = _point_params(spec, spec.params["values"][0])
-    interaction = model.interaction(params)
-    volume = build_volume(spec.dims, spec.boundary, interaction.local_dim,
-                          max_hilbert_dim=cap_sparse)
-    model.check_volume(volume)
-    return model, interaction, volume
+
+    def __init__(self, spec: RunSpec, *, workers: int, cap_dense: int, cap_sparse: int):
+        self.spec, self.params = spec, spec.params
+        self.workers, self.cap_dense, self.cap_sparse = workers, cap_dense, cap_sparse
+        self.model = MODELS[spec.model_name]
+        self.points = TASKS[spec.task].points(spec.model_params, spec.params)
+        self.interaction = self.model.interaction(self.points[0])
+        self.volume = build_volume(spec.dims, spec.boundary, self.interaction.local_dim,
+                                   max_hilbert_dim=cap_sparse)
+        self.model.check_volume(self.volume)
+
+    @cached_property
+    def h(self):
+        return assemble_hamiltonian(self.interaction, self.volume,
+                                    max_hilbert_dim=self.cap_sparse)
+
+    @cached_property
+    def es(self) -> EigenSystem:
+        return EigenSystem(self.h, cap_dense=self.cap_dense)
 
 
-def _task_spectrum(spec: RunSpec, h, cap_dense: int) -> tuple[dict, list]:
-    method = spec.params["method"]
+def _task_spectrum(run: _Run) -> tuple[dict, list]:
+    method = run.params["method"]
     _progress("spectrum", 1, 1)
-    low = low_levels(h, spec.params["num_eigenvalues"],
-                     method=None if method == "auto" else method, cap_dense=cap_dense)
+    low = low_levels(run.h, run.params["num_eigenvalues"],
+                     method=None if method == "auto" else method, cap_dense=run.cap_dense)
     eigenvalues = [float(v) for v in low.eigenvalues]
-    payload = {
-        "method": low.method,
-        "eigenvalues": eigenvalues,
-        "ground_energy": low.energy,
-        "degeneracy": low.degeneracy,
-        "gap": low.gap,
-        **low.diagnostics,
-    }
-    rows = [(i, v) for i, v in enumerate(eigenvalues)]
-    return payload, [("index", "eigenvalue")] + rows
+    payload = {"method": low.method, "eigenvalues": eigenvalues, "ground_energy": low.energy,
+               "degeneracy": low.degeneracy, "gap": low.gap, **low.diagnostics}
+    return payload, list(enumerate(eigenvalues))
 
 
-def _task_thermal(spec: RunSpec, h, cap_dense: int) -> tuple[dict, list]:
-    betas = spec.params["betas"]
-    es = EigenSystem(h, cap_dense=cap_dense)
+def _task_thermal(run: _Run) -> tuple[dict, list]:
+    betas = run.params["betas"]
     points = []
     for i, beta in enumerate(betas):
-        state = gibbs(es, beta)
-        energy = float(expectation(state.rho, h).real)
+        state = gibbs(run.es, beta)
+        energy = float(expectation(state.rho, run.h).real)
         points.append({"beta": beta, "log_z": state.log_z, "energy": energy})
         _progress("thermal", i + 1, len(betas))
-    payload = {"points": points}
-    rows = [(p["beta"], p["log_z"], p["energy"]) for p in points]
-    return payload, [("beta", "log_z", "energy")] + rows
+    return {"points": points}, [(p["beta"], p["log_z"], p["energy"]) for p in points]
 
 
-def _task_dynamics(spec: RunSpec, interaction: Interaction, volume: Volume,
-                   cap_dense: int) -> tuple[dict, list]:
-    ops = spin_matrices((volume.local_dim - 1) / 2.0)
-    local = {"s1": ops.s1, "s2": ops.s2, "s3": ops.s3}[spec.params["observable"]]
-    scan = lr_scan(
-        interaction,
-        volume,
-        local,
-        local,
-        spec.params["times"],
-        spec.params["distances"],
-        cap_dense=cap_dense,
-    )
+def _task_dynamics(run: _Run) -> tuple[dict, list]:
+    ops = spin_matrices((run.volume.local_dim - 1) / 2.0)
+    local = {"s1": ops.s1, "s2": ops.s2, "s3": ops.s3}[run.params["observable"]]
+    scan = lr_scan(run.interaction, run.volume, local, local, run.params["times"],
+                   run.params["distances"], cap_dense=run.cap_dense)
     _progress("dynamics", 1, 2)
     fit = lr_fit(scan)
     _progress("dynamics", 2, 2)
@@ -442,130 +372,208 @@ def _task_dynamics(spec: RunSpec, interaction: Interaction, volume: Volume,
         "distances": [int(x) for x in scan.distances],
         "norms": [[float(v) for v in row] for row in scan.norms],
         "bound": scan.bound,
-        "fit": {
-            "velocity": fit.velocity,
-            "decay_rate": fit.decay_rate,
-            "max_violation": fit.max_violation,
-            "points_used": fit.points_used,
-        },
+        "fit": {key: getattr(fit, key)
+                for key in ("velocity", "decay_rate", "max_violation", "points_used")},
     }
-    rows = []
-    for i, t in enumerate(scan.times):
-        for j, x in enumerate(scan.distances):
-            rows.append((float(t), int(x), float(scan.norms[i, j])))
-    return payload, [("time", "distance", "commutator_norm")] + rows
+    rows = [(float(t), int(x), float(scan.norms[i, j]))
+            for i, t in enumerate(scan.times) for j, x in enumerate(scan.distances)]
+    return payload, rows
 
 
-def _verify_algebra(volume: Volume) -> dict:
-    ops = spin_matrices((volume.local_dim - 1) / 2.0)
+# Verify checks: (run, probe pairs or None, beta or None) -> the reported
+# entries, among them the check's value.
+
+
+def _check_algebra(run: _Run, pairs, beta) -> dict:
+    ops = spin_matrices((run.volume.local_dim - 1) / 2.0)
     r1 = operator_norm(commutator(ops.sp, ops.sm) - 2.0 * ops.s3)
     r2 = operator_norm(commutator(ops.s3, ops.sp) - ops.sp)
     r3 = operator_norm(commutator(ops.s3, ops.sm) + ops.sm)
-    worst = max(r1, r2, r3)
-    return {"residual": worst, "threshold": STRUCTURE_TOL, "ok": worst <= STRUCTURE_TOL}
+    return {"residual": max(r1, r2, r3)}
 
 
-def _verify_symmetry(spec: RunSpec, model: Model, volume: Volume, h) -> dict:
-    gens = model.symmetry(spec.model_params, volume)
-    res = invariance_residual(h, gens)
-    return {
-        "generators": gens.name,
-        "residual": res,
-        "threshold": 1e-10,
-        "ok": res <= 1e-10,
-    }
+def _check_symmetry(run: _Run, pairs, beta) -> dict:
+    gens = run.model.symmetry(run.spec.model_params, run.volume)
+    return {"generators": gens.name, "residual": invariance_residual(run.h, gens)}
 
 
-def _verify_kms(spec: RunSpec, volume: Volume, es: EigenSystem) -> dict:
-    betas = spec.params["betas"]
-    pairs = random_probe_pairs(volume, spec.seed, spec.params["num_probes"])
-    worst = 0.0
-    per_beta = []
-    for beta in betas:
-        r = max(kms_residual(es, beta, a, b) for a, b in pairs)
-        per_beta.append({"beta": beta, "max_residual": r})
-        worst = max(worst, r)
-    return {"points": per_beta, "max_residual": worst,
-            "threshold": 1e-10, "ok": worst <= 1e-10}
+def _check_kms(run: _Run, pairs, beta) -> dict:
+    return {"max_residual": max(kms_residual(run.es, beta, a, b) for a, b in pairs)}
 
 
-def _verify_eeb(spec: RunSpec, volume: Volume, h, es: EigenSystem) -> dict:
-    betas = spec.params["betas"]
-    pairs = random_probe_pairs(volume, 0 if spec.seed is None else spec.seed + 1,
-                               spec.params["num_probes"])
-    probes = [a for a, _ in pairs]
-    worst = np.inf
-    per_beta = []
-    for beta in betas:
-        state = gibbs(es, beta).rho
-        m = min(eeb_deficit(h, beta, x, state) for x in probes)
-        per_beta.append({"beta": beta, "min_deficit": m})
-        worst = min(worst, m)
-    return {"points": per_beta, "min_deficit": float(worst),
-            "threshold": -1e-10, "ok": worst >= -1e-10}
+def _check_eeb(run: _Run, pairs, beta) -> dict:
+    state = gibbs(run.es, beta).rho
+    return {"min_deficit": min(eeb_deficit(run.h, beta, a, state) for a, _ in pairs)}
 
 
-def _verify_stability(spec: RunSpec, volume: Volume, h, es: EigenSystem) -> dict:
-    gs = ground_space(es)
-    state = DensityMatrix.mixture(gs.basis)
-    pairs = random_probe_pairs(volume, 0 if spec.seed is None else spec.seed + 2,
-                               spec.params["num_probes"])
-    worst = min(stability_value(h, state, a) for a, _ in pairs)
-    return {"min_value": worst, "threshold": -1e-12, "ok": worst >= -1e-12}
+def _check_stability(run: _Run, pairs, beta) -> dict:
+    state = DensityMatrix.mixture(ground_space(run.es).basis)
+    return {"min_value": min(stability_value(run.h, state, a) for a, _ in pairs)}
 
 
-def _task_verify(spec: RunSpec, model: Model, volume: Volume, h,
-                 cap_dense: int) -> tuple[dict, list]:
-    checks = spec.params["checks"]
-    # the randomized checks all read the spectrum of h; they share one EigenSystem
-    es = None
-    if set(checks) & set(_RANDOMIZED_CHECKS):
-        es = EigenSystem(h, cap_dense=cap_dense)
+@dataclass(frozen=True)
+class Check:
+    """Registry record of a verify check.
+
+    Attributes:
+        run: the check's runner (see above).
+        value: key of the reported value, the CSV row's value.
+        threshold: the pass threshold.
+        upper: True if the value passes at or below the threshold, False if
+            at or above it.
+        seed: probe-seed offset from the spec seed; None for a deterministic
+            check, which draws no probes.
+        per_beta: the check runs at every verify beta and reports the worst.
+    """
+
+    run: Callable[..., dict]
+    value: str
+    threshold: float
+    upper: bool
+    seed: int | None = None
+    per_beta: bool = False
+
+    def probes(self, run: _Run):
+        """The check's probe pairs, drawn from the spec seed plus its offset;
+        None for a deterministic check."""
+        if self.seed is None:
+            return None
+        return random_probe_pairs(run.volume, run.spec.seed + self.seed,
+                                  run.params["num_probes"])
+
+    def worst(self, values) -> float:
+        return float(max(values) if self.upper else min(values))
+
+    def passes(self, value) -> bool:
+        return bool(value <= self.threshold if self.upper else value >= self.threshold)
+
+
+CHECKS = {
+    "algebra": Check(_check_algebra, "residual", STRUCTURE_TOL, upper=True),
+    "symmetry": Check(_check_symmetry, "residual", 1e-10, upper=True),
+    "kms": Check(_check_kms, "max_residual", 1e-10, upper=True, seed=0, per_beta=True),
+    "eeb": Check(_check_eeb, "min_deficit", -1e-10, upper=False, seed=1, per_beta=True),
+    "stability": Check(_check_stability, "min_value", -1e-12, upper=False, seed=2),
+}
+
+
+def _task_verify(run: _Run) -> tuple[dict, list]:
+    names = run.params["checks"]
+    per_beta = {name: (CHECKS[name].probes(run), []) for name in names
+                if CHECKS[name].per_beta}
+    # beta outermost: the per-beta checks read one Gibbs state at each beta
+    for beta in run.params["betas"]:
+        for name, (pairs, points) in per_beta.items():
+            points.append({"beta": beta, **CHECKS[name].run(run, pairs, beta)})
     results = {}
-    for i, check in enumerate(checks):
-        if check == "algebra":
-            results[check] = _verify_algebra(volume)
-        elif check == "symmetry":
-            results[check] = _verify_symmetry(spec, model, volume, h)
-        elif check == "kms":
-            results[check] = _verify_kms(spec, volume, es)
-        elif check == "eeb":
-            results[check] = _verify_eeb(spec, volume, h, es)
+    for i, name in enumerate(names):
+        check = CHECKS[name]
+        if check.per_beta:
+            points = per_beta[name][1]
+            r = {"points": points, check.value: check.worst(p[check.value] for p in points)}
         else:
-            results[check] = _verify_stability(spec, volume, h, es)
-        _progress("verify", i + 1, len(checks))
+            r = check.run(run, check.probes(run), None)
+        results[name] = {**r, "threshold": check.threshold, "ok": check.passes(r[check.value])}
+        _progress("verify", i + 1, len(names))
     payload = {"checks": results, "all_ok": all(r["ok"] for r in results.values())}
-    rows = [(name, r.get("residual", r.get("min_deficit", r.get("min_value", 0.0))),
-             r["ok"]) for name, r in results.items()]
-    return payload, [("check", "value", "ok")] + rows
+    return payload, [(name, r[CHECKS[name].value], r["ok"]) for name, r in results.items()]
 
 
-def _scan_point(spec: RunSpec, model: Model, volume: Volume, value: float,
-                cap_dense: int, cap_sparse: int) -> dict:
-    h = assemble_hamiltonian(model.interaction(_point_params(spec, value)), volume,
-                             max_hilbert_dim=cap_sparse)
-    low = low_levels(h, cap_dense=cap_dense)
-    return {
-        "value": float(value),
-        "ground_energy": low.energy,
-        "degeneracy": low.degeneracy,
-        "gap": low.gap,
-    }
+def _scan_point(run: _Run, value: float, params: dict) -> dict:
+    h = assemble_hamiltonian(run.model.interaction(params), run.volume,
+                             max_hilbert_dim=run.cap_sparse)
+    low = low_levels(h, cap_dense=run.cap_dense)
+    return {"value": float(value), "ground_energy": low.energy,
+            "degeneracy": low.degeneracy, "gap": low.gap}
 
 
-def _task_scan(spec: RunSpec, model: Model, volume: Volume, cap_dense: int,
-               cap_sparse: int, workers: int) -> tuple[dict, list]:
-    values = spec.params["values"]
+def _task_scan(run: _Run) -> tuple[dict, list]:
+    values = run.params["values"]
     rows = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        points = pool.map(
-            lambda v: _scan_point(spec, model, volume, v, cap_dense, cap_sparse), values)
-        for row in points:  # map yields in spec order
-            rows.append(row)
+    with ThreadPoolExecutor(max_workers=run.workers) as pool:
+        for row in pool.map(lambda v, p: _scan_point(run, v, p), values, run.points):
+            rows.append(row)  # map yields in spec order
             _progress("scan", len(rows), len(values))
-    payload = {"variable": spec.params["variable"], "points": rows}
-    table = [(r["value"], r["ground_energy"], r["gap"], r["degeneracy"]) for r in rows]
-    return payload, [("value", "ground_energy", "gap", "degeneracy")] + table
+    payload = {"variable": run.params["variable"], "points": rows}
+    return payload, [(r["value"], r["ground_energy"], r["gap"], r["degeneracy"]) for r in rows]
+
+
+def _verify_finish(section: dict, model: str, seed) -> dict:
+    drawn = [name for name in section["checks"] if CHECKS[name].seed is not None]
+    _expect(seed is not None or not drawn,
+            f"verify checks {drawn} draw random probes and require a seed")
+    return section
+
+
+def _scan_finish(section: dict, model: str, seed) -> dict:
+    allowed = MODELS[model].scan_variables
+    _expect(section["variable"] in allowed, f"scan.variable for {model} must be one of "
+            f"{list(allowed)}, got {section['variable']!r}")
+    values, grid = section["values"], section["grid"]
+    _expect((values is None) != (grid is None), "scan needs exactly one of 'values' or 'grid'")
+    return {"variable": section["variable"], "values": grid if values is None else values}
+
+
+def _scan_points(params: dict, section: dict) -> list[dict]:
+    var = section["variable"]
+    _expect(var not in params, f"model.params must not fix the scanned variable {var!r}")
+    return [dict(params, **{var: v}) for v in section["values"]]
+
+
+@dataclass(frozen=True)
+class Task:
+    """Registry record of a task.
+
+    Attributes:
+        name: task tag in run specs, also the name of its parameter section.
+        keys: section key -> (default, validator).  A key left out takes
+            its default, which the validator also checks: a required key
+            has default None, which its validator refuses.
+        run: _Run -> (payload, CSV rows).
+        header: the CSV header.
+        finish: (normalized section, model name, seed) -> the final section;
+            the rules that span keys.
+        points: (model.params, section) -> model.params of every Hamiltonian
+            the task builds.
+    """
+
+    name: str
+    keys: dict
+    run: Callable[[_Run], tuple]
+    header: tuple
+    finish: Callable[[dict, str, object], dict] = lambda section, model, seed: section
+    points: Callable[[dict, dict], list] = lambda params, section: [params]
+
+    def normalize(self, section: dict, model: str, seed) -> dict:
+        _check_keys(section, self.keys, self.name)
+        norm = {key: check(section.get(key, default), f"{self.name}.{key}")
+                for key, (default, check) in self.keys.items()}
+        return self.finish(norm, model, seed)
+
+
+TASKS = {
+    task.name: task
+    for task in (
+        Task("spectrum", {"method": ("auto", _one_of("auto", "dense", "krylov")),
+                          "num_eigenvalues": (6, _integer(1))},
+             _task_spectrum, ("index", "eigenvalue")),
+        Task("thermal", {"betas": (None, _list_of(_number(0)))},
+             _task_thermal, ("beta", "log_z", "energy")),
+        Task("dynamics", {"times": (None, _list_of(_number())),
+                          "distances": (None, _list_of(_integer(0))),
+                          "observable": ("s3", _one_of("s1", "s2", "s3"))},
+             _task_dynamics, ("time", "distance", "commutator_norm")),
+        Task("verify", {"checks": (list(CHECKS), _list_of(_one_of(*CHECKS))),
+                        "betas": ([0.5, 1.0], _list_of(_number(0))),
+                        "num_probes": (20, _integer(1))},
+             _task_verify, ("check", "value", "ok"), finish=_verify_finish),
+        Task("scan", {"variable": (None, lambda v, where: v),
+                      "values": (None, _optional(_list_of(_number()))),
+                      "grid": (None, _optional(_grid))},
+             _task_scan, ("value", "ground_energy", "gap", "degeneracy"),
+             finish=_scan_finish, points=_scan_points),
+    )
+}
 
 
 # ---------------------------------------------------------------------------
@@ -594,20 +602,9 @@ def run_spec(spec: RunSpec, out_dir: Path, *, workers: int = 1,
              cap_dense: int = DENSE_CUTOFF, cap_sparse: int = MAX_HILBERT_DIM) -> Path:
     """Execute one run spec; returns the path of the JSON result."""
     started = time.monotonic()
-    model, interaction, volume = _build_model(spec, cap_sparse)
-    csv_table = None
-    if spec.task == "dynamics":
-        payload, csv_table = _task_dynamics(spec, interaction, volume, cap_dense)
-    elif spec.task == "scan":
-        payload, csv_table = _task_scan(spec, model, volume, cap_dense, cap_sparse, workers)
-    else:
-        h = assemble_hamiltonian(interaction, volume, max_hilbert_dim=cap_sparse)
-        if spec.task == "spectrum":
-            payload, csv_table = _task_spectrum(spec, h, cap_dense)
-        elif spec.task == "thermal":
-            payload, csv_table = _task_thermal(spec, h, cap_dense)
-        else:
-            payload, csv_table = _task_verify(spec, model, volume, h, cap_dense)
+    task = TASKS[spec.task]
+    payload, rows = task.run(_Run(spec, workers=workers, cap_dense=cap_dense,
+                                  cap_sparse=cap_sparse))
 
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -630,9 +627,8 @@ def run_spec(spec: RunSpec, out_dir: Path, *, workers: int = 1,
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / spec.output.get("json", "result.json")
     json_path.write_text(text + "\n")
-    if csv_table is not None and "csv" in spec.output:
-        header, *rows = csv_table
-        write_csv(out_dir / spec.output["csv"], list(header), rows)
+    if "csv" in spec.output:
+        write_csv(out_dir / spec.output["csv"], list(task.header), rows)
     elapsed = time.monotonic() - started
     print(f"task={spec.task} wall_time={elapsed:.3f}s", file=sys.stderr, flush=True)
     return json_path

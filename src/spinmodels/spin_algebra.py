@@ -401,9 +401,12 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     singles = np.flatnonzero(sizes[labels] == 1)
     eye = sp.eye_array(singles.size, format="csr") if singles.size else np.eye(0)
     blocks = [(singles, m.diagonal()[singles].real, eye)]
+    # a CSR matrix is permuted into block order once; its blocks are then slices
+    p = m[members][:, members] if sp.issparse(m) else None
     for b in np.flatnonzero(sizes > 1):
-        idx = members[starts[b]:starts[b + 1]]
-        block = exact_real(m[idx][:, idx].toarray() if sp.issparse(m) else m[np.ix_(idx, idx)])
+        s, e = starts[b], starts[b + 1]
+        idx = members[s:e]
+        block = exact_real(m[np.ix_(idx, idx)] if p is None else p[s:e, s:e].toarray())
         blocks.append((idx, *np.linalg.eigh(block)) if vectors
                       else (idx, np.linalg.eigvalsh(block), None))
     w = np.sort(np.concatenate([w for _, w, _ in blocks]), kind="stable")

@@ -18,10 +18,10 @@ from spinmodels import (
     lr_scan,
     spin_algebra,
     spin_matrices,
+    states,
     xxz_suq2,
 )
 from spinmodels.cli import (
-    RunSpec,
     canonical_json,
     main,
     parse_spec_dict,
@@ -32,6 +32,17 @@ from spinmodels.cli import (
 
 
 RUNSPECS = Path(__file__).resolve().parent.parent / "runspecs"
+
+# the smallest valid section of each task, one per Task record (scan needs
+# values or grid too)
+_REQUIRED_KEYS = {
+    "spectrum": {},
+    "thermal": {"betas": [0.5]},
+    "dynamics": {"times": [0.5], "distances": [1]},
+    "verify": {},
+    "scan": {"variable": "J", "values": [0.5]},
+}
+_FREE_J = {"name": "heisenberg", "params": {}}  # leaves J free for a scan
 
 
 def _spec(task, section, *, model=None, volume=None, seed=None, output=None):
@@ -58,17 +69,29 @@ class TestParsing:
         assert spec.boundary == "periodic"
 
     def test_unknown_keys_rejected_everywhere(self):
-        doc = _spec("spectrum", {})
-        doc["extra"] = 1
-        with pytest.raises(SpecFileError):
-            parse_spec_dict(doc)
-        doc = _spec("spectrum", {"bogus": True})
-        with pytest.raises(SpecFileError):
-            parse_spec_dict(doc)
-        doc = _spec("spectrum", {})
-        doc["model"]["junk"] = 0
-        with pytest.raises(SpecFileError):
-            parse_spec_dict(doc)
+        for task in cli.TASKS:
+            section = _REQUIRED_KEYS[task]
+            parse_spec_dict(_spec(task, section, model=_FREE_J, seed=0))  # valid as it is
+            doc = _spec(task, section, model=_FREE_J, seed=0)
+            doc["extra"] = 1
+            with pytest.raises(SpecFileError):
+                parse_spec_dict(doc)
+            doc = _spec(task, dict(section, bogus=True), model=_FREE_J, seed=0)
+            with pytest.raises(SpecFileError):
+                parse_spec_dict(doc)
+            doc = _spec(task, section, model=dict(_FREE_J, junk=0), seed=0)
+            with pytest.raises(SpecFileError):
+                parse_spec_dict(doc)
+
+    @pytest.mark.parametrize("task", list(cli.TASKS))
+    def test_required_keys_normalize_to_declared_defaults(self, task):
+        # every key left out takes the default its Task record declares; a
+        # required key declares None, and the optional scan values/grid pair
+        # collapses to values
+        required = _REQUIRED_KEYS[task]
+        defaults = {k: d for k, (d, _) in cli.TASKS[task].keys.items() if d is not None}
+        spec = parse_spec_dict(_spec(task, dict(required), model=_FREE_J, seed=0))
+        assert spec.params == {**defaults, **required}
 
     def test_bad_task_and_schema(self):
         with pytest.raises(SpecFileError):
@@ -173,7 +196,7 @@ class TestParsing:
         doc = _spec("thermal", {"betas": [1.0]}, seed=5,
                     output={"json": "r.json"})
         spec = parse_spec_dict(doc)
-        again = RunSpec.from_dict(spec.to_dict())
+        again = parse_spec_dict(spec.to_dict())
         assert again == spec
 
 
@@ -288,6 +311,70 @@ def test_run_scan_with_workers(tmp_path):
     assert one["payload"] == four["payload"]
     values = [p["value"] for p in one["payload"]["points"]]
     assert values == [0.0, 1 / 3, 2 / 3, 1.0]
+
+
+def test_verify_csv_rows_are_the_reported_values(tmp_path):
+    # each check's CSV value is the value its payload entry reports
+    value_keys = {"algebra": "residual", "symmetry": "residual", "kms": "max_residual",
+                  "eeb": "min_deficit", "stability": "min_value"}
+    spec = parse_spec_file(RUNSPECS / "verify.json")
+    checks = json.loads(run_spec(spec, tmp_path).read_text())["payload"]["checks"]
+    header, *rows = (tmp_path / spec.output["csv"]).read_text().splitlines()
+    assert header == "check,value,ok"
+    assert [row.split(",")[0] for row in rows] == spec.params["checks"]
+    for row in rows:
+        name, value, ok = row.split(",")
+        assert float(value) == checks[name][value_keys[name]], name
+        assert ok == ("true" if checks[name]["ok"] else "false")
+    assert checks["kms"]["max_residual"] > 0.0  # rounding-level, not an exact zero
+
+
+def test_readme_check_table_matches_the_check_records():
+    readme = (RUNSPECS.parent / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        if len(cells) == 5 and cells[0] in cli.CHECKS:
+            rows[cells[0]] = cells[1:]
+    assert set(rows) == set(cli.CHECKS)
+    for name, check in cli.CHECKS.items():
+        value, threshold, rule, seed = rows[name]
+        assert value == check.value
+        assert float(threshold.replace("\u2212", "-")) == check.threshold
+        assert rule == ("value \u2264 threshold" if check.upper else "value \u2265 threshold")
+        assert seed == ("none" if check.seed is None
+                        else "seed" + (f"+{check.seed}" if check.seed else ""))
+
+
+def test_verify_builds_one_gibbs_state_per_beta(tmp_path, monkeypatch):
+    # kms and eeb read the same Gibbs state at each beta
+    built = []
+
+    class CountingGibbsState(states.GibbsState):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("beta"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(states, "GibbsState", CountingGibbsState)
+    betas = [0.5, 1.0]
+    doc = _spec("verify", {"checks": ["kms", "eeb"], "betas": betas, "num_probes": 4},
+                model={"name": "xxz_suq2", "params": {"q": 0.5}},
+                volume={"dims": [5], "boundary": "open"}, seed=0)
+    payload = json.loads(run_spec(parse_spec_dict(doc), tmp_path).read_text())["payload"]
+    assert payload["all_ok"] is True
+    assert built == betas
+
+
+@pytest.mark.parametrize("start", ["x", None, True], ids=["string", "null", "true"])
+def test_malformed_scan_grid_is_a_spec_error(tmp_path, capsys, start):
+    # grid bounds are numbers like every other number in a spec
+    grid = {"start": start, "stop": 1.0, "num": 3}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec("scan", {"variable": "J", "grid": grid},
+                                          model=_FREE_J)))
+    assert main(["run", str(spec_path), "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"]["kind"] == "SpecFileError"
 
 
 def test_reruns_are_byte_identical(tmp_path):
