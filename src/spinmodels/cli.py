@@ -177,9 +177,7 @@ def parse_spec_dict(doc: dict) -> RunSpec:
     dims = _list_of(_integer(1))(volume.get("dims"), "volume.dims")
     boundary = _one_of("open", "periodic")(volume.get("boundary", "open"), "volume.boundary")
 
-    seed = doc.get("seed")
-    _expect(seed is None or (isinstance(seed, int) and not isinstance(seed, bool)),
-            "seed must be an integer or null")
+    seed = _optional(_integer(0))(doc.get("seed"), "seed")  # numpy refuses negative seeds
 
     output = doc.get("output", {})
     _expect(isinstance(output, dict), "output section must be an object")

@@ -60,6 +60,36 @@ def _require_hermitian(h):
         raise DomainError("operator is not Hermitian")
 
 
+def _adjoint(v):
+    """v^H, a view when v is real; None (the identity) stays None."""
+    return v if v is None else (v.conj().T if np.iscomplexobj(v) else v.T)
+
+
+def _matmul(l, r):
+    """l @ r.  A real dense factor meets a complex one in float64: it
+    multiplies the complex factor's interleaved real and imaginary parts."""
+    if sp.issparse(l) or sp.issparse(r) or np.iscomplexobj(l) == np.iscomplexobj(r):
+        return l @ r
+    if np.iscomplexobj(l):
+        return _matmul(r.T, l.T).T
+    return (l @ np.ascontiguousarray(r).view(np.float64)).view(np.complex128)
+
+
+def _sandwich(l, x, r):
+    """l @ x @ r, right product first; None stands for an identity factor."""
+    x = x if r is None else _matmul(x, r)
+    return x if l is None else _matmul(l, x)
+
+
+def _row_sums(k, g, n):
+    """The n-row array whose row r is the sum of the rows g[k == r]."""
+    order = np.argsort(k, kind="stable")
+    k, first = k[order], np.flatnonzero(np.diff(k[order], prepend=-1))
+    out = np.zeros((n, g.shape[1]), g.dtype)
+    out[k[first]] = np.add.reduceat(g[order], first)
+    return out
+
+
 class EigenSystem:
     """A Hermitian Hamiltonian with its full eigendecomposition, computed once.
 
@@ -88,6 +118,8 @@ class EigenSystem:
         sizes = [idx.size for idx, _, _ in self.blocks]
         self._start, self._label = np.cumsum([0] + sizes), np.repeat(np.arange(len(sizes)), sizes)
         self._basis = np.concatenate([idx for idx, _, _ in self.blocks])
+        self._position = np.argsort(self._basis)  # basis index -> place in block order
+        self._vectors = [None] + [v for _, _, v in self.blocks[1:]]  # None: the identity
         w = np.concatenate([w for _, w, _ in self.blocks])
         self._rank = np.argsort(np.argsort(w, kind="stable"))  # ascending index
 
@@ -120,41 +152,65 @@ class EigenSystem:
             )
 
     def pairs(self, a):
-        """Yield (b, c, V_b^H A_bc V_c), dense, for each pair of ``blocks``
-        that A couples; between size-1 blocks (block 0, vectors the identity)
-        it is A's own entries as a COO array."""
+        """Yield (b, c, V_b^H A_bc V_c) for each pair of ``blocks`` that A couples.
+
+        A's nonzero entries (i, j, d) are taken in block order, through one
+        inverse permutation for CSR A, and grouped by pair.  Each pair costs
+        whichever is fewer multiply-adds: the gather-GEMM V_b[i]^H (d * V_c[j])
+        (nnz d_b d_c), or A_bc, filled from the entries or sliced from a dense
+        A, times V_c and then V_b^H (d_b d_c (d_b + d_c)).  Real blocks meet
+        complex factors in float64 (see ``_matmul``).  Block 0's vectors, the
+        identity, are applied by indexing; between two of its entries the
+        result is A's own entries as a COO array.
+        """
         m = as_matrix(a)
         if m.shape[0] != self.dim:
             raise DomainError(
                 f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
             )
-        coo = sp.coo_array(m[self._basis][:, self._basis])  # A in block order
-        nb = len(self.blocks)
-        key = self._label[coo.row] * nb + self._label[coo.col]
+        nb, s, v = len(self.blocks), self._start, self._vectors
+        if sp.issparse(m):
+            row = self._position[np.repeat(np.arange(self.dim), np.diff(m.indptr))]
+            col, data, full = self._position[m.indices], m.data, None
+        else:
+            full = m[np.ix_(self._basis, self._basis)]  # A in block order
+            row, col = np.nonzero(full)
+            data = full[row, col]
+        key = self._label[row] * nb + self._label[col]
         order = np.argsort(key, kind="stable")
-        keys, first = np.unique(key[order], return_index=True)
-        for k, group in zip(keys.tolist(), np.split(order, first[1:])):
-            b, c = divmod(k, nb)
-            (_, wb, vb), (_, wc, vc) = self.blocks[b], self.blocks[c]
-            i, j = coo.row[group] - self._start[b], coo.col[group] - self._start[c]
-            if not (b or c):
-                yield b, c, sp.coo_array((coo.data[group], (i, j)), shape=(wb.size, wc.size))
-                continue
-            x = np.zeros((wb.size, wc.size), dtype=coo.data.dtype)
-            x[i, j] = coo.data[group]
-            yield b, c, vb.conj().T @ x @ vc
+        key, row, col, data = key[order], row[order], col[order], data[order]
+        bounds = np.flatnonzero(np.diff(key, prepend=-1, append=nb * nb)).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            b, c = divmod(int(key[lo]), nb)
+            shape = (s[b + 1] - s[b], s[c + 1] - s[c])
+            i, j, d = row[lo:hi] - s[b], col[lo:hi] - s[c], data[lo:hi]
+            if v[b] is None and v[c] is None:
+                yield b, c, sp.coo_array((d, (i, j)), shape=shape)
+            elif v[c] is None:  # the columns d V_b[i]^H add up by j
+                yield b, c, _row_sums(j, d[:, None] * v[b][i].conj(), shape[1]).T
+            elif v[b] is None:  # the rows d V_c[j] add up by i
+                yield b, c, _row_sums(i, d[:, None] * v[c][j], shape[0])
+            elif i.size <= sum(shape):
+                yield b, c, _matmul(_adjoint(v[b][i]), d[:, None] * v[c][j])
+            else:
+                if full is None:
+                    x = np.zeros(shape, d.dtype)
+                    np.add.at(x, (i, j), d)  # duplicate entries add
+                else:
+                    x = full[s[b]:s[b + 1], s[c]:s[c + 1]]
+                yield b, c, _sandwich(_adjoint(v[b]), x, v[c])
 
     def _conjugate(self, a, z=None):
         """V^H A V in the order of ``eigenvalues`` when ``z`` is None, else
         exp(zH) A exp(-zH) = V (V^H A V * exp(z (w_j - w_k))) V^H; stored as A is."""
-        target = self._rank if z is None else self._basis
+        target, v = self._rank if z is None else self._basis, self._vectors
         parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
         for b, c, x in self.pairs(a):
-            (_, wb, vb), (_, wc, vc) = self.blocks[b], self.blocks[c]
+            wb, wc = self.blocks[b][1], self.blocks[c][1]
             if z is not None and sp.issparse(x):
                 x.data = x.data * np.exp(z * (wb[x.row] - wc[x.col]))
             elif z is not None:
-                x = vb @ (x * np.exp(z * (wb[:, None] - wc[None, :]))) @ vc.conj().T
+                x = _sandwich(v[b], x * np.exp(z * (wb[:, None] - wc[None, :])), _adjoint(v[c]))
             x = sp.coo_array(x)
             parts.append((target[self._start[b] + x.row], target[self._start[c] + x.col], x.data))
         rows, cols, vals = map(np.concatenate, zip(*parts))

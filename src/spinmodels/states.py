@@ -5,7 +5,8 @@ The three equilibrium checks all evaluate finite-volume identities exactly
 the eigendecomposition of a :class:`spinmodels.spectra.EigenSystem`: pass one
 built once to share it (and its last Gibbs state), or pass H to build one per
 call.  Probes and H stay CSR, so products such as X* [H, X] are sparse, and
-an expectation in a density matrix is an elementwise trace costing O(nnz).
+an expectation in a density matrix, Tr(A rho) = sum A_jk rho_kj, is one
+gather of rho at the transposed positions of A's stored entries: O(nnz).
 
 * boundary condition relating a state to its imaginary-time flow:
   omega(A alpha_{i beta}(B)) = omega(B A), evaluated as a residual;
@@ -154,9 +155,12 @@ def gibbs(h, beta: float) -> GibbsState:
     w0 = es.eigenvalues[0]
     s = float(np.sum(np.exp(-beta * (es.eigenvalues - w0))))
     rho = np.zeros((es.dim, es.dim), dtype=np.complex128)
-    for idx, w, v in es.blocks:
-        part = (v * (np.exp(-beta * (w - w0)) / s)) @ v.conj().T
-        rho[np.ix_(idx, idx)] = part.toarray() if sp.issparse(part) else part
+    for b, (idx, w, v) in enumerate(es.blocks):
+        p = np.exp(-beta * (w - w0)) / s
+        if b:
+            rho[np.ix_(idx, idx)] = (v * p) @ v.conj().T
+        else:  # the size-1 blocks: their vectors are the identity
+            rho[idx, idx] = p
     rho = (rho + rho.conj().T) / 2.0
     rho = rho / float(np.trace(rho).real)
     log_z = float(np.log(s) - beta * w0)
@@ -175,8 +179,12 @@ def expectation(state, a) -> complex:
             raise DimensionMismatchError(
                 f"state dim {rho.shape[0]} vs operator dim {m.shape[0]}"
             )
-        # Tr(A rho) = sum_jk A_jk rho_kj, elementwise: O(nnz) for CSR A
-        return complex((m * rho.T).sum())
+        # Tr(A rho) = sum_jk A_jk rho_kj; for CSR A one O(nnz) gather of rho at
+        # the transposed positions of A's stored entries (duplicates add)
+        if not sp.issparse(m):
+            return complex(np.sum(m * rho.T))
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        return complex(np.dot(m.data, rho[m.indices, rows]))
     else:
         arr = np.asarray(state, dtype=np.complex128)
         if arr.ndim == 1:

@@ -54,14 +54,6 @@ def total_spin(volume: Volume) -> GeneratorSet:
     return GeneratorSet(name="total_spin", generators=gens)
 
 
-def _kron_chain(mats) -> sp.csr_array:
-    out = None
-    for m in mats:
-        ms = sp.csr_array(np.asarray(m, dtype=np.complex128))
-        out = ms if out is None else sp.csr_array(sp.kron(out, ms, format="csr"))
-    return out
-
-
 def suq2_generators(volume: Volume, q: float) -> GeneratorSet:
     """q-deformed total-spin generators K3, K+, K- on an open spin-1/2 chain,
     as CSR operators.
@@ -76,27 +68,22 @@ def suq2_generators(volume: Volume, q: float) -> GeneratorSet:
             "deformed generators are defined on open spin-1/2 chains; got "
             f"dims={volume.dims}, boundary={volume.boundary}, n={volume.local_dim}"
         )
-    length = volume.num_sites
-    ops = spin_matrices(0.5)
-    eye = np.eye(2, dtype=np.complex128)
-    t = np.diag([1.0 / q, q]).astype(np.complex128)
-    t_inv = np.diag([q, 1.0 / q]).astype(np.complex128)
-
-    k3 = None
-    for site in volume.sites:
-        part = embed(ops.s3, [site], volume)
-        k3 = part if k3 is None else k3 + part
-
-    kp = None
-    km = None
-    for x in range(length):
-        plus = _kron_chain([t] * x + [ops.sp] + [eye] * (length - 1 - x))
-        minus = _kron_chain([eye] * x + [ops.sm] + [t_inv] * (length - 1 - x))
-        kp = plus if kp is None else kp + plus
-        km = minus if km is None else km + minus
-    return GeneratorSet(
-        name="suq2", generators={"K3": k3, "K+": Operator(kp), "K-": Operator(km)}
-    )
+    # basis index = sum_x (1 if site x is down) * 2^(length - 1 - x): K3 and
+    # the q-strings are read off the bits, q^(#down - #up) left of x for K+
+    # and q^(#up - #down) right of x for K-, in one COO pass per generator
+    length, weight = volume.num_sites, volume.strides()
+    states = np.arange(2**length)
+    down = states[:, None] // weight % 2
+    left = np.cumsum(down, axis=1) - down
+    right = down.sum(axis=1, keepdims=True) - left - down
+    x = np.arange(length)
+    gens = {"K3": Operator(sp.diags_array(length / 2 - down.sum(axis=1), format="csr"))}
+    for name, flip, power in (("K+", 1, 2 * left - x), ("K-", 0, length - 1 - x - 2 * right)):
+        s, y = np.nonzero(down == flip)  # S+ raises a down spin, S- lowers an up one
+        rows = states[s] + (1 - 2 * flip) * weight[y]
+        gens[name] = Operator(sp.csr_array((q ** power[s, y] + 0j, (rows, states[s])),
+                                           shape=(states.size, states.size)))
+    return GeneratorSet(name="suq2", generators=gens)
 
 
 def _is_unitary(u, tol: float = STRUCTURE_TOL) -> bool:

@@ -3,8 +3,9 @@
 Every consumer of the decomposition (evolution in real and imaginary time,
 the eigenbasis transform, Gibbs states, the KMS residual) works block pair
 by block pair.  Here each is checked against products of the full complex
-``numpy.linalg.eigh`` of H on every built-in model and on the complex
-Dzyaloshinskii-Moriya ring, whose blocks are complex.
+``numpy.linalg.eigh`` of H on every built-in model, on the complex
+Dzyaloshinskii-Moriya ring, whose blocks are complex, and on a Hamiltonian
+with several size-1 blocks beside a complex one.
 """
 
 import json
@@ -32,14 +33,27 @@ from spinmodels.cli import parse_spec_dict, run_spec
 from spinmodels.interactions import MODEL_NAMES, MODELS
 
 _PARAMS = {"xy_field": {"h": 0.3}, "ising": {"h": 0.4}, "xxz_suq2": {"q": 0.5}}
-CASES = [*MODEL_NAMES, "dm_chain"]
+CASES = [*MODEL_NAMES, "dm_chain", "singles"]
+
+
+def _singles_hamiltonian():
+    """Four size-1 blocks (basis states 0, 3, 5, 6) beside one complex 4 x 4
+    block on the states 1, 2, 4, 7 of a 3-site spin-1/2 chain."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = np.diag([0.3, 0.0, 0.0, -1.1, 0.0, 2.0, 0.7, 0.0]).astype(complex)
+    h[np.ix_([1, 2, 4, 7], [1, 2, 4, 7])] = x + x.conj().T
+    return sp.csr_array(h)
 
 
 @pytest.fixture(params=CASES)
 def case(request, dm_chain):
-    """(H as CSR, its chain volume) for one model record or the DM ring."""
+    """(H as CSR, its chain volume) for one model record, the DM ring, or a
+    Hamiltonian with several size-1 blocks."""
     if request.param == "dm_chain":
         return dm_chain(6), chain_volume(6, "periodic")
+    if request.param == "singles":
+        return _singles_hamiltonian(), chain_volume(3, "open")
     params = _PARAMS.get(request.param, {})
     local_dim = MODELS[request.param].interaction(params).local_dim
     vol = chain_volume(4 if local_dim > 2 else 6, "open", local_dim=local_dim)
@@ -176,3 +190,69 @@ def test_operators_are_evolved_without_the_dense_eigenvector_matrix(case, monkey
         es.evolve_imaginary(Operator(a.toarray()), 0.3)
         kms_residual(es, 0.5, a, a)
     gibbs(es, 0.5)
+
+
+def _block_vectors(es):
+    """Each block's eigenvectors as dense dim-long columns, block 0 the identity."""
+    cols = []
+    for idx, _, v in es.blocks:
+        full = np.zeros((es.dim, idx.size), dtype=complex)
+        full[idx] = v.toarray() if sp.issparse(v) else v
+        cols.append(full)
+    return cols
+
+
+def test_pairs_match_the_blocks_of_the_full_product(case):
+    h, vol = case
+    es = EigenSystem(h)
+    cols = _block_vectors(es)
+    # the evolved operator fills its block pairs, so they take the route
+    # through A_bc; the local observables and probes mostly gather
+    evolved = es.evolve(_observables(vol)["s1"], 0.7)
+    ops = [*_observables(vol).values(), evolved,
+           *(op for pair in random_probe_pairs(vol, 11, 4) for op in pair)]
+    for op in ops:
+        ad, csr = op.toarray(), op.tocsr()
+        # the same entries with each row's order reversed: not canonical CSR
+        order = np.concatenate([np.arange(lo, hi)[::-1]
+                                for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:])])
+        shuffled = sp.csr_array((csr.data[order], csr.indices[order], csr.indptr), shape=csr.shape)
+        # each entry stored twice at half its value: duplicates must add
+        doubled = sp.csr_array((np.repeat(csr.data / 2, 2), np.repeat(csr.indices, 2),
+                                2 * csr.indptr), shape=csr.shape)
+        assert not doubled.has_canonical_format
+        for stored in (csr, shuffled, doubled, ad):
+            got = {(b, c): x for b, c, x in es.pairs(stored)}
+            for b, vb in enumerate(cols):
+                for c, vc in enumerate(cols):
+                    want = vb.conj().T @ ad @ vc
+                    x = got.get((b, c), np.zeros_like(want))
+                    x = x.toarray() if sp.issparse(x) else x
+                    assert x.shape == want.shape
+                    assert np.max(np.abs(x - want), initial=0.0) < 1e-13
+
+
+def test_kms_flow_side_equals_the_full_eigenbasis_sum(case, monkeypatch):
+    from spinmodels import states
+
+    h, vol = case
+    es = EigenSystem(h)
+    w, v, _ = _full_eigh(h)
+    for beta in (0.5, 2.0):
+        p = np.exp(-beta * (w - w[0]))
+        for a, b in random_probe_pairs(vol, 13, 4) + [tuple(_observables(vol).values())]:
+            at, bt = (v.conj().T @ op.toarray() @ v for op in (a, b))
+            want = np.sum(at * bt.T * p[None, :]) / p.sum()  # sum A'_jk B'_kj e^{-beta w_k} / Z
+            # the comparison side returns the oracle, so the residual is |flow side - oracle|
+            monkeypatch.setattr(states, "expectation", lambda state, op, want=want: want)
+            assert kms_residual(es, beta, a, b) < 1e-13 * max(1.0, abs(want))
+
+
+def test_kms_and_evolve_never_densify_the_full_matrix(case, forbid_full_toarray):
+    h, vol = case
+    es = EigenSystem(h)
+    forbid_full_toarray(es.dim)
+    pairs = random_probe_pairs(vol, 17, 4) + [tuple(_observables(vol).values())]
+    for a, b in pairs:
+        assert kms_residual(es, 0.8, a, b) < 1e-12
+        assert es.evolve(a, 0.6).is_sparse and es.evolve_imaginary(b, 0.4).is_sparse

@@ -419,6 +419,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert err["error"]["kind"] == "RangeLimitError"
 
 
+@pytest.mark.parametrize("seed, checks", [(-1, ["kms"]), (-2, ["eeb", "stability"])])
+def test_main_refuses_negative_seeds(tmp_path, capsys, seed, checks):
+    # the probe seeds are seed + 0 / 1 / 2, and numpy refuses negative ones
+    doc = _spec("verify", {"checks": checks, "betas": [0.5], "num_probes": 2}, seed=seed)
+    p = tmp_path / "negative.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"]["kind"] == "SpecFileError" and "seed" in err["error"]["message"]
+
+
 def test_parse_spec_file_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from spinmodels import (
     DegenerateInputError,
     DensityMatrix,
+    DimensionMismatchError,
     DomainError,
     EigenSystem,
     Operator,
@@ -126,6 +127,28 @@ def test_expectation_trace_is_elementwise_for_dense_and_csr():
     for a, ad in ((dense, dense), (csr, csr.toarray()), (Operator(csr), csr.toarray())):
         want = np.trace(ad @ rho.matrix)
         assert abs(expectation(rho, a) - want) <= 1e-14
+
+
+def test_expectation_in_a_random_complex_matrix_reads_stored_entries():
+    # Tr(A rho) for any complex rho: a CSR A may carry unsorted column
+    # indices, duplicate entries (which add) and explicit zeros
+    rng = np.random.default_rng(37)
+    rho = DensityMatrix(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)),
+                        validate=False)
+    dense = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    indptr = np.zeros(13, dtype=np.int32)
+    indptr[[1, 4, 8, 12]] = [2, 3, 1, 1]  # rows 0, 3, 7 and 11
+    messy = sp.csr_array((np.array([1 + 2j, -0.5j, 3.0, 0.25, -1.5, 0.0, 2 - 1j]),
+                          np.array([5, 2, 9, 1, 9, 4, 0]), np.cumsum(indptr)), shape=(12, 12))
+    assert not messy.has_sorted_indices and messy.nnz == 7
+    scale = np.max(np.abs(rho.matrix)) * 12
+    for a, ad in ((dense, dense), (sp.csr_array(dense), dense), (messy, messy.toarray()),
+                  (Operator(messy), messy.toarray()), (Operator(dense), dense)):
+        want = np.trace(ad @ rho.matrix)
+        assert abs(expectation(rho, a) - want) <= 1e-14 * scale * max(1.0, np.max(np.abs(ad)))
+    for a in (dense[:10, :10], sp.csr_array(dense[:10, :10])):
+        with pytest.raises(DimensionMismatchError):
+            expectation(rho, a)
 
 
 def test_kms_residual_single_spin():

@@ -61,6 +61,37 @@ def test_suq2_generators_annihilate_commutators():
         assert invariance_residual(h, gens) < 1e-10
 
 
+def _deformed_ladder_oracle(length, q, local, string, left):
+    """sum_x of the dense kron chain with ``local`` at x and ``string`` on the
+    sites left (K+) or right (K-) of x, the identity elsewhere."""
+    total = 0
+    for x in range(length):
+        factors = [string if (y < x if left else y > x) else np.eye(2) for y in range(length)]
+        factors[x] = local
+        term = np.ones((1, 1))
+        for f in factors:
+            term = np.kron(term, f)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("q", [0.35, 0.8])
+def test_suq2_generators_match_dense_kron_chains(q):
+    ops = spin_matrices(0.5)
+    t = np.diag([1.0 / q, q])
+    for length in range(2, 7):
+        vol = chain_volume(length, boundary="open")
+        gset = suq2_generators(vol, q)
+        gens = gset.generators
+        want = {"K+": _deformed_ladder_oracle(length, q, ops.sp, t, left=True),
+                "K-": _deformed_ladder_oracle(length, q, ops.sm, np.linalg.inv(t), left=False),
+                "K3": sum(embed(ops.s3, [(x,)], vol).toarray() for x in range(length))}
+        for name, dense in want.items():
+            assert gens[name].is_sparse
+            assert np.max(np.abs(gens[name].toarray() - dense)) < 1e-14 * np.max(np.abs(dense))
+        assert invariance_residual(xxz_suq2_chain(length, q), gset) < 1e-12
+
+
 def test_suq2_reduces_to_total_spin_at_q_one():
     vol = chain_volume(4, boundary="open")
     gens = suq2_generators(vol, 1.0)
