@@ -87,9 +87,11 @@ from .states import (
     GibbsState,
     StateVector,
     eeb_deficit,
+    eeb_terms,
     expectation,
     gibbs,
     kms_residual,
+    kms_terms,
     stability_value,
 )
 from .dynamics import (

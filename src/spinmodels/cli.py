@@ -11,10 +11,11 @@ per task (section keys with defaults and validators, runner, CSV header) and
 ``CHECKS`` one ``Check`` record per check of the ``verify`` task (reported
 value, threshold, pass direction, probe seed).  Results go to ``result.json``,
 plus the task's CSV table when ``output.csv`` names a file, written in a
-canonical form — sorted keys, shortest round-tripping float representation —
-so identical specs produce byte-identical outputs.  Wall-clock time and
-progress go to stderr only.  Exit codes: 0 success, 2 spec error,
-3 resource cap, 4 solver/numerics failure.
+canonical form — sorted keys, floats as 17 significant digits (``.17g``,
+which round-trips but is not always shortest) — so identical specs produce
+byte-identical outputs.  Wall-clock time and progress go to stderr only.
+Exit codes: 0 success, 2 spec error, 3 resource cap, 4 solver/numerics
+failure.
 """
 
 from __future__ import annotations
@@ -56,14 +57,7 @@ from .spin_algebra import (
     operator_norm,
     spin_matrices,
 )
-from .states import (
-    DensityMatrix,
-    eeb_deficit,
-    expectation,
-    gibbs,
-    kms_residual,
-    stability_value,
-)
+from .states import DensityMatrix, eeb_terms, expectation, gibbs, kms_terms, stability_value
 from .symmetry import invariance_residual
 
 SCHEMA_VERSION = 1
@@ -378,7 +372,7 @@ def _task_dynamics(run: _Run) -> tuple[dict, list]:
     return payload, rows
 
 
-# Verify checks: (run, probe pairs or None, beta or None) -> the reported
+# Verify checks: (run, prepared probes or None, beta or None) -> the reported
 # entries, among them the check's value.
 
 
@@ -395,18 +389,18 @@ def _check_symmetry(run: _Run, pairs, beta) -> dict:
     return {"generators": gens.name, "residual": invariance_residual(run.h, gens)}
 
 
-def _check_kms(run: _Run, pairs, beta) -> dict:
-    return {"max_residual": max(kms_residual(run.es, beta, a, b) for a, b in pairs)}
+def _check_kms(run: _Run, terms, beta) -> dict:
+    return {"max_residual": max(t.residual(beta) for t in terms)}
 
 
-def _check_eeb(run: _Run, pairs, beta) -> dict:
+def _check_eeb(run: _Run, terms, beta) -> dict:
     state = gibbs(run.es, beta).rho
-    return {"min_deficit": min(eeb_deficit(run.h, beta, a, state) for a, _ in pairs)}
+    return {"min_deficit": min(t.deficit(beta, state) for t in terms)}
 
 
 def _check_stability(run: _Run, pairs, beta) -> dict:
     state = DensityMatrix.mixture(ground_space(run.es).basis)
-    return {"min_value": min(stability_value(run.h, state, a) for a, _ in pairs)}
+    return {"min_value": min(stability_value(run.es, state, a) for a, _ in pairs)}
 
 
 @dataclass(frozen=True)
@@ -422,6 +416,8 @@ class Check:
         seed: probe-seed offset from the spec seed; None for a deterministic
             check, which draws no probes.
         per_beta: the check runs at every verify beta and reports the worst.
+        prepare: (run, probe pairs) -> what ``run`` reads in their place,
+            computed once: a per-beta check's beta-independent probe terms.
     """
 
     run: Callable[..., dict]
@@ -430,14 +426,15 @@ class Check:
     upper: bool
     seed: int | None = None
     per_beta: bool = False
+    prepare: Callable[[_Run, list], list] = lambda run, pairs: pairs
 
     def probes(self, run: _Run):
-        """The check's probe pairs, drawn from the spec seed plus its offset;
-        None for a deterministic check."""
+        """The check's prepared probe pairs, drawn from the spec seed plus its
+        offset; None for a deterministic check."""
         if self.seed is None:
             return None
-        return random_probe_pairs(run.volume, run.spec.seed + self.seed,
-                                  run.params["num_probes"])
+        return self.prepare(run, random_probe_pairs(run.volume, run.spec.seed + self.seed,
+                                                    run.params["num_probes"]))
 
     def worst(self, values) -> float:
         return float(max(values) if self.upper else min(values))
@@ -449,8 +446,10 @@ class Check:
 CHECKS = {
     "algebra": Check(_check_algebra, "residual", STRUCTURE_TOL, upper=True),
     "symmetry": Check(_check_symmetry, "residual", 1e-10, upper=True),
-    "kms": Check(_check_kms, "max_residual", 1e-10, upper=True, seed=0, per_beta=True),
-    "eeb": Check(_check_eeb, "min_deficit", -1e-10, upper=False, seed=1, per_beta=True),
+    "kms": Check(_check_kms, "max_residual", 1e-10, upper=True, seed=0, per_beta=True,
+                 prepare=lambda run, pairs: [kms_terms(run.es, a, b) for a, b in pairs]),
+    "eeb": Check(_check_eeb, "min_deficit", -1e-10, upper=False, seed=1, per_beta=True,
+                 prepare=lambda run, pairs: [eeb_terms(run.es, a) for a, _ in pairs]),
     "stability": Check(_check_stability, "min_value", -1e-12, upper=False, seed=2),
 }
 
@@ -459,7 +458,8 @@ def _task_verify(run: _Run) -> tuple[dict, list]:
     names = run.params["checks"]
     per_beta = {name: (CHECKS[name].probes(run), []) for name in names
                 if CHECKS[name].per_beta}
-    # beta outermost: the per-beta checks read one Gibbs state at each beta
+    # beta outermost: the per-beta checks read one Gibbs state at each beta,
+    # and their probe terms, prepared above, at every beta
     for beta in run.params["betas"]:
         for name, (pairs, points) in per_beta.items():
             points.append({"beta": beta, **CHECKS[name].run(run, pairs, beta)})

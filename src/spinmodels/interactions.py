@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, DomainError, ResourceCapError
-from .lattice import MAX_HILBERT_DIM, Volume, _embed_coo, chain_volume
+from .lattice import MAX_HILBERT_DIM, Volume, _embed_csr, chain_volume
 from .spin_algebra import STRUCTURE_TOL, Operator, Spin, spin_matrices
 from .symmetry import GeneratorSet, suq2_generators, total_spin
 
@@ -199,14 +199,10 @@ def assemble_hamiltonian(
     total = sp.csr_array((dim, dim), dtype=np.complex128)
     if interaction.site_term is not None:
         for site in volume.sites:
-            total = total + sp.csr_array(
-                _embed_coo(interaction.site_term, [site], volume)
-            )
+            total = total + _embed_csr(interaction.site_term, [site], volume)
     if interaction.bond_term is not None:
         for edge in volume.edges:
-            total = total + sp.csr_array(
-                _embed_coo(interaction.bond_term, list(edge), volume)
-            )
+            total = total + _embed_csr(interaction.bond_term, list(edge), volume)
     return Operator(total, hermitian=True)
 
 

@@ -210,56 +210,45 @@ def _normalize_support(support, volume: Volume) -> list[Site]:
     return sites
 
 
-def _embed_coo(local_op, support: list[Site], volume: Volume) -> sp.coo_array:
-    """COO embedding of ``local_op`` acting on ``support`` (identity elsewhere).
+def _embed_csr(local_op, support: list[Site], volume: Volume) -> sp.csr_array:
+    """CSR embedding of ``local_op`` acting on ``support`` (identity elsewhere).
 
     Entry values are copied verbatim from the local matrix — the embedding
     itself introduces no floating-point arithmetic, so operators embedded on
-    disjoint supports commute exactly.
+    disjoint supports commute exactly.  Row r holds the local row that r's
+    digits on the support spell, its columns shifted by r's other digits, in
+    increasing column order: the CSR is canonical as built.
     """
-    n = volume.local_dim
-    L = volume.num_sites
-    dim = volume.hilbert_dim
-    k = len(support)
-    local = local_op.toarray() if isinstance(local_op, Operator) else local_op
-    if sp.issparse(local):
-        local = local.toarray()
-    local = np.asarray(local, dtype=np.complex128)
-    if local.ndim != 2 or local.shape[0] != local.shape[1]:
-        raise DomainError(f"local operator must be square, got shape {local.shape}")
+    n, k, dim = volume.local_dim, len(support), volume.hilbert_dim
+    local = Operator(local_op).toarray()  # complex128; DomainError unless square
     if local.shape[0] != n ** k:
         raise DimensionMismatchError(
             f"local operator dim {local.shape[0]} != {n}^{k} for a {k}-site support"
         )
 
-    slots = [volume.rank[s] for s in support]
-    strides = volume.strides()
+    strides = volume.strides()[[volume.rank[s] for s in support]]
+    local_strides = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+    def digits(indices: np.ndarray, radix: np.ndarray) -> np.ndarray:
+        """The base-n digit of each index at each of the given strides."""
+        return (indices[:, None] // radix) % n
 
     rows_l, cols_l = np.nonzero(local)
-    vals = local[rows_l, cols_l]
+    col_off = digits(cols_l, local_strides) @ strides  # local column -> offset in the volume
+    order = np.lexsort((col_off, rows_l))
+    vals, col_off = local[rows_l, cols_l][order], col_off[order]
+    counts = np.bincount(rows_l, minlength=n ** k)
+    first = np.cumsum(counts) - counts
 
-    def offsets(indices: np.ndarray) -> np.ndarray:
-        off = np.zeros(indices.shape, dtype=np.int64)
-        for i, slot in enumerate(slots):
-            digit = (indices // n ** (k - 1 - i)) % n
-            off += digit.astype(np.int64) * strides[slot]
-        return off
-
-    row_off = offsets(rows_l)
-    col_off = offsets(cols_l)
-
-    rest = np.zeros(1, dtype=np.int64)
-    in_support = set(slots)
-    for slot in range(L):
-        if slot in in_support:
-            continue
-        step = np.arange(n, dtype=np.int64) * strides[slot]
-        rest = (rest[:, None] + step[None, :]).ravel()
-
-    rows = (row_off[:, None] + rest[None, :]).ravel()
-    cols = (col_off[:, None] + rest[None, :]).ravel()
-    data = np.repeat(vals, rest.size)
-    return sp.coo_array((data, (rows, cols)), shape=(dim, dim))
+    index = np.arange(dim, dtype=np.int64)
+    on_support = digits(index, strides)
+    local_row = on_support @ local_strides
+    rest = index - on_support @ strides
+    per_row = counts[local_row]
+    indptr = np.concatenate(([0], np.cumsum(per_row)))
+    entry = np.repeat(first[local_row] - indptr[:-1], per_row) + np.arange(indptr[-1])
+    cols = col_off[entry] + np.repeat(rest, per_row)
+    return sp.csr_array((vals[entry], cols, indptr), shape=(dim, dim))
 
 
 def embed(local_op, support, volume: Volume) -> Operator:
@@ -271,7 +260,7 @@ def embed(local_op, support, volume: Volume) -> Operator:
     stored entries.
     """
     sites = _normalize_support(support, volume)
-    return Operator(sp.csr_array(_embed_coo(local_op, sites, volume)))
+    return Operator(_embed_csr(local_op, sites, volume))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ built once to share it (and its last Gibbs state), or pass H to build one per
 call.  Probes and H stay CSR, so products such as X* [H, X] are sparse, and
 an expectation in a density matrix, Tr(A rho) = sum A_jk rho_kj, is one
 gather of rho at the transposed positions of A's stored entries: O(nnz).
+The KMS and entropy checks split into a beta-independent step per probe
+(``kms_terms``, ``eeb_terms``) and a cheap step per beta on its result.
 
 * boundary condition relating a state to its imaginary-time flow:
   omega(A alpha_{i beta}(B)) = omega(B A), evaluated as a residual;
@@ -19,6 +21,7 @@ gather of rho at the transposed positions of A's stored entries: O(nnz).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,6 +141,13 @@ class GibbsState:
         return float(np.exp(self.log_z))
 
 
+def _beta(beta) -> float:
+    beta = float(beta)
+    if not np.isfinite(beta) or beta < 0:
+        raise DomainError(f"beta must be finite and >= 0, got {beta}")
+    return beta
+
+
 def gibbs(h, beta: float) -> GibbsState:
     """Gibbs state at inverse temperature beta >= 0 (dense route).
 
@@ -146,9 +156,7 @@ def gibbs(h, beta: float) -> GibbsState:
     smallest eigenvalue so no beta overflows, then re-symmetrized and
     re-normalized so the state invariants hold to rounding at any beta.
     """
-    beta = float(beta)
-    if not np.isfinite(beta) or beta < 0:
-        raise DomainError(f"beta must be finite and >= 0, got {beta}")
+    beta = _beta(beta)
     es = EigenSystem.of(h)
     if getattr(es.gibbs_memo, "beta", None) == beta:
         return es.gibbs_memo
@@ -171,33 +179,73 @@ def gibbs(h, beta: float) -> GibbsState:
 def expectation(state, a) -> complex:
     """omega(A) for a StateVector, DensityMatrix, or raw vector/matrix state."""
     m = as_matrix(a)
-    if isinstance(state, StateVector):
-        psi = state.amplitudes
-    elif isinstance(state, DensityMatrix):
-        rho = state.matrix
-        if rho.shape[0] != m.shape[0]:
-            raise DimensionMismatchError(
-                f"state dim {rho.shape[0]} vs operator dim {m.shape[0]}"
-            )
-        # Tr(A rho) = sum_jk A_jk rho_kj; for CSR A one O(nnz) gather of rho at
-        # the transposed positions of A's stored entries (duplicates add)
-        if not sp.issparse(m):
-            return complex(np.sum(m * rho.T))
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        return complex(np.dot(m.data, rho[m.indices, rows]))
-    else:
+    if not isinstance(state, (StateVector, DensityMatrix)):
         arr = np.asarray(state, dtype=np.complex128)
-        if arr.ndim == 1:
-            psi = arr
-        elif arr.ndim == 2:
-            return expectation(DensityMatrix(arr, validate=False), a)
-        else:
+        if arr.ndim not in (1, 2):
             raise DomainError(f"unsupported state with shape {arr.shape}")
-    if psi.shape[0] != m.shape[0]:
-        raise DimensionMismatchError(
-            f"state dim {psi.shape[0]} vs operator dim {m.shape[0]}"
-        )
-    return complex(np.vdot(psi, m @ psi))
+        state = (StateVector if arr.ndim == 1 else DensityMatrix)(arr, validate=False)
+    if state.dim != m.shape[0]:
+        raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {m.shape[0]}")
+    if isinstance(state, StateVector):
+        return complex(np.vdot(state.amplitudes, m @ state.amplitudes))
+    # Tr(A rho) = sum_jk A_jk rho_kj; for CSR A one O(nnz) gather of rho at
+    # the transposed positions of A's stored entries (duplicates add)
+    if not sp.issparse(m):
+        return complex(np.sum(m * state.matrix.T))
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return complex(np.dot(m.data, state.matrix[m.indices, rows]))
+
+
+def _hamiltonian(h, check: str) -> Operator:
+    """H as an Operator, refused unless Hermitian.  An EigenSystem checked
+    its H when it was built, so that H is not scanned again."""
+    if isinstance(h, EigenSystem):
+        return Operator(h.h, hermitian=True)
+    h_op = Operator(h)
+    if not h_op.is_hermitian():
+        raise DomainError(f"{check} requires a Hermitian Hamiltonian")
+    return h_op
+
+
+class KmsTerms(NamedTuple):
+    """The beta-independent terms of :func:`kms_residual` for one pair (A, B):
+    the transition vector t_k = sum_j A'_jk B'_kj (A' = V^H A V) over the
+    eigen-index k in block order, the eigenvalues in that order, and BA."""
+
+    es: EigenSystem
+    flow: np.ndarray
+    energies: np.ndarray
+    ba: Operator
+
+    def residual(self, beta: float, *, range_limit: float = RANGE_LIMIT) -> float:
+        """The residual at ``beta``: a dot product for the flow side and an
+        O(nnz) gather in the Gibbs density matrix for the comparison side."""
+        beta = _beta(beta)
+        self.es.require_range(beta, range_limit)
+        # flow side: the weight attaches to the index the flow transports B
+        # to, which is what distinguishes it from omega(A B)
+        p = np.exp(-beta * (self.energies - self.es.eigenvalues[0]))
+        lhs = complex(self.flow @ p) / float(np.sum(p))
+        # comparison side: omega(B A) in the Gibbs density matrix
+        rhs = expectation(gibbs(self.es, beta).rho, self.ba)
+        return float(abs(lhs - rhs))
+
+
+def kms_terms(h, a, b) -> KmsTerms:
+    """The KMS terms of (A, B): one ``EigenSystem.pairs`` pass over A and one
+    over B; block pair (b, c) of A meets (c, b) of B, summed over j into t_k."""
+    es = EigenSystem.of(h)
+    a_op, b_op = Operator(a), Operator(b)
+    for name, op in (("A", a_op), ("B", b_op)):
+        if op.dim != es.dim:
+            raise DimensionMismatchError(f"{name} dim {op.dim} vs Hamiltonian dim {es.dim}")
+    at = {(b, c): x for b, c, x in es.pairs(a_op)}
+    flow = [np.zeros(w.size, np.complex128) for _, w, _ in es.blocks]
+    for c, b, xb in es.pairs(b_op):
+        if (b, c) in at:
+            flow[c] += np.asarray((at[b, c] * xb.T).sum(axis=0)).ravel()
+    energies = np.concatenate([w for _, w, _ in es.blocks])
+    return KmsTerms(es, np.concatenate(flow), energies, b_op @ a_op)
 
 
 def kms_residual(h, beta: float, a, b, *, range_limit: float = RANGE_LIMIT) -> float:
@@ -212,83 +260,65 @@ def kms_residual(h, beta: float, a, b, *, range_limit: float = RANGE_LIMIT) -> f
     as scalars, so nothing of size exp(+beta * spread) is ever materialized
     and the residual stays at rounding level for any admissible beta.  The
     comparison side goes through the independent density-matrix expectation.
+    This is ``kms_terms(h, a, b).residual(beta)``: terms built once serve
+    every beta.
     """
-    beta = float(beta)
-    if not np.isfinite(beta) or beta < 0:
-        raise DomainError(f"beta must be finite and >= 0, got {beta}")
-    es = EigenSystem.of(h)
-    a_op = a if isinstance(a, Operator) else Operator(as_matrix(a))
-    b_op = b if isinstance(b, Operator) else Operator(as_matrix(b))
-    for name, op in (("A", a_op), ("B", b_op)):
-        if op.dim != es.dim:
-            raise DimensionMismatchError(
-                f"{name} dim {op.dim} vs Hamiltonian dim {es.dim}"
-            )
-    es.require_range(beta, range_limit)
-    # flow side: omega(A alpha_{i beta}(B)) term-by-term in the eigenbasis;
-    # the weight attaches to the index the flow transports it to, which is
-    # what distinguishes it from omega(A B); block pair (b, c) of A meets (c, b) of B
-    w0 = es.eigenvalues[0]
-    at = {(b, c): x for b, c, x in es.pairs(a_op)}
-    weights = [np.exp(-beta * (w - w0)) for _, w, _ in es.blocks]
-    lhs = sum(complex(((at[b, c] * xb.T) @ weights[c]).sum())
-              for c, b, xb in es.pairs(b_op) if (b, c) in at) / sum(map(np.sum, weights))
-    # comparison side: omega(B A) in the Gibbs density matrix
-    rhs = expectation(gibbs(es, beta).rho, b_op @ a_op)
-    return float(abs(lhs - rhs))
+    return kms_terms(h, a, b).residual(beta, range_limit=range_limit)
 
 
-def eeb_deficit(
-    h,
-    beta: float,
-    x,
-    state,
-    *,
-    weight_floor: float = 1e-14,
-    allow_degenerate: bool = False,
-) -> float:
+class EebTerms(NamedTuple):
+    """The beta-independent terms of :func:`eeb_deficit` for one X: the
+    products X*X, X X* and X*[H, X]."""
+
+    xdx: Operator
+    xxd: Operator
+    xdhx: Operator
+
+    def deficit(self, beta: float, state, *, weight_floor: float = 1e-14,
+                allow_degenerate: bool = False) -> float:
+        """The deficit at ``beta`` in ``state``, as :func:`eeb_deficit`
+        defines it: three expectations, O(nnz) each in a density matrix."""
+        beta = _beta(beta)
+        if not isinstance(state, (StateVector, DensityMatrix)):
+            state = np.asarray(state)
+            state = DensityMatrix(state) if state.ndim == 2 else StateVector(state)
+        w1 = float(expectation(state, self.xdx).real)
+        w2 = float(expectation(state, self.xxd).real)
+        if w2 < weight_floor <= w1:
+            raise DegenerateInputError(
+                f"omega(X X*) = {w2:.3e} below floor {weight_floor}; bound diverges")
+        if w1 < weight_floor and not allow_degenerate:
+            raise DegenerateInputError(
+                f"omega(X*X) = {w1:.3e} below floor {weight_floor}; "
+                "pass allow_degenerate=True for the 0*log(0) = 0 convention")
+        rhs = 0.0 if w1 < weight_floor else w1 * float(np.log(w1 / w2))
+        return beta * float(expectation(state, self.xdhx).real) - rhs
+
+
+def eeb_terms(h, x) -> EebTerms:
+    """The entropy-balance terms of X; ``h`` is a Hamiltonian or its EigenSystem."""
+    x_op, h_op = Operator(x), _hamiltonian(h, "entropy bound")
+    xd = x_op.adjoint()
+    return EebTerms(xd @ x_op, x_op @ xd, xd @ commutator(h_op, x_op))
+
+
+def eeb_deficit(h, beta: float, x, state, *, weight_floor: float = 1e-14,
+                allow_degenerate: bool = False) -> float:
     """beta * omega(X*[H,X]) - omega(X*X) log(omega(X*X)/omega(X X*)).
 
     Nonnegative when ``state`` is the Gibbs state of ``h`` at ``beta``; a
     negative deficit witnesses a non-equilibrium state.  When omega(X*X)
     falls below ``weight_floor`` the right side is taken as 0 only if
     ``allow_degenerate`` is set (the 0*log(0) convention); otherwise the
-    input is rejected, as it is when omega(X X*) degenerates.
+    input is rejected, as it is when omega(X X*) degenerates.  This is
+    ``eeb_terms(h, x).deficit(beta, state)``: terms built once serve every beta.
     """
-    beta = float(beta)
-    if not np.isfinite(beta) or beta < 0:
-        raise DomainError(f"beta must be finite and >= 0, got {beta}")
-    if not isinstance(state, (StateVector, DensityMatrix)):
-        state = DensityMatrix(np.asarray(state)) if np.asarray(state).ndim == 2 else StateVector(state)
-    x_op = x if isinstance(x, Operator) else Operator(as_matrix(x))
-    h_op = h if isinstance(h, Operator) else Operator(as_matrix(h))
-    if not h_op.is_hermitian():
-        raise DomainError("entropy bound requires a Hermitian Hamiltonian")
-    xd = x_op.adjoint()
-    w1 = float(expectation(state, xd @ x_op).real)
-    w2 = float(expectation(state, x_op @ xd).real)
-    if w2 < weight_floor and w1 >= weight_floor:
-        raise DegenerateInputError(
-            f"omega(X X*) = {w2:.3e} below floor {weight_floor}; bound diverges"
-        )
-    if w1 < weight_floor:
-        if not allow_degenerate:
-            raise DegenerateInputError(
-                f"omega(X*X) = {w1:.3e} below floor {weight_floor}; "
-                "pass allow_degenerate=True for the 0*log(0) = 0 convention"
-            )
-        rhs = 0.0
-    else:
-        rhs = w1 * float(np.log(w1 / w2))
-    lhs = beta * float(expectation(state, xd @ commutator(h_op, x_op)).real)
-    return lhs - rhs
+    return eeb_terms(h, x).deficit(beta, state, weight_floor=weight_floor,
+                                   allow_degenerate=allow_degenerate)
 
 
 def stability_value(h, state, a) -> float:
-    """omega(A* [H, A]), real part — nonnegative for any ground state of H."""
-    a_op = a if isinstance(a, Operator) else Operator(as_matrix(a))
-    h_op = h if isinstance(h, Operator) else Operator(as_matrix(h))
-    if not h_op.is_hermitian():
-        raise DomainError("stability check requires a Hermitian Hamiltonian")
-    probe = a_op.adjoint() @ commutator(h_op, a_op)
-    return float(expectation(state, probe).real)
+    """omega(A* [H, A]), real part — nonnegative for any ground state of H.
+    ``h`` is a Hamiltonian or its EigenSystem."""
+    a_op, h_op = Operator(a), _hamiltonian(h, "stability check")
+    return float(expectation(state, a_op.adjoint() @ commutator(h_op, a_op)).real)

@@ -21,7 +21,10 @@ from spinmodels import (
     Operator,
     build_model_hamiltonian,
     chain_volume,
+    eeb_deficit,
+    eeb_terms,
     embed,
+    expectation,
     gibbs,
     heisenberg,
     kms_residual,
@@ -134,6 +137,21 @@ def test_gibbs_state_and_kms_match_full_eigh(case):
         # the flow side against the same sum over the full eigenbasis
         for a, b in pairs:
             assert kms_residual(es, beta, a, b) < 1e-12
+
+
+def test_prepared_eeb_terms_give_the_per_call_deficits(case):
+    # terms prepared once from the EigenSystem serve every beta; eeb_deficit
+    # rebuilds them from the raw H at each call
+    h, vol = case
+    es = EigenSystem(h)
+    probes = [a for a, _ in random_probe_pairs(vol, 5, 6)] + list(_observables(vol).values())
+    terms = [eeb_terms(es, x) for x in probes]
+    for beta in (0.0, 0.5, 2.0):
+        state = gibbs(es, beta).rho
+        for x, t in zip(probes, terms):
+            want = eeb_deficit(h, beta, x, state, allow_degenerate=True)
+            scale = max(1.0, abs(expectation(state, t.xdx)))
+            assert abs(t.deficit(beta, state, allow_degenerate=True) - want) <= 1e-13 * scale
 
 
 def test_gibbs_state_is_built_once_per_beta(dm_chain):

@@ -17,6 +17,7 @@ from spinmodels import (
     invariance_residual,
     lr_scan,
     spin_algebra,
+    spectra,
     spin_matrices,
     states,
     xxz_suq2,
@@ -363,6 +364,27 @@ def test_verify_builds_one_gibbs_state_per_beta(tmp_path, monkeypatch):
     payload = json.loads(run_spec(parse_spec_dict(doc), tmp_path).read_text())["payload"]
     assert payload["all_ok"] is True
     assert built == betas
+
+
+@pytest.mark.parametrize("betas", [[0.5, 1.0], [0.25, 0.5, 1.0]])
+def test_verify_transforms_each_kms_probe_once(tmp_path, monkeypatch, betas):
+    # the KMS terms are prepared before the beta loop: one EigenSystem.pairs
+    # pass per drawn probe operator, whatever the number of betas
+    calls = []
+    original = spectra.EigenSystem.pairs
+
+    def counting(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(spectra.EigenSystem, "pairs", counting)
+    doc = _spec("verify", {"checks": ["kms", "eeb", "stability"], "betas": betas,
+                           "num_probes": 5},
+                model={"name": "xxz_suq2", "params": {"q": 0.5}},
+                volume={"dims": [5], "boundary": "open"}, seed=3)
+    payload = json.loads(run_spec(parse_spec_dict(doc), tmp_path).read_text())["payload"]
+    assert payload["all_ok"] is True
+    assert len(calls) == 2 * 5
 
 
 @pytest.mark.parametrize("start", ["x", None, True], ids=["string", "null", "true"])

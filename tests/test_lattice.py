@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinmodels import (
     DimensionMismatchError,
@@ -122,6 +123,29 @@ def test_embed_two_site_nonadjacent():
         col = e0 * 4 + e1 * 2 + e2
         want[row, col] = m[d0 * 2 + d2, e0 * 2 + e2]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("local_dim, support", [
+    (2, [(1,)]), (2, [(0,), (1,)]), (2, [(3,), (1,)]),
+    (3, [(2,)]), (3, [(1,), (2,)]), (3, [(2,), (0,)]),
+], ids=["s1/2-site", "s1/2-bond", "s1/2-reversed", "s1-site", "s1-bond", "s1-reversed"])
+def test_embed_is_the_canonical_csr_of_its_matrix_elements(local_dim, support):
+    # the CSR is built directly, not converted: it must hold exactly the
+    # arrays scipy's canonical form of the matrix-element oracle holds
+    n, k = local_dim, len(support)
+    vol = chain_volume(4, local_dim=n)
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((n**k, n**k)) + 1j * rng.standard_normal((n**k, n**k))
+    want = np.zeros((vol.hilbert_dim,) * 2, dtype=complex)
+    slots = [vol.rank[s] for s in support]
+    for row, col in itertools.product(range(vol.hilbert_dim), repeat=2):
+        dr, dc = basis_digits(vol, row), basis_digits(vol, col)
+        if all(dr[x] == dc[x] for x in range(vol.num_sites) if x not in slots):
+            local = [sum(d[x] * n ** (k - 1 - i) for i, x in enumerate(slots)) for d in (dr, dc)]
+            want[row, col] = m[local[0], local[1]]
+    got, want = embed(m, support, vol).data, sp.csr_array(want)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_embed_bare_site_support():

@@ -23,11 +23,15 @@ from spinmodels import (
     assemble_hamiltonian,
     chain_volume,
     eeb_deficit,
+    eeb_terms,
     expectation,
     full_spectrum,
     gibbs,
     heisenberg,
     kms_residual,
+    kms_terms,
+    random_probe_pairs,
+    spin_algebra,
     spin_matrices,
     stability_value,
 )
@@ -283,3 +287,32 @@ def test_stability_requires_hermitian_hamiltonian():
     with pytest.raises(DomainError):
         stability_value(np.array([[0.0, 1.0], [0.0, 0.0]]),
                         DensityMatrix.maximally_mixed(2), np.eye(2))
+
+
+def test_eeb_requires_hermitian_hamiltonian():
+    with pytest.raises(DomainError):
+        eeb_deficit(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5, np.eye(2),
+                    DensityMatrix.maximally_mixed(2))
+
+
+def test_eeb_and_stability_take_hermiticity_from_an_eigen_system(monkeypatch):
+    # the EigenSystem checked H when it was built; the checks do not rescan it
+    h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(4, boundary="periodic")).tocsr()
+    es = EigenSystem(h)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    state = gibbs(es, 0.8).rho
+    want = (eeb_deficit(h, 0.8, x, state), stability_value(h, state, x))
+    monkeypatch.setattr(spin_algebra, "is_hermitian",
+                        lambda *args: pytest.fail("rescanned H for Hermiticity"))
+    assert (eeb_deficit(es, 0.8, x, state), stability_value(es, state, x)) == want
+
+
+def test_prepared_terms_are_vectors_and_sparse_products():
+    # per probe, O(dim + nnz) is kept: never a dim x dim array
+    vol = chain_volume(6, boundary="open")
+    es = EigenSystem(assemble_hamiltonian(heisenberg(j=-1.0), vol))
+    (a, b), = random_probe_pairs(vol, 2, 1)
+    kms = kms_terms(es, a, b)
+    assert kms.flow.shape == kms.energies.shape == (es.dim,) and kms.ba.is_sparse
+    assert all(op.is_sparse for op in eeb_terms(es, a))
