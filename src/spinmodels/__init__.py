@@ -1,7 +1,7 @@
 """Exact diagonalization and verification for finite quantum spin systems.
 
 Modules:
-    spin_algebra  — spin-S matrices, Operator container, norms, commutators,
+    spin_algebra  — spin-S matrices, ndarray / CSR operators, norms, commutators,
                     the block-by-block Hermitian eigensolver
     lattice       — finite volumes, CSR embeddings, permutation unitaries
     interactions  — built-in models, Hamiltonian assembly, model registry
@@ -30,7 +30,6 @@ from .spin_algebra import (
     DENSE_CUTOFF,
     SOLVER_TOL,
     STRUCTURE_TOL,
-    Operator,
     Spin,
     SpinOperators,
     adjoint,

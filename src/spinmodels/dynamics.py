@@ -28,7 +28,6 @@ from .lattice import Volume, embed
 from .spectra import RANGE_LIMIT, EigenSystem
 from .spin_algebra import (
     DENSE_CUTOFF,
-    Operator,
     as_matrix,
     hermitian_eig,
     is_hermitian,
@@ -39,12 +38,13 @@ from .spin_algebra import (
 Propagator = EigenSystem
 
 
-def evolve(h, a, t: float) -> Operator:
-    """One-shot Heisenberg evolution; ``h`` is a Hamiltonian or its EigenSystem."""
+def evolve(h, a, t: float):
+    """One-shot Heisenberg evolution, stored as ``a`` is; ``h`` is a
+    Hamiltonian or its EigenSystem."""
     return EigenSystem.of(h).evolve(a, t)
 
 
-def evolve_imaginary(h, a, beta: float, *, range_limit: float = RANGE_LIMIT) -> Operator:
+def evolve_imaginary(h, a, beta: float, *, range_limit: float = RANGE_LIMIT):
     """One-shot imaginary-time conjugation exp(-beta H) A exp(beta H).
 
     ``range_limit`` applies when ``h`` is a Hamiltonian; an EigenSystem
@@ -154,10 +154,10 @@ def lr_scan(
     b_norm = operator_norm(b_ops[0]) if b_ops else 0.0
 
     # i[alpha_t(A), B] is Hermitian: its norm is its largest |eigenvalue|
-    ib_ops = [1j * b.data for b in b_ops]
+    ib_ops = [1j * b for b in b_ops]
     norms = np.zeros((times.size, distances.size))
     for i, t in enumerate(times):
-        at = prop.evolve(a0, float(t)).data
+        at = prop.evolve(a0, float(t))
         for j, ib in enumerate(ib_ops):
             c = at @ ib - ib @ at
             norms[i, j] = np.max(np.abs(hermitian_eig(c, vectors=False).eigenvalues))

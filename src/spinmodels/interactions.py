@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, DomainError, ResourceCapError
 from .lattice import MAX_HILBERT_DIM, Volume, _embed_csr, chain_volume
-from .spin_algebra import STRUCTURE_TOL, Operator, Spin, spin_matrices
+from .spin_algebra import STRUCTURE_TOL, Spin, spin_matrices
 from .symmetry import GeneratorSet, suq2_generators, total_spin
 
 
@@ -163,7 +163,7 @@ def xxz_suq2(q: float) -> Interaction:
     return Interaction(local_dim=2, bond_term=bond, name="xxz_suq2")
 
 
-def xxz_suq2_chain(length: int, q: float) -> Operator:
+def xxz_suq2_chain(length: int, q: float) -> sp.csr_array:
     """The ``xxz_suq2(q)`` bond term summed over an open chain of ``length``."""
     if not isinstance(length, (int, np.integer)) or length < 2:
         raise DomainError(f"chain length must be an integer >= 2, got {length!r}")
@@ -180,7 +180,7 @@ def assemble_hamiltonian(
     volume: Volume,
     *,
     max_hilbert_dim: int = MAX_HILBERT_DIM,
-) -> Operator:
+) -> sp.csr_array:
     """Sum the interaction's site term over sites and bond term over bonds.
 
     The result is CSR at every size and Hermitian by construction (exactly:
@@ -203,7 +203,7 @@ def assemble_hamiltonian(
     if interaction.bond_term is not None:
         for edge in volume.edges:
             total = total + _embed_csr(interaction.bond_term, list(edge), volume)
-    return Operator(total, hermitian=True)
+    return total
 
 
 def lambda_norm(interaction: Interaction, lam: float, spatial_dim: int = 1) -> float:
@@ -328,7 +328,7 @@ def build_model_hamiltonian(
     volume: Volume,
     *,
     max_hilbert_dim: int = MAX_HILBERT_DIM,
-) -> Operator:
+) -> sp.csr_array:
     """Hamiltonian of a named model on a volume it is defined on."""
     model = _model(name)
     model.check_volume(volume)

@@ -126,7 +126,7 @@ def lowest_eigenpairs(
     """Compute the k smallest eigenvalues (with multiplicity) of Hermitian h.
 
     Args:
-        h: Operator / ndarray / sparse matrix, Hermitian.  Eigenvectors are
+        h: ndarray or sparse matrix, Hermitian.  Eigenvectors are
             float64 when its imaginary part is exactly zero.
         k: number of eigenpairs (1 <= k <= dim).
         block_size: Lanczos block width; use >= the largest multiplicity

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, DomainError, ResourceCapError
-from .spin_algebra import Operator
+from .spin_algebra import as_matrix
 
 #: Hard cap on the total Hilbert-space dimension (sparse storage included).
 MAX_HILBERT_DIM = 65536
@@ -220,7 +220,8 @@ def _embed_csr(local_op, support: list[Site], volume: Volume) -> sp.csr_array:
     increasing column order: the CSR is canonical as built.
     """
     n, k, dim = volume.local_dim, len(support), volume.hilbert_dim
-    local = Operator(local_op).toarray()  # complex128; DomainError unless square
+    local = as_matrix(local_op)  # DomainError unless square
+    local = np.asarray(local.toarray() if sp.issparse(local) else local, np.complex128)
     if local.shape[0] != n ** k:
         raise DimensionMismatchError(
             f"local operator dim {local.shape[0]} != {n}^{k} for a {k}-site support"
@@ -251,7 +252,7 @@ def _embed_csr(local_op, support: list[Site], volume: Volume) -> sp.csr_array:
     return sp.csr_array((vals[entry], cols, indptr), shape=(dim, dim))
 
 
-def embed(local_op, support, volume: Volume) -> Operator:
+def embed(local_op, support, volume: Volume) -> sp.csr_array:
     """Embed a k-site operator into the full volume (identity on other sites).
 
     ``support`` is an ordered list of sites; the first tensor factor of
@@ -260,7 +261,7 @@ def embed(local_op, support, volume: Volume) -> Operator:
     stored entries.
     """
     sites = _normalize_support(support, volume)
-    return Operator(_embed_csr(local_op, sites, volume))
+    return _embed_csr(local_op, sites, volume)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +335,7 @@ class SitePermutation:
         return cls(m)
 
 
-def permutation_unitary(perm, volume: Volume) -> Operator:
+def permutation_unitary(perm, volume: Volume) -> sp.csr_array:
     """The unitary that relabels sites by ``perm``, as a CSR permutation matrix.
 
     Moves the digit at site x to site g(x), so U A U^dagger carries an
@@ -357,4 +358,4 @@ def permutation_unitary(perm, volume: Volume) -> Operator:
     digits = (idx[:, None] // strides[None, :]) % n
     rows = digits @ target
     data = np.ones(dim, dtype=np.complex128)
-    return Operator(sp.csr_array(sp.coo_array((data, (rows, idx)), shape=(dim, dim))))
+    return sp.csr_array(sp.coo_array((data, (rows, idx)), shape=(dim, dim)))

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DomainError
 from .lattice import Volume, embed
-from .spin_algebra import Operator, operator_norm
+from .spin_algebra import operator_norm
 
 
 def random_local_operator(
@@ -16,7 +17,7 @@ def random_local_operator(
     support=None,
     num_sites: int = 1,
     hermitian: bool = False,
-) -> Operator:
+) -> sp.csr_array:
     """A random operator supported on one site or one bond, normalized to
     unit operator norm.
 
@@ -49,7 +50,7 @@ def random_local_operator(
 
 def random_probe_pairs(
     volume: Volume, seed: int, count: int, *, hermitian: bool = False
-) -> list[tuple[Operator, Operator]]:
+) -> list[tuple[sp.csr_array, sp.csr_array]]:
     """``count`` seeded (A, B) pairs, alternating site- and bond-supported."""
     rng = np.random.default_rng(seed)
     pairs = []

@@ -36,7 +36,7 @@ from .lattice import Volume, embed
 from .spin_algebra import (
     DENSE_CUTOFF,
     SOLVER_TOL,
-    Operator,
+    adjoint,
     as_matrix,
     eigenvector_columns,
     exact_real,
@@ -103,8 +103,8 @@ class EigenSystem:
     """
 
     def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF, range_limit: float = RANGE_LIMIT):
-        _require_hermitian(h)
         m = as_matrix(h)
+        _require_hermitian(m)
         dim = m.shape[0]
         if dim > cap_dense:
             raise ResourceCapError(
@@ -221,20 +221,20 @@ class EigenSystem:
         """V^dagger A V in the order of ``eigenvalues``, stored as A is."""
         return self._conjugate(a)
 
-    def evolve(self, a, t: float) -> Operator:
-        """alpha_t(A) = exp(itH) A exp(-itH).  t = 0 returns A unchanged."""
+    def evolve(self, a, t: float):
+        """alpha_t(A) = exp(itH) A exp(-itH), stored as A is.  t = 0 returns
+        A unchanged."""
         return self._flow(a, 1j * float(t))
 
-    def evolve_imaginary(self, a, beta: float) -> Operator:
-        """exp(-beta H) A exp(beta H).  Refused when beta * spread > range_limit."""
+    def evolve_imaginary(self, a, beta: float):
+        """exp(-beta H) A exp(beta H), stored as A is.  Refused when
+        beta * spread > range_limit."""
         self.require_range(float(beta), self.range_limit)
         return self._flow(a, -float(beta))
 
-    def _flow(self, a, z) -> Operator:
+    def _flow(self, a, z):
         """exp(zH) A exp(-zH); z = 0 returns A unchanged."""
-        if z == 0:
-            return a if isinstance(a, Operator) else Operator(a)
-        return Operator(self._conjugate(a, z))
+        return as_matrix(a) if z == 0 else self._conjugate(a, z)
 
     def evolve_vector(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Schroedinger evolution exp(-itH) psi, block by block."""
@@ -428,7 +428,7 @@ def two_point(state, x, y, volume: Volume, kind: str = "sdots") -> float:
     for s in (x, y):
         if s not in volume.rank:
             raise DomainError(f"site {s} is not in the volume")
-    ops = spin_matrices(_spin_for_local_dim(volume.local_dim))
+    ops = spin_matrices((volume.local_dim - 1) / 2.0)
     if x == y:
         if kind == "sdots":
             local = ops.casimir()
@@ -448,13 +448,6 @@ def two_point(state, x, y, volume: Volume, kind: str = "sdots") -> float:
     return float(expectation(state, op).real)
 
 
-def _spin_for_local_dim(n: int):
-    """Spin value whose multiplet has dimension n."""
-    from .spin_algebra import Spin
-
-    return Spin(int(n) - 1)
-
-
 def structure_factor(state, volume: Volume, momentum) -> float:
     """S(k) = <M(k)^dagger M(k)> / |volume|^2 with M(k) = sum_x e^{-i k.x} S3_x.
 
@@ -469,11 +462,11 @@ def structure_factor(state, volume: Volume, momentum) -> float:
         raise DomainError(
             f"momentum needs {volume.dimension} components, got {momentum.shape}"
         )
-    ops = spin_matrices(_spin_for_local_dim(volume.local_dim))
+    ops = spin_matrices((volume.local_dim - 1) / 2.0)
     total = None
     for site in volume.sites:
         phase = np.exp(-1j * float(np.dot(momentum, site)))
         part = embed(phase * ops.s3, [site], volume)
         total = part if total is None else total + part
-    num = expectation(state, total.adjoint() @ total).real
+    num = expectation(state, adjoint(total) @ total).real
     return float(num) / volume.num_sites**2

@@ -9,9 +9,12 @@ superdiagonal, ordered c_S, c_{S-1}, ..., c_{-S+1} from the top-left, and
 S- = (S+)^dagger.  S1 = (S+ + S-)/2, S2 = (S+ - S-)/(2i).  For S = 1/2 the
 doubled matrices 2*Si are the Pauli matrices.
 
-Everything is complex double precision.  Structure checks (Hermiticity,
-commutation relations) use STRUCTURE_TOL; iterative-solver residuals are
-judged against SOLVER_TOL relative to the operator norm.
+Operators are plain matrices: ndarrays, or CSR arrays for everything built
+from local terms.  The builders (spin matrices, embeddings, Hamiltonians,
+generators, probes) produce complex128; every other routine keeps the dtype
+it is given.  Structure checks (Hermiticity, commutation relations) use
+STRUCTURE_TOL; iterative-solver residuals are judged against SOLVER_TOL
+relative to the operator norm.
 
 Every dense Hermitian eigensolve goes through :func:`hermitian_eig`, which
 splits the matrix into the invariant blocks of its exact nonzero pattern and
@@ -22,7 +25,6 @@ solves each block in float64 when its imaginary part is exactly zero
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -156,176 +158,36 @@ def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Operator container
+# Matrices: ndarray or CSR
 # ---------------------------------------------------------------------------
 
 
-def _unwrap(a):
-    """Raw matrix (ndarray or scipy sparse) behind ``a``."""
-    if isinstance(a, Operator):
-        return a.data
-    return a
-
-
 def as_matrix(a):
-    """Coerce an Operator / ndarray / sparse matrix to ndarray or CSR."""
-    m = _unwrap(a)
-    if sp.issparse(m):
-        return sp.csr_array(m)
-    m = np.asarray(m)
+    """``a`` as an ndarray or, when sparse, a CSR array; DomainError unless
+    it is a square matrix.  The dtype is kept."""
+    m = sp.csr_array(a) if sp.issparse(a) else np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-class Operator:
-    """A complex square matrix on a finite Hilbert space, dense or sparse.
-
-    Sparse operators are CSR: everything built from local terms (embeddings,
-    Hamiltonians, generators, probes) at every size, and their evolutions.
-    Dense ones are plain complex128 ndarrays.  Instances are treated as
-    immutable once constructed.  A cached Hermiticity flag can be supplied by
-    builders that know it.
-    """
-
-    __slots__ = ("_data", "_hermitian")
-
-    def __init__(self, data, hermitian: bool | None = None):
-        if isinstance(data, Operator):
-            self._data = data._data
-            self._hermitian = data._hermitian if hermitian is None else hermitian
-            return
-        if sp.issparse(data):
-            data = sp.csr_array(data).astype(np.complex128, copy=False)
-        else:
-            data = np.asarray(data, dtype=np.complex128)
-            if data.ndim != 2:
-                raise DomainError("operator data must be a 2-d matrix")
-        if data.shape[0] != data.shape[1]:
-            raise DomainError(f"operator must be square, got shape {data.shape}")
-        self._data = data
-        self._hermitian = hermitian
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def data(self):
-        """The raw ndarray or CSR matrix (read-only by convention)."""
-        return self._data
-
-    @property
-    def dim(self) -> int:
-        return self._data.shape[0]
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self._data)
-
-    def toarray(self) -> np.ndarray:
-        """Dense ndarray view/copy of the operator."""
-        if self.is_sparse:
-            return self._data.toarray()
-        return self._data
-
-    def tocsr(self):
-        """CSR form of the operator."""
-        if self.is_sparse:
-            return self._data
-        return sp.csr_array(self._data)
-
-    def adjoint(self) -> "Operator":
-        return Operator(self._data.conj().T, hermitian=self._hermitian)
-
-    def trace(self) -> complex:
-        return complex(self._data.trace())
-
-    def is_hermitian(self, tol: float = STRUCTURE_TOL) -> bool:
-        """Whether ||A - A^dagger||_max <= tol (cached after first call)."""
-        if self._hermitian is None:
-            self._hermitian = is_hermitian(self._data, tol)
-        return self._hermitian
-
-    def norm(self) -> float:
-        """Operator (spectral) norm."""
-        return operator_norm(self)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        a, b = _binary_operands(self, other)
-        return Operator(a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = _binary_operands(self, other)
-        return Operator(a - b)
-
-    def __rsub__(self, other):
-        a, b = _binary_operands(self, other)
-        return Operator(b - a)
-
-    def __neg__(self):
-        return Operator(-self._data, hermitian=self._hermitian)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, numbers.Number):
-            return NotImplemented
-        return Operator(self._data * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, numbers.Number):
-            return NotImplemented
-        return Operator(self._data / complex(scalar))
-
-    def __matmul__(self, other):
-        b = _unwrap(other)
-        if isinstance(b, np.ndarray) and b.ndim == 1:
-            if b.shape[0] != self.dim:
-                raise DimensionMismatchError(
-                    f"operator dim {self.dim} vs vector dim {b.shape[0]}"
-                )
-            return self._data @ b
-        a, b = _binary_operands(self, other)
-        return Operator(a @ b)
-
-    def __rmatmul__(self, other):
-        a, b = _binary_operands(self, other)
-        return Operator(b @ a)
-
-    def __repr__(self):
-        kind = "sparse" if self.is_sparse else "dense"
-        return f"Operator(dim={self.dim}, {kind})"
-
-
-def _binary_operands(a, b):
-    """Unwrap two operands of equal shape.  A mixed (ndarray, sparse) pair is
-    kept as it is: scipy's products and sums of such a pair are ndarrays
+def _operands(a, b):
+    """``a`` and ``b`` as matrices of equal shape.  A mixed (ndarray, CSR)
+    pair is kept as it is: scipy's products of such a pair are ndarrays
     computed at the cost of the sparse side."""
-    ma, mb = _unwrap(a), _unwrap(b)
-    if not (sp.issparse(ma) or isinstance(ma, np.ndarray)):
-        ma = np.asarray(ma, dtype=np.complex128)
-    if not (sp.issparse(mb) or isinstance(mb, np.ndarray)):
-        mb = np.asarray(mb, dtype=np.complex128)
-    if mb.ndim != 2 or ma.shape != mb.shape:
+    ma, mb = as_matrix(a), as_matrix(b)
+    if ma.shape != mb.shape:
         raise DimensionMismatchError(f"operand shapes differ: {ma.shape} vs {mb.shape}")
     return ma, mb
 
 
 def adjoint(a):
-    """Conjugate transpose, preserving the container type of ``a``."""
-    if isinstance(a, Operator):
-        return a.adjoint()
-    m = as_matrix(a)
-    return m.conj().T
+    """Conjugate transpose, as an ndarray or CSR like ``a``."""
+    return as_matrix(as_matrix(a).conj().T)
 
 
 def is_hermitian(a, tol: float = STRUCTURE_TOL) -> bool:
     """Whether ||A - A^dagger||_max <= tol."""
-    if isinstance(a, Operator):
-        return a.is_hermitian(tol)
     m = as_matrix(a)
     return m.shape[0] == 0 or float(abs(m - m.conj().T).max()) <= tol
 
@@ -339,21 +201,15 @@ def exact_real(m):
 
 
 def commutator(a, b):
-    """[A, B] = AB - BA.
-
-    Returns an Operator if either input is one, otherwise the raw matrix type
-    of the inputs.
-    """
-    ma, mb = _binary_operands(a, b)
-    c = ma @ mb - mb @ ma
-    return Operator(c) if isinstance(a, Operator) or isinstance(b, Operator) else c
+    """[A, B] = AB - BA, as the ndarray or CSR matrix that the product gives."""
+    ma, mb = _operands(a, b)
+    return ma @ mb - mb @ ma
 
 
 def anticommutator(a, b):
-    """{A, B} = AB + BA, same container conventions as commutator."""
-    ma, mb = _binary_operands(a, b)
-    c = ma @ mb + mb @ ma
-    return Operator(c) if isinstance(a, Operator) or isinstance(b, Operator) else c
+    """{A, B} = AB + BA, stored as :func:`commutator` stores [A, B]."""
+    ma, mb = _operands(a, b)
+    return ma @ mb + mb @ ma
 
 
 class HermitianEig(NamedTuple):
@@ -442,15 +298,9 @@ def operator_norm(a) -> float:
     DENSE_CUTOFF use a deterministic Lanczos/ARPACK estimate of the dominant
     singular value instead.
     """
-    m = _unwrap(a)
-    if sp.issparse(m):
-        m = sp.csr_array(m)
-        if m.shape[0] > DENSE_CUTOFF:
-            return _sparse_norm(m)
-    else:
-        m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    m = as_matrix(a)
+    if sp.issparse(m) and m.shape[0] > DENSE_CUTOFF:
+        return _sparse_norm(m)
     if m.shape[0] == 0:
         return 0.0
     # i*A is Hermitian when A is anti-Hermitian; same norm, cheaper than SVD

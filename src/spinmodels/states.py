@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from .errors import DegenerateInputError, DimensionMismatchError, DomainError
 from .spectra import RANGE_LIMIT, EigenSystem
-from .spin_algebra import Operator, as_matrix, commutator, hermitian_eig
+from .spin_algebra import adjoint, as_matrix, commutator, hermitian_eig, is_hermitian
 
 #: Validation tolerance for state invariants (Hermiticity, trace, positivity).
 STATE_TOL = 1e-12
@@ -66,8 +66,6 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, validate: bool = True, tol: float = STATE_TOL):
-        if isinstance(matrix, Operator):
-            matrix = matrix.toarray()
         if sp.issparse(matrix):
             matrix = matrix.toarray()
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -196,15 +194,16 @@ def expectation(state, a) -> complex:
     return complex(np.dot(m.data, state.matrix[m.indices, rows]))
 
 
-def _hamiltonian(h, check: str) -> Operator:
-    """H as an Operator, refused unless Hermitian.  An EigenSystem checked
-    its H when it was built, so that H is not scanned again."""
+def _hamiltonian(h, check: str):
+    """H as an ndarray or CSR matrix, refused unless Hermitian.  An
+    EigenSystem checked its H when it was built, so that H is not scanned
+    again."""
     if isinstance(h, EigenSystem):
-        return Operator(h.h, hermitian=True)
-    h_op = Operator(h)
-    if not h_op.is_hermitian():
+        return h.h
+    m = as_matrix(h)
+    if not is_hermitian(m):
         raise DomainError(f"{check} requires a Hermitian Hamiltonian")
-    return h_op
+    return m
 
 
 class KmsTerms(NamedTuple):
@@ -215,7 +214,7 @@ class KmsTerms(NamedTuple):
     es: EigenSystem
     flow: np.ndarray
     energies: np.ndarray
-    ba: Operator
+    ba: np.ndarray | sp.csr_array
 
     def residual(self, beta: float, *, range_limit: float = RANGE_LIMIT) -> float:
         """The residual at ``beta``: a dot product for the flow side and an
@@ -235,17 +234,17 @@ def kms_terms(h, a, b) -> KmsTerms:
     """The KMS terms of (A, B): one ``EigenSystem.pairs`` pass over A and one
     over B; block pair (b, c) of A meets (c, b) of B, summed over j into t_k."""
     es = EigenSystem.of(h)
-    a_op, b_op = Operator(a), Operator(b)
-    for name, op in (("A", a_op), ("B", b_op)):
-        if op.dim != es.dim:
-            raise DimensionMismatchError(f"{name} dim {op.dim} vs Hamiltonian dim {es.dim}")
-    at = {(b, c): x for b, c, x in es.pairs(a_op)}
+    am, bm = as_matrix(a), as_matrix(b)
+    for name, m in (("A", am), ("B", bm)):
+        if m.shape[0] != es.dim:
+            raise DimensionMismatchError(f"{name} dim {m.shape[0]} vs Hamiltonian dim {es.dim}")
+    at = {(b, c): x for b, c, x in es.pairs(am)}
     flow = [np.zeros(w.size, np.complex128) for _, w, _ in es.blocks]
-    for c, b, xb in es.pairs(b_op):
+    for c, b, xb in es.pairs(bm):
         if (b, c) in at:
             flow[c] += np.asarray((at[b, c] * xb.T).sum(axis=0)).ravel()
     energies = np.concatenate([w for _, w, _ in es.blocks])
-    return KmsTerms(es, np.concatenate(flow), energies, b_op @ a_op)
+    return KmsTerms(es, np.concatenate(flow), energies, bm @ am)
 
 
 def kms_residual(h, beta: float, a, b, *, range_limit: float = RANGE_LIMIT) -> float:
@@ -270,9 +269,9 @@ class EebTerms(NamedTuple):
     """The beta-independent terms of :func:`eeb_deficit` for one X: the
     products X*X, X X* and X*[H, X]."""
 
-    xdx: Operator
-    xxd: Operator
-    xdhx: Operator
+    xdx: np.ndarray | sp.csr_array
+    xxd: np.ndarray | sp.csr_array
+    xdhx: np.ndarray | sp.csr_array
 
     def deficit(self, beta: float, state, *, weight_floor: float = 1e-14,
                 allow_degenerate: bool = False) -> float:
@@ -297,9 +296,9 @@ class EebTerms(NamedTuple):
 
 def eeb_terms(h, x) -> EebTerms:
     """The entropy-balance terms of X; ``h`` is a Hamiltonian or its EigenSystem."""
-    x_op, h_op = Operator(x), _hamiltonian(h, "entropy bound")
-    xd = x_op.adjoint()
-    return EebTerms(xd @ x_op, x_op @ xd, xd @ commutator(h_op, x_op))
+    xm, hm = as_matrix(x), _hamiltonian(h, "entropy bound")
+    xd = adjoint(xm)
+    return EebTerms(xd @ xm, xm @ xd, xd @ commutator(hm, xm))
 
 
 def eeb_deficit(h, beta: float, x, state, *, weight_floor: float = 1e-14,
@@ -320,5 +319,5 @@ def eeb_deficit(h, beta: float, x, state, *, weight_floor: float = 1e-14,
 def stability_value(h, state, a) -> float:
     """omega(A* [H, A]), real part — nonnegative for any ground state of H.
     ``h`` is a Hamiltonian or its EigenSystem."""
-    a_op, h_op = Operator(a), _hamiltonian(h, "stability check")
-    return float(expectation(state, a_op.adjoint() @ commutator(h_op, a_op)).real)
+    am, hm = as_matrix(a), _hamiltonian(h, "stability check")
+    return float(expectation(state, adjoint(am) @ commutator(hm, am)).real)

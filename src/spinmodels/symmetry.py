@@ -22,7 +22,6 @@ from .errors import DimensionMismatchError, DomainError
 from .lattice import Volume, embed
 from .spin_algebra import (
     STRUCTURE_TOL,
-    Operator,
     as_matrix,
     commutator,
     operator_norm,
@@ -35,7 +34,7 @@ class GeneratorSet:
     """A labelled family of symmetry generators on one volume."""
 
     name: str
-    generators: dict = field(default_factory=dict)  # label -> Operator
+    generators: dict = field(default_factory=dict)  # label -> CSR matrix
 
     def __iter__(self):
         return iter(self.generators.items())
@@ -77,12 +76,12 @@ def suq2_generators(volume: Volume, q: float) -> GeneratorSet:
     left = np.cumsum(down, axis=1) - down
     right = down.sum(axis=1, keepdims=True) - left - down
     x = np.arange(length)
-    gens = {"K3": Operator(sp.diags_array(length / 2 - down.sum(axis=1), format="csr"))}
+    gens = {"K3": sp.diags_array(length / 2 - down.sum(axis=1) + 0j, format="csr")}
     for name, flip, power in (("K+", 1, 2 * left - x), ("K-", 0, length - 1 - x - 2 * right)):
         s, y = np.nonzero(down == flip)  # S+ raises a down spin, S- lowers an up one
         rows = states[s] + (1 - 2 * flip) * weight[y]
-        gens[name] = Operator(sp.csr_array((q ** power[s, y] + 0j, (rows, states[s])),
-                                           shape=(states.size, states.size)))
+        gens[name] = sp.csr_array((q ** power[s, y] + 0j, (rows, states[s])),
+                                  shape=(states.size, states.size))
     return GeneratorSet(name="suq2", generators=gens)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinmodels import (
     SolverError,
@@ -543,7 +544,7 @@ def test_symmetry_check_under_small_dense_cap(tmp_path, capsys, monkeypatch, mod
     sparse = []
 
     def recording_residual(h, gens):
-        sparse.extend([h.is_sparse] + [g.is_sparse for _, g in gens])
+        sparse.extend([sp.issparse(h)] + [sp.issparse(g) for _, g in gens])
         return invariance_residual(h, gens)
 
     monkeypatch.setattr(cli, "invariance_residual", recording_residual)

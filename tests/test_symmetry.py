@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinmodels import (
     DomainError,
@@ -87,7 +88,7 @@ def test_suq2_generators_match_dense_kron_chains(q):
                 "K-": _deformed_ladder_oracle(length, q, ops.sm, np.linalg.inv(t), left=False),
                 "K3": sum(embed(ops.s3, [(x,)], vol).toarray() for x in range(length))}
         for name, dense in want.items():
-            assert gens[name].is_sparse
+            assert sp.issparse(gens[name])
             assert np.max(np.abs(gens[name].toarray() - dense)) < 1e-14 * np.max(np.abs(dense))
         assert invariance_residual(xxz_suq2_chain(length, q), gset) < 1e-12
 
@@ -105,8 +106,8 @@ def test_suq2_reduces_to_total_spin_at_q_one():
 
 @pytest.mark.parametrize("length", [4, 10], ids=["dim16", "dim1024"])
 def test_local_builders_return_csr(length):
-    # everything built from local terms is CSR at every size, with at most
-    # dim * n^k stored entries per k-site term
+    # everything built from local terms is complex128 CSR at every size, with
+    # at most dim * n^k stored entries per k-site term
     vol = chain_volume(length, boundary="open")
     dim, n = vol.hilbert_dim, vol.local_dim
     ops = spin_matrices(0.5)
@@ -122,8 +123,8 @@ def test_local_builders_return_csr(length):
         assert len(gens.generators) == 3
         built += [(g, length * dim * n) for _, g in gens]
     for op, max_nnz in built:
-        assert op.is_sparse and op.data.format == "csr"
-        assert op.dim == dim and op.data.nnz <= max_nnz
+        assert sp.issparse(op) and op.format == "csr" and op.dtype == np.complex128
+        assert op.shape == (dim, dim) and op.nnz <= max_nnz
 
 
 def test_suq2_domain_checks():
