@@ -72,7 +72,6 @@ from .krylov import KrylovResult, lowest_eigenpairs
 from .spectra import (
     DEGENERACY_TOL,
     EigenSystem,
-    GroundSpace,
     LowLevels,
     full_spectrum,
     ground_space,

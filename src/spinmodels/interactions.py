@@ -76,9 +76,7 @@ def heisenberg(j: float = 1.0, spin=0.5) -> Interaction:
     if j == 0:
         raise DomainError("heisenberg coupling j must be nonzero")
     ops = spin_matrices(Spin.coerce(spin))
-    bond = -float(j) * (
-        np.kron(ops.s1, ops.s1) + np.kron(ops.s2, ops.s2) + np.kron(ops.s3, ops.s3)
-    )
+    bond = -float(j) * ops.exchange()
     return Interaction(local_dim=ops.dim, bond_term=bond, name="heisenberg")
 
 
@@ -105,9 +103,7 @@ def aklt() -> Interaction:
     {0 (x4), 1 (x5)} on a bond.
     """
     ops = spin_matrices(1)
-    v = (
-        np.kron(ops.s1, ops.s1) + np.kron(ops.s2, ops.s2) + np.kron(ops.s3, ops.s3)
-    )
+    v = ops.exchange()
     bond = v / 2.0 + (v @ v) / 6.0 + np.eye(9, dtype=np.complex128) / 3.0
     return Interaction(local_dim=3, bond_term=bond, name="aklt")
 

@@ -42,12 +42,15 @@ from .spin_algebra import SOLVER_TOL, as_matrix, eigenvector_columns, exact_real
 
 @dataclass
 class KrylovResult:
-    """Lowest-k eigenpairs with their residual norms ||H v - theta v||."""
+    """Lowest-k eigenpairs with their residual norms ||H v - theta v||, and
+    ``scale``, the largest |Ritz value| the run saw: a lower bound on ||H||
+    and the scale of its convergence test."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
     iterations: int
+    scale: float
 
 
 def _random_block(rng, dim: int, width: int, dtype) -> np.ndarray:
@@ -132,7 +135,7 @@ def lowest_eigenpairs(
         block_size: Lanczos block width; use >= the largest multiplicity
             expected among the lowest k (see module docstring).
         tol: convergence threshold, relative to the running spectral-scale
-            estimate (max |Ritz value| seen).
+            estimate (max |Ritz value| seen, returned as ``scale``).
         max_basis: retained basis cap before a thick restart, at least
             k + 3 * block_size so that a restart keeps k + 2 * block_size.
         max_steps: total block-expansion budget before giving up.
@@ -217,6 +220,7 @@ def lowest_eigenpairs(
                         eigenvectors=ritz_v,
                         residuals=resid,
                         iterations=steps,
+                        scale=scale_seen,
                     )
         X = _orthonormal_block(cand, V[:, :nbasis], rng)
 

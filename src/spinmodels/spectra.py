@@ -16,9 +16,10 @@ independent routes: the EigenSystem (exact, up to the dense cap) and the
 in-house block Lanczos from :mod:`spinmodels.krylov` for sparse operators.
 It picks the route from the dimension but accepts an explicit ``method`` so
 the two can be cross-checked; ``ground_space`` and ``spectral_gap`` are
-views of its result.  Both routes take float64 by the same rule,
-:func:`~spinmodels.spin_algebra.exact_real`: the dense route per block, the
-krylov route for the whole matrix.
+views of its result.  Each route reads the scale of its degeneracy window
+from its own solve, so no separate norm estimate runs.  Both routes take
+float64 by the same rule, :func:`~spinmodels.spin_algebra.exact_real`: the
+dense route per block, the krylov route for the whole matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DomainError, RangeLimitError, ResourceCapError, SolverError
 from .krylov import lowest_eigenpairs
@@ -154,28 +154,23 @@ class EigenSystem:
     def pairs(self, a):
         """Yield (b, c, V_b^H A_bc V_c) for each pair of ``blocks`` that A couples.
 
-        A's nonzero entries (i, j, d) are taken in block order, through one
-        inverse permutation for CSR A, and grouped by pair.  Each pair costs
-        whichever is fewer multiply-adds: the gather-GEMM V_b[i]^H (d * V_c[j])
-        (nnz d_b d_c), or A_bc, filled from the entries or sliced from a dense
-        A, times V_c and then V_b^H (d_b d_c (d_b + d_c)).  Real blocks meet
+        A's CSR entries (i, j, d), a dense A converted once, are taken in
+        block order through one inverse permutation and grouped by pair.
+        Each pair costs whichever is fewer multiply-adds: the gather-GEMM
+        V_b[i]^H (d * V_c[j]) (nnz d_b d_c), or A_bc, filled from the entries,
+        times V_c and then V_b^H (d_b d_c (d_b + d_c)).  Real blocks meet
         complex factors in float64 (see ``_matmul``).  Block 0's vectors, the
         identity, are applied by indexing; between two of its entries the
         result is A's own entries as a COO array.
         """
-        m = as_matrix(a)
+        m = sp.csr_array(as_matrix(a))
         if m.shape[0] != self.dim:
             raise DomainError(
                 f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
             )
         nb, s, v = len(self.blocks), self._start, self._vectors
-        if sp.issparse(m):
-            row = self._position[np.repeat(np.arange(self.dim), np.diff(m.indptr))]
-            col, data, full = self._position[m.indices], m.data, None
-        else:
-            full = m[np.ix_(self._basis, self._basis)]  # A in block order
-            row, col = np.nonzero(full)
-            data = full[row, col]
+        row = self._position[np.repeat(np.arange(self.dim), np.diff(m.indptr))]
+        col, data = self._position[m.indices], m.data
         key = self._label[row] * nb + self._label[col]
         order = np.argsort(key, kind="stable")
         key, row, col, data = key[order], row[order], col[order], data[order]
@@ -193,11 +188,8 @@ class EigenSystem:
             elif i.size <= sum(shape):
                 yield b, c, _matmul(_adjoint(v[b][i]), d[:, None] * v[c][j])
             else:
-                if full is None:
-                    x = np.zeros(shape, d.dtype)
-                    np.add.at(x, (i, j), d)  # duplicate entries add
-                else:
-                    x = full[s[b]:s[b + 1], s[c]:s[c + 1]]
+                x = np.zeros(shape, d.dtype)
+                np.add.at(x, (i, j), d)  # duplicate entries add
                 yield b, c, _sandwich(_adjoint(v[b]), x, v[c])
 
     def _conjugate(self, a, z=None):
@@ -248,15 +240,6 @@ class EigenSystem:
 
 
 @dataclass
-class GroundSpace:
-    """Lowest eigenvalue, its multiplicity, and an orthonormal basis for it."""
-
-    energy: float
-    degeneracy: int
-    basis: np.ndarray
-
-
-@dataclass
 class LowLevels:
     """The low end of a spectrum, from one solver run.
 
@@ -294,17 +277,6 @@ def full_spectrum(h) -> EigenSystem:
     return EigenSystem.of(h)
 
 
-def _sparse_spectral_scale(m, seed: int = 0x5CA1E) -> float:
-    """Deterministic largest-|eigenvalue| estimate for Hermitian sparse m."""
-    dim = m.shape[0]
-    if dim <= 16:
-        return float(np.max(np.abs(hermitian_eig(m, vectors=False).eigenvalues)))
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    vals = spla.eigsh(m, k=1, which="LM", v0=v0, return_eigenvectors=False)
-    return float(np.max(np.abs(vals)))
-
-
 def _window(e0: float, scale: float, degeneracy_tol: float) -> float:
     return e0 + degeneracy_tol * max(1.0, scale)
 
@@ -328,12 +300,14 @@ def low_levels(
     Eigenvalues within ``degeneracy_tol * max(1, ||H||)`` of the minimum
     count as one multiplet.  ``method`` is "dense", "krylov", or None (dense
     for an EigenSystem or when the dimension is at most ``cap_dense``, block
-    Lanczos otherwise).  The krylov route runs in float64 when H's imaginary
-    part is exactly zero (ARPACK ``dsaupd`` and a real Lanczos basis), in
-    complex128 otherwise.  It makes one ARPACK scale estimate and grows a
-    Lanczos run, block as wide as the number of pairs, from max(num, 6) pairs
-    until a level lies above the ground window; ``iterations`` and
-    ``max_residual`` are those of the last run.
+    Lanczos otherwise).  Each route takes ||H|| from its own solve: the
+    dense route max |eigenvalue|, the krylov route the largest |Ritz value|
+    of its Lanczos run (:attr:`~spinmodels.krylov.KrylovResult.scale`).  The
+    krylov route runs in float64 when H's imaginary part is exactly zero, in
+    complex128 otherwise, and grows a Lanczos run, block as wide as the
+    number of pairs, from max(num, 6) pairs until a level lies above the
+    ground window; ``iterations`` and ``max_residual`` are those of the last
+    run.
     """
     m = h.h if isinstance(h, EigenSystem) else as_matrix(h)
     dim = m.shape[0]
@@ -353,13 +327,12 @@ def low_levels(
     if not isinstance(h, EigenSystem):
         _require_hermitian(h)
     msp = exact_real(m if sp.issparse(m) else sp.csr_array(m))
-    scale = _sparse_spectral_scale(msp)
     k = min(dim, max(num, 6))
     while True:
         # block as wide as k so a k-fold multiplet survives the Krylov slice
         res = lowest_eigenpairs(msp, k, block_size=k, tol=tol, seed=seed)
         w = res.eigenvalues
-        deg = int(np.sum(w <= _window(float(w[0]), scale, degeneracy_tol)))
+        deg = int(np.sum(w <= _window(float(w[0]), res.scale, degeneracy_tol)))
         if deg < k or k == dim:
             return LowLevels("krylov", w[:num], deg, _gap(w, deg),
                              res.eigenvectors[:, :deg], iterations=res.iterations,
@@ -379,13 +352,13 @@ def ground_space(
     method: str | None = None,
     tol: float = SOLVER_TOL,
     seed: int = 7,
-) -> GroundSpace:
+) -> LowLevels:
     """Lowest eigenvalue with multiplicity, grouped by a relative window.
 
-    A view of :func:`low_levels`, which documents the window and ``method``.
+    The :func:`low_levels` result itself (``energy``, ``degeneracy`` and
+    ``basis``); that routine documents the window and ``method``.
     """
-    low = low_levels(h, 1, degeneracy_tol, method=method, tol=tol, seed=seed)
-    return GroundSpace(energy=low.energy, degeneracy=low.degeneracy, basis=low.basis)
+    return low_levels(h, 1, degeneracy_tol, method=method, tol=tol, seed=seed)
 
 
 def spectral_gap(
@@ -437,11 +410,7 @@ def two_point(state, x, y, volume: Volume, kind: str = "sdots") -> float:
         op = embed(local, [x], volume)
     else:
         if kind == "sdots":
-            local = (
-                np.kron(ops.s1, ops.s1)
-                + np.kron(ops.s2, ops.s2)
-                + np.kron(ops.s3, ops.s3)
-            )
+            local = ops.exchange()
         else:
             local = np.kron(ops.s3, ops.s3)
         op = embed(local, [x, y], volume)

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatchError, DomainError, SolverError
@@ -121,6 +122,10 @@ class SpinOperators:
     def casimir(self) -> np.ndarray:
         """S.S = S1^2 + S2^2 + S3^2 (equals S(S+1) times the identity)."""
         return self.s1 @ self.s1 + self.s2 @ self.s2 + self.s3 @ self.s3
+
+    def exchange(self) -> np.ndarray:
+        """The two-site S.S = S1 (x) S1 + S2 (x) S2 + S3 (x) S3."""
+        return np.kron(self.s1, self.s1) + np.kron(self.s2, self.s2) + np.kron(self.s3, self.s3)
 
 
 def spin_matrices(s) -> SpinOperators:
@@ -292,36 +297,32 @@ _NORM_SEED = 0x5EED
 def operator_norm(a) -> float:
     """Spectral norm ||A|| (largest singular value).
 
-    (Anti-)Hermitian input takes the largest |eigenvalue| from
-    :func:`hermitian_eig`, which solves a CSR matrix block by block; other
-    input takes a full SVD of the densified matrix.  Sparse matrices above
-    DENSE_CUTOFF use a deterministic Lanczos/ARPACK estimate of the dominant
-    singular value instead.
+    A matrix with no nonzero entry has norm 0.0, with no solver call.
+    (Anti-)Hermitian input takes the largest |eigenvalue| of A (or of the
+    Hermitian i*A) from :func:`hermitian_eig`, which solves a CSR matrix
+    block by block; other input takes a full SVD of the densified matrix.
+    A sparse matrix above DENSE_CUTOFF takes the same two routes through a
+    seeded ARPACK run instead: ``eigsh`` (in float64 when the Hermitian
+    operand's imaginary part is exactly zero, see :func:`exact_real`) or
+    ``svds``.  An ARPACK failure is a SolverError.
     """
     m = as_matrix(a)
-    if sp.issparse(m) and m.shape[0] > DENSE_CUTOFF:
-        return _sparse_norm(m)
-    if m.shape[0] == 0:
+    if m.shape[0] == 0 or not (m.data if sp.issparse(m) else m).any():
         return 0.0
     # i*A is Hermitian when A is anti-Hermitian; same norm, cheaper than SVD
     h = m if is_hermitian(m) else 1j * m
-    if h is m or is_hermitian(h):
+    normal = h is m or is_hermitian(h)
+    if sp.issparse(m) and m.shape[0] > DENSE_CUTOFF:
+        v0 = np.random.default_rng(_NORM_SEED).standard_normal(m.shape[0])
+        try:
+            if normal:
+                vals = spla.eigsh(exact_real(h), k=1, which="LM", v0=v0,
+                                  return_eigenvectors=False)
+                return float(np.max(np.abs(vals)))
+            return float(np.max(spla.svds(m, k=1, v0=v0, return_singular_vectors=False)))
+        except spla.ArpackError as exc:
+            raise SolverError(f"norm estimate failed: {exc}") from exc
+    if normal:
         return float(np.max(np.abs(hermitian_eig(h, vectors=False).eigenvalues)))
     dense = m.toarray() if sp.issparse(m) else m
     return float(np.linalg.svd(dense, compute_uv=False)[0])
-
-
-def _sparse_norm(m) -> float:
-    import scipy.sparse.linalg as spla
-
-    n = m.shape[0]
-    rng = np.random.default_rng(_NORM_SEED)
-    v0 = rng.standard_normal(n)
-    try:
-        if is_hermitian(m):
-            vals = spla.eigsh(m, k=1, which="LM", v0=v0, return_eigenvectors=False)
-            return float(np.max(np.abs(vals)))
-        vals = spla.svds(m, k=1, v0=v0, return_singular_vectors=False)
-        return float(np.max(vals))
-    except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare
-        raise SolverError(f"norm estimate did not converge: {exc}") from exc

@@ -158,9 +158,7 @@ def default_probe_set(volume: Volume) -> dict:
     for site in volume.sites:
         for label, local in (("S1", ops.s1), ("S2", ops.s2), ("S3", ops.s3)):
             probes[f"{label}@{site}"] = embed(local, [site], volume)
-    bond = (
-        np.kron(ops.s1, ops.s1) + np.kron(ops.s2, ops.s2) + np.kron(ops.s3, ops.s3)
-    )
+    bond = ops.exchange()
     for a, b in volume.edges:
         probes[f"SdotS@{a}-{b}"] = embed(bond, [a, b], volume)
     return probes

@@ -560,6 +560,31 @@ def test_symmetry_check_under_small_dense_cap(tmp_path, capsys, monkeypatch, mod
     assert len(sparse) >= 2 and all(sparse)
 
 
+@pytest.mark.parametrize("task, section, model, volume, code", [
+    # [H, S3] and [H, S1] of the ring, and [H, K3] of the chain, are exactly zero
+    ("verify", {"checks": ["algebra", "symmetry"]}, {"name": "heisenberg", "params": {"J": -1.0}},
+     {"dims": [13], "boundary": "periodic"}, 0),
+    ("verify", {"checks": ["algebra", "symmetry"]}, {"name": "xxz_suq2", "params": {"q": 0.5}},
+     {"dims": [13], "boundary": "open"}, 0),
+    # H = 0: every level is in the ground window
+    ("spectrum", {"method": "krylov"}, {"name": "ising", "params": {"J": 0.0, "h": 0.0}},
+     {"dims": [8], "boundary": "periodic"}, 4),
+], ids=["heisenberg-ring", "xxz_suq2-chain", "zero-krylov"])
+def test_exactly_zero_operators_reach_no_arpack(tmp_path, capsys, task, section, model,
+                                                volume, code):
+    # ARPACK cannot start on a zero matrix: a zero commutator's norm is 0.0
+    # with no solver call, and the krylov window takes its scale from Lanczos
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec(task, section, model=model, volume=volume)))
+    assert main(["run", str(spec_path), "--out", str(tmp_path)]) == code
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    if code:
+        assert line["error"]["kind"] == "SolverError"
+        assert "degeneracy exceeds" in line["error"]["message"]
+        return
+    assert json.loads(Path(line["result"]).read_text())["payload"]["all_ok"] is True
+
+
 @pytest.mark.parametrize("name, dim, per_point", [
     ("verify.json", 32, False),
     ("thermal.json", 64, False),

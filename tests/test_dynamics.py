@@ -16,6 +16,7 @@ from spinmodels import (
     evolve_state,
     heisenberg,
     ising,
+    low_levels,
     lr_fit,
     lr_scan,
     spin_matrices,
@@ -103,6 +104,22 @@ def test_state_evolution_phase_and_norm():
     lhs = np.vdot(psi_t, a @ psi_t)
     rhs = np.vdot(psi, evolve(h, a, 2.4) @ psi)
     assert abs(lhs - rhs) < 1e-11
+
+
+def test_state_evolution_above_the_dense_cutoff():
+    # dim 8192 > DENSE_CUTOFF: exp(-itH) psi is expm_multiply's Krylov action
+    # on the CSR H, checked on the block Lanczos ground vector
+    h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(13, boundary="periodic"))
+    low = low_levels(h)
+    assert low.method == "krylov"
+    psi = low.basis[:, 0]
+    psi_t = evolve_state(h, psi, 1.7)
+    assert np.abs(psi_t - np.exp(-1j * 1.7 * low.energy) * psi).max() <= 1e-10
+    assert abs(np.linalg.norm(psi_t) - 1.0) <= 1e-12
+    rng = np.random.default_rng(29)
+    phi = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+    phi /= np.linalg.norm(phi)
+    assert abs(np.linalg.norm(evolve_state(h, phi, 1.7)) - 1.0) <= 1e-12
 
 
 def test_lr_scan_shape_and_zero_row():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spinmodels import (
     DimensionMismatchError,
@@ -9,15 +10,20 @@ from spinmodels import (
     Spin,
     adjoint,
     anticommutator,
+    assemble_hamiltonian,
     chain_volume,
     commutator,
     embed,
     expectation,
+    heisenberg,
     is_hermitian,
     ladder_coefficient,
     operator_norm,
     pauli_matrices,
+    spin_algebra,
     spin_matrices,
+    suq2_generators,
+    total_spin,
 )
 from spinmodels.spin_algebra import as_matrix, eigenvector_columns, hermitian_eig
 
@@ -95,6 +101,10 @@ def test_commutation_relations_all_spins():
         casimir = ops.s1 @ ops.s1 + ops.s2 @ ops.s2 + ops.s3 @ ops.s3
         assert np.allclose(casimir, s * (s + 1) * np.eye(ops.spin.dim), atol=1e-12)
         assert np.allclose(ops.casimir(), casimir, atol=1e-13)
+        # two-site S.S = (J(J+1) - 2 S(S+1)) / 2 on total spin J = 0, ..., 2S
+        j = np.arange(two_s + 1)
+        want = np.repeat((j * (j + 1) - 2 * s * (s + 1)) / 2, 2 * j + 1)
+        assert np.allclose(np.linalg.eigvalsh(ops.exchange()), want, atol=1e-12)
 
 
 def test_hermiticity_and_adjoint_pairing():
@@ -235,6 +245,43 @@ def test_operator_norm_sparse_large():
     # non-Hermitian shift matrix has all singular values <= 1
     shift = sp.eye_array(n, format="csr", k=1)
     assert abs(operator_norm(shift) - 1.0) < 1e-8
+
+
+def test_operator_norm_arpack_route_matches_the_dense_route(monkeypatch, dm_chain):
+    # a cutoff of 8 sends these dim-64 CSR inputs to ARPACK: eigsh of A or of
+    # i*A for (anti-)Hermitian A, in float64 exactly when that operand is
+    # real, and svds for the non-normal K+
+    vol = chain_volume(6, boundary="open")
+    h = assemble_hamiltonian(heisenberg(j=-1.0), vol)
+    cases = [
+        (h, [np.float64]),
+        (dm_chain(6), [np.complex128]),
+        (commutator(h, embed(spin_matrices(0.5).s1, [(0,)], vol)), [np.complex128]),
+        (suq2_generators(vol, 0.5).generators["K+"], ["svds"]),
+    ]
+    want = [operator_norm(m) for m, _ in cases]
+    seen = []
+    eigsh, svds = spla.eigsh, spla.svds
+
+    def recording_eigsh(m, *args, **kwargs):
+        seen.append(m.dtype)
+        return eigsh(m, *args, **kwargs)
+
+    def recording_svds(m, *args, **kwargs):
+        seen.append("svds")
+        return svds(m, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    monkeypatch.setattr(spla, "svds", recording_svds)
+    monkeypatch.setattr(spin_algebra, "DENSE_CUTOFF", 8)
+    for (m, dtypes), w in zip(cases, want):
+        seen.clear()
+        assert w > 0 and abs(operator_norm(m) - w) <= 1e-10 * w
+        assert seen == dtypes
+    # ARPACK cannot start on a zero matrix; its norm needs no solver call
+    for zero in (sp.csr_array((64, 64)), commutator(h, total_spin(vol).generators["S3"])):
+        seen.clear()
+        assert operator_norm(zero) == 0.0 and seen == []
 
 
 def test_operator_norm_of_sparse_input_solves_blocks(forbid_full_toarray):
