@@ -386,7 +386,8 @@ def _check_algebra(run: _Run, pairs, beta) -> dict:
 
 def _check_symmetry(run: _Run, pairs, beta) -> dict:
     gens = run.model.symmetry(run.spec.model_params, run.volume)
-    return {"generators": gens.name, "residual": invariance_residual(run.h, gens)}
+    return {"generators": gens.name,
+            "residual": invariance_residual(run.h, gens, cap_dense=run.cap_dense)}
 
 
 def _check_kms(run: _Run, terms, beta) -> dict:

@@ -11,8 +11,10 @@ result keeps the operator's storage: CSR in gives CSR out, nonzero only on
 those pairs, so S3 at a site (which the built-in models' blocks leave
 invariant) stays block-diagonal.  A light-cone scan takes each norm as the
 largest |eigenvalue| of the Hermitian i[alpha_t(A), B_x], a product of CSR
-matrices solved block by block.  Above the dense cutoff, Hamiltonians still
-get vector propagation through a Krylov-based matrix-exponential action.
+matrices solved block by block.  On a spin-1/2 chain with B_x = S3_x,
+whose entries join only states that differ in the spin at x, each block is
+bipartite and its norm is the largest singular value of a half-size corner.  Above ``cap_dense``, Hamiltonians still get vector
+propagation through a Krylov-based matrix-exponential action.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ def evolve_imaginary(h, a, beta: float, *, range_limit: float = RANGE_LIMIT):
     return EigenSystem.of(h, range_limit=range_limit).evolve_imaginary(a, beta)
 
 
-def evolve_state(h, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-itH) psi; uses the sparse Krylov exponential above the dense cutoff."""
-    if isinstance(h, EigenSystem) or as_matrix(h).shape[0] <= DENSE_CUTOFF:
-        return EigenSystem.of(h).evolve_vector(psi, t)
+def evolve_state(h, psi: np.ndarray, t: float, *, cap_dense: int = DENSE_CUTOFF) -> np.ndarray:
+    """exp(-itH) psi; uses the sparse Krylov exponential above ``cap_dense``."""
+    if isinstance(h, EigenSystem) or as_matrix(h).shape[0] <= cap_dense:
+        return EigenSystem.of(h, cap_dense=cap_dense).evolve_vector(psi, t)
     m = as_matrix(h)
     if not is_hermitian(h):
         raise DomainError("evolution requires a Hermitian Hamiltonian")
@@ -150,8 +152,8 @@ def lr_scan(
     prop = EigenSystem(assemble_hamiltonian(interaction, volume), cap_dense=cap_dense)
     a0 = embed(a_local, [(0,)], volume)
     b_ops = [embed(b_local, [(int(x),)], volume) for x in distances]
-    a_norm = operator_norm(a0)
-    b_norm = operator_norm(b_ops[0]) if b_ops else 0.0
+    a_norm = operator_norm(a0, cap_dense=cap_dense)
+    b_norm = operator_norm(b_ops[0], cap_dense=cap_dense) if b_ops else 0.0
 
     # i[alpha_t(A), B] is Hermitian: its norm is its largest |eigenvalue|
     ib_ops = [1j * b for b in b_ops]

@@ -19,7 +19,8 @@ relative to the operator norm.
 Every dense Hermitian eigensolve goes through :func:`hermitian_eig`, which
 splits the matrix into the invariant blocks of its exact nonzero pattern and
 solves each block in float64 when its imaginary part is exactly zero
-(:func:`exact_real`, the one rule every solver uses to choose float64).
+(:func:`exact_real`, the one rule every solver uses to choose float64).  For
+eigenvalues alone, a bipartite block [[0, X], [X^H, 0]] is one SVD of X.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ STRUCTURE_TOL = 1e-12
 #: Relative tolerance for iterative eigensolver residuals.
 SOLVER_TOL = 1e-10
 
-#: Largest Hilbert-space dimension diagonalized densely (the default of
-#: ``--cap-dense``).  It also switches ``operator_norm`` of a sparse matrix and
-#: ``evolve_state`` to their iterative routes above it; storage never depends
-#: on it: operators built from local terms are CSR at every size.
+#: Largest Hilbert-space dimension diagonalized densely: the default of
+#: ``--cap-dense`` and of every ``cap_dense`` argument, which also decides
+#: where ``operator_norm`` and ``evolve_state`` switch to their iterative
+#: routes.  Storage never depends on it: operators built from local terms are
+#: CSR at every size.
 DENSE_CUTOFF = 4096
 
 
@@ -227,16 +229,28 @@ class HermitianEig(NamedTuple):
     block_sizes: list[int]
 
 
-def _pattern_blocks(m) -> np.ndarray:
-    """Block label of each basis index: the connected components of the
-    undirected graph of the exact nonzero pattern of ``m``."""
+def _pattern_blocks(m) -> tuple[np.ndarray, np.ndarray]:
+    """Block label of each basis index and its side: the blocks are the
+    connected components of the undirected graph of ``m``'s exact nonzero
+    pattern, labelled in the order of their first index, found by one search
+    on the graph's bipartite double cover (an edge (i, 0)--(j, 1) for each
+    nonzero m_ij).  A block is bipartite exactly when (i, 0) and (i, 1) land
+    in different cover components (a diagonal entry joins them); the side is
+    then -1 or +1, the colour of i, and 0 in any other block."""
+    n = m.shape[0]
     pattern = m != 0
     if not sp.issparse(pattern):
-        # a row with no zero joins every index: one block, no graph search
-        if m.shape[0] == 0 or pattern.all(axis=1).any():
-            return np.zeros(m.shape[0], dtype=np.intp)
+        # a row with no zero, its diagonal included, joins every index into
+        # one block that is not bipartite: no graph search
+        if n == 0 or pattern.all(axis=1).any():
+            return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
         pattern = sp.csr_array(pattern)
-    return connected_components(pattern, directed=False)[1]
+    cover = sp.csr_array((np.ones(pattern.nnz), pattern.indices + n,
+                          np.concatenate((pattern.indptr, np.full(n, pattern.nnz)))),
+                         shape=(2 * n, 2 * n))
+    half = connected_components(cover, directed=False)[1].reshape(2, n)
+    _, first, label = np.unique(half.min(axis=0), return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[label], np.sign(half[0] - half[1])
 
 
 def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
@@ -247,26 +261,37 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     basis vectors and no tolerance decides them: a coupling of any size, noise
     included, joins two blocks.  Each block of size > 1 is one LAPACK call, in
     float64 when its imaginary part is exactly zero; size-1 blocks are their
-    diagonal entries, read in one step.  Eigenvalues are merged by a stable
-    ascending sort.  The eigenvectors stay per block (see
+    diagonal entries, read in one step.  With ``vectors=False`` a bipartite
+    block, [[0, X], [X^H, 0]] up to a permutation, is one ``svd`` of its
+    corner X, all it reads: +-sigma(X) and |n0 - n1| zeros (Golub and Van
+    Loan, *Matrix Computations*, 4th ed., section 8.6.1).  Every other solve
+    reads only the lower triangle of its block, like LAPACK.  Eigenvalues are
+    merged by a stable ascending sort.  The eigenvectors stay per block (see
     :class:`HermitianEig`); :func:`eigenvector_columns` scatters them.
     ``block_sizes`` lists the blocks in the order of their first basis index.
-    Like LAPACK, only the lower triangle of each block is read.
     """
     m = as_matrix(m)
-    labels = _pattern_blocks(m)
+    labels, side = _pattern_blocks(m)
     sizes = np.bincount(labels)
-    members = np.argsort(labels, kind="stable")
+    # for eigenvalues alone, a bipartite block lists its colour-0 indices first
+    members = np.argsort(labels if vectors else 2 * labels + (side > 0), kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))
 
     singles = np.flatnonzero(sizes[labels] == 1)
-    eye = sp.eye_array(singles.size, format="csr") if singles.size else np.eye(0)
+    eye = sp.eye_array(singles.size, format="csr") if vectors and singles.size else np.eye(0)
     blocks = [(singles, m.diagonal()[singles].real, eye)]
     # a CSR matrix is permuted into block order once; its blocks are then slices
     p = m[members][:, members] if sp.issparse(m) else None
     for b in np.flatnonzero(sizes > 1):
         s, e = starts[b], starts[b + 1]
         idx = members[s:e]
+        mid = s if vectors else s + np.count_nonzero(side[idx] < 0)
+        if mid > s:  # [[0, X], [X^H, 0]]: +-sigma(X) and |n0 - n1| zeros
+            x = m[np.ix_(*np.split(idx, [mid - s]))] if p is None else p[s:mid, mid:e].toarray()
+            sigma = np.linalg.svd(exact_real(x), compute_uv=False)
+            zeros = np.zeros(abs(s + e - 2 * mid))
+            blocks.append((idx, np.concatenate((-sigma, zeros, sigma)), None))
+            continue
         block = exact_real(m[np.ix_(idx, idx)] if p is None else p[s:e, s:e].toarray())
         blocks.append((idx, *np.linalg.eigh(block)) if vectors
                       else (idx, np.linalg.eigvalsh(block), None))
@@ -294,14 +319,14 @@ def eigenvector_columns(eig, columns=slice(None)) -> np.ndarray:
 _NORM_SEED = 0x5EED
 
 
-def operator_norm(a) -> float:
+def operator_norm(a, *, cap_dense: int = DENSE_CUTOFF) -> float:
     """Spectral norm ||A|| (largest singular value).
 
     A matrix with no nonzero entry has norm 0.0, with no solver call.
     (Anti-)Hermitian input takes the largest |eigenvalue| of A (or of the
     Hermitian i*A) from :func:`hermitian_eig`, which solves a CSR matrix
     block by block; other input takes a full SVD of the densified matrix.
-    A sparse matrix above DENSE_CUTOFF takes the same two routes through a
+    A sparse matrix above ``cap_dense`` takes the same two routes through a
     seeded ARPACK run instead: ``eigsh`` (in float64 when the Hermitian
     operand's imaginary part is exactly zero, see :func:`exact_real`) or
     ``svds``.  An ARPACK failure is a SolverError.
@@ -312,7 +337,7 @@ def operator_norm(a) -> float:
     # i*A is Hermitian when A is anti-Hermitian; same norm, cheaper than SVD
     h = m if is_hermitian(m) else 1j * m
     normal = h is m or is_hermitian(h)
-    if sp.issparse(m) and m.shape[0] > DENSE_CUTOFF:
+    if sp.issparse(m) and m.shape[0] > cap_dense:
         v0 = np.random.default_rng(_NORM_SEED).standard_normal(m.shape[0])
         try:
             if normal:

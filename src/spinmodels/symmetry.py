@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from .errors import DimensionMismatchError, DomainError
 from .lattice import Volume, embed
 from .spin_algebra import (
+    DENSE_CUTOFF,
     STRUCTURE_TOL,
     as_matrix,
     commutator,
@@ -90,12 +91,13 @@ def _is_unitary(u, tol: float = STRUCTURE_TOL) -> bool:
     return float(abs(m.conj().T @ m - sp.eye_array(m.shape[0])).max()) <= tol
 
 
-def invariance_residual(h, symmetry) -> float:
+def invariance_residual(h, symmetry, *, cap_dense: int = DENSE_CUTOFF) -> float:
     """How far ``h`` is from commuting with a symmetry.
 
     ``symmetry`` may be a GeneratorSet (or iterable of operators), giving
     max_G ||[H, G]||, or a single unitary U, giving ||U^dagger H U - H||.
-    For a Hermitian unitary the two coincide.
+    For a Hermitian unitary the two coincide.  The norms take their dense
+    route up to ``cap_dense`` (see :func:`~spinmodels.spin_algebra.operator_norm`).
     """
     hm = as_matrix(h)
     if isinstance(symmetry, GeneratorSet):
@@ -112,7 +114,7 @@ def invariance_residual(h, symmetry) -> float:
                 raise DimensionMismatchError(
                     f"generator shape {gm.shape} vs Hamiltonian {hm.shape}"
                 )
-            worst = max(worst, operator_norm(commutator(hm, gm)))
+            worst = max(worst, operator_norm(commutator(hm, gm), cap_dense=cap_dense))
         return worst
     um = as_matrix(symmetry)
     if um.shape != hm.shape:
@@ -120,7 +122,7 @@ def invariance_residual(h, symmetry) -> float:
     if not _is_unitary(um):
         raise DomainError("single-operator invariance check requires a unitary")
     conj = um.conj().T @ hm @ um
-    return operator_norm(conj - hm)
+    return operator_norm(conj - hm, cap_dense=cap_dense)
 
 
 def state_invariance_residual(state, u, probes) -> float:

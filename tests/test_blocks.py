@@ -33,6 +33,7 @@ from spinmodels import (
 )
 from spinmodels.cli import parse_spec_dict, run_spec
 from spinmodels.interactions import MODEL_NAMES, MODELS
+from spinmodels.spin_algebra import _pattern_blocks, hermitian_eig
 
 _PARAMS = {"xy_field": {"h": 0.3}, "ising": {"h": 0.4}, "xxz_suq2": {"q": 0.5}}
 CASES = [*MODEL_NAMES, "dm_chain", "singles"]
@@ -189,6 +190,53 @@ def test_light_cone_scan_of_s1_matches_dense_reference(tmp_path):
             b = embed(s1, [(x,)], vol).toarray()
             want = np.linalg.norm(at @ b - b @ at, 2)
             assert abs(payload["norms"][i][j] - want) < 1e-12
+
+
+def test_pattern_blocks_are_the_plain_components_in_order(case):
+    # the double-cover search labels H's blocks, and those of a light-cone
+    # commutator i[alpha_t(S1_0), S1_x], as the plain components do: same
+    # labels, so the same block order, block sizes and eigenvectors
+    h, vol = case
+    es = EigenSystem(h)
+    at = es.evolve(_observables(vol)["s1"], 0.7)
+    b = embed(spin_matrices((vol.local_dim - 1) / 2.0).s1, [(vol.num_sites - 1,)], vol)
+    c = 1j * (at @ b - b @ at)
+    for m in (h, c, c.toarray()):
+        _, plain = connected_components(sp.csr_array(m) != 0, directed=False)
+        assert np.array_equal(_pattern_blocks(m)[0], plain)
+        eig = hermitian_eig(m)
+        assert eig.block_sizes == np.bincount(plain).tolist()
+        large = [k for k in range(plain.max() + 1) if np.sum(plain == k) > 1]
+        assert [idx.tolist() for idx, _, _ in eig.blocks[1:]] == [
+            np.flatnonzero(plain == k).tolist() for k in large]
+        assert eig.block_sizes == hermitian_eig(m, vectors=False).block_sizes
+
+
+def test_light_cone_scan_norms_come_from_svd_alone(monkeypatch):
+    # the bench lightcone spec: every block of i[alpha_t(S3_0), S3_x] is
+    # [[0, X], [X^H, 0]] (S3_x is diagonal with two values), so no eigvalsh
+    # runs, and the norms match a dense eigvalsh of the commutator built from
+    # a full complex eigh
+    times, dists = [0.0, 0.5, 1.0, 2.0], list(range(1, 9))
+    vol = chain_volume(9, "open")
+    s3 = spin_matrices(0.5).s3
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    scan = lr_scan(heisenberg(j=1.0), vol, s3, s3, times, dists)
+    monkeypatch.undo()
+    assert calls == []
+    w, v, _ = _full_eigh(build_model_hamiltonian("heisenberg", {"J": 1.0}, vol))
+    a = embed(s3, [(0,)], vol).toarray()
+    for i, t in enumerate(times):
+        u = (v * np.exp(-1j * t * w)) @ v.conj().T
+        at = u.conj().T @ a @ u
+        for j, x in enumerate(dists):
+            b = embed(s3, [(x,)], vol).diagonal()
+            c = 1j * at * (b[None, :] - b[:, None])  # i[alpha_t(A), B] for diagonal B
+            want = np.max(np.abs(np.linalg.eigvalsh(c)))
+            assert abs(scan.norms[i, j] - want) <= 1e-13
 
 
 def test_light_cone_scan_refuses_non_hermitian_observables():

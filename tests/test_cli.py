@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spinmodels import (
     SolverError,
@@ -543,9 +544,9 @@ def test_symmetry_check_under_small_dense_cap(tmp_path, capsys, monkeypatch, mod
     # dim 32 > cap 16: H and every generator stay sparse
     sparse = []
 
-    def recording_residual(h, gens):
+    def recording_residual(h, gens, **kwargs):
         sparse.extend([sp.issparse(h)] + [sp.issparse(g) for _, g in gens])
-        return invariance_residual(h, gens)
+        return invariance_residual(h, gens, **kwargs)
 
     monkeypatch.setattr(cli, "invariance_residual", recording_residual)
     spec_path = tmp_path / "spec.json"
@@ -558,6 +559,28 @@ def test_symmetry_check_under_small_dense_cap(tmp_path, capsys, monkeypatch, mod
     assert payload["all_ok"] is True
     assert payload["checks"]["symmetry"]["ok"] is True
     assert len(sparse) >= 2 and all(sparse)
+
+
+def test_symmetry_check_norms_follow_the_dense_cap(tmp_path, capsys, monkeypatch):
+    # dim 8192: under the default cap (4096) the norms of [H, K+] and [H, K-]
+    # are ARPACK estimates; under --cap-dense 8192 they are dense block solves
+    calls = []
+    eigsh = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh", lambda *a, **k: calls.append(1) or eigsh(*a, **k))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec(
+        "verify", {"checks": ["symmetry"]}, model={"name": "xxz_suq2", "params": {"q": 0.5}},
+        volume={"dims": [13], "boundary": "open"})))
+    residuals, solves = [], []
+    for cap in ([], ["--cap-dense", "8192"]):
+        calls.clear()
+        assert main(["run", str(spec_path), "--out", str(tmp_path)] + cap) == 0
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        residuals.append(json.loads(Path(line["result"]).read_text())
+                         ["payload"]["checks"]["symmetry"]["residual"])
+        solves.append(len(calls))
+    assert solves[0] > 0 and solves[1] == 0
+    assert abs(residuals[0] - residuals[1]) <= 1e-12
 
 
 @pytest.mark.parametrize("task, section, model, volume, code", [

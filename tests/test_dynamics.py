@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from spinmodels import (
     DegenerateInputError,
@@ -120,6 +121,24 @@ def test_state_evolution_above_the_dense_cutoff():
     phi = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
     phi /= np.linalg.norm(phi)
     assert abs(np.linalg.norm(evolve_state(h, phi, 1.7)) - 1.0) <= 1e-12
+
+
+def test_state_evolution_follows_the_dense_cap(monkeypatch):
+    # dim 64 under a cap of 8 takes expm_multiply; the default cap, the
+    # eigendecomposition; the two states agree
+    h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(6, boundary="periodic"))
+    rng = np.random.default_rng(31)
+    psi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    psi /= np.linalg.norm(psi)
+    calls = []
+    expm_multiply = spla.expm_multiply
+    monkeypatch.setattr(spla, "expm_multiply",
+                        lambda *a, **k: calls.append(1) or expm_multiply(*a, **k))
+    dense = evolve_state(h, psi, 1.3)
+    assert calls == []
+    sparse = evolve_state(h, psi, 1.3, cap_dense=8)
+    assert calls == [1]
+    assert np.abs(dense - sparse).max() <= 1e-12
 
 
 def test_lr_scan_shape_and_zero_row():

@@ -25,7 +25,12 @@ from spinmodels import (
     suq2_generators,
     total_spin,
 )
-from spinmodels.spin_algebra import as_matrix, eigenvector_columns, hermitian_eig
+from spinmodels.spin_algebra import (
+    as_matrix,
+    eigenvector_columns,
+    exact_real,
+    hermitian_eig,
+)
 
 # hand-written references for S = 1/2 and S = 1
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,6 +231,90 @@ def test_hermitian_eig_matches_full_eigh_on_permuted_blocks():
         assert len(hermitian_eig(joined, vectors=False).block_sizes) == len(sizes) - 1
 
 
+def _bipartite_block(rng, n0, n1, cplx):
+    """[[0, X], [X^H, 0]] with a random n0 x n1 corner X."""
+    x = rng.standard_normal((n0, n1)) + (1j * rng.standard_normal((n0, n1)) if cplx else 0)
+    return np.block([[np.zeros((n0, n0)), x], [x.conj().T, np.zeros((n1, n1))]])
+
+
+def _permuted(rng, m):
+    perm = rng.permutation(m.shape[0])
+    return m[np.ix_(perm, perm)]
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of numpy.linalg.eigvalsh and numpy.linalg.svd calls."""
+    counts = {"eigvalsh": 0, "svd": 0}
+    for name in counts:
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_hermitian_eig_solves_a_bipartite_block_by_one_svd(solver_calls, cplx):
+    # [[0, X], [X^H, 0]] has eigenvalues +-sigma(X) and |n0 - n1| zeros
+    rng = np.random.default_rng(31)
+    for n0, n1 in ((3, 7), (6, 4), (1, 5)):
+        m = _permuted(rng, _bipartite_block(rng, n0, n1, cplx))
+        want = np.linalg.eigvalsh(m)
+        scale = np.max(np.abs(want))
+        for given in (m, sp.csr_array(m)):
+            solver_calls.update(eigvalsh=0, svd=0)
+            eig = hermitian_eig(given, vectors=False)
+            assert solver_calls == {"eigvalsh": 0, "svd": 1}
+            assert eig.block_sizes == [n0 + n1]
+            assert np.max(np.abs(eig.eigenvalues - want)) <= 1e-13 * scale
+            # the eigenvectors still come from one eigh of the whole block
+            assert np.array_equal(hermitian_eig(given).eigenvalues,
+                                  np.linalg.eigh(exact_real(m))[0])
+
+
+def test_a_diagonal_entry_sends_a_bipartite_block_back_to_eigvalsh(solver_calls):
+    rng = np.random.default_rng(37)
+    m = _bipartite_block(rng, 4, 6, True)
+    m[7, 7] = 0.5  # a self-loop joins the two copies of index 7 in the cover
+    m = _permuted(rng, m)
+    want = np.linalg.eigvalsh(m)
+    for given in (m, sp.csr_array(m)):
+        solver_calls.update(eigvalsh=0, svd=0)
+        w = hermitian_eig(given, vectors=False).eigenvalues
+        assert solver_calls == {"eigvalsh": 1, "svd": 0}
+        assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_hermitian_eig_mixes_bipartite_and_other_blocks(solver_calls):
+    rng = np.random.default_rng(41)
+    triangle = np.array([[0, 1, 2j], [1, 0, 3], [-2j, 3, 0]])  # odd cycle, zero diagonal
+    generic = rng.standard_normal((4, 4))
+    parts = [_bipartite_block(rng, 2, 5, False), triangle, np.diag([0.7]),
+             _bipartite_block(rng, 4, 3, True), generic + generic.T, np.zeros((1, 1))]
+    m = np.zeros((23, 23), dtype=complex)
+    start = 0
+    for part in parts:
+        k = part.shape[0]
+        m[start:start + k, start:start + k] = part
+        start += k
+    m = _permuted(rng, m)
+    want = np.linalg.eigvalsh(m)
+    labels, side = spin_algebra._pattern_blocks(m)
+    # every nonzero entry of a bipartite block joins its two colours
+    rows, cols = np.nonzero(m)
+    bipartite = side[rows] != 0
+    assert np.all(side[rows[bipartite]] == -side[cols[bipartite]])
+    # the two corners, and the zero 1 x 1 block, whose index has no edge
+    assert sorted(np.bincount(labels)[np.unique(labels[side != 0])].tolist()) == [1, 7, 7]
+    for given in (m, sp.csr_array(m)):
+        solver_calls.update(eigvalsh=0, svd=0)
+        eig = hermitian_eig(given, vectors=False)
+        assert solver_calls == {"eigvalsh": 2, "svd": 2}
+        assert sorted(eig.block_sizes) == [1, 1, 3, 4, 7, 7]
+        assert np.max(np.abs(eig.eigenvalues - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_hermitian_eig_of_zero_matrix_is_all_size_one_blocks():
     z = np.zeros((6, 6), dtype=complex)
     eig = hermitian_eig(z)
@@ -248,7 +337,7 @@ def test_operator_norm_sparse_large():
 
 
 def test_operator_norm_arpack_route_matches_the_dense_route(monkeypatch, dm_chain):
-    # a cutoff of 8 sends these dim-64 CSR inputs to ARPACK: eigsh of A or of
+    # a cap of 8 sends these dim-64 CSR inputs to ARPACK: eigsh of A or of
     # i*A for (anti-)Hermitian A, in float64 exactly when that operand is
     # real, and svds for the non-normal K+
     vol = chain_volume(6, boundary="open")
@@ -273,15 +362,14 @@ def test_operator_norm_arpack_route_matches_the_dense_route(monkeypatch, dm_chai
 
     monkeypatch.setattr(spla, "eigsh", recording_eigsh)
     monkeypatch.setattr(spla, "svds", recording_svds)
-    monkeypatch.setattr(spin_algebra, "DENSE_CUTOFF", 8)
     for (m, dtypes), w in zip(cases, want):
         seen.clear()
-        assert w > 0 and abs(operator_norm(m) - w) <= 1e-10 * w
+        assert w > 0 and abs(operator_norm(m, cap_dense=8) - w) <= 1e-10 * w
         assert seen == dtypes
     # ARPACK cannot start on a zero matrix; its norm needs no solver call
     for zero in (sp.csr_array((64, 64)), commutator(h, total_spin(vol).generators["S3"])):
         seen.clear()
-        assert operator_norm(zero) == 0.0 and seen == []
+        assert operator_norm(zero, cap_dense=8) == 0.0 and seen == []
 
 
 def test_operator_norm_of_sparse_input_solves_blocks(forbid_full_toarray):
