@@ -13,7 +13,8 @@ invariant) stays block-diagonal.  A light-cone scan takes each norm as the
 largest |eigenvalue| of the Hermitian i[alpha_t(A), B_x], a product of CSR
 matrices solved block by block.  On a spin-1/2 chain with B_x = S3_x,
 whose entries join only states that differ in the spin at x, each block is
-bipartite and its norm is the largest singular value of a half-size corner.  Above ``cap_dense``, Hamiltonians still get vector
+bipartite and its norm is the largest singular value of a half-size corner.
+Above the dense cutoff, a Hamiltonian (not an EigenSystem) still gets vector
 propagation through a Krylov-based matrix-exponential action.
 """
 
@@ -55,10 +56,12 @@ def evolve_imaginary(h, a, beta: float, *, range_limit: float = RANGE_LIMIT):
     return EigenSystem.of(h, range_limit=range_limit).evolve_imaginary(a, beta)
 
 
-def evolve_state(h, psi: np.ndarray, t: float, *, cap_dense: int = DENSE_CUTOFF) -> np.ndarray:
-    """exp(-itH) psi; uses the sparse Krylov exponential above ``cap_dense``."""
-    if isinstance(h, EigenSystem) or as_matrix(h).shape[0] <= cap_dense:
-        return EigenSystem.of(h, cap_dense=cap_dense).evolve_vector(psi, t)
+def evolve_state(h, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-itH) psi; a Hamiltonian above DENSE_CUTOFF takes the sparse Krylov
+    exponential.  An EigenSystem, built under its own ``cap_dense``, takes its
+    eigendecomposition at any size."""
+    if isinstance(h, EigenSystem) or as_matrix(h).shape[0] <= DENSE_CUTOFF:
+        return EigenSystem.of(h).evolve_vector(psi, t)
     m = as_matrix(h)
     if not is_hermitian(h):
         raise DomainError("evolution requires a Hermitian Hamiltonian")

@@ -125,7 +125,6 @@ def lowest_eigenpairs(
     max_basis: int | None = None,
     max_steps: int = 500,
     seed: int = 7,
-    start=None,
 ) -> KrylovResult:
     """Compute the k smallest eigenvalues (with multiplicity) of Hermitian h.
 
@@ -141,9 +140,6 @@ def lowest_eigenpairs(
             k + 3 * block_size so that a restart keeps k + 2 * block_size.
         max_steps: total block-expansion budget before giving up.
         seed: seed for the start block and rank-repair vectors.
-        start: dim x j array, j <= block_size, of vectors (the Ritz vectors
-            of an earlier run, say) that lead the first block; seeded random
-            columns fill the rest of it.
 
     Raises:
         SolverError: budget exhausted before residuals fell below tolerance
@@ -160,9 +156,6 @@ def lowest_eigenpairs(
     if max_basis is None:
         max_basis = max(3 * k + 2 * b, 10 * b)
     max_basis = int(min(dim, max(max_basis, k + 3 * b)))
-    if start is not None and (np.ndim(start) != 2 or np.shape(start)[0] != dim
-                              or np.shape(start)[1] > b):
-        raise DomainError(f"start must be {dim} x j with j <= {b}, got {np.shape(start)}")
 
     dtype = np.result_type(m.dtype, np.float64)
     rng = np.random.default_rng(seed)
@@ -179,10 +172,7 @@ def lowest_eigenpairs(
     while steps < max_steps:
         if X.shape[1] == 0:  # first step, or candidates vanished: a random block
             basis = V[:, :nbasis]
-            cand = _random_block(rng, dim, b, dtype)
-            if steps == 0 and start is not None:  # led by the start vectors
-                cand[:, :np.shape(start)[1]] = start
-            cand = _project_out(cand, basis)
+            cand = _project_out(_random_block(rng, dim, b, dtype), basis)
             X = _orthonormal_block(cand, basis, rng)
             if X.shape[1] == 0:
                 break  # basis already spans the whole space

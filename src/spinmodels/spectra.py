@@ -306,8 +306,8 @@ def low_levels(
     krylov route runs in float64 when H's imaginary part is exactly zero, in
     complex128 otherwise, and grows a Lanczos run, block as wide as the
     number of pairs, from max(num, 6) pairs until a level lies above the
-    ground window; each wider run starts from the last run's Ritz vectors.
-    ``iterations`` and ``max_residual`` are those of the last run.
+    ground window; ``iterations`` and ``max_residual`` are those of the last
+    run.
     """
     m = h.h if isinstance(h, EigenSystem) else as_matrix(h)
     dim = m.shape[0]
@@ -327,10 +327,10 @@ def low_levels(
     if not isinstance(h, EigenSystem):
         _require_hermitian(h)
     msp = exact_real(m if sp.issparse(m) else sp.csr_array(m))
-    k, start = min(dim, max(num, 6)), None
+    k = min(dim, max(num, 6))
     while True:
         # block as wide as k so a k-fold multiplet survives the Krylov slice
-        res = lowest_eigenpairs(msp, k, block_size=k, tol=tol, seed=seed, start=start)
+        res = lowest_eigenpairs(msp, k, block_size=k, tol=tol, seed=seed)
         w = res.eigenvalues
         deg = int(np.sum(w <= _window(float(w[0]), res.scale, degeneracy_tol)))
         if deg < k or k == dim:
@@ -342,8 +342,7 @@ def low_levels(
                 f"ground-space degeneracy exceeds {MAX_SPARSE_DEGENERACY}; "
                 "use the dense route"
             )
-        # the wider run starts from this run's Ritz vectors
-        k, start = min(dim, max(k + 1, 2 * k)), res.eigenvectors
+        k = min(dim, max(k + 1, 2 * k))
 
 
 def ground_space(

@@ -44,9 +44,10 @@ SOLVER_TOL = 1e-10
 
 #: Largest Hilbert-space dimension diagonalized densely: the default of
 #: ``--cap-dense`` and of every ``cap_dense`` argument, which also decides
-#: where ``operator_norm`` and ``evolve_state`` switch to their iterative
-#: routes.  Storage never depends on it: operators built from local terms are
-#: CSR at every size.
+#: where ``operator_norm`` switches to ARPACK.  ``evolve_state`` of a bare
+#: Hamiltonian switches to its Krylov exponential above it; an EigenSystem
+#: carries its own cap.  Storage never depends on it: operators built from
+#: local terms are CSR at every size.
 DENSE_CUTOFF = 4096
 
 
@@ -229,25 +230,27 @@ class HermitianEig(NamedTuple):
     block_sizes: list[int]
 
 
-def _pattern_blocks(m) -> tuple[np.ndarray, np.ndarray]:
-    """Block label of each basis index and its side: the blocks are the
-    connected components of the undirected graph of ``m``'s exact nonzero
-    pattern, labelled in the order of their first index, found by one search
-    on the graph's bipartite double cover (an edge (i, 0)--(j, 1) for each
-    nonzero m_ij).  A block is bipartite exactly when (i, 0) and (i, 1) land
-    in different cover components (a diagonal entry joins them); the side is
-    then -1 or +1, the colour of i, and 0 in any other block."""
+def _pattern_blocks(m, sides: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Block label of each basis index, the connected components of the
+    undirected graph of ``m``'s exact nonzero pattern in the order of their
+    first index, and with ``sides`` (else None) each index's side: one search
+    on the graph's bipartite double cover, edges (i, 0)--(j, 1) and
+    (j, 0)--(i, 1) for each nonzero m_ij, puts (i, 0) and (i, 1) apart
+    exactly in a bipartite block, where the side is i's colour, -1 or +1; it
+    is 0 in any other block (a diagonal entry joins the two copies)."""
     n = m.shape[0]
     pattern = m != 0
     if not sp.issparse(pattern):
         # a row with no zero, its diagonal included, joins every index into
         # one block that is not bipartite: no graph search
         if n == 0 or pattern.all(axis=1).any():
-            return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+            return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp) if sides else None
         pattern = sp.csr_array(pattern)
-    cover = sp.csr_array((np.ones(pattern.nnz), pattern.indices + n,
-                          np.concatenate((pattern.indptr, np.full(n, pattern.nnz)))),
-                         shape=(2 * n, 2 * n))
+    if not sides:
+        return connected_components(pattern, directed=False)[1], None
+    ptr, nnz = pattern.indptr, pattern.nnz
+    cover = sp.csr_array((np.ones(2 * nnz), np.concatenate((pattern.indices + n, pattern.indices)),
+                          np.concatenate((ptr, ptr[1:] + nnz))), shape=(2 * n, 2 * n))
     half = connected_components(cover, directed=False)[1].reshape(2, n)
     _, first, label = np.unique(half.min(axis=0), return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[label], np.sign(half[0] - half[1])
@@ -271,7 +274,7 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     ``block_sizes`` lists the blocks in the order of their first basis index.
     """
     m = as_matrix(m)
-    labels, side = _pattern_blocks(m)
+    labels, side = _pattern_blocks(m, sides=not vectors)
     sizes = np.bincount(labels)
     # for eigenvalues alone, a bipartite block lists its colour-0 indices first
     members = np.argsort(labels if vectors else 2 * labels + (side > 0), kind="stable")

@@ -195,7 +195,7 @@ def test_light_cone_scan_of_s1_matches_dense_reference(tmp_path):
 def test_pattern_blocks_are_the_plain_components_in_order(case):
     # the double-cover search labels H's blocks, and those of a light-cone
     # commutator i[alpha_t(S1_0), S1_x], as the plain components do: same
-    # labels, so the same block order, block sizes and eigenvectors
+    # labels, so the eigenvalue-only solve has the same block order and sizes
     h, vol = case
     es = EigenSystem(h)
     at = es.evolve(_observables(vol)["s1"], 0.7)
@@ -204,6 +204,7 @@ def test_pattern_blocks_are_the_plain_components_in_order(case):
     for m in (h, c, c.toarray()):
         _, plain = connected_components(sp.csr_array(m) != 0, directed=False)
         assert np.array_equal(_pattern_blocks(m)[0], plain)
+        assert np.array_equal(_pattern_blocks(m, sides=True)[0], plain)
         eig = hermitian_eig(m)
         assert eig.block_sizes == np.bincount(plain).tolist()
         large = [k for k in range(plain.max() + 1) if np.sum(plain == k) > 1]

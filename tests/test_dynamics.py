@@ -123,20 +123,20 @@ def test_state_evolution_above_the_dense_cutoff():
     assert abs(np.linalg.norm(evolve_state(h, phi, 1.7)) - 1.0) <= 1e-12
 
 
-def test_state_evolution_follows_the_dense_cap(monkeypatch):
-    # dim 64 under a cap of 8 takes expm_multiply; the default cap, the
-    # eigendecomposition; the two states agree
-    h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(6, boundary="periodic"))
+def test_state_evolution_through_an_eigensystem_at_any_size(monkeypatch):
+    # dim 8192 > DENSE_CUTOFF: a bare H takes expm_multiply; an EigenSystem
+    # built under a cap of 8192 takes its eigendecomposition; the two agree
+    h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(13, boundary="periodic"))
     rng = np.random.default_rng(31)
-    psi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    psi = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
     psi /= np.linalg.norm(psi)
     calls = []
     expm_multiply = spla.expm_multiply
     monkeypatch.setattr(spla, "expm_multiply",
                         lambda *a, **k: calls.append(1) or expm_multiply(*a, **k))
-    dense = evolve_state(h, psi, 1.3)
-    assert calls == []
-    sparse = evolve_state(h, psi, 1.3, cap_dense=8)
+    sparse = evolve_state(h, psi, 1.3)
+    assert calls == [1]
+    dense = evolve_state(EigenSystem(h, cap_dense=h.shape[0]), psi, 1.3)
     assert calls == [1]
     assert np.abs(dense - sparse).max() <= 1e-12
 

@@ -54,19 +54,6 @@ def test_degenerate_ferromagnet_ground_space():
     assert abs(e0 - dense_e0) < 1e-10
 
 
-def test_start_vectors_lead_the_first_block():
-    # L=8 ring ferromagnet: three exact ground vectors lead a block of 9
-    h = assemble_hamiltonian(heisenberg(j=1.0), chain_volume(8, boundary="periodic")).tocsr()
-    w, v = np.linalg.eigh(h.toarray().real)
-    res = lowest_eigenpairs(h, 9, block_size=9, start=v[:, :3])
-    assert np.abs(res.eigenvalues - w[:9]).max() <= 1e-10 * np.abs(w).max()
-    assert np.linalg.norm(h @ res.eigenvectors - res.eigenvectors * res.eigenvalues,
-                          axis=0).max() <= 1e-8 * np.abs(w).max()
-    for bad in (v[:, :10], v[:-1, :3], v[:, 0]):
-        with pytest.raises(DomainError):
-            lowest_eigenpairs(h, 9, block_size=9, start=bad)
-
-
 def test_afm_chain_agrees_with_dense():
     vol = chain_volume(8, boundary="periodic")
     h = assemble_hamiltonian(heisenberg(j=-1.0), vol).tocsr()

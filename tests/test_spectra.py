@@ -28,7 +28,6 @@ from spinmodels import (
     structure_factor,
     two_point,
 )
-from spinmodels import spectra
 from spinmodels.interactions import MODEL_NAMES, MODELS
 from spinmodels.spectra import DEGENERACY_TOL
 from spinmodels.spin_algebra import exact_real
@@ -133,28 +132,6 @@ def test_low_levels_krylov_lists_requested_levels():
     assert np.allclose(low.eigenvalues, w[:10], atol=1e-8)
     assert low.degeneracy == 1
     assert abs(low.gap - (w[1] - w[0])) < 1e-8
-
-
-def test_widened_krylov_run_starts_from_the_converged_ritz_vectors(monkeypatch):
-    # L=8 ring ferromagnet: the 9-fold ground multiplet fills k = 6, so the
-    # route widens to k = 12, and that run's first block leads with the six
-    # Ritz vectors of the first run
-    runs = []
-    solve = spectra.lowest_eigenpairs
-
-    def recording(m, k, **kwargs):
-        runs.append((k, kwargs.get("start"), solve(m, k, **kwargs)))
-        return runs[-1][2]
-
-    monkeypatch.setattr(spectra, "lowest_eigenpairs", recording)
-    h = assemble_hamiltonian(heisenberg(j=1.0), chain_volume(8, boundary="periodic"))
-    low = low_levels(h, 6, method="krylov")
-    assert [k for k, _, _ in runs] == [6, 12]
-    assert runs[0][1] is None and runs[1][1] is runs[0][2].eigenvectors
-    dense = low_levels(h, 6, method="dense")
-    assert low.degeneracy == dense.degeneracy == 9
-    assert np.abs(low.eigenvalues - dense.eigenvalues[:6]).max() <= 1e-10
-    assert abs(low.gap - dense.gap) <= 1e-10
 
 
 def test_krylov_route_runs_real_only_on_real_input(monkeypatch, dm_chain):

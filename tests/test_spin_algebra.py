@@ -300,7 +300,7 @@ def test_hermitian_eig_mixes_bipartite_and_other_blocks(solver_calls):
         start += k
     m = _permuted(rng, m)
     want = np.linalg.eigvalsh(m)
-    labels, side = spin_algebra._pattern_blocks(m)
+    labels, side = spin_algebra._pattern_blocks(m, sides=True)
     # every nonzero entry of a bipartite block joins its two colours
     rows, cols = np.nonzero(m)
     bipartite = side[rows] != 0
@@ -313,6 +313,20 @@ def test_hermitian_eig_mixes_bipartite_and_other_blocks(solver_calls):
         assert solver_calls == {"eigvalsh": 2, "svd": 2}
         assert sorted(eig.block_sizes) == [1, 1, 3, 4, 7, 7]
         assert np.max(np.abs(eig.eigenvalues - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_cover_of_a_one_directional_pattern_gives_the_plain_blocks():
+    # the cover gets both edges of each nonzero entry, so a pattern that is
+    # not symmetric still has its plain components: m_10 and m_12 alone make
+    # one bipartite block, and a directed 3-cycle one odd, non-bipartite block
+    star = np.zeros((3, 3))
+    star[1, 0] = star[1, 2] = 1.0
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    for m, colours in ((star, [1, -1, 1]), (cycle, [0, 0, 0])):
+        for given in (m, sp.csr_array(m)):
+            labels, side = spin_algebra._pattern_blocks(given, sides=True)
+            assert labels.tolist() == [0, 0, 0]
+            assert (side * (side[0] or 1)).tolist() == colours
 
 
 def test_hermitian_eig_of_zero_matrix_is_all_size_one_blocks():
