@@ -25,7 +25,6 @@ dense route per block, the krylov route for the whole matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,17 +130,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """All eigenvectors as dense columns, scattered on first use."""
-        return eigenvector_columns(self)
-
-    @property
-    def residuals(self) -> np.ndarray:
-        """Per-pair residual norms ||H v - w v||."""
-        v = eigenvector_columns(self)
-        return np.linalg.norm(self.h @ v - v * self.eigenvalues, axis=0)
 
     def require_range(self, beta: float, limit: float) -> None:
         """Refuse imaginary time beta when |beta| * spread exceeds ``limit``."""

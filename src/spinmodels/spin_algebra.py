@@ -323,34 +323,26 @@ _NORM_SEED = 0x5EED
 
 
 def operator_norm(a, *, cap_dense: int = DENSE_CUTOFF) -> float:
-    """Spectral norm ||A|| (largest singular value).
+    """Spectral norm ||A|| (largest singular value), with no structure test.
 
-    A matrix with no nonzero entry has norm 0.0, with no solver call.
-    (Anti-)Hermitian input takes the largest |eigenvalue| of A (or of the
-    Hermitian i*A) from :func:`hermitian_eig`, which solves a CSR matrix
-    block by block; other input takes a full SVD of the densified matrix.
-    A sparse matrix above ``cap_dense`` takes the same two routes through a
-    seeded ARPACK run instead: ``eigsh`` (in float64 when the Hermitian
-    operand's imaginary part is exactly zero, see :func:`exact_real`) or
-    ``svds``.  An ARPACK failure is a SolverError.
+    A matrix with no nonzero entry has norm 0.0, with no solver call.  Up to
+    ``cap_dense``, ||A|| = s sqrt(lambda_max(X^H X)) for X = A / s and
+    s = max |A_ij|: since ||X|| >= 1 the Gram matrix neither underflows nor
+    overflows, and its largest eigenvalue comes from :func:`hermitian_eig`,
+    which solves a CSR Gram block by block.  A sparse matrix above
+    ``cap_dense`` takes one seeded ARPACK ``svds`` run (in float64 when its
+    imaginary part is exactly zero, see :func:`exact_real`); an ARPACK
+    failure is a SolverError.
     """
     m = as_matrix(a)
     if m.shape[0] == 0 or not (m.data if sp.issparse(m) else m).any():
         return 0.0
-    # i*A is Hermitian when A is anti-Hermitian; same norm, cheaper than SVD
-    h = m if is_hermitian(m) else 1j * m
-    normal = h is m or is_hermitian(h)
     if sp.issparse(m) and m.shape[0] > cap_dense:
         v0 = np.random.default_rng(_NORM_SEED).standard_normal(m.shape[0])
         try:
-            if normal:
-                vals = spla.eigsh(exact_real(h), k=1, which="LM", v0=v0,
-                                  return_eigenvectors=False)
-                return float(np.max(np.abs(vals)))
-            return float(np.max(spla.svds(m, k=1, v0=v0, return_singular_vectors=False)))
+            return float(spla.svds(exact_real(m), k=1, v0=v0, return_singular_vectors=False)[0])
         except spla.ArpackError as exc:
             raise SolverError(f"norm estimate failed: {exc}") from exc
-    if normal:
-        return float(np.max(np.abs(hermitian_eig(h, vectors=False).eigenvalues)))
-    dense = m.toarray() if sp.issparse(m) else m
-    return float(np.linalg.svd(dense, compute_uv=False)[0])
+    s = float(abs(m).max())
+    x = m / s
+    return s * math.sqrt(hermitian_eig(x.conj().T @ x, vectors=False).eigenvalues[-1])

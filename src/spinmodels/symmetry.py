@@ -96,8 +96,9 @@ def invariance_residual(h, symmetry, *, cap_dense: int = DENSE_CUTOFF) -> float:
 
     ``symmetry`` may be a GeneratorSet (or iterable of operators), giving
     max_G ||[H, G]||, or a single unitary U, giving ||U^dagger H U - H||.
-    For a Hermitian unitary the two coincide.  The norms take their dense
-    route up to ``cap_dense`` (see :func:`~spinmodels.spin_algebra.operator_norm`).
+    For a Hermitian unitary the two coincide.  Each norm is exact up to
+    ``cap_dense`` and an ARPACK ``svds`` estimate above it, with no
+    Hermiticity test (see :func:`~spinmodels.spin_algebra.operator_norm`).
     """
     hm = as_matrix(h)
     if isinstance(symmetry, GeneratorSet):

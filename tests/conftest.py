@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from spinmodels import Interaction, assemble_hamiltonian, chain_volume, spin_matrices
+from spinmodels.spin_algebra import eigenvector_columns
 
 
 @pytest.fixture
@@ -20,6 +21,18 @@ def forbid_full_toarray(monkeypatch):
             monkeypatch.setattr(cls, "toarray", guarded)
 
     return install
+
+
+@pytest.fixture
+def eigen_residuals():
+    """Oracle: the residual norms ||H v - w v|| of an EigenSystem's pairs,
+    from its eigenvectors scattered into dense columns."""
+
+    def residuals(es):
+        v = eigenvector_columns(es)
+        return np.linalg.norm(es.h @ v - v * es.eigenvalues, axis=0)
+
+    return residuals
 
 
 @pytest.fixture

@@ -42,6 +42,7 @@ from spinmodels import (
     xxz_suq2_chain,
 )
 from spinmodels.cli import parse_spec_dict, run_spec
+from spinmodels.spin_algebra import eigenvector_columns
 
 # the five bundled models with representative parameters, smallest usable sizes
 _MODELS = (
@@ -185,9 +186,9 @@ def test_criterion_07_ground_state_stability():
                 worst = min(worst, stability_value(h, state, a))
     # designed counterexample: |gs><top| on the highest state of a dimer
     h2 = assemble_hamiltonian(heisenberg(j=1.0), chain_volume(2)).toarray()
-    sol = full_spectrum(h2)
-    a = np.outer(sol.eigenvectors[:, 0], sol.eigenvectors[:, 3].conj())
-    witness = stability_value(h2, DensityMatrix.pure(sol.eigenvectors[:, 3]), a)
+    v = eigenvector_columns(full_spectrum(h2))
+    a = np.outer(v[:, 0], v[:, 3].conj())
+    witness = stability_value(h2, DensityMatrix.pure(v[:, 3]), a)
     elapsed = time.perf_counter() - t0
     print(f"[criterion 7] min stability value {worst:.3e} (floor -1e-12); "
           f"witness {witness:.3f} (< -0.01), {elapsed:.1f}s")

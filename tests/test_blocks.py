@@ -29,11 +29,13 @@ from spinmodels import (
     kms_residual,
     lr_scan,
     random_probe_pairs,
+    spectra,
+    spin_algebra,
     spin_matrices,
 )
 from spinmodels.cli import parse_spec_dict, run_spec
 from spinmodels.interactions import MODEL_NAMES, MODELS
-from spinmodels.spin_algebra import _pattern_blocks, hermitian_eig
+from spinmodels.spin_algebra import _pattern_blocks, eigenvector_columns, hermitian_eig
 
 _PARAMS = {"xy_field": {"h": 0.3}, "ising": {"h": 0.4}, "xxz_suq2": {"q": 0.5}}
 CASES = [*MODEL_NAMES, "dm_chain", "singles"]
@@ -113,7 +115,7 @@ def test_evolutions_match_full_eigh_and_keep_storage(case):
 def test_to_eigenbasis_matches_dense_product(case):
     h, vol = case
     es = EigenSystem(h)
-    v = es.eigenvectors
+    v = eigenvector_columns(es)
     for a in _observables(vol).values():
         want = v.conj().T @ a.toarray() @ v
         got = es.to_eigenbasis(a)
@@ -249,8 +251,10 @@ def test_light_cone_scan_refuses_non_hermitian_observables():
 def test_operators_are_evolved_without_the_dense_eigenvector_matrix(case, monkeypatch):
     h, vol = case
     es = EigenSystem(h)
-    monkeypatch.setattr(EigenSystem, "eigenvectors", property(lambda self: pytest.fail(
-        "read the dense eigenvector matrix")))
+    # eigenvector_columns is the one scatter of blocks into dense columns
+    for module in (spectra, spin_algebra):
+        monkeypatch.setattr(module, "eigenvector_columns", lambda *args: pytest.fail(
+            "scattered the dense eigenvector matrix"))
     for a in _observables(vol).values():
         es.evolve(a, 0.3)
         es.evolve_imaginary(a.toarray(), 0.3)

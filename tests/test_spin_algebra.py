@@ -26,6 +26,7 @@ from spinmodels import (
     total_spin,
 )
 from spinmodels.spin_algebra import (
+    DENSE_CUTOFF,
     as_matrix,
     eigenvector_columns,
     exact_real,
@@ -220,7 +221,7 @@ def test_hermitian_eig_matches_full_eigh_on_permuted_blocks():
             w_only = hermitian_eig(given, vectors=False).eigenvalues
             assert np.max(np.abs(w_only - w_full)) < 1e-12 * np.max(np.abs(w_full))
         assert abs(operator_norm(m) - np.max(np.abs(w_full))) < 1e-12
-        # anti-Hermitian input takes the same block route through i*A
+        # anti-Hermitian input: its norm is the largest |eigenvalue| of i*A
         anti = 1j * m
         want = np.max(np.abs(np.linalg.eigvalsh(1j * anti)))
         assert abs(operator_norm(anti) - want) < 1e-12
@@ -351,30 +352,25 @@ def test_operator_norm_sparse_large():
 
 
 def test_operator_norm_arpack_route_matches_the_dense_route(monkeypatch, dm_chain):
-    # a cap of 8 sends these dim-64 CSR inputs to ARPACK: eigsh of A or of
-    # i*A for (anti-)Hermitian A, in float64 exactly when that operand is
-    # real, and svds for the non-normal K+
+    # a cap of 8 sends these dim-64 CSR inputs to one ARPACK svds run each,
+    # in float64 exactly when the input's imaginary part is zero: Hermitian,
+    # anti-Hermitian and non-normal input alike
     vol = chain_volume(6, boundary="open")
     h = assemble_hamiltonian(heisenberg(j=-1.0), vol)
     cases = [
         (h, [np.float64]),
         (dm_chain(6), [np.complex128]),
-        (commutator(h, embed(spin_matrices(0.5).s1, [(0,)], vol)), [np.complex128]),
-        (suq2_generators(vol, 0.5).generators["K+"], ["svds"]),
+        (commutator(h, embed(spin_matrices(0.5).s1, [(0,)], vol)), [np.float64]),
+        (suq2_generators(vol, 0.5).generators["K+"], [np.float64]),
     ]
     want = [operator_norm(m) for m, _ in cases]
     seen = []
-    eigsh, svds = spla.eigsh, spla.svds
-
-    def recording_eigsh(m, *args, **kwargs):
-        seen.append(m.dtype)
-        return eigsh(m, *args, **kwargs)
+    svds = spla.svds
 
     def recording_svds(m, *args, **kwargs):
-        seen.append("svds")
+        seen.append(m.dtype)
         return svds(m, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
     monkeypatch.setattr(spla, "svds", recording_svds)
     for (m, dtypes), w in zip(cases, want):
         seen.clear()
@@ -384,6 +380,17 @@ def test_operator_norm_arpack_route_matches_the_dense_route(monkeypatch, dm_chai
     for zero in (sp.csr_array((64, 64)), commutator(h, total_spin(vol).generators["S3"])):
         seen.clear()
         assert operator_norm(zero, cap_dense=8) == 0.0 and seen == []
+
+
+def test_operator_norm_of_rounding_level_non_normal_input():
+    # every entry of 1e-15 K+ lies below STRUCTURE_TOL, so it passes as
+    # Hermitian within tolerance; its norm is still its largest singular
+    # value on either side of the dense cap
+    m = 1e-15 * suq2_generators(chain_volume(5, boundary="open"), 0.5).generators["K+"]
+    want = np.linalg.norm(m.toarray(), 2)
+    assert is_hermitian(m) and want > 0
+    for cap in (DENSE_CUTOFF, 8):
+        assert abs(operator_norm(m, cap_dense=cap) - want) <= 1e-12 * want
 
 
 def test_operator_norm_of_sparse_input_solves_blocks(forbid_full_toarray):

@@ -34,6 +34,7 @@ from spinmodels import (
     spin_matrices,
     stability_value,
 )
+from spinmodels.spin_algebra import eigenvector_columns
 
 
 def _two_site(j):
@@ -90,8 +91,8 @@ def test_gibbs_large_beta_projects_to_ground():
     # the shifted weights make huge beta safe: no overflow, pure ground state
     h = _two_site(-1.0)
     g = gibbs(h, 1e6)
-    sol = full_spectrum(h)
-    p0 = np.outer(sol.eigenvectors[:, 0], sol.eigenvectors[:, 0].conj())
+    v = eigenvector_columns(full_spectrum(h))
+    p0 = np.outer(v[:, 0], v[:, 0].conj())
     assert np.allclose(g.rho.matrix, p0, atol=1e-12)
 
 
@@ -238,8 +239,8 @@ def test_eeb_witnesses_non_equilibrium_state():
     # side is -beta*gap while the entropy side diverges upward, so the
     # balance goes strongly negative.
     h = _two_site(-1.0)
-    sol = full_spectrum(h)
-    gs, exc = sol.eigenvectors[:, 0], sol.eigenvectors[:, 3]
+    v = eigenvector_columns(full_spectrum(h))
+    gs, exc = v[:, 0], v[:, 3]
     x = np.outer(gs, exc.conj()) + 1e-3 * np.outer(exc, gs.conj())
     d = eeb_deficit(h, 0.5, x, DensityMatrix.pure(exc))
     assert d < -1.0
@@ -247,8 +248,8 @@ def test_eeb_witnesses_non_equilibrium_state():
 
 def test_eeb_degenerate_weights():
     h = _two_site(-1.0)
-    sol = full_spectrum(h)
-    gs, e1 = sol.eigenvectors[:, 0], sol.eigenvectors[:, 1]
+    v = eigenvector_columns(full_spectrum(h))
+    gs, e1 = v[:, 0], v[:, 1]
     state = DensityMatrix.pure(gs)
     # X annihilates the state: omega(X*X) = 0
     x = np.outer(gs, e1.conj())
@@ -263,8 +264,8 @@ def test_eeb_degenerate_weights():
 
 def test_stability_nonnegative_on_ground_states():
     h = _two_site(-1.0)
-    sol = full_spectrum(h)
-    state = DensityMatrix.pure(sol.eigenvectors[:, 0])
+    v = eigenvector_columns(full_spectrum(h))
+    state = DensityMatrix.pure(v[:, 0])
     rng = np.random.default_rng(43)
     for _ in range(40):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -274,8 +275,8 @@ def test_stability_nonnegative_on_ground_states():
 def test_stability_counterexample_on_excited_state():
     # |gs><top| pulls the top state down: omega(A*[H,A]) = -(E_top - E_gs) = -1
     h = _two_site(1.0)
-    sol = full_spectrum(h)
-    gs, top = sol.eigenvectors[:, 0], sol.eigenvectors[:, 3]
+    v = eigenvector_columns(full_spectrum(h))
+    gs, top = v[:, 0], v[:, 3]
     a = np.outer(gs, top.conj())
     val = stability_value(h, DensityMatrix.pure(top), a)
     assert abs(val - (-1.0)) < 1e-12
