@@ -2,9 +2,12 @@
 
 A Hamiltonian is diagonalized once.  :class:`EigenSystem` holds H with its
 decomposition from :func:`spinmodels.spin_algebra.hermitian_eig`, kept as
-blocks: one LAPACK ``eigh`` per invariant block of H's exact nonzero pattern
-(for the built-in models, the conserved total-S3 sectors or finer), in
-float64 when the block is real, and no dim x dim eigenvector matrix.
+blocks: the invariant blocks of H's exact nonzero pattern (for the built-in
+models, the conserved total-S3 sectors or finer), in float64 when the block
+is real, and no dim x dim eigenvector matrix.  Each block is one LAPACK
+``eigh``, except when H is exactly spin-flip symmetric (``flip``): then each
++-m pair of blocks costs one ``eigh``, and a block that is its own mirror
+two of half its size.
 ``full_spectrum``, ``ground_space``, ``spectral_gap``, the Gibbs and KMS
 routines of :mod:`spinmodels.states` and the evolutions of
 :mod:`spinmodels.dynamics` accept a Hamiltonian (and then build an
@@ -96,7 +99,8 @@ class EigenSystem:
     ascending, and the eigenvectors stay per invariant block: ``blocks`` are
     the (basis indices, eigenvalues, eigenvectors) triples of
     :class:`~spinmodels.spin_algebra.HermitianEig`, float64 when H has no
-    imaginary part, and ``block_sizes`` the blocks solved.  In the eigenbasis,
+    imaginary part, ``block_sizes`` the blocks, and ``flip`` whether H is
+    exactly spin-flip symmetric.  In the eigenbasis,
     conjugation by exp(itH) is an entrywise phase, so an evolution costs a
     few products per pair of blocks that the operator couples.
     """
@@ -111,7 +115,7 @@ class EigenSystem:
             )
         self.h = m
         self.range_limit = float(range_limit)
-        self.eigenvalues, self.blocks, self.block_sizes = hermitian_eig(m)
+        self.eigenvalues, self.blocks, self.block_sizes, self.flip = hermitian_eig(m)
         self.gibbs_memo = None  # the last state built by states.gibbs
         # block order lists the blocks' basis indices, and their columns, in turn
         sizes = [idx.size for idx, _, _ in self.blocks]
@@ -139,27 +143,41 @@ class EigenSystem:
                 f"imaginary-time exponent {exponent:.3g} exceeds range limit {limit}"
             )
 
-    def pairs(self, a):
-        """Yield (b, c, V_b^H A_bc V_c) for each pair of ``blocks`` that A couples.
+    def _entries(self, a):
+        """A's CSR entries (i, j, d), a dense A converted once, in block order
+        through one inverse permutation, with their pair keys b * nb + c."""
+        m = sp.csr_array(as_matrix(a))
+        if m.shape[0] != self.dim:
+            raise DomainError(
+                f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
+            )
+        row = self._position[np.repeat(np.arange(self.dim), np.diff(m.indptr))]
+        col = self._position[m.indices]
+        return self._label[row] * len(self.blocks) + self._label[col], row, col, m.data
 
-        A's CSR entries (i, j, d), a dense A converted once, are taken in
-        block order through one inverse permutation and grouped by pair.
-        Each pair costs whichever is fewer multiply-adds: the gather-GEMM
+    def coupled(self, a) -> set[tuple[int, int]]:
+        """The pairs (b, c) of ``blocks`` that A couples: label lookups on its
+        entries, no product."""
+        keys = np.flatnonzero(np.bincount(self._entries(a)[0])).tolist()
+        return {divmod(k, len(self.blocks)) for k in keys}
+
+    def pairs(self, a, among=None):
+        """Yield (b, c, V_b^H A_bc V_c) for each pair of ``blocks`` that A
+        couples, or only for those in the set ``among``.
+
+        A's entries (see ``_entries``) are grouped by pair.  Each pair costs
+        whichever is fewer multiply-adds: the gather-GEMM
         V_b[i]^H (d * V_c[j]) (nnz d_b d_c), or A_bc, filled from the entries,
         times V_c and then V_b^H (d_b d_c (d_b + d_c)).  Real blocks meet
         complex factors in float64 (see ``_matmul``).  Block 0's vectors, the
         identity, are applied by indexing; between two of its entries the
         result is A's own entries as a COO array.
         """
-        m = sp.csr_array(as_matrix(a))
-        if m.shape[0] != self.dim:
-            raise DomainError(
-                f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
-            )
         nb, s, v = len(self.blocks), self._start, self._vectors
-        row = self._position[np.repeat(np.arange(self.dim), np.diff(m.indptr))]
-        col, data = self._position[m.indices], m.data
-        key = self._label[row] * nb + self._label[col]
+        key, row, col, data = self._entries(a)
+        if among is not None:
+            keep = np.isin(key, [b * nb + c for b, c in among])
+            key, row, col, data = key[keep], row[keep], col[keep], data[keep]
         order = np.argsort(key, kind="stable")
         key, row, col, data = key[order], row[order], col[order], data[order]
         bounds = np.flatnonzero(np.diff(key, prepend=-1, append=nb * nb)).tolist()
@@ -235,7 +253,8 @@ class LowLevels:
     lowest ``num`` on the krylov route.  ``basis`` spans the ground multiplet
     of ``degeneracy`` levels; ``gap`` is 0.0 when no level lies above it.
     The route's own diagnostics are set on its route only: ``block_sizes``,
-    the EigenSystem's invariant blocks, on the dense route; ``iterations``
+    the EigenSystem's invariant blocks, and ``flip``, whether H is exactly
+    flip-symmetric, on the dense route; ``iterations``
     and ``max_residual`` (largest ||H v - theta v|| of the returned pairs) of
     the last Lanczos run on the krylov route.
     """
@@ -246,6 +265,7 @@ class LowLevels:
     gap: float
     basis: np.ndarray
     block_sizes: list[int] | None = None
+    flip: bool | None = None
     iterations: int | None = None
     max_residual: float | None = None
 
@@ -256,7 +276,8 @@ class LowLevels:
     @property
     def diagnostics(self) -> dict:
         """The route's own diagnostics by name, for a result payload."""
-        keys = ("block_sizes",) if self.method == "dense" else ("iterations", "max_residual")
+        dense = self.method == "dense"
+        keys = ("block_sizes", "flip") if dense else ("iterations", "max_residual")
         return {key: getattr(self, key) for key in keys}
 
 
@@ -310,7 +331,7 @@ def low_levels(
         win = _window(w[0], float(np.max(np.abs(w))), degeneracy_tol)
         deg = max(int(np.searchsorted(w, win, side="right")), 1)
         return LowLevels("dense", w, deg, _gap(w, deg),
-                         eigenvector_columns(es, np.arange(deg)), es.block_sizes)
+                         eigenvector_columns(es, np.arange(deg)), es.block_sizes, es.flip)
 
     if not isinstance(h, EigenSystem):
         _require_hermitian(h)

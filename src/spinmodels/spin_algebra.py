@@ -20,7 +20,11 @@ Every dense Hermitian eigensolve goes through :func:`hermitian_eig`, which
 splits the matrix into the invariant blocks of its exact nonzero pattern and
 solves each block in float64 when its imaginary part is exactly zero
 (:func:`exact_real`, the one rule every solver uses to choose float64).  For
-eigenvalues alone, a bipartite block [[0, X], [X^H, 0]] is one SVD of X.
+eigenvalues alone, a bipartite block [[0, X], [X^H, 0]] is one SVD of X.  In
+the decreasing-S3 basis, flipping every site's m -> -m is the index reversal
+i -> n-1-i for every local dimension, so a matrix that equals its reversal
+exactly is flip-symmetric with no lattice data: its +-m blocks are solved
+once per pair, and a block that is its own mirror as two halves.
 """
 
 from __future__ import annotations
@@ -223,11 +227,49 @@ def anticommutator(a, b):
 class HermitianEig(NamedTuple):
     """Eigenvalues (ascending), the blocks (None when eigenvectors were not
     asked for) as (basis indices, eigenvalues, eigenvectors): all size-1
-    blocks together with an identity, then each larger block; their sizes."""
+    blocks together with an identity, then each larger block; their sizes;
+    whether the matrix is exactly flip-symmetric (see :func:`hermitian_eig`)."""
 
     eigenvalues: np.ndarray
     blocks: list[tuple] | None
     block_sizes: list[int]
+    flip: bool
+
+
+def _flip_symmetric(m) -> bool:
+    """Whether J m J == m exactly, J the index reversal i -> n-1-i.  A CSR
+    matrix is compared in O(nnz) through its arrays, and only in canonical
+    format (otherwise it counts as not symmetric)."""
+    if not sp.issparse(m):
+        return np.array_equal(m[::-1, ::-1], m)
+    n = m.shape[0]
+    return (m.has_canonical_format and np.array_equal(m.nnz - m.indptr[::-1], m.indptr)
+            and np.array_equal(n - 1 - m.indices[::-1], m.indices)
+            and np.array_equal(m.data[::-1], m.data))
+
+
+def _mirror_halves(block, vectors: bool):
+    """Eigenvalues (ascending) and eigenvectors (None without ``vectors``) of
+    a block B with R B R = B, R the reversal k -> d-1-k, from its halves on
+    the vectors (e_k +- e_{d-1-k}) / sqrt(2), k < h = d // 2:
+    B+- = B[:h, :h] +- B[:h, ::-1][:, :h].  For odd d the fixed middle index
+    joins B+ with its row and column weighted by sqrt(2)."""
+    d, h = block.shape[0], block.shape[0] // 2
+    top, cross = block[:h, :h], block[:h, ::-1][:, :h]
+    even, odd = top + cross, top - cross
+    if d % 2:
+        even = np.block([[even, math.sqrt(2.0) * block[:h, h:h + 1]],
+                         [math.sqrt(2.0) * block[h:h + 1, :h], block[h:h + 1, h:h + 1]]])
+    if not vectors:
+        return np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)))), None
+    (we, ue), (wo, uo) = np.linalg.eigh(even), np.linalg.eigh(odd)
+    w = np.concatenate((we, wo))
+    order = np.argsort(w, kind="stable")
+    e, o = np.split(np.argsort(order), [we.size])  # the sorted columns of each half
+    v, r = np.zeros((d, d), np.result_type(ue, uo)), math.sqrt(0.5)
+    v[:h, e], v[h:d - h, e], v[d - h:, e] = r * ue[:h], ue[h:], r * ue[:h][::-1]
+    v[:h, o], v[d - h:, o] = r * uo, -r * uo[::-1]
+    return w[order], v
 
 
 def _pattern_blocks(m, sides: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
@@ -272,8 +314,20 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     merged by a stable ascending sort.  The eigenvectors stay per block (see
     :class:`HermitianEig`); :func:`eigenvector_columns` scatters them.
     ``block_sizes`` lists the blocks in the order of their first basis index.
+
+    ``flip`` is whether J m J == m exactly, J the index reversal i -> n-1-i
+    (spin flip in the decreasing-S3 basis), tested on the input as given.
+    No tolerance decides it: a mirrored block copies its partner's
+    eigenpairs, exact only when the symmetry is.  When it holds, a block
+    whose mirror (the block of n-1-idx[0]) is solved takes the partner's
+    indices idx' as (n-1-idx')[::-1], its eigenvalues and its row-reversed
+    vectors; a block that is its own mirror is solved as its halves, even
+    and odd under k -> d-1-k (its indices ascend), sorted by eigenvalue.
     """
     m = as_matrix(m)
+    # the flip test reads the input as given: scipy's `m != 0` in the
+    # pattern search may sort a CSR matrix's indices in place
+    n, flip, solved = m.shape[0], _flip_symmetric(m), {}  # solved: label -> place in blocks
     labels, side = _pattern_blocks(m, sides=not vectors)
     sizes = np.bincount(labels)
     # for eigenvalues alone, a bipartite block lists its colour-0 indices first
@@ -288,6 +342,12 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     for b in np.flatnonzero(sizes > 1):
         s, e = starts[b], starts[b + 1]
         idx = members[s:e]
+        mirror = labels[n - 1 - idx[0]] if flip else -1
+        if mirror in solved:  # J maps this block onto a solved one, reversed
+            pidx, pw, pv = blocks[solved[mirror]]
+            blocks.append(((n - 1 - pidx)[::-1], pw, None if pv is None else pv[::-1]))
+            continue
+        solved[b] = len(blocks)
         mid = s if vectors else s + np.count_nonzero(side[idx] < 0)
         if mid > s:  # [[0, X], [X^H, 0]]: +-sigma(X) and |n0 - n1| zeros
             x = m[np.ix_(*np.split(idx, [mid - s]))] if p is None else p[s:mid, mid:e].toarray()
@@ -296,10 +356,13 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
             blocks.append((idx, np.concatenate((-sigma, zeros, sigma)), None))
             continue
         block = exact_real(m[np.ix_(idx, idx)] if p is None else p[s:e, s:e].toarray())
-        blocks.append((idx, *np.linalg.eigh(block)) if vectors
-                      else (idx, np.linalg.eigvalsh(block), None))
+        if mirror == b:
+            blocks.append((idx, *_mirror_halves(block, vectors)))
+        else:
+            blocks.append((idx, *np.linalg.eigh(block)) if vectors
+                          else (idx, np.linalg.eigvalsh(block), None))
     w = np.sort(np.concatenate([w for _, w, _ in blocks]), kind="stable")
-    return HermitianEig(w, blocks if vectors else None, sizes.tolist())
+    return HermitianEig(w, blocks if vectors else None, sizes.tolist(), flip)
 
 
 def eigenvector_columns(eig, columns=slice(None)) -> np.ndarray:

@@ -232,17 +232,18 @@ class KmsTerms(NamedTuple):
 
 def kms_terms(h, a, b) -> KmsTerms:
     """The KMS terms of (A, B): one ``EigenSystem.pairs`` pass over A and one
-    over B; block pair (b, c) of A meets (c, b) of B, summed over j into t_k."""
+    over B, each only over the block pairs (b, c) of A that meet a pair
+    (c, b) of B; those meet summed over j into t_k."""
     es = EigenSystem.of(h)
     am, bm = as_matrix(a), as_matrix(b)
     for name, m in (("A", am), ("B", bm)):
         if m.shape[0] != es.dim:
             raise DimensionMismatchError(f"{name} dim {m.shape[0]} vs Hamiltonian dim {es.dim}")
-    at = {(b, c): x for b, c, x in es.pairs(am)}
+    both = es.coupled(am) & {(b, c) for c, b in es.coupled(bm)}
+    at = {(b, c): x for b, c, x in es.pairs(am, both)}
     flow = [np.zeros(w.size, np.complex128) for _, w, _ in es.blocks]
-    for c, b, xb in es.pairs(bm):
-        if (b, c) in at:
-            flow[c] += np.asarray((at[b, c] * xb.T).sum(axis=0)).ravel()
+    for c, b, xb in es.pairs(bm, {(c, b) for b, c in both}):
+        flow[c] += np.asarray((at[b, c] * xb.T).sum(axis=0)).ravel()
     energies = np.concatenate([w for _, w, _ in es.blocks])
     return KmsTerms(es, np.concatenate(flow), energies, bm @ am)
 

@@ -326,3 +326,196 @@ def test_kms_and_evolve_never_densify_the_full_matrix(case, forbid_full_toarray)
     for a, b in pairs:
         assert kms_residual(es, 0.8, a, b) < 1e-12
         assert sp.issparse(es.evolve(a, 0.6)) and sp.issparse(es.evolve_imaginary(b, 0.4))
+
+
+# ---------------------------------------------------------------------------
+# Spin flip: J H J == H for J the index reversal
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(name, size) of each numpy.linalg.eigh and eigvalsh call, in order."""
+    log = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            log.append((_name, a.shape[0]))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return log
+
+
+def _flipped(m):
+    return m[::-1, ::-1]
+
+
+def _plain_sizes(m):
+    """The sizes > 1 of the plain pattern components, in order: the solves
+    of the path that takes no flip."""
+    _, labels = connected_components(sp.csr_array(m) != 0, directed=False)
+    return [int(k) for k in np.bincount(labels) if k > 1]
+
+
+def _check_decomposition(es, eigen_residuals, w_full, scale):
+    assert np.max(np.abs(es.eigenvalues - w_full)) < 1e-13 * scale
+    assert np.max(eigen_residuals(es)) < 1e-13 * scale
+    v = eigenvector_columns(es)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(es.dim))) < 1e-13
+
+
+_FLIP_CASES = [("heisenberg", {}, "periodic"), ("heisenberg", {}, "open"),
+               ("xy_field", {"h": 0.0}, "periodic"), ("xy_field", {"h": 0.3}, "periodic"),
+               ("ising", {"h": 0.0}, "open"), ("ising", {"h": 0.4}, "open"),
+               ("aklt", {}, "periodic"), ("xxz_suq2", {"q": 0.5}, "open")]
+
+
+@pytest.mark.parametrize("name, params, boundary", _FLIP_CASES,
+                         ids=[f"{n}-{'-'.join(map(str, p.values()))}-{b}"
+                              for n, p, b in _FLIP_CASES])
+def test_flip_decomposition_matches_full_eigh_on_every_model(solves, eigen_residuals,
+                                                           name, params, boundary):
+    # a flip-symmetric H solves each +-m sector pair once and each
+    # self-mirrored sector as two halves; any other H makes the solves of
+    # the path without the flip, one eigh per block of size > 1
+    assert {n for n, _, _ in _FLIP_CASES} == set(MODELS)
+    local_dim = MODELS[name].interaction(params).local_dim
+    vol = chain_volume(5 if local_dim > 2 else 8, boundary, local_dim=local_dim)
+    h = build_model_hamiltonian(name, params, vol).tocsr()
+    symmetric = np.array_equal(_flipped(h.toarray()), h.toarray())
+    assert symmetric == (name in ("heisenberg", "aklt") or params.get("h") == 0.0)
+    solves.clear()
+    es = EigenSystem(h)
+    made = list(solves)
+    assert es.flip == symmetric
+    if symmetric:
+        assert made == [] or sum(k ** 3 for _, k in made) < sum(k ** 3 for k in _plain_sizes(h))
+    else:
+        assert made == [("eigh", k) for k in _plain_sizes(h)]
+    w, _, scale = _full_eigh(h)
+    _check_decomposition(es, eigen_residuals, w, scale)
+
+
+def test_flip_halves_with_a_fixed_point_aklt_ring(solves, eigen_residuals):
+    # dim 3^5 = 243 is odd: the all-zero state 121 is its own mirror, and the
+    # self-mirrored m = 0 sector (51 states) splits into halves of 26 and 25
+    vol = chain_volume(5, "periodic", local_dim=3)
+    h = build_model_hamiltonian("aklt", {}, vol).tocsr()
+    solves.clear()
+    es = EigenSystem(h)
+    assert es.flip and es.block_sizes == [1, 5, 15, 30, 45, 51, 45, 30, 15, 5, 1]
+    assert solves == [("eigh", k) for k in (5, 15, 30, 45, 26, 25)]
+    w, _, scale = _full_eigh(h)
+    _check_decomposition(es, eigen_residuals, w, scale)
+    middle = next(v for idx, _, v in es.blocks if idx.size == 51)
+    assert np.any(middle[25] != 0)  # the fixed index carries the even half
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_flip_halves_of_a_random_complex_hermitian_matrix(solves, n):
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = x + x.conj().T
+    m = x + _flipped(x)
+    assert np.array_equal(_flipped(m), m) and np.array_equal(m, m.conj().T)
+    want = np.linalg.eigvalsh(m)
+    for given in (m, sp.csr_array(m)):
+        solves.clear()
+        eig = hermitian_eig(given)
+        assert eig.flip and solves == [("eigh", n - n // 2), ("eigh", n // 2)]
+        v = eigenvector_columns(eig)
+        assert v.dtype == np.complex128
+        assert np.max(np.abs(eig.eigenvalues - want)) < 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(m @ v - v * eig.eigenvalues)) < 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-13
+        (_, w, _), = eig.blocks[1:]
+        assert np.all(np.diff(w) >= 0)  # sorted within the block
+        solves.clear()
+        w_only = hermitian_eig(given, vectors=False).eigenvalues
+        assert solves == [("eigvalsh", n - n // 2), ("eigvalsh", n // 2)]
+        assert np.max(np.abs(w_only - eig.eigenvalues)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_near_flip_and_non_canonical_csr_take_the_path_without_the_flip(solves):
+    # only exact equality counts: one entry pair one ulp off, or a CSR whose
+    # rows are not sorted, makes one eigh per sector
+    h = build_model_hamiltonian("heisenberg", {"J": 1.0}, chain_volume(8, "periodic")).tocsr()
+    assert hermitian_eig(h).flip
+    near = h.toarray()
+    i, j = np.argwhere(np.triu(near != 0, 1))[0]
+    near[i, j] = near[j, i] = np.nextafter(near[i, j].real, np.inf)
+    assert 0 < np.max(np.abs(_flipped(near) - near)) < 1e-15
+    order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in zip(h.indptr[:-1], h.indptr[1:])])
+    shuffled = sp.csr_array((h.data[order], h.indices[order], h.indptr), shape=h.shape)
+    assert not shuffled.has_canonical_format
+    for m in (near, sp.csr_array(near), shuffled):
+        solves.clear()
+        eig = hermitian_eig(m)
+        assert not eig.flip
+        assert solves == [("eigh", k) for k in (8, 28, 56, 70, 56, 28, 8)]
+        assert np.max(np.abs(eig.eigenvalues - np.linalg.eigvalsh(near))) < 1e-13 * 8
+
+
+def test_spectrum_dense_spec_makes_six_eigh_calls(tmp_path, solves):
+    # the bench spectrum_dense spec: L=10 Heisenberg ring, sectors
+    # 10, 45, 120, 210, 252, 210, ... solved as 10, 45, 120, 210, 126, 126
+    doc = {"schema_version": 1, "task": "spectrum",
+           "model": {"name": "heisenberg", "params": {"J": -1.0}},
+           "volume": {"dims": [10], "boundary": "periodic"},
+           "spectrum": {"method": "dense", "num_eigenvalues": 6}}
+    payload = json.loads(run_spec(parse_spec_dict(doc), tmp_path).read_text())["payload"]
+    assert sorted(k for _, k in solves) == [10, 45, 120, 126, 126, 210]
+    assert {name for name, _ in solves} == {"eigh"}
+    assert payload["flip"] is True
+    assert payload["block_sizes"] == [1, 10, 45, 120, 210, 252, 210, 120, 45, 10, 1]
+
+
+def test_flip_partner_blocks_are_reversed_copies():
+    # the mirror of a solved block has the reversed indices, the same
+    # eigenvalues bit for bit, and the row-reversed vectors
+    h = build_model_hamiltonian("heisenberg", {"J": 1.0}, chain_volume(8, "periodic")).tocsr()
+    es = EigenSystem(h)
+    n = es.dim
+    first = {int(idx[0]): b for b, (idx, _, _) in enumerate(es.blocks)}
+    partners = 0
+    for idx, w, v in es.blocks[1:]:
+        mirror_idx, mirror_w, mirror_v = es.blocks[first[int(n - 1 - idx[-1])]]
+        assert np.array_equal(mirror_idx, (n - 1 - idx)[::-1])
+        assert np.array_equal(mirror_w, w)
+        if mirror_idx[0] != idx[0]:
+            assert np.array_equal(mirror_v, v[::-1])
+            partners += 1
+        else:  # a self-mirrored block: every vector is even or odd under the flip
+            assert np.all((v[::-1] == v).all(axis=0) | (v[::-1] == -v).all(axis=0))
+    assert partners == 6  # three +-m sector pairs, each seen from both sides
+
+
+def test_kms_terms_take_only_the_block_pairs_that_meet(case, monkeypatch):
+    # pairs(a, among) yields exactly the chosen pairs of pairs(a), bit for
+    # bit, and kms_terms asks for the pairs (b, c) of A whose (c, b) B couples
+    from spinmodels import states
+
+    h, vol = case
+    es = EigenSystem(h)
+    asked = []
+    original = spectra.EigenSystem.pairs
+
+    def recording(self, a, among=None):
+        out = list(original(self, a, among))
+        asked.append({(b, c) for b, c, _ in out})
+        return iter(out)
+
+    for a, b in random_probe_pairs(vol, 19, 4) + [tuple(_observables(vol).values())]:
+        ka, kb = es.coupled(a), es.coupled(b)
+        full = {(p, q): x for p, q, x in es.pairs(a)}
+        assert ka == set(full)
+        meet = {(p, q) for p, q in ka if (q, p) in kb}
+        for p, q, x in es.pairs(a, meet):
+            want = full[p, q]
+            assert (p, q) in meet and type(x) is type(want)
+            assert np.array_equal(x.toarray() if sp.issparse(x) else x,
+                                  want.toarray() if sp.issparse(want) else want)
+        asked.clear()
+        monkeypatch.setattr(spectra.EigenSystem, "pairs", recording)
+        states.kms_terms(es, a, b)
+        monkeypatch.undo()
+        assert asked == [meet, {(q, p) for p, q in meet}]

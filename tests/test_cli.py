@@ -257,14 +257,22 @@ def test_run_spectrum_end_to_end(tmp_path):
 
 
 def test_dense_spectrum_payload_lists_invariant_blocks(tmp_path):
-    # 4-site ring: one block per total-S3 sector, ordered by first basis index
+    # 4-site ring: one block per total-S3 sector, ordered by first basis index,
+    # and the ring is exactly flip-symmetric
     doc = json.loads(run_spec(parse_spec_dict(_spec("spectrum", {"method": "dense"})),
                               tmp_path).read_text())
     assert doc["payload"]["block_sizes"] == [1, 4, 6, 4, 1]
+    assert doc["payload"]["flip"] is True
     assert "iterations" not in doc["payload"] and "max_residual" not in doc["payload"]
+    # a longitudinal field breaks the flip; the sectors stay
+    field = {"name": "xy_field", "params": {"h": 0.3}}
+    doc = json.loads(run_spec(parse_spec_dict(_spec("spectrum", {"method": "dense"},
+                                                    model=field)), tmp_path).read_text())
+    assert doc["payload"]["block_sizes"] == [1, 4, 6, 4, 1]
+    assert doc["payload"]["flip"] is False
     doc = json.loads(run_spec(parse_spec_dict(_spec("spectrum", {"method": "krylov"})),
                               tmp_path).read_text())
-    assert "block_sizes" not in doc["payload"]
+    assert "block_sizes" not in doc["payload"] and "flip" not in doc["payload"]
 
 
 def test_krylov_spectrum_payload_records_solver_diagnostics(tmp_path):
@@ -375,9 +383,9 @@ def test_verify_transforms_each_kms_probe_once(tmp_path, monkeypatch, betas):
     calls = []
     original = spectra.EigenSystem.pairs
 
-    def counting(self, a):
+    def counting(self, a, among=None):
         calls.append(a)
-        return original(self, a)
+        return original(self, a, among)
 
     monkeypatch.setattr(spectra.EigenSystem, "pairs", counting)
     doc = _spec("verify", {"checks": ["kms", "eeb", "stability"], "betas": betas,
@@ -497,11 +505,13 @@ def test_krylov_spectrum_lists_whole_multiplets(tmp_path):
     ("thermal.json", 3),
     ("dynamics.json", 3),
     ("spectrum.json", 0),
+    ("spectrum_spin1.json", 3),
     ("scan.json", 0),
 ])
 def test_cap_dense_reaches_every_task(tmp_path, capsys, name, code):
     # dims 32..256 exceed a dense cap of 16: tasks that need the full
-    # eigendecomposition refuse, low-end tasks switch to block Lanczos
+    # eigendecomposition, or a spectrum that asks for the dense route,
+    # refuse; low-end tasks switch to block Lanczos
     out = tmp_path / "out"
     assert main(["run", str(RUNSPECS / name), "--out", str(out),
                  "--cap-dense", "16"]) == code
@@ -613,6 +623,7 @@ def test_exactly_zero_operators_reach_no_arpack(tmp_path, capsys, task, section,
     ("verify.json", 32, False),
     ("thermal.json", 64, False),
     ("spectrum.json", 256, False),
+    ("spectrum_spin1.json", 243, False),
     ("scan.json", 64, True),
 ])
 def test_one_dense_eigendecomposition_per_hamiltonian(tmp_path, monkeypatch,
