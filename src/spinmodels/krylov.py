@@ -22,9 +22,11 @@ Complex input stays complex128.
 Blocks matter for degenerate multiplets: the Krylov space grown from one
 starting block can never hold more of an eigenspace than the starting block's
 slice of it, so a multiplet of dimension m needs block_size >= m to come out
-complete.  The low-end routine :func:`spinmodels.spectra.low_levels` sizes the
-block to the number of requested pairs for exactly this reason; the default
-block of 4 is for generic low-end queries.
+complete.  The low-end routine :func:`spinmodels.spectra.low_levels` runs
+once per invariant block of H (an S3 sector), where a multiplet spanning the
+sectors has one state each, with the block as wide as its pairs, and reruns a
+block twice as wide only when its top pair is among the levels it reports; the
+default block of 4 is for generic low-end queries.
 
 This is the sparse counterpart to dense LAPACK diagonalization; the test
 suite cross-checks the two routes (and ARPACK) against each other.

@@ -19,10 +19,10 @@ independent routes: the EigenSystem (exact, up to the dense cap) and the
 in-house block Lanczos from :mod:`spinmodels.krylov` for sparse operators.
 It picks the route from the dimension but accepts an explicit ``method`` so
 the two can be cross-checked; ``ground_space`` and ``spectral_gap`` are
-views of its result.  Each route reads the scale of its degeneracy window
-from its own solve, so no separate norm estimate runs.  Both routes take
-float64 by the same rule, :func:`~spinmodels.spin_algebra.exact_real`: the
-dense route per block, the krylov route for the whole matrix.
+views of its result.  Both routes solve H's invariant blocks, and each reads
+the scale of its degeneracy window from its own solves: no separate norm
+estimate runs.  They take float64 by :func:`~spinmodels.spin_algebra.exact_real`,
+the dense route per block, the krylov route once before its per-block runs.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .lattice import Volume, embed
 from .spin_algebra import (
     DENSE_CUTOFF,
     SOLVER_TOL,
+    _flip_symmetric,
+    _pattern_blocks,
     adjoint,
     as_matrix,
     eigenvector_columns,
@@ -247,16 +249,17 @@ class EigenSystem:
 
 @dataclass
 class LowLevels:
-    """The low end of a spectrum, from one solver run.
+    """The low end of a spectrum, from one route.
 
     ``eigenvalues`` are ascending: the whole spectrum on the dense route, the
     lowest ``num`` on the krylov route.  ``basis`` spans the ground multiplet
     of ``degeneracy`` levels; ``gap`` is 0.0 when no level lies above it.
     The route's own diagnostics are set on its route only: ``block_sizes``,
     the EigenSystem's invariant blocks, and ``flip``, whether H is exactly
-    flip-symmetric, on the dense route; ``iterations``
-    and ``max_residual`` (largest ||H v - theta v|| of the returned pairs) of
-    the last Lanczos run on the krylov route.
+    flip-symmetric, on the dense route; on the krylov route
+    ``solved_blocks``, the size of the block of each Lanczos run in solve
+    order, ``iterations``, the steps of all runs, and ``max_residual``, the
+    largest ||H v - theta v|| of their pairs (0 and 0.0 with no run).
     """
 
     method: str
@@ -268,6 +271,7 @@ class LowLevels:
     flip: bool | None = None
     iterations: int | None = None
     max_residual: float | None = None
+    solved_blocks: list[int] | None = None
 
     @property
     def energy(self) -> float:
@@ -277,7 +281,7 @@ class LowLevels:
     def diagnostics(self) -> dict:
         """The route's own diagnostics by name, for a result payload."""
         dense = self.method == "dense"
-        keys = ("block_sizes", "flip") if dense else ("iterations", "max_residual")
+        keys = ("block_sizes", "flip") if dense else ("iterations", "max_residual", "solved_blocks")
         return {key: getattr(self, key) for key in keys}
 
 
@@ -311,12 +315,23 @@ def low_levels(
     for an EigenSystem or when the dimension is at most ``cap_dense``, block
     Lanczos otherwise).  Each route takes ||H|| from its own solve: the
     dense route max |eigenvalue|, the krylov route the largest |Ritz value|
-    of its Lanczos run (:attr:`~spinmodels.krylov.KrylovResult.scale`).  The
-    krylov route runs in float64 when H's imaginary part is exactly zero, in
-    complex128 otherwise, and grows a Lanczos run, block as wide as the
-    number of pairs, from max(num, 6) pairs until a level lies above the
-    ground window; ``iterations`` and ``max_residual`` are those of the last
-    run.
+    of its Lanczos runs (:attr:`~spinmodels.krylov.KrylovResult.scale`) and
+    |entry| of its size-1 blocks.  The krylov route runs in float64 when H's
+    imaginary part is exactly zero, in complex128 otherwise, and every run
+    takes ``seed``.
+
+    The krylov route gives each invariant block of H's exact nonzero pattern
+    (the S3 sectors of the built-in models) one Lanczos run of max(num, 6)
+    pairs, block as wide; size-1 blocks are their diagonal entries, and the
+    mirror blocks of a flip-symmetric H copy their partners as in
+    :func:`~spinmodels.spin_algebra.hermitian_eig`.  Blocks are visited by
+    their Gershgorin bound min_i (h_ii - sum_{j != i} |h_ij|), which none of
+    their eigenvalues undercuts (Golub and Van Loan, *Matrix Computations*,
+    Thm 7.2.1).  Invariant: the lowest max(num, degeneracy + 1) values lie
+    more than the window width below the bound of every unsolved block and
+    the top Ritz value of every run short of its block; until they do, the
+    limiting block is solved, or its run repeated with twice the pairs.  A
+    ground multiplet over ``MAX_SPARSE_DEGENERACY`` is a SolverError.
     """
     m = h.h if isinstance(h, EigenSystem) else as_matrix(h)
     dim = m.shape[0]
@@ -336,22 +351,58 @@ def low_levels(
     if not isinstance(h, EigenSystem):
         _require_hermitian(h)
     msp = exact_real(m if sp.issparse(m) else sp.csr_array(m))
-    k = min(dim, max(num, 6))
+    labels, flip = _pattern_blocks(msp)[0], _flip_symmetric(msp)
+    sizes, members = np.bincount(labels), np.argsort(labels, kind="stable")
+    starts, diag = np.concatenate(([0], np.cumsum(sizes))), msp.diagonal()
+    # Gershgorin radii from the arrays: scipy's abs() sorts them, and m's data with them
+    radius = np.bincount(np.repeat(np.arange(dim), np.diff(msp.indptr)), abs(msp.data), dim)
+    bound = np.minimum.reduceat((diag.real - radius + abs(diag))[members], starts[:-1])
+    singles = np.flatnonzero(sizes[labels] == 1)
+    # label -> (indices, values, vectors); the size-1 blocks have label -1
+    found = {-1: (singles, diag.real[singles], sp.eye_array(singles.size, format="csr"))}
+    # label -> the value below which a block may hide levels: its bound, then
+    # the top Ritz value of its last run, inf once a run covers the block
+    limits = {b: bound[b] for b in np.flatnonzero(sizes > 1)}
+    runs = []  # (block size, KrylovResult) of each Lanczos run
     while True:
-        # block as wide as k so a k-fold multiplet survives the Krylov slice
-        res = lowest_eigenpairs(msp, k, block_size=k, tol=tol, seed=seed)
-        w = res.eigenvalues
-        deg = int(np.sum(w <= _window(float(w[0]), res.scale, degeneracy_tol)))
-        if deg < k or k == dim:
-            return LowLevels("krylov", w[:num], deg, _gap(w, deg),
-                             res.eigenvectors[:, :deg], iterations=res.iterations,
-                             max_residual=float(np.max(res.residuals)))
-        if k >= MAX_SPARSE_DEGENERACY:
+        vals = np.concatenate([w for _, w, _ in found.values()])
+        order = np.argsort(vals, kind="stable")
+        w = vals[order]
+        scale = max([r.scale for _, r in runs] + [float(np.max(abs(found[-1][1]), initial=0.0))])
+        win = _window(w[0], scale, degeneracy_tol) if w.size else np.inf
+        deg = int(np.sum(w <= win))
+        need = max(num, deg + 1)
+        cutoff = w[need - 1] + (win - w[0]) if need <= w.size else np.inf
+        limit, b = min(((v, b) for b, v in limits.items()), default=(np.inf, None))
+        done = limit > cutoff or limit == np.inf
+        if deg > MAX_SPARSE_DEGENERACY and (done or b in found):
             raise SolverError(
                 f"ground-space degeneracy exceeds {MAX_SPARSE_DEGENERACY}; "
                 "use the dense route"
             )
-        k = min(dim, max(k + 1, 2 * k))
+        if done:
+            break
+        idx = members[starts[b]:starts[b + 1]]
+        k = min(idx.size, max(2 * found[b][1].size if b in found else 0, num, 6))
+        # block as wide as k so a k-fold multiplet survives the Krylov slice
+        res = lowest_eigenpairs(msp[idx][:, idx], k, block_size=k, tol=tol, seed=seed)
+        runs.append((idx.size, res))
+        mirror = int(labels[dim - 1 - idx[0]]) if flip else b
+        # J maps block b onto its mirror, reversed; b last, so a self-mirrored block keeps idx
+        for c, i, v in ((mirror, (dim - 1 - idx)[::-1], res.eigenvectors[::-1]),
+                        (b, idx, res.eigenvectors)):
+            found[c] = (i, res.eigenvalues, v)
+            limits[c] = float(res.eigenvalues[-1]) if k < idx.size else np.inf
+    basis = np.zeros((dim, deg), np.result_type(msp.dtype, np.float64))
+    ground, lo = order[:deg], 0
+    for idx, vals, v in found.values():
+        j = np.flatnonzero((ground >= lo) & (ground < lo + vals.size))
+        part, lo = v[:, ground[j] - lo], lo + vals.size
+        basis[np.ix_(idx, j)] = part.toarray() if sp.issparse(part) else part
+    return LowLevels("krylov", w[:num], deg, _gap(w, deg), basis,
+                     iterations=sum(r.iterations for _, r in runs),
+                     max_residual=max((float(np.max(r.residuals)) for _, r in runs), default=0.0),
+                     solved_blocks=[d for d, _ in runs])
 
 
 def ground_space(

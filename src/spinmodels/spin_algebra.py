@@ -279,10 +279,16 @@ def _pattern_blocks(m, sides: bool = False) -> tuple[np.ndarray, np.ndarray | No
     on the graph's bipartite double cover, edges (i, 0)--(j, 1) and
     (j, 0)--(i, 1) for each nonzero m_ij, puts (i, 0) and (i, 1) apart
     exactly in a bipartite block, where the side is i's colour, -1 or +1; it
-    is 0 in any other block (a diagonal entry joins the two copies)."""
+    is 0 in any other block (a diagonal entry joins the two copies).  A CSR
+    pattern is built from copies of ``m``'s arrays, so the caller's matrix
+    is not rewritten; its stored zeros join no block."""
     n = m.shape[0]
-    pattern = m != 0
-    if not sp.issparse(pattern):
+    if sp.issparse(m):
+        keep = m.data != 0
+        pattern = sp.csr_array((np.ones(np.count_nonzero(keep)), m.indices[keep],
+                                np.concatenate(([0], np.cumsum(keep)))[m.indptr]), shape=m.shape)
+    else:
+        pattern = m != 0
         # a row with no zero, its diagonal included, joins every index into
         # one block that is not bipartite: no graph search
         if n == 0 or pattern.all(axis=1).any():
@@ -325,8 +331,6 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     and odd under k -> d-1-k (its indices ascend), sorted by eigenvalue.
     """
     m = as_matrix(m)
-    # the flip test reads the input as given: scipy's `m != 0` in the
-    # pattern search may sort a CSR matrix's indices in place
     n, flip, solved = m.shape[0], _flip_symmetric(m), {}  # solved: label -> place in blocks
     labels, side = _pattern_blocks(m, sides=not vectors)
     sizes = np.bincount(labels)

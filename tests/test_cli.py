@@ -263,7 +263,7 @@ def test_dense_spectrum_payload_lists_invariant_blocks(tmp_path):
                               tmp_path).read_text())
     assert doc["payload"]["block_sizes"] == [1, 4, 6, 4, 1]
     assert doc["payload"]["flip"] is True
-    assert "iterations" not in doc["payload"] and "max_residual" not in doc["payload"]
+    assert not {"iterations", "max_residual", "solved_blocks"} & set(doc["payload"])
     # a longitudinal field breaks the flip; the sectors stay
     field = {"name": "xy_field", "params": {"h": 0.3}}
     doc = json.loads(run_spec(parse_spec_dict(_spec("spectrum", {"method": "dense"},
@@ -276,14 +276,17 @@ def test_dense_spectrum_payload_lists_invariant_blocks(tmp_path):
 
 
 def test_krylov_spectrum_payload_records_solver_diagnostics(tmp_path):
-    # the last Lanczos run's step count and largest residual, and a rerun
-    # writes the same bytes
+    # the sizes of the blocks that got a Lanczos run, in solve order, the
+    # steps of all runs and their largest residual, and a rerun writes the
+    # same bytes
     spec = parse_spec_dict(_spec("spectrum", {"method": "krylov", "num_eigenvalues": 4},
                                  volume={"dims": [8], "boundary": "periodic"}))
     text = run_spec(spec, tmp_path / "a").read_text()
     payload = json.loads(text)["payload"]
     assert payload["method"] == "krylov"
-    assert isinstance(payload["iterations"], int) and payload["iterations"] >= 1
+    assert payload["solved_blocks"] and set(payload["solved_blocks"]) <= {8, 28, 56, 70}
+    assert isinstance(payload["iterations"], int)
+    assert payload["iterations"] >= len(payload["solved_blocks"])
     scale = max(abs(v) for v in payload["eigenvalues"])
     assert 0.0 <= payload["max_residual"] <= 1e-10 * scale
     assert run_spec(spec, tmp_path / "b").read_text() == text
@@ -505,11 +508,12 @@ def test_krylov_spectrum_lists_whole_multiplets(tmp_path):
     ("thermal.json", 3),
     ("dynamics.json", 3),
     ("spectrum.json", 0),
+    ("spectrum_ferro.json", 0),
     ("spectrum_spin1.json", 3),
     ("scan.json", 0),
 ])
 def test_cap_dense_reaches_every_task(tmp_path, capsys, name, code):
-    # dims 32..256 exceed a dense cap of 16: tasks that need the full
+    # dims 32..4096 exceed a dense cap of 16: tasks that need the full
     # eigendecomposition, or a spectrum that asks for the dense route,
     # refuse; low-end tasks switch to block Lanczos
     out = tmp_path / "out"

@@ -23,14 +23,16 @@ from spinmodels import (
     heisenberg,
     ising,
     low_levels,
+    spectra,
     spectral_gap,
     spin_matrices,
     structure_factor,
     two_point,
 )
 from spinmodels.interactions import MODEL_NAMES, MODELS
+from spinmodels.krylov import lowest_eigenpairs
 from spinmodels.spectra import DEGENERACY_TOL
-from spinmodels.spin_algebra import eigenvector_columns, exact_real
+from spinmodels.spin_algebra import _pattern_blocks, eigenvector_columns, exact_real, hermitian_eig
 
 
 def test_full_spectrum_matches_numpy(eigen_residuals):
@@ -236,6 +238,150 @@ def test_sparse_degeneracy_cap():
     m = sp.eye_array(200, format="csr")
     with pytest.raises(SolverError):
         ground_space(m, method="krylov")
+
+
+# ---------------------------------------------------------------------------
+# The krylov route, one Lanczos run per invariant block
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def lanczos_runs(monkeypatch):
+    """(block size, k) of each Lanczos run that low_levels makes, in order."""
+    log = []
+
+    def counted(h, k, *args, _solve=spectra.lowest_eigenpairs, **kwargs):
+        log.append((h.shape[0], k))
+        return _solve(h, k, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "lowest_eigenpairs", counted)
+    return log
+
+
+def _check_ground_basis(low, h, scale):
+    v = low.basis
+    assert v.shape == (h.shape[0], low.degeneracy)
+    assert np.abs(v.conj().T @ v - np.eye(low.degeneracy)).max() <= 1e-10
+    assert np.linalg.norm(h @ v - low.energy * v, axis=0).max() <= 1e-10 * scale
+
+
+_RECORDS = [(name, boundary) for name in MODEL_NAMES for boundary in ("open", "periodic")
+            if boundary == "open" or not MODELS[name].open_chain_only]
+
+
+@pytest.mark.parametrize("name, boundary", _RECORDS, ids=[f"{n}-{b}" for n, b in _RECORDS])
+def test_sectored_krylov_route_matches_dense_and_unsectored_lanczos(name, boundary):
+    # the sectored route against the dense route and one Lanczos run on the
+    # whole matrix, block as wide as the ground multiplet and one level more
+    params = _MODEL_PARAMS.get(name, {})
+    local_dim = MODELS[name].interaction(params).local_dim
+    vol = chain_volume(6 if local_dim > 2 else 8, boundary, local_dim=local_dim)
+    h = build_model_hamiltonian(name, params, vol)
+    dense = low_levels(EigenSystem(h))
+    krylov = low_levels(h, 6, method="krylov")
+    k = max(6, dense.degeneracy + 1)
+    whole = lowest_eigenpairs(exact_real(h), k, block_size=k).eigenvalues
+    w = dense.eigenvalues
+    scale = max(1.0, np.abs(w).max())
+    n = krylov.eigenvalues.size
+    assert n == 6
+    assert np.abs(krylov.eigenvalues - w[:n]).max() <= 1e-10 * scale
+    assert np.abs(krylov.eigenvalues - whole[:n]).max() <= 1e-10 * scale
+    window = whole[0] + DEGENERACY_TOL * scale
+    assert krylov.degeneracy == dense.degeneracy == int(np.sum(whole <= window))
+    deg = krylov.degeneracy
+    assert abs(krylov.gap - dense.gap) <= 1e-10 * scale
+    assert abs(krylov.gap - (whole[deg] - whole[0])) <= 1e-10 * scale
+    _check_ground_basis(krylov, h, scale)
+
+
+def test_single_state_edge_sectors_join_the_ground_multiplet():
+    # the 13-fold SU_q(2) multiplet has one state in each S3 sector; the two
+    # size-1 edge sectors sit at E0 only up to rounding
+    h = build_model_hamiltonian("xxz_suq2", {"q": 0.5}, chain_volume(12, "open"))
+    low = low_levels(h, 6, method="krylov")
+    assert low.degeneracy == 13
+    _check_ground_basis(low, h, max(1.0, abs(low.energy)))
+
+
+def test_ferromagnet_ring_makes_one_run_per_flip_pair(lanczos_runs):
+    # L=12: sectors 1, 12, 66, 220, 495, 792, 924, 792, ..., 1; every
+    # Gershgorin bound is E0, so each +-m pair is solved once and the two
+    # size-1 sectors are read from the diagonal
+    h = build_model_hamiltonian("heisenberg", {"J": 1.0}, chain_volume(12, "periodic"))
+    low = low_levels(h, 6, method="krylov")
+    assert [d for d, _ in lanczos_runs] == [12, 66, 220, 495, 792, 924]
+    assert low.solved_blocks == [d for d, _ in lanczos_runs]
+    assert low.degeneracy == 13 and abs(low.energy + 3.0) <= 1e-12
+    assert abs(low.gap - (1.0 - np.cos(np.pi / 6))) <= 1e-10  # one magnon at k = 2 pi / 12
+    _check_ground_basis(low, h, 3.0)
+
+
+def test_gershgorin_bounds_skip_sectors(lanczos_runs):
+    # the spectrum_krylov bench spec (L=13 antiferromagnet ring): the m = 1/2
+    # and m = 3/2 sectors are solved, their mirrors copied, and every other
+    # sector's bound lies above the sixth level
+    h = build_model_hamiltonian("heisenberg", {"J": -1.0}, chain_volume(13, "periodic"))
+    low = low_levels(h, 6, method="krylov")
+    assert low.solved_blocks == [d for d, _ in lanczos_runs] == [1716, 1287]
+    assert low.degeneracy == 4 and low.iterations >= 2
+    _check_ground_basis(low, h, abs(low.energy))
+
+
+def test_a_diagonal_hamiltonian_makes_no_lanczos_run(lanczos_runs):
+    h = build_model_hamiltonian("ising", {"h": 0.0}, chain_volume(10, "periodic"))
+    low = low_levels(h, 6, method="krylov")
+    dense = low_levels(EigenSystem(h))
+    assert lanczos_runs == [] and low.solved_blocks == []
+    assert (low.iterations, low.max_residual) == (0, 0.0)
+    assert np.array_equal(low.eigenvalues, dense.eigenvalues[:6])
+    assert (low.degeneracy, low.gap) == (dense.degeneracy, dense.gap)
+    _check_ground_basis(low, h, abs(low.energy))
+
+
+def _block_with_spectrum(w, seed):
+    """A dense real symmetric block with eigenvalues ``w``."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((w.size, w.size)))[0]
+    return (q * w) @ q.T
+
+
+def test_a_block_is_widened_only_when_its_pairs_may_hide_levels(lanczos_runs):
+    # block a holds the ten lowest levels, an 8-fold ground level among them:
+    # its first run's six pairs all lie in the window, so only it is run
+    # again, twice as wide; block b's bound lies above every reported level
+    a = _block_with_spectrum(np.concatenate((np.zeros(8), np.linspace(0.1, 0.2, 2),
+                                             np.linspace(1.0, 2.0, 30))), 1)
+    b = np.diag(np.full(20, 5.0)) + 0.1 * _block_with_spectrum(np.linspace(-1, 1, 20), 2)
+    h = sp.block_diag((a, b), format="csr")
+    low = low_levels(h, 1, method="krylov")
+    assert lanczos_runs == [(40, 6), (40, 12)] and low.solved_blocks == [40, 40]
+    assert low.degeneracy == 8 and abs(low.gap - 0.1) <= 1e-10
+    _check_ground_basis(low, h, 2.0)
+
+
+def test_the_callers_csr_is_not_rewritten():
+    # an unsorted CSR keeps its arrays and its format flag through the
+    # pattern search of both routes, and reads the same flip every time
+    h = build_model_hamiltonian("heisenberg", {"J": 1.0}, chain_volume(8, "periodic")).tocsr()
+    order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in zip(h.indptr[:-1], h.indptr[1:])])
+    m = sp.csr_array((h.data[order], h.indices[order], h.indptr), shape=h.shape)
+    arrays = [x.copy() for x in (m.data, m.indices, m.indptr)]
+    assert not m.has_canonical_format
+    flips = [hermitian_eig(m).flip for _ in range(2)]
+    low = low_levels(m, 6, method="krylov")
+    assert flips == [False, False]
+    assert all(np.array_equal(x, y) for x, y in zip(arrays, (m.data, m.indices, m.indptr)))
+    assert not m.has_canonical_format
+    assert low.degeneracy == 9 and low.solved_blocks == [8, 28, 56, 70, 56, 28, 8]
+
+
+def test_stored_zeros_join_no_block():
+    # an explicit zero coupling two basis states leaves them apart
+    m = sp.csr_array((np.array([1.0, 0.0, 0.0, 2.0]), np.array([0, 1, 0, 1]),
+                      np.array([0, 2, 4])), shape=(2, 2))
+    assert _pattern_blocks(m)[0].tolist() == [0, 1]
+    low = low_levels(m, 2, method="krylov")
+    assert low.solved_blocks == [] and low.eigenvalues.tolist() == [1.0, 2.0]
 
 
 def test_ising_ground_degeneracy():
