@@ -12,7 +12,8 @@ O(dim * nbasis * b), not O(dim * nbasis^2).  When the basis is full, a thick
 restart keeps the lowest Ritz vectors Y: V <- V Y, W <- W Y and
 T <- diag(theta), with nothing recomputed (Wu and Simon, SIAM J. Matrix Anal.
 Appl. 22, 602 (2000); Golub and Van Loan, *Matrix Computations* section 10.3).
-Convergence is judged on explicit residual norms ||W y - theta V y||.
+Each step solves T by one ``numpy.linalg.eigh``, and explicit residual norms
+||W y - theta V y|| judge convergence.
 
 A matrix whose imaginary part is exactly zero (see
 :func:`~spinmodels.spin_algebra.exact_real`) is solved in float64 end to end:
@@ -23,10 +24,10 @@ Blocks matter for degenerate multiplets: the Krylov space grown from one
 starting block can never hold more of an eigenspace than the starting block's
 slice of it, so a multiplet of dimension m needs block_size >= m to come out
 complete.  The low-end routine :func:`spinmodels.spectra.low_levels` runs
-once per invariant block of H (an S3 sector), where a multiplet spanning the
-sectors has one state each, with the block as wide as its pairs, and reruns a
-block twice as wide only when its top pair is among the levels it reports; the
-default block of 4 is for generic low-end queries.
+once per block of H's plan (an S3 sector, or a +-m pair of them), where a
+multiplet spanning the sectors has one state each, with the block as wide as
+its pairs, and reruns a block twice as wide only when its top pair is among
+the levels it reports; the default block of 4 is for generic low-end queries.
 
 This is the sparse counterpart to dense LAPACK diagonalization; the test
 suite cross-checks the two routes (and ARPACK) against each other.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .spin_algebra import SOLVER_TOL, as_matrix, eigenvector_columns, exact_real, hermitian_eig
+from .spin_algebra import SOLVER_TOL, as_matrix, exact_real
 
 
 @dataclass
@@ -197,8 +198,7 @@ def lowest_eigenpairs(
         nbasis += bw
         steps += 1
 
-        ritz = hermitian_eig(T[:nbasis, :nbasis])
-        theta, Y = ritz.eigenvalues, eigenvector_columns(ritz)
+        theta, Y = np.linalg.eigh(T[:nbasis, :nbasis])
         scale_seen = max(scale_seen, abs(float(theta[0])), abs(float(theta[-1])))
         # next block: the new block's image with its first projection on V
         # taken from T's new columns, so no second V^H W product is needed

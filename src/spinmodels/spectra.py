@@ -19,10 +19,10 @@ independent routes: the EigenSystem (exact, up to the dense cap) and the
 in-house block Lanczos from :mod:`spinmodels.krylov` for sparse operators.
 It picks the route from the dimension but accepts an explicit ``method`` so
 the two can be cross-checked; ``ground_space`` and ``spectral_gap`` are
-views of its result.  Both routes solve H's invariant blocks, and each reads
-the scale of its degeneracy window from its own solves: no separate norm
-estimate runs.  They take float64 by :func:`~spinmodels.spin_algebra.exact_real`,
-the dense route per block, the krylov route once before its per-block runs.
+views of its result.  Both routes solve the blocks of one plan of H, copy
+solved blocks onto their spin-flip mirrors, read their window scale from
+their own solves (no norm estimate runs) and take float64 by ``exact_real``:
+per block, or on the krylov route once before its per-block runs.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .lattice import Volume, embed
 from .spin_algebra import (
     DENSE_CUTOFF,
     SOLVER_TOL,
-    _flip_symmetric,
-    _pattern_blocks,
+    _block_plan,
     adjoint,
     as_matrix,
     eigenvector_columns,
@@ -320,11 +319,11 @@ def low_levels(
     imaginary part is exactly zero, in complex128 otherwise, and every run
     takes ``seed``.
 
-    The krylov route gives each invariant block of H's exact nonzero pattern
-    (the S3 sectors of the built-in models) one Lanczos run of max(num, 6)
-    pairs, block as wide; size-1 blocks are their diagonal entries, and the
-    mirror blocks of a flip-symmetric H copy their partners as in
-    :func:`~spinmodels.spin_algebra.hermitian_eig`.  Blocks are visited by
+    The krylov route gives each block of the plan that
+    :func:`~spinmodels.spin_algebra.hermitian_eig` solves (the S3 sectors of
+    the built-in models) one Lanczos run of max(num, 6) pairs, block as wide;
+    size-1 blocks are their diagonal entries, and the mirror of a solved
+    block of a flip-symmetric H copies it as there.  Blocks are visited by
     their Gershgorin bound min_i (h_ii - sum_{j != i} |h_ij|), which none of
     their eigenvalues undercuts (Golub and Van Loan, *Matrix Computations*,
     Thm 7.2.1).  Invariant: the lowest max(num, degeneracy + 1) values lie
@@ -351,24 +350,20 @@ def low_levels(
     if not isinstance(h, EigenSystem):
         _require_hermitian(h)
     msp = exact_real(m if sp.issparse(m) else sp.csr_array(m))
-    labels, flip = _pattern_blocks(msp)[0], _flip_symmetric(msp)
-    sizes, members = np.bincount(labels), np.argsort(labels, kind="stable")
-    starts, diag = np.concatenate(([0], np.cumsum(sizes))), msp.diagonal()
+    plan, diag = _block_plan(msp), msp.diagonal()
     # Gershgorin radii from the arrays: scipy's abs() sorts them, and m's data with them
     radius = np.bincount(np.repeat(np.arange(dim), np.diff(msp.indptr)), abs(msp.data), dim)
-    bound = np.minimum.reduceat((diag.real - radius + abs(diag))[members], starts[:-1])
-    singles = np.flatnonzero(sizes[labels] == 1)
-    # label -> (indices, values, vectors); the size-1 blocks have label -1
-    found = {-1: (singles, diag.real[singles], sp.eye_array(singles.size, format="csr"))}
-    # label -> the value below which a block may hide levels: its bound, then
+    bound = np.minimum.reduceat((diag.real - radius + abs(diag))[plan.members], plan.starts[1:-1])
+    singles = plan.members[:plan.starts[1]]
+    eye = sp.eye_array(singles.size, dtype=np.result_type(msp.dtype, np.float64), format="csr")
+    found = {0: (singles, diag.real[singles], eye)}  # plan block -> (indices, values, vectors)
+    # plan block -> the value below which it may hide levels: its bound, then
     # the top Ritz value of its last run, inf once a run covers the block
-    limits = {b: bound[b] for b in np.flatnonzero(sizes > 1)}
+    limits = dict(enumerate(bound, start=1))
     runs = []  # (block size, KrylovResult) of each Lanczos run
     while True:
-        vals = np.concatenate([w for _, w, _ in found.values()])
-        order = np.argsort(vals, kind="stable")
-        w = vals[order]
-        scale = max([r.scale for _, r in runs] + [float(np.max(abs(found[-1][1]), initial=0.0))])
+        w = np.sort(np.concatenate([w for _, w, _ in found.values()]), kind="stable")
+        scale = max([r.scale for _, r in runs] + [float(np.max(abs(found[0][1]), initial=0.0))])
         win = _window(w[0], scale, degeneracy_tol) if w.size else np.inf
         deg = int(np.sum(w <= win))
         need = max(num, deg + 1)
@@ -382,23 +377,16 @@ def low_levels(
             )
         if done:
             break
-        idx = members[starts[b]:starts[b + 1]]
+        idx = plan.members[plan.starts[b]:plan.starts[b + 1]]
         k = min(idx.size, max(2 * found[b][1].size if b in found else 0, num, 6))
         # block as wide as k so a k-fold multiplet survives the Krylov slice
         res = lowest_eigenpairs(msp[idx][:, idx], k, block_size=k, tol=tol, seed=seed)
         runs.append((idx.size, res))
-        mirror = int(labels[dim - 1 - idx[0]]) if flip else b
-        # J maps block b onto its mirror, reversed; b last, so a self-mirrored block keeps idx
-        for c, i, v in ((mirror, (dim - 1 - idx)[::-1], res.eigenvectors[::-1]),
-                        (b, idx, res.eigenvectors)):
-            found[c] = (i, res.eigenvalues, v)
-            limits[c] = float(res.eigenvalues[-1]) if k < idx.size else np.inf
-    basis = np.zeros((dim, deg), np.result_type(msp.dtype, np.float64))
-    ground, lo = order[:deg], 0
-    for idx, vals, v in found.values():
-        j = np.flatnonzero((ground >= lo) & (ground < lo + vals.size))
-        part, lo = v[:, ground[j] - lo], lo + vals.size
-        basis[np.ix_(idx, j)] = part.toarray() if sp.issparse(part) else part
+        block, c = (idx, res.eigenvalues, res.eigenvectors), int(plan.mirror[b])
+        # b last, so a self-mirrored block (every block without flip) keeps idx
+        found[c], found[b] = plan.mirrored(block), block
+        limits[c] = limits[b] = float(res.eigenvalues[-1]) if k < idx.size else np.inf
+    basis = eigenvector_columns(list(found.values()), np.arange(deg), dim)
     return LowLevels("krylov", w[:num], deg, _gap(w, deg), basis,
                      iterations=sum(r.iterations for _, r in runs),
                      max_residual=max((float(np.max(r.residuals)) for _, r in runs), default=0.0),

@@ -16,10 +16,10 @@ it is given.  Structure checks (Hermiticity, commutation relations) use
 STRUCTURE_TOL; iterative-solver residuals are judged against SOLVER_TOL
 relative to the operator norm.
 
-Every dense Hermitian eigensolve goes through :func:`hermitian_eig`, which
-splits the matrix into the invariant blocks of its exact nonzero pattern and
-solves each block in float64 when its imaginary part is exactly zero
-(:func:`exact_real`, the one rule every solver uses to choose float64).  For
+Every dense eigensolve of an operator (Lanczos solves its Ritz matrices
+directly) goes through :func:`hermitian_eig`, which splits the matrix into
+the invariant blocks of its exact nonzero pattern and solves each block in
+float64 when its imaginary part is exactly zero (:func:`exact_real`).  For
 eigenvalues alone, a bipartite block [[0, X], [X^H, 0]] is one SVD of X.  In
 the decreasing-S3 basis, flipping every site's m -> -m is the index reversal
 i -> n-1-i for every local dimension, so a matrix that equals its reversal
@@ -206,10 +206,11 @@ def is_hermitian(a, tol: float = STRUCTURE_TOL) -> bool:
 
 def exact_real(m):
     """``m.real`` when the imaginary part of ndarray or sparse ``m`` is exactly
-    zero, else ``m`` itself: the one rule by which a solver runs in float64."""
+    zero, else ``m`` itself: the one rule by which a solver runs in float64.
+    A sparse result shares no array with ``m``."""
     if not np.iscomplexobj(m) or (m.data if sp.issparse(m) else m).imag.any():
         return m
-    return m.real
+    return m.real.copy() if sp.issparse(m) else m.real
 
 
 def commutator(a, b):
@@ -236,18 +237,6 @@ class HermitianEig(NamedTuple):
     flip: bool
 
 
-def _flip_symmetric(m) -> bool:
-    """Whether J m J == m exactly, J the index reversal i -> n-1-i.  A CSR
-    matrix is compared in O(nnz) through its arrays, and only in canonical
-    format (otherwise it counts as not symmetric)."""
-    if not sp.issparse(m):
-        return np.array_equal(m[::-1, ::-1], m)
-    n = m.shape[0]
-    return (m.has_canonical_format and np.array_equal(m.nnz - m.indptr[::-1], m.indptr)
-            and np.array_equal(n - 1 - m.indices[::-1], m.indices)
-            and np.array_equal(m.data[::-1], m.data))
-
-
 def _mirror_halves(block, vectors: bool):
     """Eigenvalues (ascending) and eigenvectors (None without ``vectors``) of
     a block B with R B R = B, R the reversal k -> d-1-k, from its halves on
@@ -272,43 +261,71 @@ def _mirror_halves(block, vectors: bool):
     return w[order], v
 
 
-def _pattern_blocks(m, sides: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Block label of each basis index, the connected components of the
-    undirected graph of ``m``'s exact nonzero pattern in the order of their
-    first index, and with ``sides`` (else None) each index's side: one search
-    on the graph's bipartite double cover, edges (i, 0)--(j, 1) and
-    (j, 0)--(i, 1) for each nonzero m_ij, puts (i, 0) and (i, 1) apart
-    exactly in a bipartite block, where the side is i's colour, -1 or +1; it
-    is 0 in any other block (a diagonal entry joins the two copies).  A CSR
-    pattern is built from copies of ``m``'s arrays, so the caller's matrix
-    is not rewritten; its stored zeros join no block."""
+class _BlockPlan(NamedTuple):
+    """How the solvers split a matrix m, read once from its exact nonzero
+    pattern by :func:`_block_plan`; J is the index reversal i -> n-1-i."""
+
+    labels: np.ndarray  # each index's connected component, in order of first index
+    members: np.ndarray  # the indices in block order: block b is members[starts[b]:starts[b + 1]]
+    starts: np.ndarray  # block 0 holds every size-1 component, then each larger one, ascending
+    flip: bool  # J m J == m exactly, a CSR matrix only in canonical format
+    mirror: np.ndarray  # the block J maps block b onto; b itself without flip
+    side: np.ndarray | None  # with sides: colour -1 or +1 in a bipartite component, else 0
+
+    def mirrored(self, block):
+        """The block J maps ``block`` (indices, eigenvalues, eigenvectors or
+        None) onto: indices (n-1-idx)[::-1], its eigenvalues, reversed rows."""
+        idx, w, v = block
+        return (self.labels.size - 1 - idx)[::-1], w, None if v is None else v[::-1]
+
+
+def _block_plan(m, sides: bool = False) -> _BlockPlan:
+    """The :class:`_BlockPlan` of an ndarray or CSR matrix, in O(nnz) for CSR,
+    with the pattern read as an undirected graph.  With ``sides`` one search
+    on its bipartite double cover, edges (i, 0)--(j, 1) and (j, 0)--(i, 1)
+    for each nonzero m_ij, puts (i, 0) and (i, 1) apart exactly in a
+    bipartite component (a diagonal entry joins them), and a bipartite block
+    lists its side -1 first.  A CSR pattern is built from copies of ``m``'s
+    arrays, so the caller's matrix is not rewritten; its stored zeros join
+    no block."""
     n = m.shape[0]
     if sp.issparse(m):
+        flip = (m.has_canonical_format and np.array_equal(m.nnz - m.indptr[::-1], m.indptr)
+                and np.array_equal(n - 1 - m.indices[::-1], m.indices)
+                and np.array_equal(m.data[::-1], m.data))
         keep = m.data != 0
         pattern = sp.csr_array((np.ones(np.count_nonzero(keep)), m.indices[keep],
                                 np.concatenate(([0], np.cumsum(keep)))[m.indptr]), shape=m.shape)
     else:
-        pattern = m != 0
-        # a row with no zero, its diagonal included, joins every index into
-        # one block that is not bipartite: no graph search
-        if n == 0 or pattern.all(axis=1).any():
-            return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp) if sides else None
+        flip, pattern = np.array_equal(m[::-1, ::-1], m), m != 0
+    # a dense row with no zero, its diagonal included, joins every index into
+    # one block that is not bipartite: no graph search
+    if not sp.issparse(pattern) and (n == 0 or pattern.all(axis=1).any()):
+        labels, side = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    elif not sides:
+        labels, side = connected_components(sp.csr_array(pattern), directed=False)[1], None
+    else:
         pattern = sp.csr_array(pattern)
-    if not sides:
-        return connected_components(pattern, directed=False)[1], None
-    ptr, nnz = pattern.indptr, pattern.nnz
-    cover = sp.csr_array((np.ones(2 * nnz), np.concatenate((pattern.indices + n, pattern.indices)),
-                          np.concatenate((ptr, ptr[1:] + nnz))), shape=(2 * n, 2 * n))
-    half = connected_components(cover, directed=False)[1].reshape(2, n)
-    _, first, label = np.unique(half.min(axis=0), return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[label], np.sign(half[0] - half[1])
+        ptr, nnz = pattern.indptr, pattern.nnz
+        cover = sp.csr_array((np.ones(2 * nnz), np.concatenate((pattern.indices + n, pattern.indices)),
+                              np.concatenate((ptr, ptr[1:] + nnz))), shape=(2 * n, 2 * n))
+        half = connected_components(cover, directed=False)[1].reshape(2, n)
+        _, first, label = np.unique(half.min(axis=0), return_index=True, return_inverse=True)
+        labels, side = np.argsort(np.argsort(first))[label], np.sign(half[0] - half[1])
+    sizes = np.bincount(labels)
+    block = np.where(sizes > 1, np.cumsum(sizes > 1), 0)[labels]  # each index's block
+    members = np.argsort(2 * block + ((side > 0) & (block > 0)) if sides else block, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(block, minlength=1))))
+    mirror = (np.concatenate(([0], block[n - 1 - members[starts[1:-1]]])) if flip
+              else np.arange(starts.size - 1))
+    return _BlockPlan(labels, members, starts, flip, mirror, side if sides else None)
 
 
 def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     """Eigendecomposition of a Hermitian ndarray or CSR matrix, block by block.
 
-    The blocks are the connected components of the exact nonzero pattern
-    (read as an undirected graph), so each is an invariant subspace spanned by
+    The blocks are those of :func:`_block_plan`, the connected components of
+    the exact nonzero pattern, so each is an invariant subspace spanned by
     basis vectors and no tolerance decides them: a coupling of any size, noise
     included, joins two blocks.  Each block of size > 1 is one LAPACK call, in
     float64 when its imaginary part is exactly zero; size-1 blocks are their
@@ -323,36 +340,25 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
 
     ``flip`` is whether J m J == m exactly, J the index reversal i -> n-1-i
     (spin flip in the decreasing-S3 basis), tested on the input as given.
-    No tolerance decides it: a mirrored block copies its partner's
-    eigenpairs, exact only when the symmetry is.  When it holds, a block
-    whose mirror (the block of n-1-idx[0]) is solved takes the partner's
-    indices idx' as (n-1-idx')[::-1], its eigenvalues and its row-reversed
-    vectors; a block that is its own mirror is solved as its halves, even
-    and odd under k -> d-1-k (its indices ascend), sorted by eigenvalue.
+    No tolerance decides it: a mirrored block copies its solved partner's
+    eigenpairs, exact only when the symmetry is, and a block that is its own
+    mirror is solved as its halves, even and odd under k -> d-1-k (its
+    indices ascend), sorted by eigenvalue.
     """
     m = as_matrix(m)
-    n, flip, solved = m.shape[0], _flip_symmetric(m), {}  # solved: label -> place in blocks
-    labels, side = _pattern_blocks(m, sides=not vectors)
-    sizes = np.bincount(labels)
-    # for eigenvalues alone, a bipartite block lists its colour-0 indices first
-    members = np.argsort(labels if vectors else 2 * labels + (side > 0), kind="stable")
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-
-    singles = np.flatnonzero(sizes[labels] == 1)
+    plan = _block_plan(m, sides=not vectors)
+    singles = plan.members[:plan.starts[1]]
     eye = sp.eye_array(singles.size, format="csr") if vectors and singles.size else np.eye(0)
-    blocks = [(singles, m.diagonal()[singles].real, eye)]
+    blocks = [(singles, m.diagonal()[singles].real, eye)]  # blocks[b] is the plan's block b
     # a CSR matrix is permuted into block order once; its blocks are then slices
-    p = m[members][:, members] if sp.issparse(m) else None
-    for b in np.flatnonzero(sizes > 1):
-        s, e = starts[b], starts[b + 1]
-        idx = members[s:e]
-        mirror = labels[n - 1 - idx[0]] if flip else -1
-        if mirror in solved:  # J maps this block onto a solved one, reversed
-            pidx, pw, pv = blocks[solved[mirror]]
-            blocks.append(((n - 1 - pidx)[::-1], pw, None if pv is None else pv[::-1]))
+    p = m[plan.members][:, plan.members] if sp.issparse(m) else None
+    for b in range(1, plan.starts.size - 1):
+        s, e = plan.starts[b], plan.starts[b + 1]
+        idx = plan.members[s:e]
+        if plan.mirror[b] < b:  # J maps this block onto a solved one, reversed
+            blocks.append(plan.mirrored(blocks[plan.mirror[b]]))
             continue
-        solved[b] = len(blocks)
-        mid = s if vectors else s + np.count_nonzero(side[idx] < 0)
+        mid = s if vectors else s + np.count_nonzero(plan.side[idx] < 0)
         if mid > s:  # [[0, X], [X^H, 0]]: +-sigma(X) and |n0 - n1| zeros
             x = m[np.ix_(*np.split(idx, [mid - s]))] if p is None else p[s:mid, mid:e].toarray()
             sigma = np.linalg.svd(exact_real(x), compute_uv=False)
@@ -360,29 +366,31 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
             blocks.append((idx, np.concatenate((-sigma, zeros, sigma)), None))
             continue
         block = exact_real(m[np.ix_(idx, idx)] if p is None else p[s:e, s:e].toarray())
-        if mirror == b:
+        if plan.flip and plan.mirror[b] == b:
             blocks.append((idx, *_mirror_halves(block, vectors)))
         else:
             blocks.append((idx, *np.linalg.eigh(block)) if vectors
                           else (idx, np.linalg.eigvalsh(block), None))
     w = np.sort(np.concatenate([w for _, w, _ in blocks]), kind="stable")
-    return HermitianEig(w, blocks if vectors else None, sizes.tolist(), flip)
+    return HermitianEig(w, blocks if vectors else None, np.bincount(plan.labels).tolist(), plan.flip)
 
 
-def eigenvector_columns(eig, columns=slice(None)) -> np.ndarray:
-    """The eigenvectors of ``eig`` (a HermitianEig or an EigenSystem) with
-    ascending indices ``columns`` (default all) as dense columns, scattered
-    from the blocks: entries outside a column's block are exact zeros."""
-    position = np.argsort(np.concatenate([w for _, w, _ in eig.blocks]), kind="stable")[columns]
-    dtype = np.result_type(*(v.dtype for _, _, v in eig.blocks))
-    out = np.zeros((eig.eigenvalues.size, position.size), dtype)
+def eigenvector_columns(eig, columns=slice(None), rows=None) -> np.ndarray:
+    """The eigenvectors of ``eig`` (a HermitianEig, an EigenSystem, or a list
+    of blocks, which may hold fewer pairs than indices, with ``rows`` given)
+    of ascending indices ``columns`` (default all) as dense columns,
+    scattered from the blocks: outside its block a column is zero."""
+    blocks = eig if isinstance(eig, list) else eig.blocks
+    position = np.argsort(np.concatenate([w for _, w, _ in blocks]), kind="stable")[columns]
+    dtype = np.result_type(*(v.dtype for _, _, v in blocks))
+    out = np.zeros((eig.eigenvalues.size if rows is None else rows, position.size), dtype)
     start = 0
-    for idx, _, v in eig.blocks:
-        sel = np.flatnonzero((position >= start) & (position < start + idx.size))
+    for idx, w, v in blocks:
+        sel = np.flatnonzero((position >= start) & (position < start + w.size))
         if sel.size:
             part = v[:, position[sel] - start]
             out[np.ix_(idx, sel)] = part.toarray() if sp.issparse(part) else part
-        start += idx.size
+        start += w.size
     return out
 
 
@@ -412,4 +420,7 @@ def operator_norm(a, *, cap_dense: int = DENSE_CUTOFF) -> float:
             raise SolverError(f"norm estimate failed: {exc}") from exc
     s = float(abs(m).max())
     x = m / s
-    return s * math.sqrt(hermitian_eig(x.conj().T @ x, vectors=False).eigenvalues[-1])
+    gram = x.conj().T @ x
+    if sp.issparse(gram):
+        gram.sum_duplicates()  # canonical, so a flip-symmetric Gram reads flip
+    return s * math.sqrt(hermitian_eig(gram, vectors=False).eigenvalues[-1])

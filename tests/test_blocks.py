@@ -35,7 +35,7 @@ from spinmodels import (
 )
 from spinmodels.cli import parse_spec_dict, run_spec
 from spinmodels.interactions import MODEL_NAMES, MODELS
-from spinmodels.spin_algebra import _pattern_blocks, eigenvector_columns, hermitian_eig
+from spinmodels.spin_algebra import _block_plan, eigenvector_columns, hermitian_eig
 
 _PARAMS = {"xy_field": {"h": 0.3}, "ising": {"h": 0.4}, "xxz_suq2": {"q": 0.5}}
 CASES = [*MODEL_NAMES, "dm_chain", "singles"]
@@ -205,14 +205,67 @@ def test_pattern_blocks_are_the_plain_components_in_order(case):
     c = 1j * (at @ b - b @ at)
     for m in (h, c, c.toarray()):
         _, plain = connected_components(sp.csr_array(m) != 0, directed=False)
-        assert np.array_equal(_pattern_blocks(m)[0], plain)
-        assert np.array_equal(_pattern_blocks(m, sides=True)[0], plain)
+        assert np.array_equal(_block_plan(m).labels, plain)
+        assert np.array_equal(_block_plan(m, sides=True).labels, plain)
         eig = hermitian_eig(m)
         assert eig.block_sizes == np.bincount(plain).tolist()
         large = [k for k in range(plain.max() + 1) if np.sum(plain == k) > 1]
         assert [idx.tolist() for idx, _, _ in eig.blocks[1:]] == [
             np.flatnonzero(plain == k).tolist() for k in large]
         assert eig.block_sizes == hermitian_eig(m, vectors=False).block_sizes
+
+
+_RECORDS = [(name, boundary) for name in MODEL_NAMES for boundary in ("open", "periodic")
+            if boundary == "open" or not MODELS[name].open_chain_only]
+
+
+@pytest.mark.parametrize("name, boundary", _RECORDS, ids=[f"{n}-{b}" for n, b in _RECORDS])
+def test_both_routes_copy_mirror_blocks_from_one_plan(name, boundary, monkeypatch):
+    # mirror is an involution, a mirrored block holds the reversed image
+    # (n-1-idx)[::-1] of its partner's indices, the EigenSystem's blocks are
+    # the plan's blocks in order, and the dense and krylov routes build the
+    # same plan and copy each solved block onto its mirror in it
+    params = _PARAMS.get(name, {})
+    local_dim = MODELS[name].interaction(params).local_dim
+    vol = chain_volume(4 if local_dim > 2 else 6, boundary, local_dim=local_dim)
+    h = build_model_hamiltonian(name, params, vol).tocsr()
+    n = h.shape[0]
+    plans, copies, build = [], [], spin_algebra._block_plan
+    mirrored = spin_algebra._BlockPlan.mirrored
+
+    def recording_plan(m, sides=False):
+        plans.append(build(m, sides))
+        copies.append([])
+        return plans[-1]
+
+    def recording_copy(plan, block):
+        out = mirrored(plan, block)
+        copies[-1].append((block[0], out[0]))
+        return out
+
+    for module in (spin_algebra, spectra):
+        monkeypatch.setattr(module, "_block_plan", recording_plan)
+    monkeypatch.setattr(spin_algebra._BlockPlan, "mirrored", recording_copy)
+    es = EigenSystem(h)
+    spectra.low_levels(h, 2, method="krylov")
+    dense, krylov = plans
+    blocks = range(1, dense.starts.size - 1)
+    members = [dense.members[dense.starts[b]:dense.starts[b + 1]] for b in blocks]
+    assert np.array_equal(es._basis, dense.members) and np.array_equal(es._start, dense.starts)
+    for field in ("labels", "members", "starts", "mirror"):
+        assert np.array_equal(getattr(krylov, field), getattr(dense, field))
+    assert krylov.flip == dense.flip == es.flip
+    assert [dense.mirror[dense.mirror[b]] for b in blocks] == list(blocks)
+    if not dense.flip:
+        assert np.array_equal(dense.mirror, np.arange(dense.starts.size - 1)) and copies[0] == []
+        return
+    block_of = {tuple(idx.tolist()): b for b, idx in zip(blocks, members)}
+    for b, idx in zip(blocks, members):
+        assert np.array_equal(members[dense.mirror[b] - 1], (n - 1 - idx)[::-1])
+    dense_pairs, krylov_pairs = ([(block_of[tuple(i.tolist())], block_of[tuple(j.tolist())])
+                                  for i, j in route] for route in copies)
+    assert dense_pairs == [(dense.mirror[c], c) for c in blocks if dense.mirror[c] < c]
+    assert krylov_pairs and all(dense.mirror[b] == c for b, c in krylov_pairs)
 
 
 def test_light_cone_scan_norms_come_from_svd_alone(monkeypatch):

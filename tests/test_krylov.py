@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from spinmodels import (
     chain_volume,
     heisenberg,
     lowest_eigenpairs,
+    spin_algebra,
 )
 
 
@@ -150,3 +153,22 @@ def test_small_max_basis_is_raised_so_restarts_converge(dtype):
         assert np.abs(res.eigenvalues - want[:k]).max() <= 1e-10 * scale
         v = res.eigenvectors
         assert np.linalg.norm(m @ v - v * res.eigenvalues, axis=0).max() <= 1e-8 * scale
+
+
+def test_each_step_makes_one_ritz_eigh_visible_to_a_tracer(monkeypatch, dm_chain):
+    # the Ritz solve is numpy.linalg.eigh, looked up on numpy.linalg, so a
+    # tracer that wraps that attribute counts one call per step, restarts
+    # included; no step goes through spin_algebra.hermitian_eig
+    original = spin_algebra.hermitian_eig
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("spinmodels"):
+            if getattr(module, "hermitian_eig", None) is original:
+                monkeypatch.setattr(module, "hermitian_eig", lambda *a, **k: pytest.fail(
+                    "a Ritz solve went through hermitian_eig"))
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(8, boundary="periodic")).tocsr()
+    for m, max_basis in ((h, None), (h, 12), (dm_chain(8), 12)):
+        calls.clear()
+        res = lowest_eigenpairs(m, 3, block_size=2, max_basis=max_basis)
+        assert len(calls) == res.iterations > 0

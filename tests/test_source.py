@@ -32,3 +32,33 @@ def test_unused_import_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Private (``_``-prefixed, not dunder) module-level functions and
+    classes of ``sources`` (module name -> source) that no code outside
+    their own definition names, as a name, an attribute or an import."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+                     for t in trees.values() for top in t.body if top is not node
+                     for n in ast.walk(top) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            if node.name not in names:
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_private_reference_check_sees_an_unused_helper():
+    sources = {"a": "def _used():\n    pass\n\ndef _self_only():\n    return _self_only()\n",
+               "b": "from a import _used\nclass _Lone:\n    pass\n"}
+    assert _unreferenced_privates(sources) == ["a._self_only", "b._Lone"]
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_privates(sources) == []

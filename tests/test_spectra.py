@@ -32,7 +32,7 @@ from spinmodels import (
 from spinmodels.interactions import MODEL_NAMES, MODELS
 from spinmodels.krylov import lowest_eigenpairs
 from spinmodels.spectra import DEGENERACY_TOL
-from spinmodels.spin_algebra import _pattern_blocks, eigenvector_columns, exact_real, hermitian_eig
+from spinmodels.spin_algebra import _block_plan, eigenvector_columns, exact_real, hermitian_eig
 
 
 def test_full_spectrum_matches_numpy(eigen_residuals):
@@ -379,7 +379,7 @@ def test_stored_zeros_join_no_block():
     # an explicit zero coupling two basis states leaves them apart
     m = sp.csr_array((np.array([1.0, 0.0, 0.0, 2.0]), np.array([0, 1, 0, 1]),
                       np.array([0, 2, 4])), shape=(2, 2))
-    assert _pattern_blocks(m)[0].tolist() == [0, 1]
+    assert _block_plan(m).labels.tolist() == [0, 1]
     low = low_levels(m, 2, method="krylov")
     assert low.solved_blocks == [] and low.eigenvalues.tolist() == [1.0, 2.0]
 

@@ -301,7 +301,8 @@ def test_hermitian_eig_mixes_bipartite_and_other_blocks(solver_calls):
         start += k
     m = _permuted(rng, m)
     want = np.linalg.eigvalsh(m)
-    labels, side = spin_algebra._pattern_blocks(m, sides=True)
+    plan = spin_algebra._block_plan(m, sides=True)
+    labels, side = plan.labels, plan.side
     # every nonzero entry of a bipartite block joins its two colours
     rows, cols = np.nonzero(m)
     bipartite = side[rows] != 0
@@ -325,9 +326,27 @@ def test_cover_of_a_one_directional_pattern_gives_the_plain_blocks():
     cycle = np.roll(np.eye(3), 1, axis=1)
     for m, colours in ((star, [1, -1, 1]), (cycle, [0, 0, 0])):
         for given in (m, sp.csr_array(m)):
-            labels, side = spin_algebra._pattern_blocks(given, sides=True)
+            plan = spin_algebra._block_plan(given, sides=True)
+            labels, side = plan.labels, plan.side
             assert labels.tolist() == [0, 0, 0]
             assert (side * (side[0] or 1)).tolist() == colours
+
+
+def test_a_dense_row_with_no_zero_makes_one_block_without_a_graph_search(monkeypatch):
+    # such a row joins every index, and its diagonal entry makes the block
+    # not bipartite; a graph search on a dense pattern of n^2 entries would
+    # cost far more than the answer, so none runs
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    m = np.outer(psi, psi.conj())
+    monkeypatch.setattr(spin_algebra, "connected_components",
+                        lambda *a, **k: pytest.fail("searched the pattern of a full row"))
+    for sides in (False, True):
+        plan = spin_algebra._block_plan(m, sides=sides)
+        assert plan.labels.tolist() == [0] * 9 and plan.starts.tolist() == [0, 0, 9]
+        assert (plan.side.tolist() == [0] * 9) if sides else plan.side is None
+    norm2 = np.vdot(psi, psi).real
+    assert abs(hermitian_eig(m, vectors=False).eigenvalues[-1] - norm2) < 1e-13 * norm2
 
 
 def test_hermitian_eig_of_zero_matrix_is_all_size_one_blocks():
@@ -403,6 +422,40 @@ def test_operator_norm_of_sparse_input_solves_blocks(forbid_full_toarray):
     forbid_full_toarray(herm.shape[0])
     for m, w in zip(cases, want):
         assert operator_norm(sp.csr_array(m)) == w
+
+
+def test_operator_norm_gram_of_a_flip_symmetric_matrix_takes_the_flip(monkeypatch):
+    # scipy's product X^H X comes out without canonical format, which the
+    # flip test reads as not symmetric; summed into it, the Gram of the
+    # flip-symmetric Heisenberg ring reads flip and takes the pairs and halves
+    h = assemble_hamiltonian(heisenberg(j=1.0), chain_volume(8, boundary="periodic")).tocsr()
+    gram = h.conj().T @ h
+    assert not spin_algebra._block_plan(gram).flip
+    gram.sort_indices()
+    assert not spin_algebra._block_plan(gram).flip
+    gram.sum_duplicates()
+    assert spin_algebra._block_plan(gram).flip
+    plans, build = [], spin_algebra._block_plan
+    monkeypatch.setattr(spin_algebra, "_block_plan",
+                        lambda m, sides=False: plans.append(build(m, sides)) or plans[-1])
+    got = operator_norm(h)
+    want = np.linalg.svd(h.toarray(), compute_uv=False)[0]
+    assert [plan.flip for plan in plans] == [True]
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_exact_real_of_a_complex_csr_shares_no_array_with_it():
+    # sorting the float64 result in place leaves the caller's unsorted
+    # complex matrix as it is
+    h = assemble_hamiltonian(heisenberg(j=1.0), chain_volume(8, boundary="periodic")).tocsr()
+    order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in zip(h.indptr[:-1], h.indptr[1:])])
+    u = sp.csr_array((h.data[order], h.indices[order], h.indptr), shape=h.shape)
+    want = u.toarray()
+    real = exact_real(u)
+    assert real.dtype == np.float64
+    real.sort_indices()
+    assert np.array_equal(u.toarray(), want)
+    assert np.array_equal(real.toarray(), want.real)
 
 
 def test_operator_rejects_nonsquare():
