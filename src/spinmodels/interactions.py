@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, DomainError, ResourceCapError
 from .lattice import MAX_HILBERT_DIM, Volume, _embed_csr, chain_volume
-from .spin_algebra import STRUCTURE_TOL, Spin, spin_matrices
+from .spin_algebra import STRUCTURE_TOL, Spin, operator_norm, spin_matrices
 from .symmetry import GeneratorSet, suq2_generators, total_spin
 
 
@@ -214,8 +214,6 @@ def lambda_norm(interaction: Interaction, lam: float, spatial_dim: int = 1) -> f
         raise DomainError(f"lambda must be >= 0, got {lam}")
     if not isinstance(spatial_dim, (int, np.integer)) or spatial_dim < 1:
         raise DomainError(f"spatial dimension must be a positive integer, got {spatial_dim!r}")
-    from .spin_algebra import operator_norm
-
     value = 0.0
     if interaction.site_term is not None:
         value += math.exp(lam) * operator_norm(interaction.site_term)

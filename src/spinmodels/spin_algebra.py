@@ -18,10 +18,11 @@ relative to the operator norm.
 
 Every dense eigensolve of an operator (Lanczos solves its Ritz matrices
 directly) goes through :func:`hermitian_eig`, which splits the matrix into
-the invariant blocks of its exact nonzero pattern and solves each block in
-float64 when its imaginary part is exactly zero (:func:`exact_real`).  For
-eigenvalues alone, a bipartite block [[0, X], [X^H, 0]] is one SVD of X.  In
-the decreasing-S3 basis, flipping every site's m -> -m is the index reversal
+the invariant blocks of its exact nonzero pattern, found by a numpy min-label
+search (Shiloach and Vishkin, 1982), and solves each block in float64 when
+its imaginary part is exactly zero (:func:`exact_real`).  For eigenvalues
+alone, a bipartite block [[0, X], [X^H, 0]] is one SVD of X.  In the
+decreasing-S3 basis, flipping every site's m -> -m is the index reversal
 i -> n-1-i for every local dimension, so a matrix that equals its reversal
 exactly is flip-symmetric with no lattice data: its +-m blocks are solved
 once per pair, and a block that is its own mirror as two halves.
@@ -35,8 +36,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatchError, DomainError, SolverError
 
@@ -279,39 +278,60 @@ class _BlockPlan(NamedTuple):
         return (self.labels.size - 1 - idx)[::-1], w, None if v is None else v[::-1]
 
 
+def _components(indptr, indices) -> np.ndarray:
+    """Each index's connected component in the CSR pattern (``indptr``,
+    ``indices``) as an undirected graph, numbered in order of smallest index
+    like scipy's ``connected_components``: min-label hooking with pointer
+    jumping (Shiloach and Vishkin, J. Algorithms 3, 57 (1982)).  Each index
+    points at itself or a smaller one of its component; each round jumps all
+    pointers to their roots, drops the edges inside a tree and hooks the
+    larger root of every other edge onto the smaller."""
+    n, deg, rows = indptr.size - 1, np.diff(indptr), None
+    label, full = np.arange(n), deg > 0
+    label[full] = np.minimum(label[full], np.minimum.reduceat(indices, indptr[:-1][full]))
+    np.minimum.at(label, indices, np.repeat(label, deg))
+    while True:
+        while not np.array_equal(jump := label[label], label):
+            label = jump
+        a, b = np.repeat(label, deg) if rows is None else label[rows], label[indices]
+        keep = np.flatnonzero(a != b)
+        if not keep.size:
+            return (np.cumsum(label == np.arange(n)) - 1)[label]
+        rows = np.searchsorted(indptr, keep, side="right") - 1 if rows is None else rows[keep]
+        indices, a, b = indices[keep], a[keep], b[keep]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+
+
 def _block_plan(m, sides: bool = False) -> _BlockPlan:
     """The :class:`_BlockPlan` of an ndarray or CSR matrix, in O(nnz) for CSR,
-    with the pattern read as an undirected graph.  With ``sides`` one search
-    on its bipartite double cover, edges (i, 0)--(j, 1) and (j, 0)--(i, 1)
-    for each nonzero m_ij, puts (i, 0) and (i, 1) apart exactly in a
-    bipartite component (a diagonal entry joins them), and a bipartite block
-    lists its side -1 first.  A CSR pattern is built from copies of ``m``'s
-    arrays, so the caller's matrix is not rewritten; its stored zeros join
-    no block."""
-    n = m.shape[0]
+    its pattern an undirected graph searched by :func:`_components`.  With
+    ``sides`` one search on its bipartite double cover, edges (i, 0)--(j, 1)
+    and (j, 0)--(i, 1) for each nonzero m_ij, puts (i, 0) and (i, 1) apart
+    exactly in a bipartite component (a diagonal entry joins them); for c its
+    first index, (c, 0) has the smaller label and side -1, listed first in a
+    bipartite block.  Stored zeros join no block; ``m`` is not rewritten."""
+    n, ptr = m.shape[0], None
     if sp.issparse(m):
         flip = (m.has_canonical_format and np.array_equal(m.nnz - m.indptr[::-1], m.indptr)
                 and np.array_equal(n - 1 - m.indices[::-1], m.indices)
                 and np.array_equal(m.data[::-1], m.data))
         keep = m.data != 0
-        pattern = sp.csr_array((np.ones(np.count_nonzero(keep)), m.indices[keep],
-                                np.concatenate(([0], np.cumsum(keep)))[m.indptr]), shape=m.shape)
+        ptr, cols = np.concatenate(([0], np.cumsum(keep)))[m.indptr], m.indices[keep]
     else:
         flip, pattern = np.array_equal(m[::-1, ::-1], m), m != 0
-    # a dense row with no zero, its diagonal included, joins every index into
-    # one block that is not bipartite: no graph search
-    if not sp.issparse(pattern) and (n == 0 or pattern.all(axis=1).any()):
+        # a dense row with no zero, its diagonal included, joins every index
+        # into one block that is not bipartite: no graph search
+        if n and not pattern.all(axis=1).any():
+            pattern = sp.csr_array(pattern)
+            ptr, cols = pattern.indptr, pattern.indices
+    if ptr is None:
         labels, side = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
     elif not sides:
-        labels, side = connected_components(sp.csr_array(pattern), directed=False)[1], None
+        labels, side = _components(ptr, cols), None
     else:
-        pattern = sp.csr_array(pattern)
-        ptr, nnz = pattern.indptr, pattern.nnz
-        cover = sp.csr_array((np.ones(2 * nnz), np.concatenate((pattern.indices + n, pattern.indices)),
-                              np.concatenate((ptr, ptr[1:] + nnz))), shape=(2 * n, 2 * n))
-        half = connected_components(cover, directed=False)[1].reshape(2, n)
-        _, first, label = np.unique(half.min(axis=0), return_index=True, return_inverse=True)
-        labels, side = np.argsort(np.argsort(first))[label], np.sign(half[0] - half[1])
+        cover = np.concatenate((ptr, ptr[1:] + ptr[-1])), np.concatenate((cols + n, cols))
+        half = _components(*cover).reshape(2, n)
+        labels, side = np.unique(half.min(axis=0), return_inverse=True)[1], np.sign(half[0] - half[1])
     sizes = np.bincount(labels)
     block = np.where(sizes > 1, np.cumsum(sizes > 1), 0)[labels]  # each index's block
     members = np.argsort(2 * block + ((side > 0) & (block > 0)) if sides else block, kind="stable")
@@ -413,6 +433,7 @@ def operator_norm(a, *, cap_dense: int = DENSE_CUTOFF) -> float:
     if m.shape[0] == 0 or not (m.data if sp.issparse(m) else m).any():
         return 0.0
     if sp.issparse(m) and m.shape[0] > cap_dense:
+        import scipy.sparse.linalg as spla  # ARPACK, loaded only where it runs
         v0 = np.random.default_rng(_NORM_SEED).standard_normal(m.shape[0])
         try:
             return float(spla.svds(exact_real(m), k=1, v0=v0, return_singular_vectors=False)[0])

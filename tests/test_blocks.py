@@ -219,6 +219,73 @@ _RECORDS = [(name, boundary) for name in MODEL_NAMES for boundary in ("open", "p
             if boundary == "open" or not MODELS[name].open_chain_only]
 
 
+def _scipy_labels(indptr, indices):
+    """scipy's component labels of a CSR pattern read as an undirected graph."""
+    n = indptr.size - 1
+    graph = sp.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def test_component_search_matches_scipy_on_random_patterns():
+    # one-directional entries, duplicates, unsorted columns, empty rows and
+    # self-loops, and the sizes 0 and 1
+    rng = np.random.default_rng(11)
+    cases = [(np.zeros(1, np.int32), np.zeros(0, np.int32)),
+             (np.zeros(2, np.int32), np.zeros(0, np.int32)),
+             (np.array([0, 1], np.int32), np.zeros(1, np.int32))]
+    for _ in range(300):
+        n = int(rng.integers(2, 50))
+        k = int(rng.integers(0, 2 * n))
+        rows, cols = rng.integers(0, n, k), rng.integers(0, n, k)
+        loops = rng.integers(0, n, int(rng.integers(0, 3)))
+        rows, cols = np.concatenate((rows, loops)), np.concatenate((cols, loops))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        cases.append((indptr, cols[np.argsort(rows, kind="stable")].astype(np.int32)))
+    for indptr, indices in cases:
+        got = spin_algebra._components(indptr, indices)
+        assert np.array_equal(got, _scipy_labels(indptr, indices))
+
+
+def test_component_search_matches_scipy_on_light_cone_covers_and_models(monkeypatch):
+    # every pattern the bench lightcone scan searches (H's plain pattern and
+    # the double covers of its 32 commutators i[alpha_t(S3_0), S3_x]), and
+    # the plain pattern and double cover of every model record's H
+    seen, search = [], spin_algebra._components
+    monkeypatch.setattr(spin_algebra, "_components",
+                        lambda ptr, idx: seen.append((ptr, idx)) or search(ptr, idx))
+    s3 = spin_matrices(0.5).s3
+    lr_scan(heisenberg(j=1.0), chain_volume(9, "open"), s3, s3, [0.0, 0.5, 1.0, 2.0],
+            list(range(1, 9)))
+    assert {ptr.size - 1 for ptr, _ in seen} == {512, 1024}
+    for name, boundary in _RECORDS:
+        params = _PARAMS.get(name, {})
+        local_dim = MODELS[name].interaction(params).local_dim
+        vol = chain_volume(4 if local_dim > 2 else 6, boundary, local_dim=local_dim)
+        h = build_model_hamiltonian(name, params, vol)
+        _block_plan(h)
+        _block_plan(h, sides=True)
+    monkeypatch.undo()
+    assert len(seen) > 2 * len(_RECORDS)
+    for indptr, indices in seen:
+        assert np.array_equal(spin_algebra._components(indptr, indices),
+                              _scipy_labels(indptr, indices))
+
+
+def test_component_search_of_a_relabelled_path_takes_few_rounds(monkeypatch):
+    # a path of 2^16 vertices in random order, each edge stored once: every
+    # round calls flatnonzero once; this path takes 10 rounds (2^20: 13),
+    # where a search that merged one tree per round would take thousands
+    n = 2**16
+    order = np.random.default_rng(2).permutation(n)
+    path = sp.csr_array((np.ones(n - 1), (order[:-1], order[1:])), shape=(n, n))
+    rounds, flatnonzero = [], np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: rounds.append(1) or flatnonzero(a))
+    labels = spin_algebra._components(path.indptr, path.indices)
+    monkeypatch.undo()
+    assert np.array_equal(labels, np.zeros(n)) and len(rounds) <= 2 * 16
+    assert np.array_equal(labels, _scipy_labels(path.indptr, path.indices))
+
+
 @pytest.mark.parametrize("name, boundary", _RECORDS, ids=[f"{n}-{b}" for n, b in _RECORDS])
 def test_both_routes_copy_mirror_blocks_from_one_plan(name, boundary, monkeypatch):
     # mirror is an involution, a mirrored block holds the reversed image

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -470,6 +471,30 @@ def test_parse_spec_file_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(SpecFileError):
         parse_spec_file(p)
+
+
+def test_a_run_loads_neither_scipy_linalg_nor_sparse_linalg_nor_csgraph(tmp_path):
+    # a fresh interpreter imports the package and runs every runspec; numpy
+    # and scipy.sparse are all it needs: the ARPACK norm above the dense cap
+    # and expm_multiply import scipy.sparse.linalg where they run
+    script = f"""
+import json, sys
+from pathlib import Path
+import spinmodels
+from spinmodels import cli
+heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+loaded = [[m for m in heavy if m in sys.modules]]
+for spec in sorted(Path({str(RUNSPECS)!r}).glob("*.json")):
+    cli.run_spec(cli.parse_spec_file(spec), Path({str(tmp_path)!r}) / spec.stem)
+loaded.append([m for m in heavy if m in sys.modules])
+print(json.dumps(loaded))
+"""
+    env = {**os.environ, "PYTHONPATH": str(RUNSPECS.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+    assert len(list(tmp_path.iterdir())) == len(list(RUNSPECS.glob("*.json")))
 
 
 def test_console_entry_point_subprocess(tmp_path):

@@ -339,7 +339,7 @@ def test_a_dense_row_with_no_zero_makes_one_block_without_a_graph_search(monkeyp
     rng = np.random.default_rng(5)
     psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     m = np.outer(psi, psi.conj())
-    monkeypatch.setattr(spin_algebra, "connected_components",
+    monkeypatch.setattr(spin_algebra, "_components",
                         lambda *a, **k: pytest.fail("searched the pattern of a full row"))
     for sides in (False, True):
         plan = spin_algebra._block_plan(m, sides=sides)
