@@ -33,7 +33,6 @@ from .spin_algebra import (
     Spin,
     SpinOperators,
     adjoint,
-    anticommutator,
     commutator,
     is_hermitian,
     ladder_coefficient,
@@ -62,7 +61,6 @@ from .interactions import (
     heisenberg,
     ising,
     lambda_norm,
-    model_interaction,
     resolve_q,
     xxz_suq2,
     xxz_suq2_chain,
@@ -71,6 +69,7 @@ from .interactions import (
 from .krylov import KrylovResult, lowest_eigenpairs
 from .spectra import (
     DEGENERACY_TOL,
+    RANGE_LIMIT,
     EigenSystem,
     LowLevels,
     full_spectrum,
@@ -93,7 +92,6 @@ from .states import (
     stability_value,
 )
 from .dynamics import (
-    RANGE_LIMIT,
     LRFit,
     LRScan,
     Propagator,
@@ -105,9 +103,7 @@ from .dynamics import (
 )
 from .symmetry import (
     GeneratorSet,
-    default_probe_set,
     invariance_residual,
-    state_invariance_residual,
     suq2_generators,
     total_spin,
 )

@@ -652,8 +652,10 @@ def main(argv=None) -> int:
 
     try:
         spec = parse_spec_file(args.spec)
-        if args.workers < 1:
-            raise SpecFileError(f"--workers must be >= 1, got {args.workers}")
+        for flag, value in (("--workers", args.workers), ("--cap-dense", args.cap_dense),
+                            ("--cap-sparse", args.cap_sparse)):
+            if value < 1:
+                raise SpecFileError(f"{flag} must be >= 1, got {value}")
         json_path = run_spec(
             spec,
             Path(args.out),

@@ -20,7 +20,7 @@ propagation through a Krylov-based matrix-exponential action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .errors import DegenerateInputError, DomainError, SolverError
 from .interactions import Interaction, assemble_hamiltonian
 from .lattice import Volume, embed
-from .spectra import RANGE_LIMIT, EigenSystem
+from .spectra import EigenSystem
 from .spin_algebra import (
     DENSE_CUTOFF,
     as_matrix,
@@ -47,13 +47,10 @@ def evolve(h, a, t: float):
     return EigenSystem.of(h).evolve(a, t)
 
 
-def evolve_imaginary(h, a, beta: float, *, range_limit: float = RANGE_LIMIT):
-    """One-shot imaginary-time conjugation exp(-beta H) A exp(beta H).
-
-    ``range_limit`` applies when ``h`` is a Hamiltonian; an EigenSystem
-    carries its own.
-    """
-    return EigenSystem.of(h, range_limit=range_limit).evolve_imaginary(a, beta)
+def evolve_imaginary(h, a, beta: float):
+    """One-shot imaginary-time conjugation exp(-beta H) A exp(beta H),
+    refused when |beta| * spread > RANGE_LIMIT."""
+    return EigenSystem.of(h).evolve_imaginary(a, beta)
 
 
 def evolve_state(h, psi: np.ndarray, t: float) -> np.ndarray:
@@ -87,7 +84,6 @@ class LRScan:
     norms: np.ndarray  # shape (len(times), len(distances))
     a_norm: float
     b_norm: float
-    metadata: dict = field(default_factory=dict)
 
     @property
     def bound(self) -> float:
@@ -120,7 +116,6 @@ class LRFit:
     bound: float
     max_violation: float
     points_used: int
-    metadata: dict = field(default_factory=dict)
 
 
 def lr_scan(
@@ -146,9 +141,8 @@ def lr_scan(
     distances = np.asarray(list(distances), dtype=int)
     if times.size == 0 or distances.size == 0:
         raise DomainError("time and distance grids must be nonempty")
-    length = volume.num_sites
-    if np.any(distances < 0) or np.any(distances >= length):
-        raise DomainError(f"distances must lie in 0..{length - 1}")
+    if np.any(distances < 0) or np.any(distances >= volume.num_sites):
+        raise DomainError(f"distances must lie in 0..{volume.num_sites - 1}")
 
     if not (is_hermitian(a_local) and is_hermitian(b_local)):
         raise DomainError("light-cone scans take Hermitian observables")
@@ -166,23 +160,15 @@ def lr_scan(
         for j, ib in enumerate(ib_ops):
             c = at @ ib - ib @ at
             norms[i, j] = np.max(np.abs(hermitian_eig(c, vectors=False).eigenvalues))
-    return LRScan(
-        times=times,
-        distances=distances,
-        norms=norms,
-        a_norm=a_norm,
-        b_norm=b_norm,
-        metadata={
-            "interaction": interaction.name,
-            "length": int(length),
-            "boundary": volume.boundary,
-            "origin": 0,
-        },
-    )
+    return LRScan(times=times, distances=distances, norms=norms, a_norm=a_norm, b_norm=b_norm)
 
 
-def lr_fit(scan: LRScan, *, floor: float = 1e-12) -> LRFit:
-    """Fit bound * exp(-c (x - v t)) over scan points above ``floor``.
+#: Scan norms at or below this are rounding noise and take no part in a fit.
+FIT_FLOOR = 1e-12
+
+
+def lr_fit(scan: LRScan) -> LRFit:
+    """Fit bound * exp(-c (x - v t)) over scan points above ``FIT_FLOOR``.
 
     Least squares on log(norm / bound) against (distance, time) determines c
     and v; v is then raised (minimally) until the envelope dominates every
@@ -196,10 +182,10 @@ def lr_fit(scan: LRScan, *, floor: float = 1e-12) -> LRFit:
     ts = np.repeat(scan.times, scan.distances.size)
     xs = np.tile(scan.distances.astype(float), scan.times.size)
     ns = scan.norms.ravel()
-    mask = ns > floor
+    mask = ns > FIT_FLOOR
     if int(np.sum(mask)) < 3:
         raise DegenerateInputError(
-            f"only {int(np.sum(mask))} scan points above floor {floor}; fit needs >= 3"
+            f"only {int(np.sum(mask))} scan points above floor {FIT_FLOOR}; fit needs >= 3"
         )
     y = np.log(ns[mask] / c0)
     design = np.column_stack([xs[mask], ts[mask]])
@@ -217,18 +203,5 @@ def lr_fit(scan: LRScan, *, floor: float = 1e-12) -> LRFit:
     envelope = c0 * np.exp(-c * (xs - v * ts))
     max_violation = float(np.max(ns - envelope, initial=0.0))
     max_violation = max(max_violation, 0.0)
-    return LRFit(
-        velocity=v,
-        decay_rate=c,
-        bound=c0,
-        max_violation=max_violation,
-        points_used=int(np.sum(mask)),
-        metadata={
-            "floor": floor,
-            "method": (
-                "log-linear least squares in (distance, time); velocity raised "
-                "minimally so the envelope dominates every scanned point. "
-                "This extraction is a construction of this tool."
-            ),
-        },
-    )
+    return LRFit(velocity=v, decay_rate=c, bound=c0, max_violation=max_violation,
+                 points_used=int(np.sum(mask)))

@@ -60,11 +60,6 @@ class Interaction:
                 raise DomainError(f"{label} term is not Hermitian")
             object.__setattr__(self, f"{label}_term", term)
 
-    @property
-    def interaction_range(self) -> int:
-        """0 for purely on-site interactions, 1 if a bond term is present."""
-        return 1 if self.bond_term is not None else 0
-
 
 # ---------------------------------------------------------------------------
 # Built-in models
@@ -309,11 +304,6 @@ def _model(name: str) -> Model:
     if name not in MODELS:
         raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
     return MODELS[name]
-
-
-def model_interaction(name: str, params: dict | None = None) -> Interaction:
-    """Interaction of a named model; ``params`` override its defaults."""
-    return _model(name).interaction(params)
 
 
 def build_model_hamiltonian(

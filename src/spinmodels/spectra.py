@@ -12,7 +12,9 @@ two of half its size.
 routines of :mod:`spinmodels.states` and the evolutions of
 :mod:`spinmodels.dynamics` accept a Hamiltonian (and then build an
 EigenSystem with the default cap) or an EigenSystem built once and shared.
-Its constructor is the only dense-size guard; the cap is an argument.
+Its constructor is the only dense-size guard; the cap is an argument.  The
+one imaginary-time guard is the constant ``RANGE_LIMIT``: exp(beta H) runs
+only while |beta| * (w_max - w_min) <= RANGE_LIMIT.
 
 The low end of the spectrum has one routine, :func:`low_levels`, with two
 independent routes: the EigenSystem (exact, up to the dense cap) and the
@@ -100,13 +102,14 @@ class EigenSystem:
     ascending, and the eigenvectors stay per invariant block: ``blocks`` are
     the (basis indices, eigenvalues, eigenvectors) triples of
     :class:`~spinmodels.spin_algebra.HermitianEig`, float64 when H has no
-    imaginary part, ``block_sizes`` the blocks, and ``flip`` whether H is
-    exactly spin-flip symmetric.  In the eigenbasis,
+    imaginary part, ``block_sizes`` the blocks, ``flip`` whether H is
+    exactly spin-flip symmetric, and ``plan`` the block plan they were solved
+    from, whose block order the evolutions read.  In the eigenbasis,
     conjugation by exp(itH) is an entrywise phase, so an evolution costs a
     few products per pair of blocks that the operator couples.
     """
 
-    def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF, range_limit: float = RANGE_LIMIT):
+    def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF):
         m = as_matrix(h)
         _require_hermitian(m)
         dim = m.shape[0]
@@ -115,13 +118,11 @@ class EigenSystem:
                 f"dense eigendecomposition refused at dim {dim} > {cap_dense}"
             )
         self.h = m
-        self.range_limit = float(range_limit)
-        self.eigenvalues, self.blocks, self.block_sizes, self.flip = hermitian_eig(m)
+        self.eigenvalues, self.blocks, self.block_sizes, self.plan = hermitian_eig(m)
         self.gibbs_memo = None  # the last state built by states.gibbs
-        # block order lists the blocks' basis indices, and their columns, in turn
-        sizes = [idx.size for idx, _, _ in self.blocks]
-        self._start, self._label = np.cumsum([0] + sizes), np.repeat(np.arange(len(sizes)), sizes)
-        self._basis = np.concatenate([idx for idx, _, _ in self.blocks])
+        # the plan's block order lists the blocks' basis indices, and their columns, in turn
+        self.flip, self._start, self._basis = self.plan.flip, self.plan.starts, self.plan.members
+        self._label = np.repeat(np.arange(len(self.blocks)), np.diff(self._start))
         self._position = np.argsort(self._basis)  # basis index -> place in block order
         self._vectors = [None] + [v for _, _, v in self.blocks[1:]]  # None: the identity
         w = np.concatenate([w for _, w, _ in self.blocks])
@@ -136,12 +137,12 @@ class EigenSystem:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def require_range(self, beta: float, limit: float) -> None:
-        """Refuse imaginary time beta when |beta| * spread exceeds ``limit``."""
+    def require_range(self, beta: float) -> None:
+        """Refuse imaginary time beta when |beta| * spread exceeds RANGE_LIMIT."""
         exponent = abs(beta) * float(self.eigenvalues[-1] - self.eigenvalues[0])
-        if exponent > limit:
+        if exponent > RANGE_LIMIT:
             raise RangeLimitError(
-                f"imaginary-time exponent {exponent:.3g} exceeds range limit {limit}"
+                f"imaginary-time exponent {exponent:.3g} exceeds range limit {RANGE_LIMIT}"
             )
 
     def _entries(self, a):
@@ -227,8 +228,8 @@ class EigenSystem:
 
     def evolve_imaginary(self, a, beta: float):
         """exp(-beta H) A exp(beta H), stored as A is.  Refused when
-        beta * spread > range_limit."""
-        self.require_range(float(beta), self.range_limit)
+        |beta| * spread > RANGE_LIMIT."""
+        self.require_range(float(beta))
         return self._flow(a, -float(beta))
 
     def _flow(self, a, z):
@@ -350,7 +351,7 @@ def low_levels(
     if not isinstance(h, EigenSystem):
         _require_hermitian(h)
     msp = exact_real(m if sp.issparse(m) else sp.csr_array(m))
-    plan, diag = _block_plan(msp), msp.diagonal()
+    plan, diag = (h.plan if isinstance(h, EigenSystem) else _block_plan(msp)), msp.diagonal()
     # Gershgorin radii from the arrays: scipy's abs() sorts them, and m's data with them
     radius = np.bincount(np.repeat(np.arange(dim), np.diff(msp.indptr)), abs(msp.data), dim)
     bound = np.minimum.reduceat((diag.real - radius + abs(diag))[plan.members], plan.starts[1:-1])

@@ -218,24 +218,6 @@ def commutator(a, b):
     return ma @ mb - mb @ ma
 
 
-def anticommutator(a, b):
-    """{A, B} = AB + BA, stored as :func:`commutator` stores [A, B]."""
-    ma, mb = _operands(a, b)
-    return ma @ mb + mb @ ma
-
-
-class HermitianEig(NamedTuple):
-    """Eigenvalues (ascending), the blocks (None when eigenvectors were not
-    asked for) as (basis indices, eigenvalues, eigenvectors): all size-1
-    blocks together with an identity, then each larger block; their sizes;
-    whether the matrix is exactly flip-symmetric (see :func:`hermitian_eig`)."""
-
-    eigenvalues: np.ndarray
-    blocks: list[tuple] | None
-    block_sizes: list[int]
-    flip: bool
-
-
 def _mirror_halves(block, vectors: bool):
     """Eigenvalues (ascending) and eigenvectors (None without ``vectors``) of
     a block B with R B R = B, R the reversal k -> d-1-k, from its halves on
@@ -276,6 +258,18 @@ class _BlockPlan(NamedTuple):
         None) onto: indices (n-1-idx)[::-1], its eigenvalues, reversed rows."""
         idx, w, v = block
         return (self.labels.size - 1 - idx)[::-1], w, None if v is None else v[::-1]
+
+
+class HermitianEig(NamedTuple):
+    """Eigenvalues (ascending), the blocks (None when eigenvectors were not
+    asked for) as (basis indices, eigenvalues, eigenvectors): all size-1
+    blocks together with an identity, then each larger block; their sizes;
+    the plan they were solved from, its block b in blocks[b]."""
+
+    eigenvalues: np.ndarray
+    blocks: list[tuple] | None
+    block_sizes: list[int]
+    plan: _BlockPlan
 
 
 def _components(indptr, indices) -> np.ndarray:
@@ -358,7 +352,7 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     :class:`HermitianEig`); :func:`eigenvector_columns` scatters them.
     ``block_sizes`` lists the blocks in the order of their first basis index.
 
-    ``flip`` is whether J m J == m exactly, J the index reversal i -> n-1-i
+    ``plan.flip`` is whether J m J == m exactly, J the index reversal i -> n-1-i
     (spin flip in the decreasing-S3 basis), tested on the input as given.
     No tolerance decides it: a mirrored block copies its solved partner's
     eigenpairs, exact only when the symmetry is, and a block that is its own
@@ -369,7 +363,7 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     plan = _block_plan(m, sides=not vectors)
     singles = plan.members[:plan.starts[1]]
     eye = sp.eye_array(singles.size, format="csr") if vectors and singles.size else np.eye(0)
-    blocks = [(singles, m.diagonal()[singles].real, eye)]  # blocks[b] is the plan's block b
+    blocks = [(singles, m.diagonal()[singles].real, eye)]
     # a CSR matrix is permuted into block order once; its blocks are then slices
     p = m[plan.members][:, plan.members] if sp.issparse(m) else None
     for b in range(1, plan.starts.size - 1):
@@ -392,7 +386,7 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
             blocks.append((idx, *np.linalg.eigh(block)) if vectors
                           else (idx, np.linalg.eigvalsh(block), None))
     w = np.sort(np.concatenate([w for _, w, _ in blocks]), kind="stable")
-    return HermitianEig(w, blocks if vectors else None, np.bincount(plan.labels).tolist(), plan.flip)
+    return HermitianEig(w, blocks if vectors else None, np.bincount(plan.labels).tolist(), plan)
 
 
 def eigenvector_columns(eig, columns=slice(None), rows=None) -> np.ndarray:

@@ -8,7 +8,9 @@ call.  Probes and H stay CSR, so products such as X* [H, X] are sparse, and
 an expectation in a density matrix, Tr(A rho) = sum A_jk rho_kj, is one
 gather of rho at the transposed positions of A's stored entries: O(nnz).
 The KMS and entropy checks split into a beta-independent step per probe
-(``kms_terms``, ``eeb_terms``) and a cheap step per beta on its result.
+(``kms_terms``, ``eeb_terms``) and a cheap step per beta on its result.  A
+KMS beta is refused, like any imaginary time, above |beta| * spread =
+``spectra.RANGE_LIMIT``; entropy weights below ``WEIGHT_FLOOR`` are degenerate.
 
 * boundary condition relating a state to its imaginary-time flow:
   omega(A alpha_{i beta}(B)) = omega(B A), evaluated as a residual;
@@ -27,11 +29,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateInputError, DimensionMismatchError, DomainError
-from .spectra import RANGE_LIMIT, EigenSystem
+from .spectra import EigenSystem
 from .spin_algebra import adjoint, as_matrix, commutator, hermitian_eig, is_hermitian
 
 #: Validation tolerance for state invariants (Hermiticity, trace, positivity).
 STATE_TOL = 1e-12
+
+#: Entropy-balance weights omega(X*X), omega(X X*) below this are degenerate.
+WEIGHT_FLOOR = 1e-14
 
 
 class StateVector:
@@ -113,7 +118,8 @@ class DensityMatrix:
     @classmethod
     def mixture(cls, vectors) -> "DensityMatrix":
         """Uniform mixture of the given (column) vectors — e.g. a ground-space
-        average.  Columns are orthonormalized implicitly by the trace scale."""
+        average.  The columns must be orthonormal, as a ground basis is: rho is
+        V V^H divided by its trace, with no orthonormalization."""
         v = np.asarray(vectors, dtype=np.complex128)
         if v.ndim == 1:
             v = v[:, None]
@@ -216,11 +222,11 @@ class KmsTerms(NamedTuple):
     energies: np.ndarray
     ba: np.ndarray | sp.csr_array
 
-    def residual(self, beta: float, *, range_limit: float = RANGE_LIMIT) -> float:
+    def residual(self, beta: float) -> float:
         """The residual at ``beta``: a dot product for the flow side and an
         O(nnz) gather in the Gibbs density matrix for the comparison side."""
         beta = _beta(beta)
-        self.es.require_range(beta, range_limit)
+        self.es.require_range(beta)
         # flow side: the weight attaches to the index the flow transports B
         # to, which is what distinguishes it from omega(A B)
         p = np.exp(-beta * (self.energies - self.es.eigenvalues[0]))
@@ -248,7 +254,7 @@ def kms_terms(h, a, b) -> KmsTerms:
     return KmsTerms(es, np.concatenate(flow), energies, bm @ am)
 
 
-def kms_residual(h, beta: float, a, b, *, range_limit: float = RANGE_LIMIT) -> float:
+def kms_residual(h, beta: float, a, b) -> float:
     """| omega(A alpha_{i beta}(B)) - omega(B A) | in the Gibbs state at beta.
 
     Zero (to rounding) exactly when omega is the Gibbs state; the residual is
@@ -258,12 +264,13 @@ def kms_residual(h, beta: float, a, b, *, range_limit: float = RANGE_LIMIT) -> f
     The flow side folds the Boltzmann weight into the conjugation factors in
     the energy eigenbasis, where the growing and decaying exponentials cancel
     as scalars, so nothing of size exp(+beta * spread) is ever materialized
-    and the residual stays at rounding level for any admissible beta.  The
+    and the residual stays at rounding level for any beta up to
+    ``RANGE_LIMIT`` / spread, above which it is a RangeLimitError.  The
     comparison side goes through the independent density-matrix expectation.
     This is ``kms_terms(h, a, b).residual(beta)``: terms built once serve
     every beta.
     """
-    return kms_terms(h, a, b).residual(beta, range_limit=range_limit)
+    return kms_terms(h, a, b).residual(beta)
 
 
 class EebTerms(NamedTuple):
@@ -274,8 +281,7 @@ class EebTerms(NamedTuple):
     xxd: np.ndarray | sp.csr_array
     xdhx: np.ndarray | sp.csr_array
 
-    def deficit(self, beta: float, state, *, weight_floor: float = 1e-14,
-                allow_degenerate: bool = False) -> float:
+    def deficit(self, beta: float, state, *, allow_degenerate: bool = False) -> float:
         """The deficit at ``beta`` in ``state``, as :func:`eeb_deficit`
         defines it: three expectations, O(nnz) each in a density matrix."""
         beta = _beta(beta)
@@ -284,14 +290,14 @@ class EebTerms(NamedTuple):
             state = DensityMatrix(state) if state.ndim == 2 else StateVector(state)
         w1 = float(expectation(state, self.xdx).real)
         w2 = float(expectation(state, self.xxd).real)
-        if w2 < weight_floor <= w1:
+        if w2 < WEIGHT_FLOOR <= w1:
             raise DegenerateInputError(
-                f"omega(X X*) = {w2:.3e} below floor {weight_floor}; bound diverges")
-        if w1 < weight_floor and not allow_degenerate:
+                f"omega(X X*) = {w2:.3e} below floor {WEIGHT_FLOOR}; bound diverges")
+        if w1 < WEIGHT_FLOOR and not allow_degenerate:
             raise DegenerateInputError(
-                f"omega(X*X) = {w1:.3e} below floor {weight_floor}; "
+                f"omega(X*X) = {w1:.3e} below floor {WEIGHT_FLOOR}; "
                 "pass allow_degenerate=True for the 0*log(0) = 0 convention")
-        rhs = 0.0 if w1 < weight_floor else w1 * float(np.log(w1 / w2))
+        rhs = 0.0 if w1 < WEIGHT_FLOOR else w1 * float(np.log(w1 / w2))
         return beta * float(expectation(state, self.xdhx).real) - rhs
 
 
@@ -302,19 +308,17 @@ def eeb_terms(h, x) -> EebTerms:
     return EebTerms(xd @ xm, xm @ xd, xd @ commutator(hm, xm))
 
 
-def eeb_deficit(h, beta: float, x, state, *, weight_floor: float = 1e-14,
-                allow_degenerate: bool = False) -> float:
+def eeb_deficit(h, beta: float, x, state, *, allow_degenerate: bool = False) -> float:
     """beta * omega(X*[H,X]) - omega(X*X) log(omega(X*X)/omega(X X*)).
 
     Nonnegative when ``state`` is the Gibbs state of ``h`` at ``beta``; a
     negative deficit witnesses a non-equilibrium state.  When omega(X*X)
-    falls below ``weight_floor`` the right side is taken as 0 only if
+    falls below ``WEIGHT_FLOOR`` the right side is taken as 0 only if
     ``allow_degenerate`` is set (the 0*log(0) convention); otherwise the
     input is rejected, as it is when omega(X X*) degenerates.  This is
     ``eeb_terms(h, x).deficit(beta, state)``: terms built once serve every beta.
     """
-    return eeb_terms(h, x).deficit(beta, state, weight_floor=weight_floor,
-                                   allow_degenerate=allow_degenerate)
+    return eeb_terms(h, x).deficit(beta, state, allow_degenerate=allow_degenerate)
 
 
 def stability_value(h, state, a) -> float:

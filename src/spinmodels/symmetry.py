@@ -86,30 +86,19 @@ def suq2_generators(volume: Volume, q: float) -> GeneratorSet:
     return GeneratorSet(name="suq2", generators=gens)
 
 
-def _is_unitary(u, tol: float = STRUCTURE_TOL) -> bool:
-    m = as_matrix(u)
-    return float(abs(m.conj().T @ m - sp.eye_array(m.shape[0])).max()) <= tol
-
-
 def invariance_residual(h, symmetry, *, cap_dense: int = DENSE_CUTOFF) -> float:
     """How far ``h`` is from commuting with a symmetry.
 
-    ``symmetry`` may be a GeneratorSet (or iterable of operators), giving
-    max_G ||[H, G]||, or a single unitary U, giving ||U^dagger H U - H||.
-    For a Hermitian unitary the two coincide.  Each norm is exact up to
-    ``cap_dense`` and an ARPACK ``svds`` estimate above it, with no
-    Hermiticity test (see :func:`~spinmodels.spin_algebra.operator_norm`).
+    ``symmetry`` is a GeneratorSet, giving max_G ||[H, G]||, or a single
+    unitary U, giving ||U^dagger H U - H||.  For a Hermitian unitary the two
+    coincide.  Each norm is exact up to ``cap_dense`` and an ARPACK ``svds``
+    estimate above it, with no Hermiticity test (see
+    :func:`~spinmodels.spin_algebra.operator_norm`).
     """
     hm = as_matrix(h)
     if isinstance(symmetry, GeneratorSet):
-        items = [op for _, op in symmetry]
-    elif isinstance(symmetry, (list, tuple)):
-        items = list(symmetry)
-    else:
-        items = None
-    if items is not None:
         worst = 0.0
-        for g in items:
+        for _, g in symmetry:
             gm = as_matrix(g)
             if gm.shape != hm.shape:
                 raise DimensionMismatchError(
@@ -120,48 +109,7 @@ def invariance_residual(h, symmetry, *, cap_dense: int = DENSE_CUTOFF) -> float:
     um = as_matrix(symmetry)
     if um.shape != hm.shape:
         raise DimensionMismatchError(f"unitary shape {um.shape} vs Hamiltonian {hm.shape}")
-    if not _is_unitary(um):
+    if float(abs(um.conj().T @ um - sp.eye_array(um.shape[0])).max()) > STRUCTURE_TOL:
         raise DomainError("single-operator invariance check requires a unitary")
     conj = um.conj().T @ hm @ um
     return operator_norm(conj - hm, cap_dense=cap_dense)
-
-
-def state_invariance_residual(state, u, probes) -> float:
-    """max over probes A of | omega(U^dagger A U) - omega(A) |.
-
-    ``probes`` is an iterable of operators, a label -> operator mapping, or a
-    GeneratorSet.  U must be unitary to structure tolerance.
-    """
-    from .states import expectation
-
-    um = as_matrix(u)
-    if not _is_unitary(um):
-        raise DomainError("state invariance requires a unitary")
-    if isinstance(probes, GeneratorSet):
-        probes = [op for _, op in probes]
-    elif isinstance(probes, dict):
-        probes = list(probes.values())
-    worst = 0.0
-    for a in probes:
-        am = as_matrix(a)
-        if am.shape != um.shape:
-            raise DimensionMismatchError(
-                f"probe shape {am.shape} vs unitary {um.shape}"
-            )
-        rotated = um.conj().T @ am @ um
-        delta = abs(expectation(state, rotated) - expectation(state, am))
-        worst = max(worst, float(delta))
-    return worst
-
-
-def default_probe_set(volume: Volume) -> dict:
-    """Spin components on every site and exchange terms on every bond."""
-    ops = spin_matrices((volume.local_dim - 1) / 2.0)
-    probes = {}
-    for site in volume.sites:
-        for label, local in (("S1", ops.s1), ("S2", ops.s2), ("S3", ops.s3)):
-            probes[f"{label}@{site}"] = embed(local, [site], volume)
-    bond = ops.exchange()
-    for a, b in volume.edges:
-        probes[f"SdotS@{a}-{b}"] = embed(bond, [a, b], volume)
-    return probes

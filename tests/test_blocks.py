@@ -289,9 +289,10 @@ def test_component_search_of_a_relabelled_path_takes_few_rounds(monkeypatch):
 @pytest.mark.parametrize("name, boundary", _RECORDS, ids=[f"{n}-{b}" for n, b in _RECORDS])
 def test_both_routes_copy_mirror_blocks_from_one_plan(name, boundary, monkeypatch):
     # mirror is an involution, a mirrored block holds the reversed image
-    # (n-1-idx)[::-1] of its partner's indices, the EigenSystem's blocks are
-    # the plan's blocks in order, and the dense and krylov routes build the
-    # same plan and copy each solved block onto its mirror in it
+    # (n-1-idx)[::-1] of its partner's indices, the EigenSystem keeps the plan
+    # it solved, the dense and krylov routes build the same plan and copy each
+    # solved block onto its mirror in it, and the krylov route of an
+    # EigenSystem reads the system's plan instead of building another
     params = _PARAMS.get(name, {})
     local_dim = MODELS[name].interaction(params).local_dim
     vol = chain_volume(4 if local_dim > 2 else 6, boundary, local_dim=local_dim)
@@ -314,11 +315,15 @@ def test_both_routes_copy_mirror_blocks_from_one_plan(name, boundary, monkeypatc
         monkeypatch.setattr(module, "_block_plan", recording_plan)
     monkeypatch.setattr(spin_algebra._BlockPlan, "mirrored", recording_copy)
     es = EigenSystem(h)
-    spectra.low_levels(h, 2, method="krylov")
+    low = spectra.low_levels(h, 2, method="krylov")
+    copies.append([])
+    again = spectra.low_levels(es, 2, method="krylov")
     dense, krylov = plans
+    assert es.plan is dense and len(copies[2]) == len(copies[1])
+    assert again.solved_blocks == low.solved_blocks
+    assert np.array_equal(again.eigenvalues, low.eigenvalues)
     blocks = range(1, dense.starts.size - 1)
     members = [dense.members[dense.starts[b]:dense.starts[b + 1]] for b in blocks]
-    assert np.array_equal(es._basis, dense.members) and np.array_equal(es._start, dense.starts)
     for field in ("labels", "members", "starts", "mirror"):
         assert np.array_equal(getattr(krylov, field), getattr(dense, field))
     assert krylov.flip == dense.flip == es.flip
@@ -329,8 +334,10 @@ def test_both_routes_copy_mirror_blocks_from_one_plan(name, boundary, monkeypatc
     block_of = {tuple(idx.tolist()): b for b, idx in zip(blocks, members)}
     for b, idx in zip(blocks, members):
         assert np.array_equal(members[dense.mirror[b] - 1], (n - 1 - idx)[::-1])
-    dense_pairs, krylov_pairs = ([(block_of[tuple(i.tolist())], block_of[tuple(j.tolist())])
-                                  for i, j in route] for route in copies)
+    dense_pairs, krylov_pairs, reused_pairs = (
+        [(block_of[tuple(i.tolist())], block_of[tuple(j.tolist())]) for i, j in route]
+        for route in copies)
+    assert reused_pairs == krylov_pairs
     assert dense_pairs == [(dense.mirror[c], c) for c in blocks if dense.mirror[c] < c]
     assert krylov_pairs and all(dense.mirror[b] == c for b, c in krylov_pairs)
 
@@ -541,7 +548,7 @@ def test_flip_halves_of_a_random_complex_hermitian_matrix(solves, n):
     for given in (m, sp.csr_array(m)):
         solves.clear()
         eig = hermitian_eig(given)
-        assert eig.flip and solves == [("eigh", n - n // 2), ("eigh", n // 2)]
+        assert eig.plan.flip and solves == [("eigh", n - n // 2), ("eigh", n // 2)]
         v = eigenvector_columns(eig)
         assert v.dtype == np.complex128
         assert np.max(np.abs(eig.eigenvalues - want)) < 1e-13 * np.max(np.abs(want))
@@ -559,7 +566,7 @@ def test_near_flip_and_non_canonical_csr_take_the_path_without_the_flip(solves):
     # only exact equality counts: one entry pair one ulp off, or a CSR whose
     # rows are not sorted, makes one eigh per sector
     h = build_model_hamiltonian("heisenberg", {"J": 1.0}, chain_volume(8, "periodic")).tocsr()
-    assert hermitian_eig(h).flip
+    assert hermitian_eig(h).plan.flip
     near = h.toarray()
     i, j = np.argwhere(np.triu(near != 0, 1))[0]
     near[i, j] = near[j, i] = np.nextafter(near[i, j].real, np.inf)
@@ -570,7 +577,7 @@ def test_near_flip_and_non_canonical_csr_take_the_path_without_the_flip(solves):
     for m in (near, sp.csr_array(near), shuffled):
         solves.clear()
         eig = hermitian_eig(m)
-        assert not eig.flip
+        assert not eig.plan.flip
         assert solves == [("eigh", k) for k in (8, 28, 56, 70, 56, 28, 8)]
         assert np.max(np.abs(eig.eigenvalues - np.linalg.eigvalsh(near))) < 1e-13 * 8
 

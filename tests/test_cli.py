@@ -466,6 +466,20 @@ def test_main_refuses_negative_seeds(tmp_path, capsys, seed, checks):
     assert err["error"]["kind"] == "SpecFileError" and "seed" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--cap-dense", "-5"),
+                                         ("--cap-sparse", "0")])
+def test_numeric_flags_below_one_are_spec_errors(tmp_path, capsys, flag, value):
+    # one check for the three flags: exit 2 before any task runs, not a
+    # refused eigendecomposition (exit 3) at the first cap it meets
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec("spectrum", {})))
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "out"), flag, value]) == 2
+    err = json.loads(capsys.readouterr().out.strip())["error"]
+    assert err == {"kind": "SpecFileError", "exit_code": 2,
+                   "message": f"{flag} must be >= 1, got {value}"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_spec_file_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -9,6 +9,7 @@ from spinmodels import (
     EigenSystem,
     LRScan,
     Propagator,
+    RANGE_LIMIT,
     RangeLimitError,
     assemble_hamiltonian,
     chain_volume,
@@ -17,6 +18,7 @@ from spinmodels import (
     evolve_state,
     heisenberg,
     ising,
+    kms_residual,
     low_levels,
     lr_fit,
     lr_scan,
@@ -84,9 +86,24 @@ def test_imaginary_time_oracle_and_guard():
     assert np.allclose(got, np.exp(2.0) * ops.sm, atol=1e-13)
     with pytest.raises(RangeLimitError):
         evolve_imaginary(ops.s3, ops.sm, 1e4)
-    # custom limit widens the admissible window
-    out = evolve_imaginary(ops.s3, ops.sm, 7e2, range_limit=1e3)
-    assert np.isfinite(out).all()
+
+
+def test_range_limit_holds_at_its_boundary_on_every_route():
+    # H = S3 has spread exactly 1, so |beta| = RANGE_LIMIT is the largest
+    # admissible imaginary time on every route and the next float is refused
+    ops = spin_matrices(0.5)
+    es = EigenSystem(ops.s3)
+    routes = (lambda beta: es.evolve_imaginary(ops.sm, beta),
+              lambda beta: es.evolve_imaginary(ops.sm, -beta),
+              lambda beta: evolve_imaginary(ops.s3, ops.sm, beta),
+              lambda beta: kms_residual(ops.s3, beta, ops.sp, ops.sm))
+    for route in routes:
+        assert np.isfinite(route(RANGE_LIMIT)).all()
+        with pytest.raises(RangeLimitError):
+            route(np.nextafter(RANGE_LIMIT, np.inf))
+    got = evolve_imaginary(ops.s3, ops.sm, RANGE_LIMIT)
+    assert abs(got[1, 0] / np.exp(RANGE_LIMIT) - 1.0) < 1e-13
+    assert kms_residual(es, RANGE_LIMIT, ops.sp, ops.sm) < 1e-12
 
 
 def test_state_evolution_phase_and_norm():
@@ -191,7 +208,6 @@ def test_lr_fit_needs_enough_points():
         norms=np.array([[1e-16, 1e-16]]),  # everything below the floor
         a_norm=0.5,
         b_norm=0.5,
-        metadata={},
     )
     with pytest.raises(DegenerateInputError):
         lr_fit(scan)

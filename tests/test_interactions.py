@@ -23,7 +23,6 @@ from spinmodels import (
     invariance_residual,
     ising,
     lambda_norm,
-    model_interaction,
     resolve_q,
     spin_matrices,
     xxz_suq2,
@@ -235,15 +234,14 @@ def test_lambda_norm_values():
 
 
 def test_model_interaction_dispatch():
-    inter = model_interaction("heisenberg", {"J": -1.0})
+    inter = MODELS["heisenberg"].interaction({"J": -1.0})
     assert inter.name == "heisenberg"
-    inter = model_interaction("ising", {"J": 1.0, "h": 0.2})
-    assert inter.interaction_range == 1
-    assert empty().interaction_range == 0
+    inter = MODELS["ising"].interaction({"J": 1.0, "h": 0.2})
+    assert inter.name == "ising" and inter.site_term is not None
     with pytest.raises(DomainError):
-        model_interaction("heisenberg", {"J": 1.0, "bogus": 3})
+        MODELS["heisenberg"].interaction({"J": 1.0, "bogus": 3})
     with pytest.raises(DomainError):
-        model_interaction("nope", {})
+        build_model_hamiltonian("nope", {}, chain_volume(2))
 
 
 def test_build_model_hamiltonian_xxz_requires_open_chain():

@@ -16,27 +16,6 @@ def test_random_local_operator_has_unit_norm():
         assert abs(operator_norm(op) - 1.0) < 1e-10
 
 
-def test_hermitian_flag():
-    vol = chain_volume(3)
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        op = random_local_operator(vol, rng, hermitian=True)
-        m = op.toarray()
-        assert np.allclose(m, m.conj().T, atol=1e-12)
-
-
-def test_support_pinning():
-    vol = chain_volume(4)
-    rng = np.random.default_rng(3)
-    op = random_local_operator(vol, rng, support=((2,),)).toarray()
-    # acting trivially outside site 2: conjugating by S3 elsewhere commutes
-    from spinmodels import embed, spin_matrices
-
-    s3_far = embed(spin_matrices(0.5).s3, ((0,),), vol).toarray()
-    comm = op @ s3_far - s3_far @ op
-    assert np.all(comm == 0)
-
-
 def test_probe_pairs_deterministic_by_seed():
     vol = chain_volume(4)
     a = random_probe_pairs(vol, 7, 6)

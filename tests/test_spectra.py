@@ -367,7 +367,7 @@ def test_the_callers_csr_is_not_rewritten():
     m = sp.csr_array((h.data[order], h.indices[order], h.indptr), shape=h.shape)
     arrays = [x.copy() for x in (m.data, m.indices, m.indptr)]
     assert not m.has_canonical_format
-    flips = [hermitian_eig(m).flip for _ in range(2)]
+    flips = [hermitian_eig(m).plan.flip for _ in range(2)]
     low = low_levels(m, 6, method="krylov")
     assert flips == [False, False]
     assert all(np.array_equal(x, y) for x, y in zip(arrays, (m.data, m.indices, m.indptr)))

@@ -9,7 +9,6 @@ from spinmodels import (
     EigenSystem,
     Spin,
     adjoint,
-    anticommutator,
     assemble_hamiltonian,
     chain_volume,
     commutator,
@@ -143,13 +142,9 @@ def test_mixed_dense_sparse_pairs_stay_mixed():
     bd = b.toarray()
     scale = 1e-15 * np.linalg.norm(a, 2) * np.linalg.norm(bd, 2)
     for x, y, xd, yd in ((a, b, a, bd), (b, a, bd, a)):
-        pairs = [
-            (commutator(x, y), xd @ yd - yd @ xd),
-            (anticommutator(x, y), xd @ yd + yd @ xd),
-        ]
-        for got, want in pairs:
-            assert isinstance(got, np.ndarray)
-            assert np.max(np.abs(got - want)) <= scale
+        got = commutator(x, y)
+        assert isinstance(got, np.ndarray)
+        assert np.max(np.abs(got - (xd @ yd - yd @ xd))) <= scale
 
 
 def test_dimension_mismatch_raises():
@@ -157,22 +152,20 @@ def test_dimension_mismatch_raises():
         with pytest.raises(DimensionMismatchError):
             commutator(a, b)
         with pytest.raises(DimensionMismatchError):
-            anticommutator(b, a)
+            commutator(b, a)
 
 
-def test_commutator_and_anticommutator():
+def test_commutator_of_dense_matrices():
     rng = np.random.default_rng(11)
     for _ in range(5):
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         assert np.allclose(commutator(a, b), a @ b - b @ a)
-        assert np.allclose(anticommutator(a, b), a @ b + b @ a)
     # self-commutator is exactly zero
     assert np.all(commutator(SX, SX) == 0)
-    # plain nested lists are accepted by both brackets
+    # plain nested lists are accepted
     x, z = [[0, 1], [1, 0]], [[1, 0], [0, -1]]
     assert np.array_equal(commutator(x, z), [[0, -2], [2, 0]])
-    assert np.array_equal(anticommutator(x, z), np.zeros((2, 2)))
 
 
 def test_operator_norm_matches_dense_oracle():

@@ -7,9 +7,7 @@ from spinmodels import (
     GeneratorSet,
     SitePermutation,
     assemble_hamiltonian,
-    basis_vector,
     chain_volume,
-    default_probe_set,
     embed,
     heisenberg,
     aklt,
@@ -17,8 +15,6 @@ from spinmodels import (
     permutation_unitary,
     random_local_operator,
     resolve_q,
-    state_invariance_residual,
-    StateVector,
     suq2_generators,
     spin_matrices,
     total_spin,
@@ -145,26 +141,6 @@ def test_invariance_residual_with_unitary():
     assert invariance_residual(h, u) == 0.0  # dyadic entries transport exactly
     with pytest.raises(DomainError):
         invariance_residual(h, 2.0 * u.toarray())  # not unitary
-
-
-def test_state_invariance_under_translation():
-    vol = chain_volume(4, boundary="periodic")
-    u = permutation_unitary(SitePermutation.translation(vol, 1), vol)
-    probes = default_probe_set(vol)
-    up = StateVector(basis_vector(vol, (0, 0, 0, 0)))
-    assert state_invariance_residual(up, u, probes) < 1e-14
-    neel = StateVector(basis_vector(vol, (0, 1, 0, 1)))
-    # shifting the staggered pattern flips every on-site magnetization
-    assert state_invariance_residual(neel, u, probes) > 0.5
-
-
-def test_default_probe_set_covers_sites_and_bonds():
-    vol = chain_volume(4, boundary="open")
-    probes = default_probe_set(vol)
-    # three spin components per site plus one exchange term per bond
-    assert len(probes) == 3 * 4 + 3
-    vol_p = chain_volume(4, boundary="periodic")
-    assert len(default_probe_set(vol_p)) == 3 * 4 + 4
 
 
 def test_generator_set_iterates_labelled_pairs():
