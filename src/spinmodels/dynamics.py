@@ -9,11 +9,13 @@ as one block of eigenvectors per invariant block of H's nonzero pattern.  An
 evolution runs over the block pairs that the operator couples, and the
 result keeps the operator's storage: CSR in gives CSR out, nonzero only on
 those pairs, so S3 at a site (which the built-in models' blocks leave
-invariant) stays block-diagonal.  A light-cone scan takes each norm as the
-largest |eigenvalue| of the Hermitian i[alpha_t(A), B_x], a product of CSR
-matrices solved block by block.  On a spin-1/2 chain with B_x = S3_x,
-whose entries join only states that differ in the spin at x, each block is
-bipartite and its norm is the largest singular value of a half-size corner.
+invariant) stays block-diagonal, and an exactly flip-even or flip-odd A
+keeps its parity bit for bit.  A light-cone scan takes each norm as the
+largest |eigenvalue| of the Hermitian i[alpha_t(A), B_x] from
+``commutator`` (no product for a diagonal B_x), solved block by block.  On
+a spin-1/2 chain with B_x = S3_x, whose entries join only states that
+differ in the spin at x, each block is bipartite and its norm is the
+largest singular value of a half-size corner; the -m corners are copies.
 Above the dense cutoff, a Hamiltonian (not an EigenSystem) still gets vector
 propagation through a Krylov-based matrix-exponential action.
 """
@@ -32,6 +34,7 @@ from .spectra import EigenSystem
 from .spin_algebra import (
     DENSE_CUTOFF,
     as_matrix,
+    commutator,
     hermitian_eig,
     is_hermitian,
     operator_norm,
@@ -149,8 +152,7 @@ def lr_scan(
     prop = EigenSystem(assemble_hamiltonian(interaction, volume), cap_dense=cap_dense)
     a0 = embed(a_local, [(0,)], volume)
     b_ops = [embed(b_local, [(int(x),)], volume) for x in distances]
-    a_norm = operator_norm(a0, cap_dense=cap_dense)
-    b_norm = operator_norm(b_ops[0], cap_dense=cap_dense) if b_ops else 0.0
+    a_norm, b_norm = (operator_norm(m, cap_dense=cap_dense) for m in (a0, b_ops[0]))
 
     # i[alpha_t(A), B] is Hermitian: its norm is its largest |eigenvalue|
     ib_ops = [1j * b for b in b_ops]
@@ -158,8 +160,7 @@ def lr_scan(
     for i, t in enumerate(times):
         at = prop.evolve(a0, float(t))
         for j, ib in enumerate(ib_ops):
-            c = at @ ib - ib @ at
-            norms[i, j] = np.max(np.abs(hermitian_eig(c, vectors=False).eigenvalues))
+            norms[i, j] = np.abs(hermitian_eig(commutator(at, ib), vectors=False).eigenvalues).max()
     return LRScan(times=times, distances=distances, norms=norms, a_norm=a_norm, b_norm=b_norm)
 
 

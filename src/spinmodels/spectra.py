@@ -41,6 +41,7 @@ from .spin_algebra import (
     DENSE_CUTOFF,
     SOLVER_TOL,
     _block_plan,
+    _flip_parity,
     adjoint,
     as_matrix,
     eigenvector_columns,
@@ -102,11 +103,12 @@ class EigenSystem:
     ascending, and the eigenvectors stay per invariant block: ``blocks`` are
     the (basis indices, eigenvalues, eigenvectors) triples of
     :class:`~spinmodels.spin_algebra.HermitianEig`, float64 when H has no
-    imaginary part, ``block_sizes`` the blocks, ``flip`` whether H is
-    exactly spin-flip symmetric, and ``plan`` the block plan they were solved
-    from, whose block order the evolutions read.  In the eigenbasis,
+    imaginary part, and ``plan`` the block plan they were solved from, whose
+    block order the evolutions read; ``block_sizes`` and ``flip`` (whether H
+    is exactly spin-flip symmetric) are read from it.  In the eigenbasis,
     conjugation by exp(itH) is an entrywise phase, so an evolution costs a
-    few products per pair of blocks that the operator couples.
+    few products per pair of blocks that the operator couples, or per
+    mirror pair of them (see ``_conjugate``).
     """
 
     def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF):
@@ -118,10 +120,10 @@ class EigenSystem:
                 f"dense eigendecomposition refused at dim {dim} > {cap_dense}"
             )
         self.h = m
-        self.eigenvalues, self.blocks, self.block_sizes, self.plan = hermitian_eig(m)
+        self.eigenvalues, self.blocks, self.plan = hermitian_eig(m)
         self.gibbs_memo = None  # the last state built by states.gibbs
         # the plan's block order lists the blocks' basis indices, and their columns, in turn
-        self.flip, self._start, self._basis = self.plan.flip, self.plan.starts, self.plan.members
+        self._start, self._basis = self.plan.starts, self.plan.members
         self._label = np.repeat(np.arange(len(self.blocks)), np.diff(self._start))
         self._position = np.argsort(self._basis)  # basis index -> place in block order
         self._vectors = [None] + [v for _, _, v in self.blocks[1:]]  # None: the identity
@@ -136,6 +138,10 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    block_sizes = property(lambda self: np.bincount(self.plan.labels).tolist(),
+                           doc="The sizes of H's blocks, in order of first basis index.")
+    flip = property(lambda self: self.plan.flip, doc="Whether J H J == H exactly.")
 
     def require_range(self, beta: float) -> None:
         """Refuse imaginary time beta when |beta| * spread exceeds RANGE_LIMIT."""
@@ -202,20 +208,35 @@ class EigenSystem:
 
     def _conjugate(self, a, z=None):
         """V^H A V in the order of ``eigenvalues`` when ``z`` is None, else
-        exp(zH) A exp(-zH) = V (V^H A V * exp(z (w_j - w_k))) V^H; stored as A is."""
+        exp(zH) A exp(-zH) = V (V^H A V * exp(z (w_j - w_k))) V^H; stored as A is.
+
+        Under a flip-symmetric H, a flow of A with J A J == s A exactly
+        (s = +-1) computes only the first of each pair (b, c) and its mirror,
+        then adds the image s J Y J of all it computed: the pairs it skipped,
+        and, for a pair that is its own mirror, the other half of an average.
+        So J A_t J == s A_t holds bitwise.  The eigenbasis form keeps every
+        pair: self-mirrored blocks' eigenvectors are even and odd halves."""
+        m, mirror = as_matrix(a), self.plan.mirror
+        s = _flip_parity(m) if z is not None and self.flip else 0
         target, v = self._rank if z is None else self._basis, self._vectors
+        first = {min((b, c), (mirror[b], mirror[c])) for b, c in self.coupled(m)} if s else None
         parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-        for b, c, x in self.pairs(a):
+        for b, c, x in self.pairs(m, first):
             wb, wc = self.blocks[b][1], self.blocks[c][1]
             if z is not None and sp.issparse(x):
                 x.data = x.data * np.exp(z * (wb[x.row] - wc[x.col]))
             elif z is not None:
                 x = _sandwich(v[b], x * np.exp(z * (wb[:, None] - wc[None, :])), _adjoint(v[c]))
             x = sp.coo_array(x)
+            if s and (mirror[b], mirror[c]) == (b, c):
+                x.data = x.data / 2  # its image adds the other half
             parts.append((target[self._start[b] + x.row], target[self._start[c] + x.col], x.data))
         rows, cols, vals = map(np.concatenate, zip(*parts))
+        if s:  # J is the index reversal
+            n = self.dim - 1
+            rows, cols, vals = np.r_[rows, n - rows], np.r_[cols, n - cols], np.r_[vals, s * vals]
         out = sp.coo_array((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
-        return out if sp.issparse(as_matrix(a)) else out.toarray()
+        return out if sp.issparse(m) else out.toarray()
 
     def to_eigenbasis(self, a):
         """V^dagger A V in the order of ``eigenvalues``, stored as A is."""

@@ -213,8 +213,21 @@ def exact_real(m):
 
 
 def commutator(a, b):
-    """[A, B] = AB - BA, as the ndarray or CSR matrix that the product gives."""
+    """[A, B] = AB - BA, as the ndarray or CSR matrix that the product gives;
+    for a CSR pair of a canonical X and a diagonal D (indptr and indices
+    0, 1, 2, ...) in O(nnz): [X, D] is x_ij d_j - d_i x_ij and [D, X] its
+    negative, zeros dropped, exactly the products' entries in canonical order."""
     ma, mb = _operands(a, b)
+    if sp.issparse(ma) and sp.issparse(mb):
+        n = ma.shape[0]
+        for x, d, left in ((ma, mb, False), (mb, ma, True)):
+            if (d.nnz == n and np.array_equal(d.indptr, np.arange(n + 1))
+                    and np.array_equal(d.indices, np.arange(n)) and x.has_canonical_format):
+                xd, dx = x.data * d.data[x.indices], np.repeat(d.data, np.diff(x.indptr)) * x.data
+                data = dx - xd if left else xd - dx
+                kept = np.flatnonzero(data != 0)
+                return sp.csr_array((data[kept], x.indices[kept], np.searchsorted(kept, x.indptr)),
+                                    shape=x.shape)
     return ma @ mb - mb @ ma
 
 
@@ -242,6 +255,17 @@ def _mirror_halves(block, vectors: bool):
     return w[order], v
 
 
+def _flip_parity(m) -> int:
+    """+1 or -1 when J m J == +-m exactly (+1 for m = 0), J the index reversal
+    i -> n-1-i, else 0; a CSR matrix counts only in canonical format."""
+    sparse = sp.issparse(m)
+    if sparse and not (m.has_canonical_format and np.array_equal(m.nnz - m.indptr[::-1], m.indptr)
+                       and np.array_equal(m.shape[0] - 1 - m.indices[::-1], m.indices)):
+        return 0
+    m, flipped = (m.data, m.data[::-1]) if sparse else (m, m[::-1, ::-1])
+    return 1 if np.array_equal(flipped, m) else -1 if np.array_equal(flipped, -m) else 0
+
+
 class _BlockPlan(NamedTuple):
     """How the solvers split a matrix m, read once from its exact nonzero
     pattern by :func:`_block_plan`; J is the index reversal i -> n-1-i."""
@@ -263,13 +287,15 @@ class _BlockPlan(NamedTuple):
 class HermitianEig(NamedTuple):
     """Eigenvalues (ascending), the blocks (None when eigenvectors were not
     asked for) as (basis indices, eigenvalues, eigenvectors): all size-1
-    blocks together with an identity, then each larger block; their sizes;
-    the plan they were solved from, its block b in blocks[b]."""
+    blocks together with an identity, then each larger block; the plan they
+    were solved from, its block b in blocks[b]."""
 
     eigenvalues: np.ndarray
     blocks: list[tuple] | None
-    block_sizes: list[int]
     plan: _BlockPlan
+
+    block_sizes = property(lambda self: np.bincount(self.plan.labels).tolist(),
+                           doc="The sizes of the pattern's components, in order of first index.")
 
 
 def _components(indptr, indices) -> np.ndarray:
@@ -304,15 +330,12 @@ def _block_plan(m, sides: bool = False) -> _BlockPlan:
     exactly in a bipartite component (a diagonal entry joins them); for c its
     first index, (c, 0) has the smaller label and side -1, listed first in a
     bipartite block.  Stored zeros join no block; ``m`` is not rewritten."""
-    n, ptr = m.shape[0], None
+    n, ptr, flip = m.shape[0], None, _flip_parity(m) == 1
     if sp.issparse(m):
-        flip = (m.has_canonical_format and np.array_equal(m.nnz - m.indptr[::-1], m.indptr)
-                and np.array_equal(n - 1 - m.indices[::-1], m.indices)
-                and np.array_equal(m.data[::-1], m.data))
         keep = m.data != 0
         ptr, cols = np.concatenate(([0], np.cumsum(keep)))[m.indptr], m.indices[keep]
     else:
-        flip, pattern = np.array_equal(m[::-1, ::-1], m), m != 0
+        pattern = m != 0
         # a dense row with no zero, its diagonal included, joins every index
         # into one block that is not bipartite: no graph search
         if n and not pattern.all(axis=1).any():
@@ -386,7 +409,7 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
             blocks.append((idx, *np.linalg.eigh(block)) if vectors
                           else (idx, np.linalg.eigvalsh(block), None))
     w = np.sort(np.concatenate([w for _, w, _ in blocks]), kind="stable")
-    return HermitianEig(w, blocks if vectors else None, np.bincount(plan.labels).tolist(), plan)
+    return HermitianEig(w, blocks if vectors else None, plan)
 
 
 def eigenvector_columns(eig, columns=slice(None), rows=None) -> np.ndarray:

@@ -369,6 +369,23 @@ def test_light_cone_scan_norms_come_from_svd_alone(monkeypatch):
             assert abs(scan.norms[i, j] - want) <= 1e-13
 
 
+def test_light_cone_scan_copies_half_its_corner_svds(monkeypatch):
+    # the bench lightcone spec: alpha_t(S3_0) stays flip-odd bit for bit and
+    # the diagonal commutator keeps it, so each t > 0 commutator reads flip
+    # and its -m blocks copy the +m blocks' SVDs: 96 instead of 192
+    from spinmodels import dynamics
+
+    svds, flips = [], []
+    svd, solve = np.linalg.svd, dynamics.hermitian_eig
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    monkeypatch.setattr(dynamics, "hermitian_eig",
+                        lambda m, **k: flips.append(solve(m, **k)) or flips[-1])
+    s3 = spin_matrices(0.5).s3
+    lr_scan(heisenberg(j=1.0), chain_volume(9, "open"), s3, s3, [0.0, 0.5, 1.0, 2.0], range(1, 9))
+    assert len(svds) == 96 and len(flips) == 32
+    assert all(eig.plan.flip for eig in flips[8:])
+
+
 def test_light_cone_scan_refuses_non_hermitian_observables():
     ops = spin_matrices(0.5)
     with pytest.raises(DomainError):
@@ -646,3 +663,63 @@ def test_kms_terms_take_only_the_block_pairs_that_meet(case, monkeypatch):
         states.kms_terms(es, a, b)
         monkeypatch.undo()
         assert asked == [meet, {(q, p) for p, q in meet}]
+
+
+# ---------------------------------------------------------------------------
+# Mirrored flows: an exactly flip-even or flip-odd operator under a
+# flip-symmetric H is evolved one mirror pair of block pairs at a time
+# ---------------------------------------------------------------------------
+
+_MIRROR_RECORDS = [("heisenberg", {}), ("xy_field", {"h": 0.0}), ("ising", {"h": 0.0}), ("aklt", {})]
+_MIRROR_CASES = [(name, params, boundary, length)
+                 for name, params in _MIRROR_RECORDS for boundary in ("open", "periodic")
+                 for length in ((4, 5) if name == "aklt" else (7, 8))]
+
+
+@pytest.mark.parametrize("name, params, boundary, length", _MIRROR_CASES,
+                         ids=[f"{n}-{b}-{k}" for n, _, b, k in _MIRROR_CASES])
+def test_mirrored_flows_match_full_eigh_and_keep_parity_bitwise(name, params, boundary,
+                                                                length, monkeypatch):
+    # S3_0 is flip-odd, S1_0 flip-even and a random bond operator neither; the
+    # first two compute one pair of each mirror pair, and their flows are odd
+    # and even bit for bit; one entry one ulp off parity takes every pair
+    assert {n for n, p, _ in _FLIP_CASES if n in ("heisenberg", "aklt") or p.get("h") == 0.0} \
+        == {n for n, _ in _MIRROR_RECORDS}
+    local_dim = MODELS[name].interaction(params).local_dim
+    vol = chain_volume(length, boundary, local_dim=local_dim)
+    h = build_model_hamiltonian(name, params, vol).tocsr()
+    es = EigenSystem(h)
+    assert es.flip
+    w, v, scale = _full_eigh(h)
+    ops = _observables(vol)
+    probe = random_probe_pairs(vol, 7, 2)[1][0]
+    near = ops["s1"].copy()
+    near.data[0] = np.nextafter(near.data[0].real, np.inf)
+    cases = [(ops["s3"], -1), (ops["s1"], 1), (probe, 0), (near, 0)]
+    mirror, counts, original = es.plan.mirror, [], spectra.EigenSystem.pairs
+
+    def counting(self, a, among=None):
+        out = list(original(self, a, among))
+        counts.append(len(out))
+        return iter(out)
+
+    monkeypatch.setattr(spectra.EigenSystem, "pairs", counting)
+    for a, s in cases:
+        assert spin_algebra._flip_parity(a) == s
+        coupled = es.coupled(a)
+        halves = {min((b, c), (mirror[b], mirror[c])) for b, c in coupled}
+        assert len(halves) < len(coupled) or not s or name == "ising"  # Ising: H diagonal
+        ad = a.toarray()
+        for t, beta in ((0.7, 0.3), (1.9, 0.8)):
+            u = (v * np.exp(-1j * t * w)) @ v.conj().T
+            down, up = (v * np.exp(-beta * w)) @ v.conj().T, (v * np.exp(beta * w)) @ v.conj().T
+            for want, flow in ((u.conj().T @ ad @ u, lambda x: es.evolve(x, t)),
+                               (down @ ad @ up, lambda x: es.evolve_imaginary(x, beta))):
+                counts.clear()
+                got, dense = flow(a), flow(ad)
+                assert counts == [len(halves) if s else len(coupled)] * 2
+                assert np.max(np.abs(got.toarray() - want)) < 1e-13 * scale * max(1.0, np.max(np.abs(want)))
+                assert np.array_equal(got.toarray(), dense)
+                if s:
+                    assert spin_algebra._flip_parity(got) == s
+                    assert np.array_equal(dense[::-1, ::-1], s * dense)

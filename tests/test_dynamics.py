@@ -220,6 +220,13 @@ def test_lr_scan_rejects_out_of_volume_distance():
         lr_scan(heisenberg(j=1.0), vol, ops.s3, ops.s3, (0.5,), (1, 4))
 
 
+@pytest.mark.parametrize("times, distances", [((), (1,)), ((0.5,), ())])
+def test_lr_scan_rejects_empty_grids(times, distances):
+    s3 = spin_matrices(0.5).s3
+    with pytest.raises(DomainError, match="nonempty"):
+        lr_scan(heisenberg(j=1.0), chain_volume(4, boundary="open"), s3, s3, times, distances)
+
+
 def test_one_shot_helpers_accept_an_eigen_system():
     h = _chain_hamiltonian(3)
     es = EigenSystem(h)

@@ -155,6 +155,55 @@ def test_dimension_mismatch_raises():
             commutator(b, a)
 
 
+def _diagonal_route_cases():
+    """(X, d) pairs: real and complex X with some exact zeros stored, and
+    diagonals whose repeated values make d_j - d_i and x d_j - d_i x vanish."""
+    rng = np.random.default_rng(41)
+    n = 24
+    for dtype in (float, complex):
+        x = sp.random_array((n, n), density=0.3, rng=rng, dtype=dtype, format="csr")
+        x = sp.csr_array(x + sp.eye_array(n))  # the diagonal of X cancels exactly
+        x.data[::7] = 0.0
+        for d in (rng.choice([0.5, -0.5], n), rng.choice([0.3, 0.0, 1.7j], n)):
+            yield x, d.astype(np.result_type(d, dtype))
+
+
+def test_diagonal_commutators_are_the_product_entries_bitwise(monkeypatch):
+    products, matmul = [], sp.csr_array.__matmul__
+    monkeypatch.setattr(sp.csr_array, "__matmul__",
+                        lambda p, q: products.append(1) or matmul(p, q))
+    for x, d in _diagonal_route_cases():
+        diag = sp.csr_array((d, np.arange(d.size), np.arange(d.size + 1)))  # zeros stored
+        assert diag.nnz == d.size and x.has_canonical_format
+        for a, b in ((x, diag), (diag, x)):
+            products.clear()
+            got = commutator(a, b)
+            assert products == []
+            want = matmul(a, b) - matmul(b, a)
+            want.sort_indices()
+            assert want.nnz < x.nnz  # exact cancellations are dropped by both
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert got.has_canonical_format and got.dtype == want.dtype
+
+
+def test_non_canonical_diagonals_and_dense_operands_take_the_products():
+    x, d = next(_diagonal_route_cases())
+    n = d.size
+    # the diagonal with its first entry stored as two halves: n + 1 entries
+    split = sp.csr_array((np.concatenate(([d[0] / 2], d)), np.concatenate(([0], np.arange(n))),
+                          np.concatenate(([0], np.arange(2, n + 2)))), shape=(n, n))
+    assert not split.has_canonical_format
+    for a, b in ((x, split), (split, x)):
+        got, want = commutator(a, b), a @ b - b @ a
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    xd, dd = x.toarray(), np.diag(d)
+    for a, b in ((xd, dd), (dd, xd)):
+        got = commutator(a, b)
+        assert isinstance(got, np.ndarray) and np.array_equal(got, a @ b - b @ a)
+
+
 def test_commutator_of_dense_matrices():
     rng = np.random.default_rng(11)
     for _ in range(5):
