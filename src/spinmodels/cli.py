@@ -9,13 +9,13 @@ section, and one section of task parameters named after the task.  As
 ``interactions.MODELS`` holds the models, ``TASKS`` holds one ``Task`` record
 per task (section keys with defaults and validators, runner, CSV header) and
 ``CHECKS`` one ``Check`` record per check of the ``verify`` task (reported
-value, threshold, pass direction, probe seed).  Results go to ``result.json``,
-plus the task's CSV table when ``output.csv`` names a file, written in a
-canonical form — sorted keys, floats as 17 significant digits (``.17g``,
-which round-trips but is not always shortest) — so identical specs produce
-byte-identical outputs.  Wall-clock time and progress go to stderr only.
-Exit codes: 0 success, 2 spec error, 3 resource cap, 4 solver/numerics
-failure.
+value, threshold, pass direction, probe seed, witness).  Results go to
+``result.json``, plus the task's CSV table when ``output.csv`` names a file,
+written in a canonical form — sorted keys, floats as 17 significant digits
+(``.17g``, which round-trips but is not always shortest) — so identical specs
+produce byte-identical outputs.  Wall-clock time and progress go to stderr only.
+Exit codes (0 on success, else the error type's ``exit_code``): 2 spec
+error, 3 resource cap, 4 solver/numerics failure.
 """
 
 from __future__ import annotations
@@ -34,16 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    DomainError,
-    RangeLimitError,
-    ResourceCapError,
-    SolverError,
-    SpecFileError,
-    SpinModelError,
-)
+from .errors import DimensionMismatchError, DomainError, SolverError, SpecFileError, SpinModelError
 from .dynamics import lr_fit, lr_scan
 from .interactions import MODEL_NAMES, MODELS, assemble_hamiltonian
 from .lattice import MAX_HILBERT_DIM, build_volume
@@ -419,6 +410,8 @@ class Check:
         per_beta: the check runs at every verify beta and reports the worst.
         prepare: (run, probe pairs) -> what ``run`` reads in their place,
             computed once: a per-beta check's beta-independent probe terms.
+        witness: (key, run -> value) of a value reported beside ``value``
+            that must pass the same threshold, or None.
     """
 
     run: Callable[..., dict]
@@ -428,6 +421,7 @@ class Check:
     seed: int | None = None
     per_beta: bool = False
     prepare: Callable[[_Run, list], list] = lambda run, pairs: pairs
+    witness: tuple[str, Callable[[_Run], float]] | None = None
 
     def probes(self, run: _Run):
         """The check's prepared probe pairs, drawn from the spec seed plus its
@@ -448,7 +442,8 @@ CHECKS = {
     "algebra": Check(_check_algebra, "residual", STRUCTURE_TOL, upper=True),
     "symmetry": Check(_check_symmetry, "residual", 1e-10, upper=True),
     "kms": Check(_check_kms, "max_residual", 1e-10, upper=True, seed=0, per_beta=True,
-                 prepare=lambda run, pairs: [kms_terms(run.es, a, b) for a, b in pairs]),
+                 prepare=lambda run, pairs: [kms_terms(run.es, a, b) for a, b in pairs],
+                 witness=("orthogonality_defect", lambda run: run.es.orthogonality_defect)),
     "eeb": Check(_check_eeb, "min_deficit", -1e-10, upper=False, seed=1, per_beta=True,
                  prepare=lambda run, pairs: [eeb_terms(run.es, a) for a, _ in pairs]),
     "stability": Check(_check_stability, "min_value", -1e-12, upper=False, seed=2),
@@ -472,7 +467,9 @@ def _task_verify(run: _Run) -> tuple[dict, list]:
             r = {"points": points, check.value: check.worst(p[check.value] for p in points)}
         else:
             r = check.run(run, check.probes(run), None)
-        results[name] = {**r, "threshold": check.threshold, "ok": check.passes(r[check.value])}
+        extra = {check.witness[0]: check.witness[1](run)} if check.witness else {}
+        ok = all(map(check.passes, [r[check.value], *extra.values()]))
+        results[name] = {**r, **extra, "threshold": check.threshold, "ok": ok}
         _progress("verify", i + 1, len(names))
     payload = {"checks": results, "all_ok": all(r["ok"] for r in results.values())}
     return payload, [(name, r[CHECKS[name].value], r["ok"]) for name, r in results.items()]
@@ -579,23 +576,6 @@ TASKS = {
 # Entry point
 # ---------------------------------------------------------------------------
 
-_EXIT_CODES = (
-    (SpecFileError, 2),
-    (DimensionMismatchError, 2),
-    (DomainError, 2),
-    (ResourceCapError, 3),
-    (RangeLimitError, 4),
-    (DegenerateInputError, 4),
-    (SolverError, 4),
-)
-
-
-def _exit_code(exc: Exception) -> int:
-    for klass, code in _EXIT_CODES:
-        if isinstance(exc, klass):
-            return code
-    return 4
-
 
 def run_spec(spec: RunSpec, out_dir: Path, *, workers: int = 1,
              cap_dense: int = DENSE_CUTOFF, cap_sparse: int = MAX_HILBERT_DIM) -> Path:
@@ -656,19 +636,12 @@ def main(argv=None) -> int:
                             ("--cap-sparse", args.cap_sparse)):
             if value < 1:
                 raise SpecFileError(f"{flag} must be >= 1, got {value}")
-        json_path = run_spec(
-            spec,
-            Path(args.out),
-            workers=args.workers,
-            cap_dense=args.cap_dense,
-            cap_sparse=args.cap_sparse,
-        )
+        json_path = run_spec(spec, Path(args.out), workers=args.workers,
+                             cap_dense=args.cap_dense, cap_sparse=args.cap_sparse)
     except SpinModelError as exc:
-        code = _exit_code(exc)
-        err = {"error": {"kind": type(exc).__name__, "message": str(exc),
-                         "exit_code": code}}
-        print(canonical_json(err))
-        return code
+        print(canonical_json({"error": {"kind": type(exc).__name__, "message": str(exc),
+                                        "exit_code": exc.exit_code}}))
+        return exc.exit_code
     print(json.dumps({"ok": True, "task": spec.task, "result": str(json_path)}))
     return 0
 

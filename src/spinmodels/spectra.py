@@ -30,6 +30,7 @@ per block, or on the krylov route once before its per-block runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,11 +105,10 @@ class EigenSystem:
     the (basis indices, eigenvalues, eigenvectors) triples of
     :class:`~spinmodels.spin_algebra.HermitianEig`, float64 when H has no
     imaginary part, and ``plan`` the block plan they were solved from, whose
-    block order the evolutions read; ``block_sizes`` and ``flip`` (whether H
-    is exactly spin-flip symmetric) are read from it.  In the eigenbasis,
-    conjugation by exp(itH) is an entrywise phase, so an evolution costs a
-    few products per pair of blocks that the operator couples, or per
-    mirror pair of them (see ``_conjugate``).
+    block order the evolutions read.  In the eigenbasis, conjugation by
+    exp(itH) is an entrywise phase, so an evolution costs a few products per
+    pair of blocks that the operator couples, or per mirror pair of them (see
+    ``_conjugate``).
     """
 
     def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF):
@@ -139,9 +139,13 @@ class EigenSystem:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    block_sizes = property(lambda self: np.bincount(self.plan.labels).tolist(),
-                           doc="The sizes of H's blocks, in order of first basis index.")
-    flip = property(lambda self: self.plan.flip, doc="Whether J H J == H exactly.")
+    @cached_property
+    def orthogonality_defect(self) -> float:
+        """max_b ||V_b^H V_b - I||_F, one GEMM per block (block 0, the identity,
+        gives 0): the witness of the completeness V V^H = I on which the KMS
+        flow side rests (see :func:`spinmodels.states.kms_terms`)."""
+        return max((float(np.linalg.norm(_matmul(_adjoint(x), x) - np.eye(len(x))))
+                    for x in self._vectors[1:]), default=0.0)
 
     def require_range(self, beta: float) -> None:
         """Refuse imaginary time beta when |beta| * spread exceeds RANGE_LIMIT."""
@@ -168,6 +172,26 @@ class EigenSystem:
         entries, no product."""
         keys = np.flatnonzero(np.bincount(self._entries(a)[0])).tolist()
         return {divmod(k, len(self.blocks)) for k in keys}
+
+    def eigen_diagonal(self, a) -> np.ndarray:
+        """The diagonal of V^H A V in block order from A's entries (i, j, d)
+        inside one block b: t_k = sum d conj(V_b[i, k]) V_b[j, k], O(nnz(A_bb) d_b)
+        and no GEMM; block 0, whose vectors are the identity, reads A's diagonal."""
+        nb, s, v = len(self.blocks), self._start, self._vectors
+        key, row, col, data = self._entries(a)
+        keep = np.flatnonzero(key % (nb + 1) == 0)  # b * nb + c with b == c
+        keep = keep[np.argsort(row[keep], kind="stable")]
+        row, col, data = row[keep], col[keep], data[keep]
+        cut, out = np.searchsorted(row, s), np.zeros(self.dim, np.complex128)
+        one = (row == col) & (row < s[1])
+        np.add.at(out, row[one], data[one])  # duplicate entries add
+        for b in range(1, nb):  # 2^20 gathered numbers at a time
+            step = max(1, (1 << 20) // len(v[b]))
+            for e in range(cut[b], cut[b + 1], step):
+                f = min(e + step, cut[b + 1])
+                i, j = row[e:f] - s[b], col[e:f] - s[b]
+                out[s[b]:s[b + 1]] += _matmul(data[None, e:f], v[b][i].conj() * v[b][j])[0]
+        return out
 
     def pairs(self, a, among=None):
         """Yield (b, c, V_b^H A_bc V_c) for each pair of ``blocks`` that A
@@ -208,7 +232,8 @@ class EigenSystem:
 
     def _conjugate(self, a, z=None):
         """V^H A V in the order of ``eigenvalues`` when ``z`` is None, else
-        exp(zH) A exp(-zH) = V (V^H A V * exp(z (w_j - w_k))) V^H; stored as A is.
+        exp(zH) A exp(-zH) = V (V^H A V * exp(z (w_j - w_k))) V^H, A itself at
+        z = 0; stored as A is.
 
         Under a flip-symmetric H, a flow of A with J A J == s A exactly
         (s = +-1) computes only the first of each pair (b, c) and its mirror,
@@ -217,7 +242,9 @@ class EigenSystem:
         So J A_t J == s A_t holds bitwise.  The eigenbasis form keeps every
         pair: self-mirrored blocks' eigenvectors are even and odd halves."""
         m, mirror = as_matrix(a), self.plan.mirror
-        s = _flip_parity(m) if z is not None and self.flip else 0
+        if z == 0:
+            return m
+        s = _flip_parity(m) if z is not None and self.plan.flip else 0
         target, v = self._rank if z is None else self._basis, self._vectors
         first = {min((b, c), (mirror[b], mirror[c])) for b, c in self.coupled(m)} if s else None
         parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
@@ -245,17 +272,13 @@ class EigenSystem:
     def evolve(self, a, t: float):
         """alpha_t(A) = exp(itH) A exp(-itH), stored as A is.  t = 0 returns
         A unchanged."""
-        return self._flow(a, 1j * float(t))
+        return self._conjugate(a, 1j * float(t))
 
     def evolve_imaginary(self, a, beta: float):
         """exp(-beta H) A exp(beta H), stored as A is.  Refused when
         |beta| * spread > RANGE_LIMIT."""
         self.require_range(float(beta))
-        return self._flow(a, -float(beta))
-
-    def _flow(self, a, z):
-        """exp(zH) A exp(-zH); z = 0 returns A unchanged."""
-        return as_matrix(a) if z == 0 else self._conjugate(a, z)
+        return self._conjugate(a, -float(beta))
 
     def evolve_vector(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Schroedinger evolution exp(-itH) psi, block by block."""
@@ -366,8 +389,8 @@ def low_levels(
         w = es.eigenvalues
         win = _window(w[0], float(np.max(np.abs(w))), degeneracy_tol)
         deg = max(int(np.searchsorted(w, win, side="right")), 1)
-        return LowLevels("dense", w, deg, _gap(w, deg),
-                         eigenvector_columns(es, np.arange(deg)), es.block_sizes, es.flip)
+        return LowLevels("dense", w, deg, _gap(w, deg), eigenvector_columns(es, np.arange(deg)),
+                         np.bincount(es.plan.labels).tolist(), es.plan.flip)
 
     if not isinstance(h, EigenSystem):
         _require_hermitian(h)

@@ -214,16 +214,18 @@ def exact_real(m):
 
 def commutator(a, b):
     """[A, B] = AB - BA, as the ndarray or CSR matrix that the product gives;
-    for a CSR pair of a canonical X and a diagonal D (indptr and indices
-    0, 1, 2, ...) in O(nnz): [X, D] is x_ij d_j - d_i x_ij and [D, X] its
-    negative, zeros dropped, exactly the products' entries in canonical order."""
+    for a CSR pair of a canonical X and a diagonal D (each row at most one
+    entry, on the diagonal; a missing d_i counts 0) in O(nnz): [X, D] is
+    x_ij d_j - d_i x_ij and [D, X] its negative, zeros dropped, the products'
+    entries in canonical order."""
     ma, mb = _operands(a, b)
     if sp.issparse(ma) and sp.issparse(mb):
         n = ma.shape[0]
         for x, d, left in ((ma, mb, False), (mb, ma, True)):
-            if (d.nnz == n and np.array_equal(d.indptr, np.arange(n + 1))
-                    and np.array_equal(d.indices, np.arange(n)) and x.has_canonical_format):
-                xd, dx = x.data * d.data[x.indices], np.repeat(d.data, np.diff(x.indptr)) * x.data
+            if (d.nnz <= n and d.has_canonical_format and x.has_canonical_format
+                    and np.array_equal(d.indices, np.repeat(np.arange(n), np.diff(d.indptr)))):
+                full = d.diagonal()
+                xd, dx = x.data * full[x.indices], np.repeat(full, np.diff(x.indptr)) * x.data
                 data = dx - xd if left else xd - dx
                 kept = np.flatnonzero(data != 0)
                 return sp.csr_array((data[kept], x.indices[kept], np.searchsorted(kept, x.indptr)),
@@ -293,9 +295,6 @@ class HermitianEig(NamedTuple):
     eigenvalues: np.ndarray
     blocks: list[tuple] | None
     plan: _BlockPlan
-
-    block_sizes = property(lambda self: np.bincount(self.plan.labels).tolist(),
-                           doc="The sizes of the pattern's components, in order of first index.")
 
 
 def _components(indptr, indices) -> np.ndarray:
@@ -373,7 +372,6 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     reads only the lower triangle of its block, like LAPACK.  Eigenvalues are
     merged by a stable ascending sort.  The eigenvectors stay per block (see
     :class:`HermitianEig`); :func:`eigenvector_columns` scatters them.
-    ``block_sizes`` lists the blocks in the order of their first basis index.
 
     ``plan.flip`` is whether J m J == m exactly, J the index reversal i -> n-1-i
     (spin flip in the decreasing-S3 basis), tested on the input as given.

@@ -8,9 +8,12 @@ call.  Probes and H stay CSR, so products such as X* [H, X] are sparse, and
 an expectation in a density matrix, Tr(A rho) = sum A_jk rho_kj, is one
 gather of rho at the transposed positions of A's stored entries: O(nnz).
 The KMS and entropy checks split into a beta-independent step per probe
-(``kms_terms``, ``eeb_terms``) and a cheap step per beta on its result.  A
-KMS beta is refused, like any imaginary time, above |beta| * spread =
-``spectra.RANGE_LIMIT``; entropy weights below ``WEIGHT_FLOOR`` are degenerate.
+(``kms_terms``, ``eeb_terms``) and a cheap step per beta on its result.  The
+KMS flow side reads t_k = (V^H BA V)_kk from BA's diagonal blocks, which
+equals sum_j A'_jk B'_kj by completeness, V V^H = I; its witness is
+``EigenSystem.orthogonality_defect``.  A KMS beta is refused, like any
+imaginary time, above |beta| * spread = ``spectra.RANGE_LIMIT``; entropy
+weights below ``WEIGHT_FLOOR`` are degenerate.
 
 * boundary condition relating a state to its imaginary-time flow:
   omega(A alpha_{i beta}(B)) = omega(B A), evaluated as a residual;
@@ -214,8 +217,8 @@ def _hamiltonian(h, check: str):
 
 class KmsTerms(NamedTuple):
     """The beta-independent terms of :func:`kms_residual` for one pair (A, B):
-    the transition vector t_k = sum_j A'_jk B'_kj (A' = V^H A V) over the
-    eigen-index k in block order, the eigenvalues in that order, and BA."""
+    the transition vector t_k = (V^H BA V)_kk over the eigen-index k in block
+    order, the eigenvalues in that order, and BA; see :func:`kms_terms`."""
 
     es: EigenSystem
     flow: np.ndarray
@@ -237,36 +240,33 @@ class KmsTerms(NamedTuple):
 
 
 def kms_terms(h, a, b) -> KmsTerms:
-    """The KMS terms of (A, B): one ``EigenSystem.pairs`` pass over A and one
-    over B, each only over the block pairs (b, c) of A that meet a pair
-    (c, b) of B; those meet summed over j into t_k."""
+    """The KMS terms of (A, B): BA and t_k = (V^H BA V)_kk, gathered from BA's
+    entries inside H's blocks (``EigenSystem.eigen_diagonal``).  t_k is
+    sum_j A'_jk B'_kj (A' = V^H A V) by completeness, V V^H = I, which its
+    witness ``EigenSystem.orthogonality_defect`` bounds: for unit-norm A and B
+    the two forms of the residual differ by at most d (1 + d), d the defect."""
     es = EigenSystem.of(h)
     am, bm = as_matrix(a), as_matrix(b)
     for name, m in (("A", am), ("B", bm)):
         if m.shape[0] != es.dim:
             raise DimensionMismatchError(f"{name} dim {m.shape[0]} vs Hamiltonian dim {es.dim}")
-    both = es.coupled(am) & {(b, c) for c, b in es.coupled(bm)}
-    at = {(b, c): x for b, c, x in es.pairs(am, both)}
-    flow = [np.zeros(w.size, np.complex128) for _, w, _ in es.blocks]
-    for c, b, xb in es.pairs(bm, {(c, b) for b, c in both}):
-        flow[c] += np.asarray((at[b, c] * xb.T).sum(axis=0)).ravel()
+    ba = bm @ am
     energies = np.concatenate([w for _, w, _ in es.blocks])
-    return KmsTerms(es, np.concatenate(flow), energies, bm @ am)
+    return KmsTerms(es, es.eigen_diagonal(ba), energies, ba)
 
 
 def kms_residual(h, beta: float, a, b) -> float:
     """| omega(A alpha_{i beta}(B)) - omega(B A) | in the Gibbs state at beta.
 
-    Zero (to rounding) exactly when omega is the Gibbs state; the residual is
-    the worst absolute deviation for this observable pair.  ``h`` is a
-    Hamiltonian or its EigenSystem; both sides share its decomposition.
-
-    The flow side folds the Boltzmann weight into the conjugation factors in
-    the energy eigenbasis, where the growing and decaying exponentials cancel
-    as scalars, so nothing of size exp(+beta * spread) is ever materialized
-    and the residual stays at rounding level for any beta up to
-    ``RANGE_LIMIT`` / spread, above which it is a RangeLimitError.  The
-    comparison side goes through the independent density-matrix expectation.
+    Zero (to rounding) exactly when omega is the Gibbs state.  ``h`` is a
+    Hamiltonian or its EigenSystem; both sides share its decomposition.  The
+    flow side, sum_k t_k e^{-beta w_k} / Z with t_k = (V^H BA V)_kk, folds the
+    Boltzmann weight into the eigenbasis, where the growing and decaying
+    exponentials cancel as scalars, so no exp(+beta * spread) is formed and
+    it stays at rounding level up to beta = ``RANGE_LIMIT`` / spread, above
+    which it is a RangeLimitError.  The comparison side is the independent
+    density-matrix expectation.  t_k rests on completeness, V V^H = I, which
+    the two sides do not test; ``EigenSystem.orthogonality_defect`` does.
     This is ``kms_terms(h, a, b).residual(beta)``: terms built once serve
     every beta.
     """

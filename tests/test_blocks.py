@@ -208,11 +208,11 @@ def test_pattern_blocks_are_the_plain_components_in_order(case):
         assert np.array_equal(_block_plan(m).labels, plain)
         assert np.array_equal(_block_plan(m, sides=True).labels, plain)
         eig = hermitian_eig(m)
-        assert eig.block_sizes == np.bincount(plain).tolist()
+        assert np.array_equal(eig.plan.labels, plain)
         large = [k for k in range(plain.max() + 1) if np.sum(plain == k) > 1]
         assert [idx.tolist() for idx, _, _ in eig.blocks[1:]] == [
             np.flatnonzero(plain == k).tolist() for k in large]
-        assert eig.block_sizes == hermitian_eig(m, vectors=False).block_sizes
+        assert np.array_equal(eig.plan.labels, hermitian_eig(m, vectors=False).plan.labels)
 
 
 _RECORDS = [(name, boundary) for name in MODEL_NAMES for boundary in ("open", "periodic")
@@ -326,7 +326,7 @@ def test_both_routes_copy_mirror_blocks_from_one_plan(name, boundary, monkeypatc
     members = [dense.members[dense.starts[b]:dense.starts[b + 1]] for b in blocks]
     for field in ("labels", "members", "starts", "mirror"):
         assert np.array_equal(getattr(krylov, field), getattr(dense, field))
-    assert krylov.flip == dense.flip == es.flip
+    assert krylov.flip == dense.flip == es.plan.flip
     assert [dense.mirror[dense.mirror[b]] for b in blocks] == list(blocks)
     if not dense.flip:
         assert np.array_equal(dense.mirror, np.arange(dense.starts.size - 1)) and copies[0] == []
@@ -462,6 +462,54 @@ def test_kms_flow_side_equals_the_full_eigenbasis_sum(case, monkeypatch):
             assert kms_residual(es, beta, a, b) < 1e-13 * max(1.0, abs(want))
 
 
+def _dense(x):
+    return x.toarray() if sp.issparse(x) else x
+
+
+def test_kms_flow_is_the_sum_over_the_intermediate_index(case):
+    # the flow side t_k = (V^H BA V)_kk, read from BA's diagonal blocks, is
+    # sum_j A'_jk B'_kj, here rebuilt from every block pair of A' and B'; the
+    # two agree because V V^H = I, which the orthogonality defect witnesses
+    from spinmodels import states
+
+    h, vol = case
+    es = EigenSystem(h)
+    assert es.orthogonality_defect <= 1e-12
+    start = np.cumsum([0] + [w.size for _, w, _ in es.blocks])
+    for a, b in random_probe_pairs(vol, 23, 4) + [tuple(_observables(vol).values())]:
+        at = {(j, k): _dense(x) for j, k, x in es.pairs(a)}  # A' from block j to block k
+        want = np.zeros(es.dim, complex)
+        for k, j, xb in es.pairs(b):
+            if (j, k) in at:
+                want[start[k]:start[k + 1]] += np.sum(at[j, k] * _dense(xb).T, axis=0)
+        got = states.kms_terms(es, a, b).flow
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_a_corrupted_eigenvector_fails_the_kms_check(tmp_path, monkeypatch):
+    # tilting one eigenvector toward another, at unit norm, leaves the flow
+    # side and the comparison side in agreement: the residual passes, and only
+    # the orthogonality defect shows that V is no longer unitary
+    from spinmodels import cli
+
+    class Tilted(EigenSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            v = max((v for _, _, v in self.blocks[1:]), key=len)
+            v[:, 1] += 1e-6 * v[:, 0]
+            v[:, 1] /= np.linalg.norm(v[:, 1])
+
+    monkeypatch.setattr(cli, "EigenSystem", Tilted)
+    doc = {"schema_version": 1, "task": "verify",
+           "model": {"name": "xxz_suq2", "params": {"q": 0.5}},
+           "volume": {"dims": [5], "boundary": "open"},
+           "verify": {"checks": ["kms"], "betas": [0.5, 1.0], "num_probes": 4}, "seed": 0}
+    payload = json.loads(run_spec(parse_spec_dict(doc), tmp_path).read_text())["payload"]
+    kms = payload["checks"]["kms"]
+    assert kms["max_residual"] <= 1e-13 and kms["orthogonality_defect"] > 1e-10
+    assert kms["ok"] is False and payload["all_ok"] is False
+
+
 def test_kms_and_evolve_never_densify_the_full_matrix(case, forbid_full_toarray):
     h, vol = case
     es = EigenSystem(h)
@@ -530,7 +578,7 @@ def test_flip_decomposition_matches_full_eigh_on_every_model(solves, eigen_resid
     solves.clear()
     es = EigenSystem(h)
     made = list(solves)
-    assert es.flip == symmetric
+    assert es.plan.flip == symmetric
     if symmetric:
         assert made == [] or sum(k ** 3 for _, k in made) < sum(k ** 3 for k in _plain_sizes(h))
     else:
@@ -546,7 +594,8 @@ def test_flip_halves_with_a_fixed_point_aklt_ring(solves, eigen_residuals):
     h = build_model_hamiltonian("aklt", {}, vol).tocsr()
     solves.clear()
     es = EigenSystem(h)
-    assert es.flip and es.block_sizes == [1, 5, 15, 30, 45, 51, 45, 30, 15, 5, 1]
+    assert es.plan.flip
+    assert np.bincount(es.plan.labels).tolist() == [1, 5, 15, 30, 45, 51, 45, 30, 15, 5, 1]
     assert solves == [("eigh", k) for k in (5, 15, 30, 45, 26, 25)]
     w, _, scale = _full_eigh(h)
     _check_decomposition(es, eigen_residuals, w, scale)
@@ -635,7 +684,8 @@ def test_flip_partner_blocks_are_reversed_copies():
 
 def test_kms_terms_take_only_the_block_pairs_that_meet(case, monkeypatch):
     # pairs(a, among) yields exactly the chosen pairs of pairs(a), bit for
-    # bit, and kms_terms asks for the pairs (b, c) of A whose (c, b) B couples
+    # bit (the mirrored flows of _conjugate ask for such a subset), and
+    # kms_terms asks for no pair: its flow side reads BA's diagonal blocks
     from spinmodels import states
 
     h, vol = case
@@ -662,7 +712,7 @@ def test_kms_terms_take_only_the_block_pairs_that_meet(case, monkeypatch):
         monkeypatch.setattr(spectra.EigenSystem, "pairs", recording)
         states.kms_terms(es, a, b)
         monkeypatch.undo()
-        assert asked == [meet, {(q, p) for p, q in meet}]
+        assert asked == []
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +739,7 @@ def test_mirrored_flows_match_full_eigh_and_keep_parity_bitwise(name, params, bo
     vol = chain_volume(length, boundary, local_dim=local_dim)
     h = build_model_hamiltonian(name, params, vol).tocsr()
     es = EigenSystem(h)
-    assert es.flip
+    assert es.plan.flip
     w, v, scale = _full_eigh(h)
     ops = _observables(vol)
     probe = random_probe_pairs(vol, 7, 2)[1][0]

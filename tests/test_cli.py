@@ -348,13 +348,13 @@ def test_readme_check_table_matches_the_check_records():
     readme = (RUNSPECS.parent / "README.md").read_text()
     rows = {}
     for line in readme.splitlines():
-        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        cells = [c.strip().replace("`", "") for c in line.strip("|").split("|")]
         if len(cells) == 5 and cells[0] in cli.CHECKS:
             rows[cells[0]] = cells[1:]
     assert set(rows) == set(cli.CHECKS)
     for name, check in cli.CHECKS.items():
         value, threshold, rule, seed = rows[name]
-        assert value == check.value
+        assert value == (f"{check.value}, {check.witness[0]}" if check.witness else check.value)
         assert float(threshold.replace("\u2212", "-")) == check.threshold
         assert rule == ("value \u2264 threshold" if check.upper else "value \u2265 threshold")
         assert seed == ("none" if check.seed is None
@@ -382,23 +382,23 @@ def test_verify_builds_one_gibbs_state_per_beta(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("betas", [[0.5, 1.0], [0.25, 0.5, 1.0]])
 def test_verify_transforms_each_kms_probe_once(tmp_path, monkeypatch, betas):
-    # the KMS terms are prepared before the beta loop: one EigenSystem.pairs
-    # pass per drawn probe operator, whatever the number of betas
+    # the KMS terms are prepared before the beta loop: one eigen_diagonal
+    # gather per drawn probe pair, whatever the number of betas, and no
+    # EigenSystem.pairs pass
     calls = []
-    original = spectra.EigenSystem.pairs
+    for name in ("pairs", "eigen_diagonal"):
+        def counting(self, *args, _name=name, _original=getattr(spectra.EigenSystem, name)):
+            calls.append(_name)
+            return _original(self, *args)
 
-    def counting(self, a, among=None):
-        calls.append(a)
-        return original(self, a, among)
-
-    monkeypatch.setattr(spectra.EigenSystem, "pairs", counting)
+        monkeypatch.setattr(spectra.EigenSystem, name, counting)
     doc = _spec("verify", {"checks": ["kms", "eeb", "stability"], "betas": betas,
                            "num_probes": 5},
                 model={"name": "xxz_suq2", "params": {"q": 0.5}},
                 volume={"dims": [5], "boundary": "open"}, seed=3)
     payload = json.loads(run_spec(parse_spec_dict(doc), tmp_path).read_text())["payload"]
     assert payload["all_ok"] is True
-    assert len(calls) == 2 * 5
+    assert calls == ["eigen_diagonal"] * 5
 
 
 @pytest.mark.parametrize("start", ["x", None, True], ids=["string", "null", "true"])

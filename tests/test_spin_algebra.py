@@ -10,6 +10,7 @@ from spinmodels import (
     Spin,
     adjoint,
     assemble_hamiltonian,
+    build_model_hamiltonian,
     chain_volume,
     commutator,
     embed,
@@ -187,6 +188,35 @@ def test_diagonal_commutators_are_the_product_entries_bitwise(monkeypatch):
             assert got.has_canonical_format and got.dtype == want.dtype
 
 
+def test_diagonal_route_counts_missing_diagonal_entries_as_zero(monkeypatch):
+    # embed drops spin-1 S3's zeros: S3 at a site of the AKLT chain of 4 sites
+    # stores 54 of 81 diagonal entries, and its commutators with H and with an
+    # evolved S1 still take no product; a matrix with one entry per row off
+    # the diagonal (a shift) takes the two products
+    vol = chain_volume(4, "open", local_dim=3)
+    ops = spin_matrices(1)
+    h = build_model_hamiltonian("aklt", {}, vol).tocsr()
+    d = embed(ops.s3, [(1,)], vol)
+    assert d.nnz == 54 and d.diagonal().size == 81
+    at = EigenSystem(h).evolve(embed(ops.s1, [(0,)], vol), 0.7)
+    shift = sp.csr_array(sp.eye_array(81, k=1, format="csr"))
+    products, matmul = [], sp.csr_array.__matmul__
+    monkeypatch.setattr(sp.csr_array, "__matmul__",
+                        lambda p, q: products.append(1) or matmul(p, q))
+    for x in (h, at):
+        assert x.has_canonical_format
+        for a, b in ((x, d), (d, x)):
+            got = commutator(a, b)
+            assert products == []
+            want = matmul(a, b) - matmul(b, a)
+            want.sort_indices()
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+    got = commutator(at, shift)
+    assert len(products) == 2
+    assert np.array_equal(got.toarray(), (matmul(at, shift) - matmul(shift, at)).toarray())
+
+
 def test_non_canonical_diagonals_and_dense_operands_take_the_products():
     x, d = next(_diagonal_route_cases())
     n = d.size
@@ -254,8 +284,8 @@ def test_hermitian_eig_matches_full_eigh_on_permuted_blocks():
         w_full = np.linalg.eigvalsh(m)
         for given in (m, sp.csr_array(m)):
             eig = hermitian_eig(given)
-            w, v, blocks = eig.eigenvalues, eigenvector_columns(eig), eig.block_sizes
-            assert sorted(blocks) == sorted(sizes)
+            w, v = eig.eigenvalues, eigenvector_columns(eig)
+            assert sorted(np.bincount(eig.plan.labels)) == sorted(sizes)
             assert np.max(np.abs(w - w_full)) < 1e-12 * np.max(np.abs(w_full))
             assert np.max(np.abs(m @ v - v * w)) < 1e-12 * np.max(np.abs(w_full))
             assert np.max(np.abs(v.conj().T @ v - np.eye(m.shape[0]))) < 1e-12
@@ -271,7 +301,7 @@ def test_hermitian_eig_matches_full_eigh_on_permuted_blocks():
         j = np.flatnonzero(m[0] == 0)[0]  # an index outside the block of index 0
         joined = m.copy()
         joined[0, j] = joined[j, 0] = 1e-300
-        assert len(hermitian_eig(joined, vectors=False).block_sizes) == len(sizes) - 1
+        assert hermitian_eig(joined, vectors=False).plan.labels.max() == len(sizes) - 2
 
 
 def _bipartite_block(rng, n0, n1, cplx):
@@ -309,7 +339,7 @@ def test_hermitian_eig_solves_a_bipartite_block_by_one_svd(solver_calls, cplx):
             solver_calls.update(eigvalsh=0, svd=0)
             eig = hermitian_eig(given, vectors=False)
             assert solver_calls == {"eigvalsh": 0, "svd": 1}
-            assert eig.block_sizes == [n0 + n1]
+            assert np.bincount(eig.plan.labels).tolist() == [n0 + n1]
             assert np.max(np.abs(eig.eigenvalues - want)) <= 1e-13 * scale
             # the eigenvectors still come from one eigh of the whole block
             assert np.array_equal(hermitian_eig(given).eigenvalues,
@@ -355,7 +385,7 @@ def test_hermitian_eig_mixes_bipartite_and_other_blocks(solver_calls):
         solver_calls.update(eigvalsh=0, svd=0)
         eig = hermitian_eig(given, vectors=False)
         assert solver_calls == {"eigvalsh": 2, "svd": 2}
-        assert sorted(eig.block_sizes) == [1, 1, 3, 4, 7, 7]
+        assert sorted(np.bincount(eig.plan.labels).tolist()) == [1, 1, 3, 4, 7, 7]
         assert np.max(np.abs(eig.eigenvalues - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -394,8 +424,8 @@ def test_a_dense_row_with_no_zero_makes_one_block_without_a_graph_search(monkeyp
 def test_hermitian_eig_of_zero_matrix_is_all_size_one_blocks():
     z = np.zeros((6, 6), dtype=complex)
     eig = hermitian_eig(z)
-    w, v, blocks = eig.eigenvalues, eigenvector_columns(eig), eig.block_sizes
-    assert blocks == [1] * 6
+    w, v = eig.eigenvalues, eigenvector_columns(eig)
+    assert np.bincount(eig.plan.labels).tolist() == [1] * 6
     assert np.array_equal(w, np.zeros(6))
     assert v.dtype == np.float64 and np.array_equal(v, np.eye(6))
     assert operator_norm(z) == np.max(np.abs(np.linalg.eigvalsh(z))) == 0.0
