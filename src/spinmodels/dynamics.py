@@ -27,16 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateInputError, DomainError, SolverError
+from .errors import DegenerateInputError, DimensionMismatchError, DomainError, SolverError
 from .interactions import Interaction, assemble_hamiltonian
 from .lattice import Volume, embed
 from .spectra import EigenSystem
 from .spin_algebra import (
     DENSE_CUTOFF,
+    _hermitian,
     as_matrix,
     commutator,
     hermitian_eig,
-    is_hermitian,
     operator_norm,
 )
 
@@ -62,14 +62,12 @@ def evolve_state(h, psi: np.ndarray, t: float) -> np.ndarray:
     eigendecomposition at any size."""
     if isinstance(h, EigenSystem) or as_matrix(h).shape[0] <= DENSE_CUTOFF:
         return EigenSystem.of(h).evolve_vector(psi, t)
-    m = as_matrix(h)
-    if not is_hermitian(h):
-        raise DomainError("evolution requires a Hermitian Hamiltonian")
+    m = _hermitian(h, "Hamiltonian")
     from scipy.sparse.linalg import expm_multiply
 
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (m.shape[0],):
-        raise DomainError(f"state shape {psi.shape} does not match dim {m.shape[0]}")
+        raise DimensionMismatchError(f"state shape {psi.shape} does not match dim {m.shape[0]}")
     return expm_multiply(-1j * float(t) * sp.csr_array(m), psi)
 
 
@@ -147,8 +145,8 @@ def lr_scan(
     if np.any(distances < 0) or np.any(distances >= volume.num_sites):
         raise DomainError(f"distances must lie in 0..{volume.num_sites - 1}")
 
-    if not (is_hermitian(a_local) and is_hermitian(b_local)):
-        raise DomainError("light-cone scans take Hermitian observables")
+    _hermitian(a_local, "observable A")
+    _hermitian(b_local, "observable B")
     prop = EigenSystem(assemble_hamiltonian(interaction, volume), cap_dense=cap_dense)
     a0 = embed(a_local, [(0,)], volume)
     b_ops = [embed(b_local, [(int(x),)], volume) for x in distances]

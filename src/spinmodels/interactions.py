@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, DomainError, ResourceCapError
 from .lattice import MAX_HILBERT_DIM, Volume, _embed_csr, chain_volume
-from .spin_algebra import STRUCTURE_TOL, Spin, operator_norm, spin_matrices
+from .spin_algebra import Spin, _hermitian, operator_norm, spin_matrices
 from .symmetry import GeneratorSet, suq2_generators, total_spin
 
 
@@ -56,9 +56,7 @@ class Interaction:
                 raise DimensionMismatchError(
                     f"{label} term must be {dim}x{dim}, got {term.shape}"
                 )
-            if float(np.max(np.abs(term - term.conj().T))) > STRUCTURE_TOL:
-                raise DomainError(f"{label} term is not Hermitian")
-            object.__setattr__(self, f"{label}_term", term)
+            object.__setattr__(self, f"{label}_term", _hermitian(term, f"{label} term"))
 
 
 # ---------------------------------------------------------------------------

@@ -124,12 +124,13 @@ def lowest_eigenpairs(
     k: int,
     *,
     block_size: int = 4,
-    tol: float = SOLVER_TOL,
     max_basis: int | None = None,
     max_steps: int = 500,
     seed: int = 7,
 ) -> KrylovResult:
-    """Compute the k smallest eigenvalues (with multiplicity) of Hermitian h.
+    """Compute the k smallest eigenvalues (with multiplicity) of Hermitian h,
+    converged once each residual is at most ``SOLVER_TOL`` times the running
+    spectral-scale estimate (max |Ritz value| seen, returned as ``scale``).
 
     Args:
         h: ndarray or sparse matrix, Hermitian.  Eigenvectors are
@@ -137,8 +138,6 @@ def lowest_eigenpairs(
         k: number of eigenpairs (1 <= k <= dim).
         block_size: Lanczos block width; use >= the largest multiplicity
             expected among the lowest k (see module docstring).
-        tol: convergence threshold, relative to the running spectral-scale
-            estimate (max |Ritz value| seen, returned as ``scale``).
         max_basis: retained basis cap before a thick restart, at least
             k + 3 * block_size so that a restart keeps k + 2 * block_size.
         max_steps: total block-expansion budget before giving up.
@@ -209,14 +208,14 @@ def lowest_eigenpairs(
             # test itself takes explicit norms ||W y - theta V y||.
             est = float(np.max(np.linalg.norm(cand @ Y[new, :k], axis=0)))
             best_res = min(best_res, est)
-            if est <= tol * scale_seen or nbasis >= dim:
+            if est <= SOLVER_TOL * scale_seen or nbasis >= dim:
                 ritz_v = V[:, :nbasis] @ Y[:, :k]
                 resid = np.linalg.norm(
                     W[:, :nbasis] @ Y[:, :k] - ritz_v * theta[:k], axis=0
                 )
                 maxres = float(np.max(resid))
                 best_res = min(best_res, maxres)
-                if maxres <= tol * scale_seen or nbasis >= dim:
+                if maxres <= SOLVER_TOL * scale_seen or nbasis >= dim:
                     return KrylovResult(
                         eigenvalues=theta[:k].copy(),
                         eigenvectors=ritz_v,

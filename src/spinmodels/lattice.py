@@ -118,8 +118,6 @@ def build_volume(
                     continue
                 nxt[axis] %= extent
             neighbour = tuple(nxt)
-            if neighbour == site:
-                continue
             pair = (site, neighbour)
             if rank[pair[0]] > rank[pair[1]]:
                 pair = (neighbour, site)

@@ -35,20 +35,20 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError, RangeLimitError, ResourceCapError, SolverError
+from .errors import (DimensionMismatchError, DomainError, RangeLimitError,
+                     ResourceCapError, SolverError)
 from .krylov import lowest_eigenpairs
 from .lattice import Volume, embed
 from .spin_algebra import (
     DENSE_CUTOFF,
-    SOLVER_TOL,
     _block_plan,
     _flip_parity,
+    _hermitian,
     adjoint,
     as_matrix,
     eigenvector_columns,
     exact_real,
     hermitian_eig,
-    is_hermitian,
     spin_matrices,
 )
 
@@ -60,11 +60,6 @@ MAX_SPARSE_DEGENERACY = 64
 
 #: Largest exponent fed to exp(); beyond this the call is refused.
 RANGE_LIMIT = 700.0
-
-
-def _require_hermitian(h):
-    if not is_hermitian(h):
-        raise DomainError("operator is not Hermitian")
 
 
 def _adjoint(v):
@@ -112,8 +107,7 @@ class EigenSystem:
     """
 
     def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF):
-        m = as_matrix(h)
-        _require_hermitian(m)
+        m = _hermitian(h, "Hamiltonian")
         dim = m.shape[0]
         if dim > cap_dense:
             raise ResourceCapError(
@@ -160,7 +154,7 @@ class EigenSystem:
         through one inverse permutation, with their pair keys b * nb + c."""
         m = sp.csr_array(as_matrix(a))
         if m.shape[0] != self.dim:
-            raise DomainError(
+            raise DimensionMismatchError(
                 f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
             )
         row = self._position[np.repeat(np.arange(self.dim), np.diff(m.indptr))]
@@ -284,7 +278,7 @@ class EigenSystem:
         """Schroedinger evolution exp(-itH) psi, block by block."""
         psi = np.asarray(psi, dtype=np.complex128)
         if psi.shape != (self.dim,):
-            raise DomainError(f"state shape {psi.shape} does not match dim {self.dim}")
+            raise DimensionMismatchError(f"state shape {psi.shape} does not match dim {self.dim}")
         out = np.empty_like(psi)
         for idx, w, v in self.blocks:
             out[idx] = v @ (np.exp(-1j * float(t) * w) * (v.conj().T @ psi[idx]))
@@ -334,8 +328,8 @@ def full_spectrum(h) -> EigenSystem:
     return EigenSystem.of(h)
 
 
-def _window(e0: float, scale: float, degeneracy_tol: float) -> float:
-    return e0 + degeneracy_tol * max(1.0, scale)
+def _window(e0: float, scale: float) -> float:
+    return e0 + DEGENERACY_TOL * max(1.0, scale)
 
 
 def _gap(w: np.ndarray, degeneracy: int) -> float:
@@ -343,26 +337,20 @@ def _gap(w: np.ndarray, degeneracy: int) -> float:
 
 
 def low_levels(
-    h,
-    num: int = 1,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    *,
-    method: str | None = None,
-    cap_dense: int = DENSE_CUTOFF,
-    tol: float = SOLVER_TOL,
-    seed: int = 7,
+    h, num: int = 1, *, method: str | None = None, cap_dense: int = DENSE_CUTOFF
 ) -> LowLevels:
     """Ground multiplet, gap, and at least the ``num`` lowest eigenvalues.
 
-    Eigenvalues within ``degeneracy_tol * max(1, ||H||)`` of the minimum
+    Eigenvalues within ``DEGENERACY_TOL * max(1, ||H||)`` of the minimum
     count as one multiplet.  ``method`` is "dense", "krylov", or None (dense
     for an EigenSystem or when the dimension is at most ``cap_dense``, block
     Lanczos otherwise).  Each route takes ||H|| from its own solve: the
     dense route max |eigenvalue|, the krylov route the largest |Ritz value|
     of its Lanczos runs (:attr:`~spinmodels.krylov.KrylovResult.scale`) and
     |entry| of its size-1 blocks.  The krylov route runs in float64 when H's
-    imaginary part is exactly zero, in complex128 otherwise, and every run
-    takes ``seed``.
+    imaginary part is exactly zero, in complex128 otherwise; its runs take
+    :func:`~spinmodels.krylov.lowest_eigenpairs`'s default seed and stop at
+    residuals ``SOLVER_TOL`` relative to their scale.
 
     The krylov route gives each block of the plan that
     :func:`~spinmodels.spin_algebra.hermitian_eig` solves (the S3 sectors of
@@ -387,13 +375,13 @@ def low_levels(
     if method == "dense":
         es = EigenSystem.of(h, cap_dense=cap_dense)
         w = es.eigenvalues
-        win = _window(w[0], float(np.max(np.abs(w))), degeneracy_tol)
+        win = _window(w[0], float(np.max(np.abs(w))))
         deg = max(int(np.searchsorted(w, win, side="right")), 1)
         return LowLevels("dense", w, deg, _gap(w, deg), eigenvector_columns(es, np.arange(deg)),
                          np.bincount(es.plan.labels).tolist(), es.plan.flip)
 
     if not isinstance(h, EigenSystem):
-        _require_hermitian(h)
+        _hermitian(m, "Hamiltonian")
     msp = exact_real(m if sp.issparse(m) else sp.csr_array(m))
     plan, diag = (h.plan if isinstance(h, EigenSystem) else _block_plan(msp)), msp.diagonal()
     # Gershgorin radii from the arrays: scipy's abs() sorts them, and m's data with them
@@ -409,7 +397,7 @@ def low_levels(
     while True:
         w = np.sort(np.concatenate([w for _, w, _ in found.values()]), kind="stable")
         scale = max([r.scale for _, r in runs] + [float(np.max(abs(found[0][1]), initial=0.0))])
-        win = _window(w[0], scale, degeneracy_tol) if w.size else np.inf
+        win = _window(w[0], scale) if w.size else np.inf
         deg = int(np.sum(w <= win))
         need = max(num, deg + 1)
         cutoff = w[need - 1] + (win - w[0]) if need <= w.size else np.inf
@@ -425,7 +413,7 @@ def low_levels(
         idx = plan.members[plan.starts[b]:plan.starts[b + 1]]
         k = min(idx.size, max(2 * found[b][1].size if b in found else 0, num, 6))
         # block as wide as k so a k-fold multiplet survives the Krylov slice
-        res = lowest_eigenpairs(msp[idx][:, idx], k, block_size=k, tol=tol, seed=seed)
+        res = lowest_eigenpairs(msp[idx][:, idx], k, block_size=k)
         runs.append((idx.size, res))
         block, c = (idx, res.eigenvalues, res.eigenvectors), int(plan.mirror[b])
         # b last, so a self-mirrored block (every block without flip) keeps idx
@@ -438,37 +426,23 @@ def low_levels(
                      solved_blocks=[d for d, _ in runs])
 
 
-def ground_space(
-    h,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    *,
-    method: str | None = None,
-    tol: float = SOLVER_TOL,
-    seed: int = 7,
-) -> LowLevels:
+def ground_space(h, *, method: str | None = None) -> LowLevels:
     """Lowest eigenvalue with multiplicity, grouped by a relative window.
 
     The :func:`low_levels` result itself (``energy``, ``degeneracy`` and
     ``basis``); that routine documents the window and ``method``.
     """
-    return low_levels(h, 1, degeneracy_tol, method=method, tol=tol, seed=seed)
+    return low_levels(h, method=method)
 
 
-def spectral_gap(
-    h,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    *,
-    method: str | None = None,
-    tol: float = SOLVER_TOL,
-    seed: int = 7,
-) -> float:
+def spectral_gap(h, *, method: str | None = None) -> float:
     """Energy difference between the ground multiplet and the next level.
 
     Returns 0.0 when no eigenvalue lies above the degeneracy window (the
     operator is a multiple of the identity to within the window).  A view of
     :func:`low_levels`.
     """
-    return low_levels(h, 1, degeneracy_tol, method=method, tol=tol, seed=seed).gap
+    return low_levels(h, method=method).gap
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +465,6 @@ def two_point(state, x, y, volume: Volume, kind: str = "sdots") -> float:
         raise DomainError(f"kind must be one of {_TWO_POINT_KINDS}, got {kind!r}")
     x = tuple(int(c) for c in np.atleast_1d(x).tolist())
     y = tuple(int(c) for c in np.atleast_1d(y).tolist())
-    for s in (x, y):
-        if s not in volume.rank:
-            raise DomainError(f"site {s} is not in the volume")
     ops = spin_matrices((volume.local_dim - 1) / 2.0)
     if x == y:
         if kind == "sdots":

@@ -13,8 +13,9 @@ Operators are plain matrices: ndarrays, or CSR arrays for everything built
 from local terms.  The builders (spin matrices, embeddings, Hamiltonians,
 generators, probes) produce complex128; every other routine keeps the dtype
 it is given.  Structure checks (Hermiticity, commutation relations) use
-STRUCTURE_TOL; iterative-solver residuals are judged against SOLVER_TOL
-relative to the operator norm.
+STRUCTURE_TOL, with no tolerance argument, and every routine that needs a
+Hermitian input refuses others by one check that names the input; iterative
+solver residuals are judged against SOLVER_TOL relative to the operator norm.
 
 Every dense eigensolve of an operator (Lanczos solves its Ritz matrices
 directly) goes through :func:`hermitian_eig`, which splits the matrix into
@@ -197,10 +198,20 @@ def adjoint(a):
     return as_matrix(as_matrix(a).conj().T)
 
 
-def is_hermitian(a, tol: float = STRUCTURE_TOL) -> bool:
-    """Whether ||A - A^dagger||_max <= tol."""
+def is_hermitian(a) -> bool:
+    """Whether ||A - A^dagger||_max <= STRUCTURE_TOL."""
     m = as_matrix(a)
-    return m.shape[0] == 0 or float(abs(m - m.conj().T).max()) <= tol
+    return m.shape[0] == 0 or float(abs(m - m.conj().T).max()) <= STRUCTURE_TOL
+
+
+def _hermitian(a, what: str):
+    """``as_matrix(a)``, or DomainError naming ``what`` and ||A - A^dagger||_max
+    unless A is Hermitian: the one input check of every routine that needs it."""
+    m = as_matrix(a)
+    if not is_hermitian(m):
+        raise DomainError(f"{what} is not Hermitian (||A - A^H||_max = "
+                          f"{float(abs(m - m.conj().T).max()):.3e})")
+    return m
 
 
 def exact_real(m):

@@ -33,9 +33,9 @@ import scipy.sparse as sp
 
 from .errors import DegenerateInputError, DimensionMismatchError, DomainError
 from .spectra import EigenSystem
-from .spin_algebra import adjoint, as_matrix, commutator, hermitian_eig, is_hermitian
+from .spin_algebra import _hermitian, _operands, adjoint, as_matrix, commutator, hermitian_eig
 
-#: Validation tolerance for state invariants (Hermiticity, trace, positivity).
+#: Validation tolerance for a state's norm, trace and positivity.
 STATE_TOL = 1e-12
 
 #: Entropy-balance weights omega(X*X), omega(X X*) below this are degenerate.
@@ -43,16 +43,16 @@ WEIGHT_FLOOR = 1e-14
 
 
 class StateVector:
-    """A unit vector in the volume Hilbert space."""
+    """A unit vector in the volume Hilbert space (norm 1 within ``STATE_TOL``)."""
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, *, validate: bool = True, tol: float = STATE_TOL):
+    def __init__(self, amplitudes, *, validate: bool = True):
         amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         if validate:
             nrm = float(np.linalg.norm(amplitudes))
-            if abs(nrm - 1.0) > tol:
-                raise DomainError(f"state vector norm {nrm} is not 1 within {tol}")
+            if abs(nrm - 1.0) > STATE_TOL:
+                raise DomainError(f"state vector norm {nrm} is not 1 within {STATE_TOL}")
         self.amplitudes = amplitudes
 
     @property
@@ -69,32 +69,26 @@ class StateVector:
 
 
 class DensityMatrix:
-    """A positive semidefinite, unit-trace Hermitian matrix."""
+    """A positive semidefinite, unit-trace Hermitian matrix, stored dense."""
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, validate: bool = True, tol: float = STATE_TOL):
-        if sp.issparse(matrix):
-            matrix = matrix.toarray()
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DomainError(f"density matrix must be square, got {matrix.shape}")
-        self.matrix = matrix
+    def __init__(self, matrix, *, validate: bool = True):
+        m = as_matrix(matrix)
+        self.matrix = np.asarray(m.toarray() if sp.issparse(m) else m, dtype=np.complex128)
         if validate:
-            self.validate(tol=tol)
+            self.validate()
 
-    def validate(self, tol: float = STATE_TOL) -> None:
-        """Raise DomainError unless Hermitian, unit-trace, and PSD within tol."""
-        m = self.matrix
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > tol:
-            raise DomainError(f"density matrix is not Hermitian ({herm:.3e})")
+    def validate(self) -> None:
+        """Raise DomainError unless Hermitian (to ``STRUCTURE_TOL``, as every
+        input is), and unit-trace and PSD within ``STATE_TOL``."""
+        m = _hermitian(self.matrix, "density matrix")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > max(tol, 1e-12 * m.shape[0]):
+        if abs(tr - 1.0) > max(STATE_TOL, 1e-12 * m.shape[0]):
             raise DomainError(f"density matrix trace {tr} is not 1")
         w = hermitian_eig((m + m.conj().T) / 2.0, vectors=False).eigenvalues
         wmin = float(np.min(w))
-        if wmin < -tol:
+        if wmin < -STATE_TOL:
             raise DomainError(f"density matrix has negative eigenvalue {wmin:.3e}")
 
     @property
@@ -103,14 +97,8 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, psi) -> "DensityMatrix":
-        if isinstance(psi, StateVector):
-            psi = psi.amplitudes
-        psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-        nrm = float(np.linalg.norm(psi))
-        if nrm == 0.0:
-            raise DomainError("cannot build a pure state from the zero vector")
-        psi = psi / nrm
-        return cls(np.outer(psi, psi.conj()), validate=False)
+        """|psi><psi| / <psi|psi>, the ``mixture`` of one column."""
+        return cls.mixture(np.reshape(psi.amplitudes if isinstance(psi, StateVector) else psi, -1))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -207,12 +195,7 @@ def _hamiltonian(h, check: str):
     """H as an ndarray or CSR matrix, refused unless Hermitian.  An
     EigenSystem checked its H when it was built, so that H is not scanned
     again."""
-    if isinstance(h, EigenSystem):
-        return h.h
-    m = as_matrix(h)
-    if not is_hermitian(m):
-        raise DomainError(f"{check} requires a Hermitian Hamiltonian")
-    return m
+    return h.h if isinstance(h, EigenSystem) else _hermitian(h, f"Hamiltonian of the {check}")
 
 
 class KmsTerms(NamedTuple):
@@ -246,10 +229,7 @@ def kms_terms(h, a, b) -> KmsTerms:
     witness ``EigenSystem.orthogonality_defect`` bounds: for unit-norm A and B
     the two forms of the residual differ by at most d (1 + d), d the defect."""
     es = EigenSystem.of(h)
-    am, bm = as_matrix(a), as_matrix(b)
-    for name, m in (("A", am), ("B", bm)):
-        if m.shape[0] != es.dim:
-            raise DimensionMismatchError(f"{name} dim {m.shape[0]} vs Hamiltonian dim {es.dim}")
+    am, bm = _operands(a, b)
     ba = bm @ am
     energies = np.concatenate([w for _, w, _ in es.blocks])
     return KmsTerms(es, es.eigen_diagonal(ba), energies, ba)

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from spinmodels import (
     DensityMatrix,
+    DimensionMismatchError,
     DomainError,
     EigenSystem,
     Interaction,
@@ -18,10 +19,12 @@ from spinmodels import (
     basis_vector,
     build_model_hamiltonian,
     chain_volume,
+    evolve_state,
     full_spectrum,
     ground_space,
     heisenberg,
     ising,
+    kms_terms,
     low_levels,
     spectra,
     spectral_gap,
@@ -32,7 +35,13 @@ from spinmodels import (
 from spinmodels.interactions import MODEL_NAMES, MODELS
 from spinmodels.krylov import lowest_eigenpairs
 from spinmodels.spectra import DEGENERACY_TOL
-from spinmodels.spin_algebra import _block_plan, eigenvector_columns, exact_real, hermitian_eig
+from spinmodels.spin_algebra import (
+    DENSE_CUTOFF,
+    _block_plan,
+    eigenvector_columns,
+    exact_real,
+    hermitian_eig,
+)
 
 
 def test_full_spectrum_matches_numpy(eigen_residuals):
@@ -223,9 +232,9 @@ def test_spectral_gap_afm_chain():
 def test_spectral_gap_with_synthetic_window():
     # two states inside the degeneracy window count as one level
     m = np.diag([0.0, 5e-9, 1.0, 2.0])
-    gs = ground_space(m, degeneracy_tol=1e-8)
+    gs = ground_space(m)
     assert gs.degeneracy == 2
-    assert abs(spectral_gap(m, degeneracy_tol=1e-8) - 1.0) < 1e-12
+    assert abs(spectral_gap(m) - 1.0) < 1e-12
     # flat spectrum has no level above the window
     flat = np.zeros((4, 4))
     assert spectral_gap(flat) == 0.0
@@ -407,6 +416,36 @@ def test_two_point_oracles():
     sing[basis_index(vol2, (1, 0))] = -1 / np.sqrt(2)
     got = two_point(StateVector(sing), (0,), (1,), vol2, kind="sdots")
     assert abs(got - (-0.75)) < 1e-14
+
+
+def test_two_point_refuses_a_site_outside_the_volume():
+    vol = chain_volume(4, boundary="periodic")
+    neel = StateVector(basis_vector(vol, (0, 1, 0, 1)))
+    for x, y in (((4,), (0,)), ((0,), (7,))):
+        with pytest.raises(DomainError, match="is not in the volume"):
+            two_point(neel, x, y, vol)
+
+
+_ES3 = EigenSystem(assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(3)))  # dim 8
+_WRONG = sp.eye_array(4, format="csr")
+
+# a wrong-size operator or state at each entry point that sizes it against H
+_MISMATCHES = {
+    "pairs": lambda: list(_ES3.pairs(_WRONG)),
+    "eigen_diagonal": lambda: _ES3.eigen_diagonal(_WRONG),
+    "evolve": lambda: _ES3.evolve(_WRONG, 0.5),
+    "kms_terms_a_and_b": lambda: kms_terms(_ES3, _WRONG, _WRONG),
+    "kms_terms_a_against_b": lambda: kms_terms(_ES3, _WRONG, np.eye(8)),
+    "evolve_state": lambda: evolve_state(_ES3, np.ones(4), 0.5),
+    "evolve_state_krylov": lambda: evolve_state(
+        sp.eye_array(DENSE_CUTOFF + 1, format="csr"), np.ones(4), 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MISMATCHES))
+def test_a_wrong_size_operator_or_state_is_a_dimension_mismatch(entry):
+    with pytest.raises(DimensionMismatchError):
+        _MISMATCHES[entry]()
 
 
 def test_two_point_accepts_density_matrix():

@@ -4,24 +4,31 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from spinmodels import (
+    DensityMatrix,
     DimensionMismatchError,
     DomainError,
     EigenSystem,
+    Interaction,
     Spin,
     adjoint,
     assemble_hamiltonian,
     build_model_hamiltonian,
     chain_volume,
     commutator,
+    eeb_terms,
     embed,
+    evolve_state,
     expectation,
     heisenberg,
     is_hermitian,
     ladder_coefficient,
+    low_levels,
+    lr_scan,
     operator_norm,
     pauli_matrices,
     spin_algebra,
     spin_matrices,
+    stability_value,
     suq2_generators,
     total_spin,
 )
@@ -550,3 +557,41 @@ def test_nonsquare_sparse_input_is_refused():
         expectation(np.array([1.0, 0.0]), bad)
     with pytest.raises(DomainError):
         embed(bad, [(0,)], vol)
+
+
+def _unpaired(dim, fmt="dense"):
+    """A dim x dim matrix whose one entry (0, 1) = 1 has no partner:
+    ||A - A^H||_max = 1."""
+    m = sp.csr_array(([1.0], ([0], [1])), shape=(dim, dim))
+    return m if fmt == "csr" else m.toarray()
+
+
+_S3 = spin_matrices(0.5).s3
+
+# each entry point that needs a Hermitian input: (call on a bad input, the name it gives)
+_HERMITIAN_REFUSALS = {
+    "EigenSystem": (lambda: EigenSystem(_unpaired(2)), "Hamiltonian"),
+    "low_levels_krylov": (lambda: low_levels(_unpaired(2), method="krylov"), "Hamiltonian"),
+    "eeb_terms": (lambda: eeb_terms(_unpaired(2), np.eye(2)), "Hamiltonian"),
+    "stability_value": (lambda: stability_value(_unpaired(2), DensityMatrix.maximally_mixed(2),
+                                                np.eye(2)), "Hamiltonian"),
+    # above DENSE_CUTOFF: refused before the Krylov exponential runs
+    "evolve_state": (lambda: evolve_state(_unpaired(DENSE_CUTOFF + 1, "csr"),
+                                          np.ones(DENSE_CUTOFF + 1), 0.5), "Hamiltonian"),
+    "lr_scan_a": (lambda: lr_scan(heisenberg(), chain_volume(3), _unpaired(2), _S3, [0.5], [1]),
+                  "observable A"),
+    "lr_scan_b": (lambda: lr_scan(heisenberg(), chain_volume(3), _S3, _unpaired(2), [0.5], [1]),
+                  "observable B"),
+    "site_term": (lambda: Interaction(2, site_term=_unpaired(2)), "site term"),
+    "bond_term": (lambda: Interaction(2, bond_term=_unpaired(4)), "bond term"),
+    "DensityMatrix": (lambda: DensityMatrix(np.eye(2) / 2 + _unpaired(2)), "density matrix"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_HERMITIAN_REFUSALS))
+def test_every_hermitian_input_is_refused_by_one_check_naming_it(entry):
+    call, name = _HERMITIAN_REFUSALS[entry]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value).startswith(name)
+    assert "is not Hermitian (||A - A^H||_max = 1.000e+00)" in str(err.value)
