@@ -93,10 +93,11 @@ def _check_keys(section: dict, allowed, where: str):
 
 
 def _number(minimum=None):
-    def check(v, where):
-        _expect(isinstance(v, (int, float)) and not isinstance(v, bool)
-                and (minimum is None or v >= minimum),
-                f"{where} must be a number" + ("" if minimum is None else f" >= {minimum}"))
+    def check(v, where):  # json.loads reads NaN, +-Infinity and ints beyond any float
+        finite = (isinstance(v, (int, float)) and not isinstance(v, bool)
+                  and abs(v) <= sys.float_info.max)
+        _expect(finite and (minimum is None or v >= minimum),
+                f"{where} must be a finite number" + ("" if minimum is None else f" >= {minimum}"))
         return float(v)
     return check
 

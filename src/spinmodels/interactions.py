@@ -2,11 +2,12 @@
 
 An Interaction is a translation-invariant bundle of at most one single-site
 term and one nearest-neighbour bond term (both Hermitian matrices in the
-product basis, first tensor factor = lower-ranked site).  Assembly sums the
-site term over all sites and the bond term over all bonds of a volume.  Every
-built-in model, the SU_q(2)-symmetric deformed chain included, is such a
-bundle; ``MODELS`` holds one record per named model (parameters, builder,
-symmetry generators, scan variables, allowed volumes).
+product basis, first tensor factor = lower-ranked site; real for every
+built-in model).  Assembly sums the site term over all sites and the bond
+term over all bonds of a volume.  Every built-in model, the SU_q(2)-symmetric
+deformed chain included, is such a bundle; ``MODELS`` holds one record per
+named model (parameters, builder, symmetry generators, scan variables,
+allowed volumes).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, DomainError, ResourceCapError
 from .lattice import MAX_HILBERT_DIM, Volume, _embed_csr, chain_volume
-from .spin_algebra import Spin, _hermitian, operator_norm, spin_matrices
+from .spin_algebra import Spin, _dense, _hermitian, operator_norm, spin_matrices
 from .symmetry import GeneratorSet, suq2_generators, total_spin
 
 
@@ -51,7 +52,7 @@ class Interaction:
         ):
             if term is None:
                 continue
-            term = np.asarray(term, dtype=np.complex128)
+            term = _dense(term)
             if term.shape != (dim, dim):
                 raise DimensionMismatchError(
                     f"{label} term must be {dim}x{dim}, got {term.shape}"
@@ -76,7 +77,7 @@ def heisenberg(j: float = 1.0, spin=0.5) -> Interaction:
 def xy_field(h: float = 0.0) -> Interaction:
     """Spin-1/2 in-plane exchange -(S1 S1 + S2 S2) with field term -h S3."""
     ops = spin_matrices(0.5)
-    bond = -(np.kron(ops.s1, ops.s1) + np.kron(ops.s2, ops.s2))
+    bond = -(np.kron(ops.sp, ops.sm) + np.kron(ops.sm, ops.sp)) / 2.0
     site = None if h == 0 else -float(h) * ops.s3
     return Interaction(local_dim=2, site_term=site, bond_term=bond, name="xy_field")
 
@@ -97,7 +98,7 @@ def aklt() -> Interaction:
     """
     ops = spin_matrices(1)
     v = ops.exchange()
-    bond = v / 2.0 + (v @ v) / 6.0 + np.eye(9, dtype=np.complex128) / 3.0
+    bond = v / 2.0 + (v @ v) / 6.0 + np.eye(9) / 3.0
     return Interaction(local_dim=3, bond_term=bond, name="aklt")
 
 
@@ -145,8 +146,8 @@ def xxz_suq2(q: float) -> Interaction:
     ops = spin_matrices(0.5)
     eye2 = ops.identity
     bond = (
-        -(1.0 / delta) * (np.kron(ops.s1, ops.s1) + np.kron(ops.s2, ops.s2))
-        - (np.kron(ops.s3, ops.s3) - np.eye(4, dtype=np.complex128) / 4.0)
+        -(0.5 / delta) * (np.kron(ops.sp, ops.sm) + np.kron(ops.sm, ops.sp))
+        - (np.kron(ops.s3, ops.s3) - np.eye(4) / 4.0)
         + a * (np.kron(eye2, ops.s3) - np.kron(ops.s3, eye2))
     )
     return Interaction(local_dim=2, bond_term=bond, name="xxz_suq2")
@@ -172,8 +173,8 @@ def assemble_hamiltonian(
 ) -> sp.csr_array:
     """Sum the interaction's site term over sites and bond term over bonds.
 
-    The result is CSR at every size and Hermitian by construction (exactly:
-    embeddings copy entries and sparse sums align them).
+    The result is CSR at every size, float64 for real terms, and Hermitian by
+    construction (exactly: embeddings copy entries and sparse sums align them).
     """
     if interaction.local_dim != volume.local_dim:
         raise DimensionMismatchError(
@@ -185,7 +186,7 @@ def assemble_hamiltonian(
             f"Hilbert dimension {volume.hilbert_dim} exceeds cap {max_hilbert_dim}"
         )
     dim = volume.hilbert_dim
-    total = sp.csr_array((dim, dim), dtype=np.complex128)
+    total = sp.csr_array((dim, dim))
     if interaction.site_term is not None:
         for site in volume.sites:
             total = total + _embed_csr(interaction.site_term, [site], volume)

@@ -15,10 +15,10 @@ Appl. 22, 602 (2000); Golub and Van Loan, *Matrix Computations* section 10.3).
 Each step solves T by one ``numpy.linalg.eigh``, and explicit residual norms
 ||W y - theta V y|| judge convergence.
 
-A matrix whose imaginary part is exactly zero (see
-:func:`~spinmodels.spin_algebra.exact_real`) is solved in float64 end to end:
-matvecs, V, W, T, Ritz vectors, and the seeded start and rank-repair vectors.
-Complex input stays complex128.
+A run takes the dtype of its matrix.  A real matrix, as every built-in
+Hamiltonian is, runs in float64 end to end: matvecs, V, W, T, Ritz vectors,
+and the seeded start and rank-repair vectors.  A complex matrix runs in
+complex128, even when its imaginary part is zero.
 
 Blocks matter for degenerate multiplets: the Krylov space grown from one
 starting block can never hold more of an eigenspace than the starting block's
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .spin_algebra import SOLVER_TOL, as_matrix, exact_real
+from .spin_algebra import SOLVER_TOL, as_matrix
 
 
 @dataclass
@@ -133,8 +133,8 @@ def lowest_eigenpairs(
     spectral-scale estimate (max |Ritz value| seen, returned as ``scale``).
 
     Args:
-        h: ndarray or sparse matrix, Hermitian.  Eigenvectors are
-            float64 when its imaginary part is exactly zero.
+        h: ndarray or sparse matrix, Hermitian.  The run and its
+            eigenvectors take its dtype: float64 when h is real.
         k: number of eigenpairs (1 <= k <= dim).
         block_size: Lanczos block width; use >= the largest multiplicity
             expected among the lowest k (see module docstring).
@@ -148,7 +148,7 @@ def lowest_eigenpairs(
             (carries the best residual reached, explicit or, on steps that
             took no explicit norms, from the block-Lanczos relation).
     """
-    m = exact_real(as_matrix(h))
+    m = as_matrix(h)
     dim = m.shape[0]
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, DomainError, ResourceCapError
-from .spin_algebra import as_matrix
+from .spin_algebra import _dense, as_matrix
 
 #: Hard cap on the total Hilbert-space dimension (sparse storage included).
 MAX_HILBERT_DIM = 65536
@@ -211,15 +211,15 @@ def _normalize_support(support, volume: Volume) -> list[Site]:
 def _embed_csr(local_op, support: list[Site], volume: Volume) -> sp.csr_array:
     """CSR embedding of ``local_op`` acting on ``support`` (identity elsewhere).
 
-    Entry values are copied verbatim from the local matrix — the embedding
-    itself introduces no floating-point arithmetic, so operators embedded on
-    disjoint supports commute exactly.  Row r holds the local row that r's
-    digits on the support spell, its columns shifted by r's other digits, in
-    increasing column order: the CSR is canonical as built.
+    Entry values are copied verbatim from the local matrix, in its dtype (at
+    least float64) — the embedding itself introduces no floating-point
+    arithmetic, so operators embedded on disjoint supports commute exactly.
+    Row r holds the local row that r's digits on the support spell, its
+    columns shifted by r's other digits, in increasing column order: the CSR
+    is canonical as built.
     """
     n, k, dim = volume.local_dim, len(support), volume.hilbert_dim
-    local = as_matrix(local_op)  # DomainError unless square
-    local = np.asarray(local.toarray() if sp.issparse(local) else local, np.complex128)
+    local = _dense(as_matrix(local_op))  # DomainError unless square
     if local.shape[0] != n ** k:
         raise DimensionMismatchError(
             f"local operator dim {local.shape[0]} != {n}^{k} for a {k}-site support"
@@ -355,5 +355,4 @@ def permutation_unitary(perm, volume: Volume) -> sp.csr_array:
     idx = np.arange(dim, dtype=np.int64)
     digits = (idx[:, None] // strides[None, :]) % n
     rows = digits @ target
-    data = np.ones(dim, dtype=np.complex128)
-    return sp.csr_array(sp.coo_array((data, (rows, idx)), shape=(dim, dim)))
+    return sp.csr_array(sp.coo_array((np.ones(dim), (rows, idx)), shape=(dim, dim)))

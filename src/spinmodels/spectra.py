@@ -4,10 +4,10 @@ A Hamiltonian is diagonalized once.  :class:`EigenSystem` holds H with its
 decomposition from :func:`spinmodels.spin_algebra.hermitian_eig`, kept as
 blocks: the invariant blocks of H's exact nonzero pattern (for the built-in
 models, the conserved total-S3 sectors or finer), in float64 when the block
-is real, and no dim x dim eigenvector matrix.  Each block is one LAPACK
-``eigh``, except when H is exactly spin-flip symmetric (``flip``): then each
-+-m pair of blocks costs one ``eigh``, and a block that is its own mirror
-two of half its size.
+is real, as all of a built-in H are, and no dim x dim eigenvector matrix.
+Each block is one LAPACK ``eigh``, except when H is exactly spin-flip
+symmetric (``flip``): then each +-m pair of blocks costs one ``eigh``, and a
+block that is its own mirror two of half its size.
 ``full_spectrum``, ``ground_space``, ``spectral_gap``, the Gibbs and KMS
 routines of :mod:`spinmodels.states` and the evolutions of
 :mod:`spinmodels.dynamics` accept a Hamiltonian (and then build an
@@ -22,9 +22,10 @@ in-house block Lanczos from :mod:`spinmodels.krylov` for sparse operators.
 It picks the route from the dimension but accepts an explicit ``method`` so
 the two can be cross-checked; ``ground_space`` and ``spectral_gap`` are
 views of its result.  Both routes solve the blocks of one plan of H, copy
-solved blocks onto their spin-flip mirrors, read their window scale from
-their own solves (no norm estimate runs) and take float64 by ``exact_real``:
-per block, or on the krylov route once before its per-block runs.
+solved blocks onto their spin-flip mirrors, and read their window scale from
+their own solves (no norm estimate runs).  A real H is solved in float64 on
+both; a complex H on the dense route in float64 for each block whose
+imaginary part is exactly zero, and on the krylov route in complex128.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .spin_algebra import (
     adjoint,
     as_matrix,
     eigenvector_columns,
-    exact_real,
     hermitian_eig,
     spin_matrices,
 )
@@ -347,8 +347,9 @@ def low_levels(
     Lanczos otherwise).  Each route takes ||H|| from its own solve: the
     dense route max |eigenvalue|, the krylov route the largest |Ritz value|
     of its Lanczos runs (:attr:`~spinmodels.krylov.KrylovResult.scale`) and
-    |entry| of its size-1 blocks.  The krylov route runs in float64 when H's
-    imaginary part is exactly zero, in complex128 otherwise; its runs take
+    |entry| of its size-1 blocks.  A real H runs in float64 on both routes; a
+    complex one in complex128, except for the dense route's blocks whose
+    imaginary part is exactly zero.  The krylov route's runs take
     :func:`~spinmodels.krylov.lowest_eigenpairs`'s default seed and stop at
     residuals ``SOLVER_TOL`` relative to their scale.
 
@@ -382,7 +383,7 @@ def low_levels(
 
     if not isinstance(h, EigenSystem):
         _hermitian(m, "Hamiltonian")
-    msp = exact_real(m if sp.issparse(m) else sp.csr_array(m))
+    msp = m if sp.issparse(m) else sp.csr_array(m)
     plan, diag = (h.plan if isinstance(h, EigenSystem) else _block_plan(msp)), msp.diagonal()
     # Gershgorin radii from the arrays: scipy's abs() sorts them, and m's data with them
     radius = np.bincount(np.repeat(np.arange(dim), np.diff(msp.indptr)), abs(msp.data), dim)

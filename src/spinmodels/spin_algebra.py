@@ -10,20 +10,21 @@ S- = (S+)^dagger.  S1 = (S+ + S-)/2, S2 = (S+ - S-)/(2i).  For S = 1/2 the
 doubled matrices 2*Si are the Pauli matrices.
 
 Operators are plain matrices: ndarrays, or CSR arrays for everything built
-from local terms.  The builders (spin matrices, embeddings, Hamiltonians,
-generators, probes) produce complex128; every other routine keeps the dtype
-it is given.  Structure checks (Hermiticity, commutation relations) use
-STRUCTURE_TOL, with no tolerance argument, and every routine that needs a
-Hermitian input refuses others by one check that names the input; iterative
-solver residuals are judged against SOLVER_TOL relative to the operator norm.
+from local terms.  Every routine keeps its input's dtype, the builders at
+least float64: S1, S3, S+-, S.S and every built-in Hamiltonian are real, and
+S2 and the random probes complex128.  Structure checks (Hermiticity,
+commutation relations) use STRUCTURE_TOL, with no tolerance argument, and
+every routine that needs a Hermitian input refuses others by one check that
+names the input; iterative solver residuals are judged against SOLVER_TOL
+relative to the operator norm.
 
 Every dense eigensolve of an operator (Lanczos solves its Ritz matrices
 directly) goes through :func:`hermitian_eig`, which splits the matrix into
 the invariant blocks of its exact nonzero pattern, found by a numpy min-label
 search (Shiloach and Vishkin, 1982), and solves each block in float64 when
-its imaginary part is exactly zero (:func:`exact_real`).  For eigenvalues
-alone, a bipartite block [[0, X], [X^H, 0]] is one SVD of X.  In the
-decreasing-S3 basis, flipping every site's m -> -m is the index reversal
+it is real or its imaginary part is exactly zero (:func:`exact_real`).  For
+eigenvalues alone, a bipartite block [[0, X], [X^H, 0]] is one SVD of X.  In
+the decreasing-S3 basis, flipping every site's m -> -m is the index reversal
 i -> n-1-i for every local dimension, so a matrix that equals its reversal
 exactly is flip-symmetric with no lattice data: its +-m blocks are solved
 once per pair, and a block that is its own mirror as two halves.
@@ -127,12 +128,13 @@ class SpinOperators:
         return (self.s1, self.s2, self.s3)
 
     def casimir(self) -> np.ndarray:
-        """S.S = S1^2 + S2^2 + S3^2 (equals S(S+1) times the identity)."""
-        return self.s1 @ self.s1 + self.s2 @ self.s2 + self.s3 @ self.s3
+        """S.S = S3^2 + (S+ S- + S- S+)/2 (equals S(S+1) times the identity), real."""
+        return self.s3 @ self.s3 + (self.sp @ self.sm + self.sm @ self.sp) / 2.0
 
     def exchange(self) -> np.ndarray:
-        """The two-site S.S = S1 (x) S1 + S2 (x) S2 + S3 (x) S3."""
-        return np.kron(self.s1, self.s1) + np.kron(self.s2, self.s2) + np.kron(self.s3, self.s3)
+        """The two-site S.S = S3 (x) S3 + (S+ (x) S- + S- (x) S+)/2, real."""
+        flip_flop = np.kron(self.sp, self.sm) + np.kron(self.sm, self.sp)
+        return np.kron(self.s3, self.s3) + flip_flop / 2.0
 
 
 def spin_matrices(s) -> SpinOperators:
@@ -140,27 +142,14 @@ def spin_matrices(s) -> SpinOperators:
 
     The basis is ordered by decreasing S3 eigenvalue (all-up first), so
     S3 = diag(S, ..., -S) and S+ carries c_S, ..., c_{-S+1} on the
-    superdiagonal.
+    superdiagonal.  S2 is complex128; the others are real, float64.
     """
     spin = Spin.coerce(s)
-    n = spin.dim
-    proj = spin.value - np.arange(n)  # S, S-1, ..., -S
-    s3 = np.diag(proj).astype(np.complex128)
-    sp_ = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n - 1):
-        sp_[i, i + 1] = ladder_coefficient(spin, proj[i])
-    sm = sp_.conj().T
-    s1 = (sp_ + sm) / 2.0
-    s2 = (sp_ - sm) / 2.0j
-    return SpinOperators(
-        spin=spin,
-        s1=s1,
-        s2=s2,
-        s3=s3,
-        sp=sp_,
-        sm=sm,
-        identity=np.eye(n, dtype=np.complex128),
-    )
+    proj = spin.value - np.arange(spin.dim)  # S, S-1, ..., -S
+    up = np.diag([ladder_coefficient(spin, m) for m in proj[:-1]], 1)
+    down = up.T.copy()
+    return SpinOperators(spin=spin, s1=(up + down) / 2.0, s2=(up - down) / 2.0j, s3=np.diag(proj),
+                         sp=up, sm=down, identity=np.eye(spin.dim))
 
 
 def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,6 +170,12 @@ def as_matrix(a):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _dense(a) -> np.ndarray:
+    """``a`` as a dense ndarray of its dtype promoted to at least float64, real if real."""
+    a = a.toarray() if sp.issparse(a) else np.asarray(a)
+    return a.astype(np.result_type(a.dtype, np.float64), copy=False)
 
 
 def _operands(a, b):
@@ -214,13 +209,11 @@ def _hermitian(a, what: str):
     return m
 
 
-def exact_real(m):
-    """``m.real`` when the imaginary part of ndarray or sparse ``m`` is exactly
-    zero, else ``m`` itself: the one rule by which a solver runs in float64.
-    A sparse result shares no array with ``m``."""
-    if not np.iscomplexobj(m) or (m.data if sp.issparse(m) else m).imag.any():
-        return m
-    return m.real.copy() if sp.issparse(m) else m.real
+def exact_real(m: np.ndarray) -> np.ndarray:
+    """``m.real`` when the imaginary part of the ndarray ``m`` is exactly zero,
+    else ``m`` itself: the rule by which :func:`hermitian_eig` solves a block
+    of a complex matrix in float64."""
+    return m.real if np.iscomplexobj(m) and not m.imag.any() else m
 
 
 def commutator(a, b):
@@ -375,7 +368,8 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     the exact nonzero pattern, so each is an invariant subspace spanned by
     basis vectors and no tolerance decides them: a coupling of any size, noise
     included, joins two blocks.  Each block of size > 1 is one LAPACK call, in
-    float64 when its imaginary part is exactly zero; size-1 blocks are their
+    float64 when ``m`` is real or the block's imaginary part is exactly zero
+    (:func:`exact_real`), else complex128; size-1 blocks are their
     diagonal entries, read in one step.  With ``vectors=False`` a bipartite
     block, [[0, X], [X^H, 0]] up to a permutation, is one ``svd`` of its
     corner X, all it reads: +-sigma(X) and |n0 - n1| zeros (Golub and Van
@@ -450,10 +444,10 @@ def operator_norm(a, *, cap_dense: int = DENSE_CUTOFF) -> float:
     ``cap_dense``, ||A|| = s sqrt(lambda_max(X^H X)) for X = A / s and
     s = max |A_ij|: since ||X|| >= 1 the Gram matrix neither underflows nor
     overflows, and its largest eigenvalue comes from :func:`hermitian_eig`,
-    which solves a CSR Gram block by block.  A sparse matrix above
-    ``cap_dense`` takes one seeded ARPACK ``svds`` run (in float64 when its
-    imaginary part is exactly zero, see :func:`exact_real`); an ARPACK
-    failure is a SolverError.
+    which solves a CSR Gram block by block, each block in float64 when it is
+    real.  A sparse matrix above ``cap_dense`` takes one seeded ARPACK
+    ``svds`` run in its own dtype, float64 or complex128; an ARPACK failure
+    is a SolverError.
     """
     m = as_matrix(a)
     if m.shape[0] == 0 or not (m.data if sp.issparse(m) else m).any():
@@ -462,7 +456,7 @@ def operator_norm(a, *, cap_dense: int = DENSE_CUTOFF) -> float:
         import scipy.sparse.linalg as spla  # ARPACK, loaded only where it runs
         v0 = np.random.default_rng(_NORM_SEED).standard_normal(m.shape[0])
         try:
-            return float(spla.svds(exact_real(m), k=1, v0=v0, return_singular_vectors=False)[0])
+            return float(spla.svds(m, k=1, v0=v0, return_singular_vectors=False)[0])
         except spla.ArpackError as exc:
             raise SolverError(f"norm estimate failed: {exc}") from exc
     s = float(abs(m).max())

@@ -7,6 +7,8 @@ built once to share it (and its last Gibbs state), or pass H to build one per
 call.  Probes and H stay CSR, so products such as X* [H, X] are sparse, and
 an expectation in a density matrix, Tr(A rho) = sum A_jk rho_kj, is one
 gather of rho at the transposed positions of A's stored entries: O(nnz).
+A density matrix keeps its data's dtype, at least float64: for a real H the
+Gibbs state and the ground-state mixture are float64, half a complex128 rho.
 The KMS and entropy checks split into a beta-independent step per probe
 (``kms_terms``, ``eeb_terms``) and a cheap step per beta on its result.  The
 KMS flow side reads t_k = (V^H BA V)_kk from BA's diagonal blocks, which
@@ -33,7 +35,8 @@ import scipy.sparse as sp
 
 from .errors import DegenerateInputError, DimensionMismatchError, DomainError
 from .spectra import EigenSystem
-from .spin_algebra import _hermitian, _operands, adjoint, as_matrix, commutator, hermitian_eig
+from .spin_algebra import (_dense, _hermitian, _operands, adjoint, as_matrix, commutator,
+                           hermitian_eig)
 
 #: Validation tolerance for a state's norm, trace and positivity.
 STATE_TOL = 1e-12
@@ -74,8 +77,7 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, validate: bool = True):
-        m = as_matrix(matrix)
-        self.matrix = np.asarray(m.toarray() if sp.issparse(m) else m, dtype=np.complex128)
+        self.matrix = _dense(as_matrix(matrix))
         if validate:
             self.validate()
 
@@ -104,14 +106,14 @@ class DensityMatrix:
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         if dim < 1:
             raise DomainError(f"dimension must be positive, got {dim}")
-        return cls(np.eye(dim, dtype=np.complex128) / dim, validate=False)
+        return cls(np.eye(dim) / dim, validate=False)
 
     @classmethod
     def mixture(cls, vectors) -> "DensityMatrix":
         """Uniform mixture of the given (column) vectors — e.g. a ground-space
         average.  The columns must be orthonormal, as a ground basis is: rho is
         V V^H divided by its trace, with no orthonormalization."""
-        v = np.asarray(vectors, dtype=np.complex128)
+        v = _dense(vectors)
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2 or v.shape[1] == 0:
@@ -157,7 +159,7 @@ def gibbs(h, beta: float) -> GibbsState:
         return es.gibbs_memo
     w0 = es.eigenvalues[0]
     s = float(np.sum(np.exp(-beta * (es.eigenvalues - w0))))
-    rho = np.zeros((es.dim, es.dim), dtype=np.complex128)
+    rho = np.zeros((es.dim, es.dim), np.result_type(*(v.dtype for _, _, v in es.blocks)))
     for b, (idx, w, v) in enumerate(es.blocks):
         p = np.exp(-beta * (w - w0)) / s
         if b:
@@ -175,7 +177,7 @@ def expectation(state, a) -> complex:
     """omega(A) for a StateVector, DensityMatrix, or raw vector/matrix state."""
     m = as_matrix(a)
     if not isinstance(state, (StateVector, DensityMatrix)):
-        arr = np.asarray(state, dtype=np.complex128)
+        arr = np.asarray(state)
         if arr.ndim not in (1, 2):
             raise DomainError(f"unsupported state with shape {arr.shape}")
         state = (StateVector if arr.ndim == 1 else DensityMatrix)(arr, validate=False)

@@ -42,7 +42,7 @@ class GeneratorSet:
 
 
 def total_spin(volume: Volume) -> GeneratorSet:
-    """Total S1, S2, S3 summed over all sites, as CSR operators."""
+    """Total S1, S2, S3 over all sites, as CSR: S1 and S3 float64, S2 complex128."""
     ops = spin_matrices((volume.local_dim - 1) / 2.0)
     gens = {}
     for label, local in (("S1", ops.s1), ("S2", ops.s2), ("S3", ops.s3)):
@@ -56,7 +56,7 @@ def total_spin(volume: Volume) -> GeneratorSet:
 
 def suq2_generators(volume: Volume, q: float) -> GeneratorSet:
     """q-deformed total-spin generators K3, K+, K- on an open spin-1/2 chain,
-    as CSR operators.
+    as float64 CSR operators.
 
     Raises DomainError off the supported geometry or for q outside (0, 1].
     """
@@ -77,11 +77,11 @@ def suq2_generators(volume: Volume, q: float) -> GeneratorSet:
     left = np.cumsum(down, axis=1) - down
     right = down.sum(axis=1, keepdims=True) - left - down
     x = np.arange(length)
-    gens = {"K3": sp.diags_array(length / 2 - down.sum(axis=1) + 0j, format="csr")}
+    gens = {"K3": sp.diags_array(length / 2 - down.sum(axis=1), format="csr")}
     for name, flip, power in (("K+", 1, 2 * left - x), ("K-", 0, length - 1 - x - 2 * right)):
         s, y = np.nonzero(down == flip)  # S+ raises a down spin, S- lowers an up one
         rows = states[s] + (1 - 2 * flip) * weight[y]
-        gens[name] = sp.csr_array((q ** power[s, y] + 0j, (rows, states[s])),
+        gens[name] = sp.csr_array((q ** power[s, y], (rows, states[s])),
                                   shape=(states.size, states.size))
     return GeneratorSet(name="suq2", generators=gens)
 

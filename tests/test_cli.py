@@ -413,6 +413,33 @@ def test_malformed_scan_grid_is_a_spec_error(tmp_path, capsys, start):
     assert err["error"]["kind"] == "SpecFileError"
 
 
+_NON_FINITE_SECTIONS = {
+    "dynamics.times": ("dynamics", lambda v: {"times": [0.0, v], "distances": [1]}),
+    "thermal.betas": ("thermal", lambda v: {"betas": [0.5, v]}),
+    "verify.betas": ("verify", lambda v: {"checks": ["algebra"], "betas": [v]}),
+    "scan.values": ("scan", lambda v: {"variable": "J", "values": [0.5, v]}),
+    "scan.grid": ("scan", lambda v: {"variable": "J", "grid": {"start": 0.5, "stop": v, "num": 3}}),
+}
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("where", list(_NON_FINITE_SECTIONS))
+def test_non_finite_numbers_are_spec_errors(tmp_path, capsys, where, value):
+    # json.loads accepts NaN and +-Infinity, and a 401-digit integer overflows
+    # a float; each is refused at parse time with exit 2, not a numerics
+    # failure or a traceback once the task runs
+    task, section = _NON_FINITE_SECTIONS[where]
+    text = json.dumps(_spec(task, section(12345.0), model=_FREE_J if task == "scan" else None))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text.replace("12345.0", value))
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().out.strip())["error"]
+    assert err["kind"] == "SpecFileError" and err["exit_code"] == 2
+    assert "must be a finite number" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     doc_in = _spec("verify", {"betas": [0.5, 1.0], "num_probes": 6}, seed=21)
     spec = parse_spec_dict(doc_in)

@@ -13,6 +13,7 @@ import pytest
 from spinmodels import (
     DimensionMismatchError,
     DomainError,
+    Interaction,
     aklt,
     assemble_hamiltonian,
     build_model_hamiltonian,
@@ -295,3 +296,65 @@ def test_registry_record(name):
         }
         spec = parse_spec_dict(doc)
         assert spec.params["variable"] == variable
+
+
+def _complex_spin(two_s):
+    """(S1, S2, S3) of spin two_s/2 as explicitly complex128 matrices, built
+    from the ladder coefficients."""
+    n, m = two_s + 1, two_s / 2 - np.arange(two_s + 1)
+    up = np.zeros((n, n), dtype=complex)
+    for i in range(n - 1):
+        up[i, i + 1] = np.sqrt(two_s / 2 * (two_s / 2 + 1) - m[i] * (m[i] - 1))
+    down = up.conj().T
+    return (up + down) / 2, (up - down) / 2j, np.diag(m).astype(complex)
+
+
+def _complex_terms(name, params):
+    """(local dim, site term, bond term) of a record in the form
+    S1 S1 + S2 S2 + S3 S3 of complex spin matrices."""
+    two_s = 2 if name == "aklt" else round(2 * params.get("spin", 0.5))
+    s1, s2, s3 = _complex_spin(two_s)
+    n = two_s + 1
+    xy = np.kron(s1, s1) + np.kron(s2, s2)
+    if name == "heisenberg":
+        return n, None, -params["J"] * (xy + np.kron(s3, s3))
+    if name == "xy_field":
+        return n, -params["h"] * s3, -xy
+    if name == "ising":
+        return n, -params["h"] * s3, -params["J"] * np.kron(s3, s3)
+    if name == "aklt":
+        v = xy + np.kron(s3, s3)
+        return n, None, v / 2 + (v @ v) / 6 + np.eye(9, dtype=complex) / 3
+    delta = (params["q"] + 1 / params["q"]) / 2
+    a, eye = 0.5 * np.sqrt(1 - 1 / delta**2), np.eye(2, dtype=complex)
+    return n, None, (-(1 / delta) * xy - (np.kron(s3, s3) - np.eye(4, dtype=complex) / 4)
+                     + a * (np.kron(eye, s3) - np.kron(s3, eye)))
+
+
+_REAL_RECORDS = [("heisenberg", {"J": -1.0, "spin": 0.5}), ("heisenberg", {"J": 1.0, "spin": 1}),
+                 ("xy_field", {"h": 0.3}), ("ising", {"J": 1.0, "h": 0.4}), ("aklt", {}),
+                 ("xxz_suq2", {"q": 0.5})]
+_REAL_CASES = [(name, params, boundary) for name, params in _REAL_RECORDS
+               for boundary in ("open", "periodic")
+               if boundary == "open" or not MODELS[name].open_chain_only]
+
+
+@pytest.mark.parametrize("name, params, boundary", _REAL_CASES,
+                         ids=[f"{n}-{p['spin']}-{b}" if "spin" in p else f"{n}-{b}"
+                              for n, p, b in _REAL_CASES])
+def test_every_record_assembles_a_float64_h_equal_to_its_complex_form(name, params, boundary):
+    # the real form of each term (S+- for S1 S1 + S2 S2) gives the entries of
+    # the complex form's real part: bit for bit, except AKLT, whose (S.S)^2 is
+    # a real GEMM instead of a complex one
+    assert {record for record, _ in _REAL_RECORDS} == set(MODEL_NAMES)
+    n, site, bond = _complex_terms(name, params)
+    vol = chain_volume(4 if n > 2 else 6, boundary, local_dim=n)
+    h = build_model_hamiltonian(name, params, vol)
+    want = assemble_hamiltonian(Interaction(n, site, bond), vol)
+    assert h.dtype == np.float64 and want.dtype == np.complex128
+    assert not want.data.imag.any()
+    if name == "aklt":
+        assert np.abs(h.toarray() - want.toarray().real).max() <= 1e-15
+    else:
+        assert np.array_equal(h.indptr, want.indptr) and np.array_equal(h.indices, want.indices)
+        assert np.array_equal(h.data, want.data.real)

@@ -39,7 +39,6 @@ from spinmodels.spin_algebra import (
     DENSE_CUTOFF,
     _block_plan,
     eigenvector_columns,
-    exact_real,
     hermitian_eig,
 )
 
@@ -188,7 +187,7 @@ def test_krylov_dense_and_arpack_agree_on_every_model(name):
     assert abs(krylov.gap - dense.gap) <= 1e-10 * scale
     # ARPACK is single-vector Lanczos: a Krylov space as large as the matrix
     # lets its invariant-subspace restarts reach every copy of a multiplet
-    m = exact_real(h.tocsr())
+    m = h.tocsr()
     k = dense.degeneracy + 2
     v0 = np.random.default_rng(0).standard_normal(m.shape[0])
     arpack = np.sort(spla.eigsh(m, k=k, which="SA", ncv=m.shape[0], v0=v0, tol=1e-12,
@@ -288,7 +287,7 @@ def test_sectored_krylov_route_matches_dense_and_unsectored_lanczos(name, bounda
     dense = low_levels(EigenSystem(h))
     krylov = low_levels(h, 6, method="krylov")
     k = max(6, dense.degeneracy + 1)
-    whole = lowest_eigenpairs(exact_real(h), k, block_size=k).eigenvalues
+    whole = lowest_eigenpairs(h, k, block_size=k).eigenvalues
     w = dense.eigenvalues
     scale = max(1.0, np.abs(w).max())
     n = krylov.eigenvalues.size

@@ -523,20 +523,6 @@ def test_operator_norm_gram_of_a_flip_symmetric_matrix_takes_the_flip(monkeypatc
     assert abs(got - want) <= 1e-13 * want
 
 
-def test_exact_real_of_a_complex_csr_shares_no_array_with_it():
-    # sorting the float64 result in place leaves the caller's unsorted
-    # complex matrix as it is
-    h = assemble_hamiltonian(heisenberg(j=1.0), chain_volume(8, boundary="periodic")).tocsr()
-    order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in zip(h.indptr[:-1], h.indptr[1:])])
-    u = sp.csr_array((h.data[order], h.indices[order], h.indptr), shape=h.shape)
-    want = u.toarray()
-    real = exact_real(u)
-    assert real.dtype == np.float64
-    real.sort_indices()
-    assert np.array_equal(u.toarray(), want)
-    assert np.array_equal(real.toarray(), want.real)
-
-
 def test_operator_rejects_nonsquare():
     for m in (np.zeros((2, 3)), np.zeros(4), sp.csr_array(np.ones((2, 3))),
               sp.coo_array(np.ones((3, 2)))):

@@ -26,6 +26,7 @@ from spinmodels import (
     expectation,
     full_spectrum,
     gibbs,
+    ground_space,
     heisenberg,
     kms_residual,
     kms_terms,
@@ -315,3 +316,16 @@ def test_prepared_terms_are_vectors_and_sparse_products():
     kms = kms_terms(es, a, b)
     assert kms.flow.shape == kms.energies.shape == (es.dim,) and sp.issparse(kms.ba)
     assert all(sp.issparse(op) for op in eeb_terms(es, a))
+
+
+def test_density_matrices_of_a_real_h_are_float64(dm_chain):
+    # a real H gives real eigenvectors, so its Gibbs state and the mixture of
+    # its ground basis are float64, half the bytes of complex128; the complex
+    # dm_chain keeps both complex
+    real = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(8, boundary="periodic"))
+    for h, dtype in ((real, np.float64), (dm_chain(8), np.complex128)):
+        es = EigenSystem(h)
+        for rho in (gibbs(es, 0.7).rho, DensityMatrix.mixture(ground_space(es).basis)):
+            assert rho.matrix.dtype == dtype
+            assert rho.matrix.nbytes == np.dtype(dtype).itemsize * es.dim**2
+            rho.validate()

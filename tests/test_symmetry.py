@@ -102,24 +102,26 @@ def test_suq2_reduces_to_total_spin_at_q_one():
 
 @pytest.mark.parametrize("length", [4, 10], ids=["dim16", "dim1024"])
 def test_local_builders_return_csr(length):
-    # everything built from local terms is complex128 CSR at every size, with
-    # at most dim * n^k stored entries per k-site term
+    # everything built from local terms is CSR at every size, with at most
+    # dim * n^k stored entries per k-site term; real data stays float64, and
+    # the random probes and S2 are complex128
     vol = chain_volume(length, boundary="open")
     dim, n = vol.hilbert_dim, vol.local_dim
     ops = spin_matrices(0.5)
+    real, cplx = np.float64, np.complex128
     built = [
-        (embed(ops.s1, [(1,)], vol), dim * n),
-        (embed(np.kron(ops.s3, ops.sp), [(0,), (length - 1,)], vol), dim * n**2),
-        (assemble_hamiltonian(heisenberg(j=-1.0), vol), len(vol.edges) * dim * n**2),
-        (permutation_unitary(SitePermutation.translation(vol, 1), vol), dim),
-        (random_local_operator(vol, 5, num_sites=1), dim * n),
-        (random_local_operator(vol, 5, num_sites=2), dim * n**2),
+        (embed(ops.s1, [(1,)], vol), dim * n, real),
+        (embed(np.kron(ops.s3, ops.sp), [(0,), (length - 1,)], vol), dim * n**2, real),
+        (assemble_hamiltonian(heisenberg(j=-1.0), vol), len(vol.edges) * dim * n**2, real),
+        (permutation_unitary(SitePermutation.translation(vol, 1), vol), dim, real),
+        (random_local_operator(vol, 5, num_sites=1), dim * n, cplx),
+        (random_local_operator(vol, 5, num_sites=2), dim * n**2, cplx),
     ]
     for gens in (total_spin(vol), suq2_generators(vol, 0.5)):
         assert len(gens.generators) == 3
-        built += [(g, length * dim * n) for _, g in gens]
-    for op, max_nnz in built:
-        assert sp.issparse(op) and op.format == "csr" and op.dtype == np.complex128
+        built += [(g, length * dim * n, cplx if label == "S2" else real) for label, g in gens]
+    for op, max_nnz, dtype in built:
+        assert sp.issparse(op) and op.format == "csr" and op.dtype == dtype
         assert op.shape == (dim, dim) and op.nnz <= max_nnz
 
 
@@ -147,3 +149,17 @@ def test_generator_set_iterates_labelled_pairs():
     vol = chain_volume(2)
     labels = [label for label, _ in total_spin(vol)]
     assert labels == ["S1", "S2", "S3"]
+
+
+@pytest.mark.parametrize("spin", [0.5, 1, 1.5])
+def test_spin_matrices_and_total_spin_keep_real_components_real(spin):
+    # in the decreasing-S3 basis only S2 has imaginary entries; S.S on one
+    # site and on two is written with S+- and stays real
+    ops = spin_matrices(spin)
+    for m in (ops.s1, ops.s3, ops.sp, ops.sm, ops.identity, ops.casimir(), ops.exchange()):
+        assert m.dtype == np.float64
+    assert ops.s2.dtype == np.complex128
+    vol = chain_volume(3, boundary="open", local_dim=ops.dim)
+    gens = total_spin(vol).generators
+    assert [gens[label].dtype for label in ("S1", "S2", "S3")] == [
+        np.float64, np.complex128, np.float64]
