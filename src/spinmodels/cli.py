@@ -339,6 +339,7 @@ def _task_thermal(run: _Run) -> tuple[dict, list]:
         state = gibbs(run.es, beta)
         energy = float(expectation(state.rho, run.h).real)
         points.append({"beta": beta, "log_z": state.log_z, "energy": energy})
+        del state  # the next rho is built without this one alive
         _progress("thermal", i + 1, len(betas))
     return {"points": points}, [(p["beta"], p["log_z"], p["energy"]) for p in points]
 

@@ -10,12 +10,10 @@ evolution runs over the block pairs that the operator couples, and the
 result keeps the operator's storage: CSR in gives CSR out, nonzero only on
 those pairs, so S3 at a site (which the built-in models' blocks leave
 invariant) stays block-diagonal, and an exactly flip-even or flip-odd A
-keeps its parity bit for bit.  A light-cone scan takes each norm as the
-largest |eigenvalue| of the Hermitian i[alpha_t(A), B_x] from
-``commutator`` (no product for a diagonal B_x), solved block by block.  On
-a spin-1/2 chain with B_x = S3_x, whose entries join only states that
-differ in the spin at x, each block is bipartite and its norm is the
-largest singular value of a half-size corner; the -m corners are copies.
+keeps its parity bit for bit.  A light-cone scan of diagonal observables
+(S3 at any spin) keeps alpha_t(A) in H's blocks and norms each block of the
+commutator by one corner SVD (an eigvalsh where B_x takes more than two values);
+others take the largest |eigenvalue| of i[alpha_t(A), B_x] from ``commutator``.
 Above the dense cutoff, a Hamiltonian (not an EigenSystem) still gets vector
 propagation through a Krylov-based matrix-exponential action.
 """
@@ -33,6 +31,8 @@ from .lattice import Volume, embed
 from .spectra import EigenSystem
 from .spin_algebra import (
     DENSE_CUTOFF,
+    _diagonal,
+    _flip_parity,
     _hermitian,
     as_matrix,
     commutator,
@@ -134,7 +134,12 @@ def lr_scan(
     Requires a 1-d volume whose dimension is at most ``cap_dense``, the cap
     of the dense eigendecomposition that propagates A.  The t = 0 row is
     exactly zero off-site: evolution returns A unchanged at t = 0 and
-    embeddings on disjoint supports commute exactly.
+    embeddings on disjoint supports commute exactly.  Diagonal A and B_x
+    (``_diagonal``) keep alpha_t(A) in H's blocks, A itself on block 0: each
+    other block is flowed once per t > 0 (``EigenSystem.flow``) for all x and
+    normed by :func:`_block_norm`, skipping mirror blocks when H, A and every
+    B_x have a flip parity (J C J = +-C).  Other observables take the largest
+    |eigenvalue| of i[alpha_t(A), B_x] from ``hermitian_eig``.
     """
     if volume.dimension != 1:
         raise DomainError(f"light-cone scans run on chains; volume dims {volume.dims}")
@@ -152,14 +157,33 @@ def lr_scan(
     b_ops = [embed(b_local, [(int(x),)], volume) for x in distances]
     a_norm, b_norm = (operator_norm(m, cap_dense=cap_dense) for m in (a0, b_ops[0]))
 
-    # i[alpha_t(A), B] is Hermitian: its norm is its largest |eigenvalue|
-    ib_ops = [1j * b for b in b_ops]
     norms = np.zeros((times.size, distances.size))
-    for i, t in enumerate(times):
-        at = prop.evolve(a0, float(t))
-        for j, ib in enumerate(ib_ops):
-            norms[i, j] = np.abs(hermitian_eig(commutator(at, ib), vectors=False).eigenvalues).max()
+    if _diagonal(a0) and all(_diagonal(bx) for bx in b_ops):
+        skip = prop.plan.flip and _flip_parity(a0) != 0 and all(_flip_parity(bx) for bx in b_ops)
+        own = {(b, b) for b in range(1, len(prop.blocks)) if not skip or prop.plan.mirror[b] >= b}
+        for b, _, x in prop.pairs(a0, own):
+            diagonals = [bx.diagonal()[prop.blocks[b][0]] for bx in b_ops]
+            for i in np.flatnonzero(times):  # the t = 0 row stays zero: alpha_0(A) = A
+                y = prop.flow(b, b, x, 1j * times[i])
+                norms[i] = np.maximum(norms[i], [_block_norm(y, d) for d in diagonals])
+    else:  # i[alpha_t(A), B] is Hermitian: its norm is its largest |eigenvalue|
+        for i, t in enumerate(times):
+            at = prop.evolve(a0, float(t))
+            for j, bx in enumerate(b_ops):
+                eig = hermitian_eig(commutator(at, 1j * bx), vectors=False)
+                norms[i, j] = np.abs(eig.eigenvalues).max()
     return LRScan(times=times, distances=distances, norms=norms, a_norm=a_norm, b_norm=b_norm)
+
+
+def _block_norm(y, d) -> float:
+    """||[Y, D]|| for a Hermitian block Y and D = diag(d): for two values d1 < d2
+    [Y, D] is zero off the corner Y[d = d1][:, d = d2] and its transpose, so (d2 - d1)
+    sigma_max(corner); else the largest |eigenvalue| of i[Y, D] (0 for constant d)."""
+    values, low = np.unique(d), d == d.min()
+    if values.size == 2:
+        return float((values[1] - values[0]) * np.linalg.svd(y[low][:, ~low], compute_uv=False)[0])
+    ic = 1j * y * (d[None, :] - d[:, None])
+    return float(np.abs(np.linalg.eigvalsh(ic)).max()) if values.size > 2 else 0.0
 
 
 #: Scan norms at or below this are rounding noise and take no part in a fit.

@@ -64,7 +64,7 @@ RANGE_LIMIT = 700.0
 
 def _adjoint(v):
     """v^H, a view when v is real; None (the identity) stays None."""
-    return v if v is None else (v.conj().T if np.iscomplexobj(v) else v.T)
+    return v if v is None else v.conj().T
 
 
 def _matmul(l, r):
@@ -224,6 +224,15 @@ class EigenSystem:
                 np.add.at(x, (i, j), d)  # duplicate entries add
                 yield b, c, _sandwich(_adjoint(v[b]), x, v[c])
 
+    def flow(self, b, c, x, z):
+        """The (b, c) block V_b (x * exp(z (w_j - w_k))) V_c^H of exp(zH) A exp(-zH)
+        from x = V_b^H A_bc V_c as ``pairs`` yields it; a COO x is rescaled in place."""
+        wb, wc, v = self.blocks[b][1], self.blocks[c][1], self._vectors
+        if sp.issparse(x):
+            x.data = x.data * np.exp(z * (wb[x.row] - wc[x.col]))
+            return x
+        return _sandwich(v[b], x * np.exp(z * (wb[:, None] - wc[None, :])), _adjoint(v[c]))
+
     def _conjugate(self, a, z=None):
         """V^H A V in the order of ``eigenvalues`` when ``z`` is None, else
         exp(zH) A exp(-zH) = V (V^H A V * exp(z (w_j - w_k))) V^H, A itself at
@@ -239,16 +248,11 @@ class EigenSystem:
         if z == 0:
             return m
         s = _flip_parity(m) if z is not None and self.plan.flip else 0
-        target, v = self._rank if z is None else self._basis, self._vectors
+        target = self._rank if z is None else self._basis
         first = {min((b, c), (mirror[b], mirror[c])) for b, c in self.coupled(m)} if s else None
         parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
         for b, c, x in self.pairs(m, first):
-            wb, wc = self.blocks[b][1], self.blocks[c][1]
-            if z is not None and sp.issparse(x):
-                x.data = x.data * np.exp(z * (wb[x.row] - wc[x.col]))
-            elif z is not None:
-                x = _sandwich(v[b], x * np.exp(z * (wb[:, None] - wc[None, :])), _adjoint(v[c]))
-            x = sp.coo_array(x)
+            x = sp.coo_array(x if z is None else self.flow(b, c, x, z))
             if s and (mirror[b], mirror[c]) == (b, c):
                 x.data = x.data / 2  # its image adds the other half
             parts.append((target[self._start[b] + x.row], target[self._start[c] + x.col], x.data))

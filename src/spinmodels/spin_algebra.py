@@ -18,16 +18,16 @@ every routine that needs a Hermitian input refuses others by one check that
 names the input; iterative solver residuals are judged against SOLVER_TOL
 relative to the operator norm.
 
-Every dense eigensolve of an operator (Lanczos solves its Ritz matrices
-directly) goes through :func:`hermitian_eig`, which splits the matrix into
-the invariant blocks of its exact nonzero pattern, found by a numpy min-label
-search (Shiloach and Vishkin, 1982), and solves each block in float64 when
-it is real or its imaginary part is exactly zero (:func:`exact_real`).  For
-eigenvalues alone, a bipartite block [[0, X], [X^H, 0]] is one SVD of X.  In
-the decreasing-S3 basis, flipping every site's m -> -m is the index reversal
-i -> n-1-i for every local dimension, so a matrix that equals its reversal
-exactly is flip-symmetric with no lattice data: its +-m blocks are solved
-once per pair, and a block that is its own mirror as two halves.
+Every dense eigensolve of an operator (Lanczos and diagonal light-cone scans
+solve their small matrices directly) goes through :func:`hermitian_eig`,
+which splits the matrix into the invariant blocks of its exact nonzero
+pattern, found by a numpy min-label search (Shiloach and Vishkin, 1982), and
+solves each block in float64 when it is real or its imaginary part is
+exactly zero (:func:`exact_real`).  In the decreasing-S3 basis, flipping
+every site's m -> -m is the index reversal i -> n-1-i for every local
+dimension, so a matrix that equals its reversal exactly is flip-symmetric
+with no lattice data: its +-m blocks are solved once per pair, and a block
+that is its own mirror as two halves.
 """
 
 from __future__ import annotations
@@ -216,24 +216,26 @@ def exact_real(m: np.ndarray) -> np.ndarray:
     return m.real if np.iscomplexobj(m) and not m.imag.any() else m
 
 
+def _diagonal(m) -> bool:
+    """Whether ``m`` is canonical CSR with at most one entry a row, on the diagonal."""
+    return (sp.issparse(m) and m.nnz <= m.shape[0] and m.has_canonical_format
+            and np.array_equal(m.indices, np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))))
+
+
 def commutator(a, b):
     """[A, B] = AB - BA, as the ndarray or CSR matrix that the product gives;
-    for a CSR pair of a canonical X and a diagonal D (each row at most one
-    entry, on the diagonal; a missing d_i counts 0) in O(nnz): [X, D] is
-    x_ij d_j - d_i x_ij and [D, X] its negative, zeros dropped, the products'
-    entries in canonical order."""
+    for a CSR pair of a canonical X and a :func:`_diagonal` D (a missing d_i
+    counts 0) in O(nnz): [X, D] is x_ij d_j - d_i x_ij and [D, X] its
+    negative, zeros dropped, the products' entries in canonical order."""
     ma, mb = _operands(a, b)
-    if sp.issparse(ma) and sp.issparse(mb):
-        n = ma.shape[0]
-        for x, d, left in ((ma, mb, False), (mb, ma, True)):
-            if (d.nnz <= n and d.has_canonical_format and x.has_canonical_format
-                    and np.array_equal(d.indices, np.repeat(np.arange(n), np.diff(d.indptr)))):
-                full = d.diagonal()
-                xd, dx = x.data * full[x.indices], np.repeat(full, np.diff(x.indptr)) * x.data
-                data = dx - xd if left else xd - dx
-                kept = np.flatnonzero(data != 0)
-                return sp.csr_array((data[kept], x.indices[kept], np.searchsorted(kept, x.indptr)),
-                                    shape=x.shape)
+    for x, d, left in ((ma, mb, False), (mb, ma, True)):
+        if _diagonal(d) and sp.issparse(x) and x.has_canonical_format:
+            full = d.diagonal()
+            xd, dx = x.data * full[x.indices], np.repeat(full, np.diff(x.indptr)) * x.data
+            data = dx - xd if left else xd - dx
+            kept = np.flatnonzero(data != 0)
+            return sp.csr_array((data[kept], x.indices[kept], np.searchsorted(kept, x.indptr)),
+                                shape=x.shape)
     return ma @ mb - mb @ ma
 
 
@@ -281,7 +283,6 @@ class _BlockPlan(NamedTuple):
     starts: np.ndarray  # block 0 holds every size-1 component, then each larger one, ascending
     flip: bool  # J m J == m exactly, a CSR matrix only in canonical format
     mirror: np.ndarray  # the block J maps block b onto; b itself without flip
-    side: np.ndarray | None  # with sides: colour -1 or +1 in a bipartite component, else 0
 
     def mirrored(self, block):
         """The block J maps ``block`` (indices, eigenvalues, eigenvectors or
@@ -325,40 +326,28 @@ def _components(indptr, indices) -> np.ndarray:
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
 
 
-def _block_plan(m, sides: bool = False) -> _BlockPlan:
+def _block_plan(m) -> _BlockPlan:
     """The :class:`_BlockPlan` of an ndarray or CSR matrix, in O(nnz) for CSR,
-    its pattern an undirected graph searched by :func:`_components`.  With
-    ``sides`` one search on its bipartite double cover, edges (i, 0)--(j, 1)
-    and (j, 0)--(i, 1) for each nonzero m_ij, puts (i, 0) and (i, 1) apart
-    exactly in a bipartite component (a diagonal entry joins them); for c its
-    first index, (c, 0) has the smaller label and side -1, listed first in a
-    bipartite block.  Stored zeros join no block; ``m`` is not rewritten."""
+    its pattern an undirected graph searched by :func:`_components`.  Stored
+    zeros join no block; ``m`` is not rewritten."""
     n, ptr, flip = m.shape[0], None, _flip_parity(m) == 1
     if sp.issparse(m):
         keep = m.data != 0
         ptr, cols = np.concatenate(([0], np.cumsum(keep)))[m.indptr], m.indices[keep]
     else:
         pattern = m != 0
-        # a dense row with no zero, its diagonal included, joins every index
-        # into one block that is not bipartite: no graph search
+        # a dense row with no zero joins every index into one block: no graph search
         if n and not pattern.all(axis=1).any():
             pattern = sp.csr_array(pattern)
             ptr, cols = pattern.indptr, pattern.indices
-    if ptr is None:
-        labels, side = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-    elif not sides:
-        labels, side = _components(ptr, cols), None
-    else:
-        cover = np.concatenate((ptr, ptr[1:] + ptr[-1])), np.concatenate((cols + n, cols))
-        half = _components(*cover).reshape(2, n)
-        labels, side = np.unique(half.min(axis=0), return_inverse=True)[1], np.sign(half[0] - half[1])
+    labels = np.zeros(n, dtype=np.intp) if ptr is None else _components(ptr, cols)
     sizes = np.bincount(labels)
     block = np.where(sizes > 1, np.cumsum(sizes > 1), 0)[labels]  # each index's block
-    members = np.argsort(2 * block + ((side > 0) & (block > 0)) if sides else block, kind="stable")
+    members = np.argsort(block, kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(block, minlength=1))))
     mirror = (np.concatenate(([0], block[n - 1 - members[starts[1:-1]]])) if flip
               else np.arange(starts.size - 1))
-    return _BlockPlan(labels, members, starts, flip, mirror, side if sides else None)
+    return _BlockPlan(labels, members, starts, flip, mirror)
 
 
 def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
@@ -369,14 +358,11 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     basis vectors and no tolerance decides them: a coupling of any size, noise
     included, joins two blocks.  Each block of size > 1 is one LAPACK call, in
     float64 when ``m`` is real or the block's imaginary part is exactly zero
-    (:func:`exact_real`), else complex128; size-1 blocks are their
-    diagonal entries, read in one step.  With ``vectors=False`` a bipartite
-    block, [[0, X], [X^H, 0]] up to a permutation, is one ``svd`` of its
-    corner X, all it reads: +-sigma(X) and |n0 - n1| zeros (Golub and Van
-    Loan, *Matrix Computations*, 4th ed., section 8.6.1).  Every other solve
-    reads only the lower triangle of its block, like LAPACK.  Eigenvalues are
-    merged by a stable ascending sort.  The eigenvectors stay per block (see
-    :class:`HermitianEig`); :func:`eigenvector_columns` scatters them.
+    (:func:`exact_real`), else complex128, reading only the block's lower
+    triangle; size-1 blocks are their diagonal entries, read in one step.
+    Eigenvalues are merged by a stable ascending sort.  The eigenvectors stay
+    per block (see :class:`HermitianEig`); :func:`eigenvector_columns`
+    scatters them.
 
     ``plan.flip`` is whether J m J == m exactly, J the index reversal i -> n-1-i
     (spin flip in the decreasing-S3 basis), tested on the input as given.
@@ -386,7 +372,7 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     indices ascend), sorted by eigenvalue.
     """
     m = as_matrix(m)
-    plan = _block_plan(m, sides=not vectors)
+    plan = _block_plan(m)
     singles = plan.members[:plan.starts[1]]
     eye = sp.eye_array(singles.size, format="csr") if vectors and singles.size else np.eye(0)
     blocks = [(singles, m.diagonal()[singles].real, eye)]
@@ -397,13 +383,6 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
         idx = plan.members[s:e]
         if plan.mirror[b] < b:  # J maps this block onto a solved one, reversed
             blocks.append(plan.mirrored(blocks[plan.mirror[b]]))
-            continue
-        mid = s if vectors else s + np.count_nonzero(plan.side[idx] < 0)
-        if mid > s:  # [[0, X], [X^H, 0]]: +-sigma(X) and |n0 - n1| zeros
-            x = m[np.ix_(*np.split(idx, [mid - s]))] if p is None else p[s:mid, mid:e].toarray()
-            sigma = np.linalg.svd(exact_real(x), compute_uv=False)
-            zeros = np.zeros(abs(s + e - 2 * mid))
-            blocks.append((idx, np.concatenate((-sigma, zeros, sigma)), None))
             continue
         block = exact_real(m[np.ix_(idx, idx)] if p is None else p[s:e, s:e].toarray())
         if plan.flip and plan.mirror[b] == b:

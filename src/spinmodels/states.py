@@ -122,7 +122,8 @@ class DensityMatrix:
         tr = float(np.trace(rho).real)
         if tr <= 0:
             raise DomainError("mixture has zero trace")
-        return cls(rho / tr, validate=False)
+        rho /= tr
+        return cls(rho, validate=False)
 
 
 @dataclass
@@ -149,25 +150,26 @@ def gibbs(h, beta: float) -> GibbsState:
     """Gibbs state at inverse temperature beta >= 0 (dense route).
 
     ``h`` is a Hamiltonian or its EigenSystem, which keeps the last state
-    built.  rho is built one block at a time, with weights relative to the
-    smallest eigenvalue so no beta overflows, then re-symmetrized and
-    re-normalized so the state invariants hold to rounding at any beta.
+    built and drops it before building another.  rho is built block by block,
+    weights relative to the smallest eigenvalue so no beta overflows, each
+    block re-symmetrized and rho re-normalized in place to hold the invariants.
     """
     beta = _beta(beta)
     es = EigenSystem.of(h)
     if getattr(es.gibbs_memo, "beta", None) == beta:
         return es.gibbs_memo
+    es.gibbs_memo = None
     w0 = es.eigenvalues[0]
     s = float(np.sum(np.exp(-beta * (es.eigenvalues - w0))))
     rho = np.zeros((es.dim, es.dim), np.result_type(*(v.dtype for _, _, v in es.blocks)))
     for b, (idx, w, v) in enumerate(es.blocks):
         p = np.exp(-beta * (w - w0)) / s
         if b:
-            rho[np.ix_(idx, idx)] = (v * p) @ v.conj().T
-        else:  # the size-1 blocks: their vectors are the identity
+            block = (v * p) @ v.conj().T
+            rho[np.ix_(idx, idx)] = (block + block.conj().T) / 2.0
+        else:  # the size-1 blocks: their vectors are the identity, p is real
             rho[idx, idx] = p
-    rho = (rho + rho.conj().T) / 2.0
-    rho = rho / float(np.trace(rho).real)
+    rho /= float(np.trace(rho).real)
     log_z = float(np.log(s) - beta * w0)
     es.gibbs_memo = GibbsState(rho=DensityMatrix(rho, validate=False), log_z=log_z, beta=beta)
     return es.gibbs_memo

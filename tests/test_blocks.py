@@ -20,6 +20,7 @@ from spinmodels import (
     EigenSystem,
     build_model_hamiltonian,
     chain_volume,
+    commutator,
     eeb_deficit,
     eeb_terms,
     embed,
@@ -173,13 +174,19 @@ def test_evolve_vector_matches_full_eigh(case):
     assert np.max(np.abs(es.evolve_vector(psi, 0.8) - want)) < 1e-12 * np.linalg.norm(psi)
 
 
-def test_light_cone_scan_of_s1_matches_dense_reference(tmp_path):
+def test_light_cone_scan_of_s1_matches_dense_reference(tmp_path, monkeypatch):
     sec = {"times": [0.0, 0.5, 1.5], "distances": [1, 2, 3, 4, 5], "observable": "s1"}
     doc = {"schema_version": 1, "task": "dynamics",
            "model": {"name": "heisenberg", "params": {"J": 1.0}},
            "volume": {"dims": [6], "boundary": "open"}, "dynamics": sec,
            "output": {"json": "scan.json", "csv": "scan.csv"}}
+    # S1 is not diagonal: each norm is one hermitian_eig of a CSR commutator
+    from spinmodels import dynamics
+
+    solves, solve = [], dynamics.hermitian_eig
+    monkeypatch.setattr(dynamics, "hermitian_eig", lambda m, **k: solves.append(1) or solve(m, **k))
     payload = json.loads(run_spec(parse_spec_dict(doc), tmp_path).read_text())["payload"]
+    assert len(solves) == 15
     vol = chain_volume(6, "open")
     h = build_model_hamiltonian("heisenberg", {"J": 1.0}, vol)
     w, v, _ = _full_eigh(h)
@@ -195,9 +202,9 @@ def test_light_cone_scan_of_s1_matches_dense_reference(tmp_path):
 
 
 def test_pattern_blocks_are_the_plain_components_in_order(case):
-    # the double-cover search labels H's blocks, and those of a light-cone
-    # commutator i[alpha_t(S1_0), S1_x], as the plain components do: same
-    # labels, so the eigenvalue-only solve has the same block order and sizes
+    # the numpy search labels H's blocks, and those of a light-cone
+    # commutator i[alpha_t(S1_0), S1_x], as scipy's components do, and the
+    # eigenvalue-only solve has the same block order and sizes
     h, vol = case
     es = EigenSystem(h)
     at = es.evolve(_observables(vol)["s1"], 0.7)
@@ -206,7 +213,6 @@ def test_pattern_blocks_are_the_plain_components_in_order(case):
     for m in (h, c, c.toarray()):
         _, plain = connected_components(sp.csr_array(m) != 0, directed=False)
         assert np.array_equal(_block_plan(m).labels, plain)
-        assert np.array_equal(_block_plan(m, sides=True).labels, plain)
         eig = hermitian_eig(m)
         assert np.array_equal(eig.plan.labels, plain)
         large = [k for k in range(plain.max() + 1) if np.sum(plain == k) > 1]
@@ -246,26 +252,26 @@ def test_component_search_matches_scipy_on_random_patterns():
         assert np.array_equal(got, _scipy_labels(indptr, indices))
 
 
-def test_component_search_matches_scipy_on_light_cone_covers_and_models(monkeypatch):
-    # every pattern the bench lightcone scan searches (H's plain pattern and
-    # the double covers of its 32 commutators i[alpha_t(S3_0), S3_x]), and
-    # the plain pattern and double cover of every model record's H
+def test_component_search_matches_scipy_on_light_cone_and_model_patterns(monkeypatch):
+    # every pattern the bench lightcone scan searches (H and the Grams of
+    # its norms), those of an S1 scan (its commutators i[alpha_t(S1_0), S1_x]
+    # too), and the pattern of every model record's H
     seen, search = [], spin_algebra._components
     monkeypatch.setattr(spin_algebra, "_components",
                         lambda ptr, idx: seen.append((ptr, idx)) or search(ptr, idx))
-    s3 = spin_matrices(0.5).s3
-    lr_scan(heisenberg(j=1.0), chain_volume(9, "open"), s3, s3, [0.0, 0.5, 1.0, 2.0],
+    ops = spin_matrices(0.5)
+    lr_scan(heisenberg(j=1.0), chain_volume(9, "open"), ops.s3, ops.s3, [0.0, 0.5, 1.0, 2.0],
             list(range(1, 9)))
-    assert {ptr.size - 1 for ptr, _ in seen} == {512, 1024}
+    lr_scan(heisenberg(j=1.0), chain_volume(6, "open"), ops.s1, ops.s1, [0.0, 0.5, 1.0],
+            list(range(1, 6)))
+    assert {ptr.size - 1 for ptr, _ in seen} == {512, 64}
     for name, boundary in _RECORDS:
         params = _PARAMS.get(name, {})
         local_dim = MODELS[name].interaction(params).local_dim
         vol = chain_volume(4 if local_dim > 2 else 6, boundary, local_dim=local_dim)
-        h = build_model_hamiltonian(name, params, vol)
-        _block_plan(h)
-        _block_plan(h, sides=True)
+        _block_plan(build_model_hamiltonian(name, params, vol))
     monkeypatch.undo()
-    assert len(seen) > 2 * len(_RECORDS)
+    assert len(seen) > 15 + len(_RECORDS)
     for indptr, indices in seen:
         assert np.array_equal(spin_algebra._components(indptr, indices),
                               _scipy_labels(indptr, indices))
@@ -301,8 +307,8 @@ def test_both_routes_copy_mirror_blocks_from_one_plan(name, boundary, monkeypatc
     plans, copies, build = [], [], spin_algebra._block_plan
     mirrored = spin_algebra._BlockPlan.mirrored
 
-    def recording_plan(m, sides=False):
-        plans.append(build(m, sides))
+    def recording_plan(m):
+        plans.append(build(m))
         copies.append([])
         return plans[-1]
 
@@ -343,10 +349,10 @@ def test_both_routes_copy_mirror_blocks_from_one_plan(name, boundary, monkeypatc
 
 
 def test_light_cone_scan_norms_come_from_svd_alone(monkeypatch):
-    # the bench lightcone spec: every block of i[alpha_t(S3_0), S3_x] is
-    # [[0, X], [X^H, 0]] (S3_x is diagonal with two values), so no eigvalsh
-    # runs, and the norms match a dense eigvalsh of the commutator built from
-    # a full complex eigh
+    # the bench lightcone spec: on each of H's blocks S3_x is diagonal with
+    # two values, so the norm of i[alpha_t(S3_0), S3_x] there is one corner
+    # SVD and no eigvalsh runs; the norms match a dense eigvalsh of the
+    # commutator built from a full complex eigh
     times, dists = [0.0, 0.5, 1.0, 2.0], list(range(1, 9))
     vol = chain_volume(9, "open")
     s3 = spin_matrices(0.5).s3
@@ -370,20 +376,75 @@ def test_light_cone_scan_norms_come_from_svd_alone(monkeypatch):
 
 
 def test_light_cone_scan_copies_half_its_corner_svds(monkeypatch):
-    # the bench lightcone spec: alpha_t(S3_0) stays flip-odd bit for bit and
-    # the diagonal commutator keeps it, so each t > 0 commutator reads flip
-    # and its -m blocks copy the +m blocks' SVDs: 96 instead of 192
+    # the bench lightcone spec: H, S3_0 and every S3_x have a flip parity, so
+    # the -m blocks of H repeat the +m blocks' norms and are skipped: 96 corner
+    # SVDs (3 times t > 0, 8 distances, 4 of H's 8 blocks).  No alpha_t(A) is
+    # built as a matrix, no commutator is formed, no hermitian_eig runs, and
+    # the t = 0 row is written as exact zeros
     from spinmodels import dynamics
 
-    svds, flips = [], []
-    svd, solve = np.linalg.svd, dynamics.hermitian_eig
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
-    monkeypatch.setattr(dynamics, "hermitian_eig",
-                        lambda m, **k: flips.append(solve(m, **k)) or flips[-1])
+    calls = {"svd": 0, "eigvalsh": 0, "commutator": 0, "hermitian_eig": 0}
+    for module, name in ((np.linalg, "svd"), (np.linalg, "eigvalsh"),
+                         (dynamics, "commutator"), (dynamics, "hermitian_eig")):
+        def counted(*a, _name=name, _call=getattr(module, name), **k):
+            calls[_name] += 1
+            return _call(*a, **k)
+        monkeypatch.setattr(module, name, counted)
+    for method in ("evolve", "_conjugate"):
+        monkeypatch.setattr(EigenSystem, method, lambda *a, **k: pytest.fail("built alpha_t(A)"))
     s3 = spin_matrices(0.5).s3
-    lr_scan(heisenberg(j=1.0), chain_volume(9, "open"), s3, s3, [0.0, 0.5, 1.0, 2.0], range(1, 9))
-    assert len(svds) == 96 and len(flips) == 32
-    assert all(eig.plan.flip for eig in flips[8:])
+    scan = lr_scan(heisenberg(j=1.0), chain_volume(9, "open"), s3, s3, [0.0, 0.5, 1.0, 2.0],
+                   range(1, 9))
+    assert calls == {"svd": 96, "eigvalsh": 0, "commutator": 0, "hermitian_eig": 0}
+    assert scan.norms[0].tolist() == [0.0] * 8 and np.all(scan.norms[1:] > 0)
+
+
+@pytest.mark.parametrize("name, boundary", _RECORDS, ids=[f"{n}-{b}" for n, b in _RECORDS])
+def test_diagonal_light_cone_route_matches_the_commutator_route_and_full_eigh(
+        name, boundary, monkeypatch):
+    # for A = B = S3, and for A = S3 + 0.3 (no flip parity, so no mirror
+    # block is skipped) with B = 2 S3, the block route matches hermitian_eig
+    # of the CSR commutator and the dense commutator of a full complex eigh;
+    # AKLT's three-valued S3 takes the eigvalsh branch, a two-valued S3 one
+    # SVD per block and distance; each block is flowed once per t > 0
+    params = _PARAMS.get(name, {})
+    interaction = MODELS[name].interaction(params)
+    vol = chain_volume(4 if interaction.local_dim > 2 else 6, boundary,
+                       local_dim=interaction.local_dim)
+    s3 = spin_matrices((vol.local_dim - 1) / 2.0).s3
+    es = EigenSystem(build_model_hamiltonian(name, params, vol))
+    w, v, _ = _full_eigh(es.h)
+    times, dists = [0.0, 0.4, 1.1], list(range(vol.num_sites))
+    for a_local, b_local, parity in ((s3, s3, -1), (s3 + 0.3 * np.eye(vol.local_dim), 2 * s3, 0)):
+        calls = dict.fromkeys(("flow", "svd", "eigvalsh"), 0)
+        with monkeypatch.context() as patch:
+            for owner, attr in ((EigenSystem, "flow"), (np.linalg, "svd"),
+                                (np.linalg, "eigvalsh")):
+                def counted(*a, _attr=attr, _call=getattr(owner, attr), **k):
+                    calls[_attr] += 1
+                    return _call(*a, **k)
+                patch.setattr(owner, attr, counted)
+            scan = lr_scan(interaction, vol, a_local, b_local, times, dists)
+        assert scan.norms[0].tolist() == [0.0] * len(dists)
+        skip = es.plan.flip and parity != 0
+        solved = sum(1 for b in range(1, es.plan.starts.size - 1)
+                     if not skip or es.plan.mirror[b] >= b)
+        assert calls["flow"] == 2 * solved
+        if vol.local_dim > 2:
+            assert calls["eigvalsh"] > 0
+        else:
+            assert calls == {"flow": 2 * solved, "svd": 2 * solved * len(dists), "eigvalsh": 0}
+        a = embed(a_local, [(0,)], vol)
+        for i, t in enumerate(times):
+            at = es.evolve(a, t)
+            u = (v * np.exp(-1j * t * w)) @ v.conj().T
+            at_full = u.conj().T @ a.toarray() @ u
+            for j, x in enumerate(dists):
+                b = embed(b_local, [(x,)], vol)
+                csr = np.abs(hermitian_eig(commutator(at, 1j * b), vectors=False).eigenvalues).max()
+                full = np.linalg.norm(at_full @ b.toarray() - b.toarray() @ at_full, 2)
+                for want in (csr, full):
+                    assert abs(scan.norms[i, j] - want) <= 1e-13 * scan.bound
 
 
 def test_light_cone_scan_refuses_non_hermitian_observables():

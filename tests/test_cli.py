@@ -573,6 +573,7 @@ def test_krylov_spectrum_lists_whole_multiplets(tmp_path):
     ("verify.json", 3),
     ("thermal.json", 3),
     ("dynamics.json", 3),
+    ("dynamics_aklt.json", 3),
     ("spectrum.json", 0),
     ("spectrum_ferro.json", 0),
     ("spectrum_spin1.json", 3),
@@ -692,6 +693,7 @@ def test_exactly_zero_operators_reach_no_arpack(tmp_path, capsys, task, section,
 @pytest.mark.parametrize("name, dim, per_point", [
     ("verify.json", 32, False),
     ("thermal.json", 64, False),
+    ("dynamics_aklt.json", 729, False),
     ("spectrum.json", 256, False),
     ("spectrum_spin1.json", 243, False),
     ("scan.json", 64, True),

@@ -36,7 +36,6 @@ from spinmodels.spin_algebra import (
     DENSE_CUTOFF,
     as_matrix,
     eigenvector_columns,
-    exact_real,
     hermitian_eig,
 )
 
@@ -311,119 +310,16 @@ def test_hermitian_eig_matches_full_eigh_on_permuted_blocks():
         assert hermitian_eig(joined, vectors=False).plan.labels.max() == len(sizes) - 2
 
 
-def _bipartite_block(rng, n0, n1, cplx):
-    """[[0, X], [X^H, 0]] with a random n0 x n1 corner X."""
-    x = rng.standard_normal((n0, n1)) + (1j * rng.standard_normal((n0, n1)) if cplx else 0)
-    return np.block([[np.zeros((n0, n0)), x], [x.conj().T, np.zeros((n1, n1))]])
-
-
-def _permuted(rng, m):
-    perm = rng.permutation(m.shape[0])
-    return m[np.ix_(perm, perm)]
-
-
-@pytest.fixture
-def solver_calls(monkeypatch):
-    """Counts of numpy.linalg.eigvalsh and numpy.linalg.svd calls."""
-    counts = {"eigvalsh": 0, "svd": 0}
-    for name in counts:
-        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
-            counts[_name] += 1
-            return _solve(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
-@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-def test_hermitian_eig_solves_a_bipartite_block_by_one_svd(solver_calls, cplx):
-    # [[0, X], [X^H, 0]] has eigenvalues +-sigma(X) and |n0 - n1| zeros
-    rng = np.random.default_rng(31)
-    for n0, n1 in ((3, 7), (6, 4), (1, 5)):
-        m = _permuted(rng, _bipartite_block(rng, n0, n1, cplx))
-        want = np.linalg.eigvalsh(m)
-        scale = np.max(np.abs(want))
-        for given in (m, sp.csr_array(m)):
-            solver_calls.update(eigvalsh=0, svd=0)
-            eig = hermitian_eig(given, vectors=False)
-            assert solver_calls == {"eigvalsh": 0, "svd": 1}
-            assert np.bincount(eig.plan.labels).tolist() == [n0 + n1]
-            assert np.max(np.abs(eig.eigenvalues - want)) <= 1e-13 * scale
-            # the eigenvectors still come from one eigh of the whole block
-            assert np.array_equal(hermitian_eig(given).eigenvalues,
-                                  np.linalg.eigh(exact_real(m))[0])
-
-
-def test_a_diagonal_entry_sends_a_bipartite_block_back_to_eigvalsh(solver_calls):
-    rng = np.random.default_rng(37)
-    m = _bipartite_block(rng, 4, 6, True)
-    m[7, 7] = 0.5  # a self-loop joins the two copies of index 7 in the cover
-    m = _permuted(rng, m)
-    want = np.linalg.eigvalsh(m)
-    for given in (m, sp.csr_array(m)):
-        solver_calls.update(eigvalsh=0, svd=0)
-        w = hermitian_eig(given, vectors=False).eigenvalues
-        assert solver_calls == {"eigvalsh": 1, "svd": 0}
-        assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_hermitian_eig_mixes_bipartite_and_other_blocks(solver_calls):
-    rng = np.random.default_rng(41)
-    triangle = np.array([[0, 1, 2j], [1, 0, 3], [-2j, 3, 0]])  # odd cycle, zero diagonal
-    generic = rng.standard_normal((4, 4))
-    parts = [_bipartite_block(rng, 2, 5, False), triangle, np.diag([0.7]),
-             _bipartite_block(rng, 4, 3, True), generic + generic.T, np.zeros((1, 1))]
-    m = np.zeros((23, 23), dtype=complex)
-    start = 0
-    for part in parts:
-        k = part.shape[0]
-        m[start:start + k, start:start + k] = part
-        start += k
-    m = _permuted(rng, m)
-    want = np.linalg.eigvalsh(m)
-    plan = spin_algebra._block_plan(m, sides=True)
-    labels, side = plan.labels, plan.side
-    # every nonzero entry of a bipartite block joins its two colours
-    rows, cols = np.nonzero(m)
-    bipartite = side[rows] != 0
-    assert np.all(side[rows[bipartite]] == -side[cols[bipartite]])
-    # the two corners, and the zero 1 x 1 block, whose index has no edge
-    assert sorted(np.bincount(labels)[np.unique(labels[side != 0])].tolist()) == [1, 7, 7]
-    for given in (m, sp.csr_array(m)):
-        solver_calls.update(eigvalsh=0, svd=0)
-        eig = hermitian_eig(given, vectors=False)
-        assert solver_calls == {"eigvalsh": 2, "svd": 2}
-        assert sorted(np.bincount(eig.plan.labels).tolist()) == [1, 1, 3, 4, 7, 7]
-        assert np.max(np.abs(eig.eigenvalues - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_cover_of_a_one_directional_pattern_gives_the_plain_blocks():
-    # the cover gets both edges of each nonzero entry, so a pattern that is
-    # not symmetric still has its plain components: m_10 and m_12 alone make
-    # one bipartite block, and a directed 3-cycle one odd, non-bipartite block
-    star = np.zeros((3, 3))
-    star[1, 0] = star[1, 2] = 1.0
-    cycle = np.roll(np.eye(3), 1, axis=1)
-    for m, colours in ((star, [1, -1, 1]), (cycle, [0, 0, 0])):
-        for given in (m, sp.csr_array(m)):
-            plan = spin_algebra._block_plan(given, sides=True)
-            labels, side = plan.labels, plan.side
-            assert labels.tolist() == [0, 0, 0]
-            assert (side * (side[0] or 1)).tolist() == colours
-
-
 def test_a_dense_row_with_no_zero_makes_one_block_without_a_graph_search(monkeypatch):
-    # such a row joins every index, and its diagonal entry makes the block
-    # not bipartite; a graph search on a dense pattern of n^2 entries would
-    # cost far more than the answer, so none runs
+    # such a row joins every index; a graph search on a dense pattern of n^2
+    # entries would cost far more than the answer, so none runs
     rng = np.random.default_rng(5)
     psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     m = np.outer(psi, psi.conj())
     monkeypatch.setattr(spin_algebra, "_components",
                         lambda *a, **k: pytest.fail("searched the pattern of a full row"))
-    for sides in (False, True):
-        plan = spin_algebra._block_plan(m, sides=sides)
-        assert plan.labels.tolist() == [0] * 9 and plan.starts.tolist() == [0, 0, 9]
-        assert (plan.side.tolist() == [0] * 9) if sides else plan.side is None
+    plan = spin_algebra._block_plan(m)
+    assert plan.labels.tolist() == [0] * 9 and plan.starts.tolist() == [0, 0, 9]
     norm2 = np.vdot(psi, psi).real
     assert abs(hermitian_eig(m, vectors=False).eigenvalues[-1] - norm2) < 1e-13 * norm2
 
@@ -516,7 +412,7 @@ def test_operator_norm_gram_of_a_flip_symmetric_matrix_takes_the_flip(monkeypatc
     assert spin_algebra._block_plan(gram).flip
     plans, build = [], spin_algebra._block_plan
     monkeypatch.setattr(spin_algebra, "_block_plan",
-                        lambda m, sides=False: plans.append(build(m, sides)) or plans[-1])
+                        lambda m: plans.append(build(m)) or plans[-1])
     got = operator_norm(h)
     want = np.linalg.svd(h.toarray(), compute_uv=False)[0]
     assert [plan.flip for plan in plans] == [True]
