@@ -80,8 +80,10 @@ from .spectra import (
     two_point,
 )
 from .states import (
+    BlockDensity,
     DensityMatrix,
     GibbsState,
+    Mixture,
     StateVector,
     eeb_deficit,
     eeb_terms,

@@ -410,6 +410,8 @@ class Check:
         seed: probe-seed offset from the spec seed; None for a deterministic
             check, which draws no probes.
         per_beta: the check runs at every verify beta and reports the worst.
+        reads_b: the check reads the B of each probe pair (A, B); without
+            it B is drawn but not embedded, and the pair is (A, None).
         prepare: (run, probe pairs) -> what ``run`` reads in their place,
             computed once: a per-beta check's beta-independent probe terms.
         witness: (key, run -> value) of a value reported beside ``value``
@@ -422,6 +424,7 @@ class Check:
     upper: bool
     seed: int | None = None
     per_beta: bool = False
+    reads_b: bool = False
     prepare: Callable[[_Run, list], list] = lambda run, pairs: pairs
     witness: tuple[str, Callable[[_Run], float]] | None = None
 
@@ -431,7 +434,8 @@ class Check:
         if self.seed is None:
             return None
         return self.prepare(run, random_probe_pairs(run.volume, run.spec.seed + self.seed,
-                                                    run.params["num_probes"]))
+                                                    run.params["num_probes"],
+                                                    embed_b=self.reads_b))
 
     def worst(self, values) -> float:
         return float(max(values) if self.upper else min(values))
@@ -444,6 +448,7 @@ CHECKS = {
     "algebra": Check(_check_algebra, "residual", STRUCTURE_TOL, upper=True),
     "symmetry": Check(_check_symmetry, "residual", 1e-10, upper=True),
     "kms": Check(_check_kms, "max_residual", 1e-10, upper=True, seed=0, per_beta=True,
+                 reads_b=True,
                  prepare=lambda run, pairs: [kms_terms(run.es, a, b) for a, b in pairs],
                  witness=("orthogonality_defect", lambda run: run.es.orthogonality_defect)),
     "eeb": Check(_check_eeb, "min_deficit", -1e-10, upper=False, seed=1, per_beta=True,

@@ -118,8 +118,6 @@ class EigenSystem:
         self.gibbs_memo = None  # the last state built by states.gibbs
         # the plan's block order lists the blocks' basis indices, and their columns, in turn
         self._start, self._basis = self.plan.starts, self.plan.members
-        self._label = np.repeat(np.arange(len(self.blocks)), np.diff(self._start))
-        self._position = np.argsort(self._basis)  # basis index -> place in block order
         self._vectors = [None] + [v for _, _, v in self.blocks[1:]]  # None: the identity
         w = np.concatenate([w for _, w, _ in self.blocks])
         self._rank = np.argsort(np.argsort(w, kind="stable"))  # ascending index
@@ -151,15 +149,14 @@ class EigenSystem:
 
     def _entries(self, a):
         """A's CSR entries (i, j, d), a dense A converted once, in block order
-        through one inverse permutation, with their pair keys b * nb + c."""
+        (``_BlockPlan.places``), with their pair keys b * nb + c."""
         m = sp.csr_array(as_matrix(a))
         if m.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
             )
-        row = self._position[np.repeat(np.arange(self.dim), np.diff(m.indptr))]
-        col = self._position[m.indices]
-        return self._label[row] * len(self.blocks) + self._label[col], row, col, m.data
+        br, bc, row, col = self.plan.places(m)
+        return br * len(self.blocks) + bc, row, col, m.data
 
     def coupled(self, a) -> set[tuple[int, int]]:
         """The pairs (b, c) of ``blocks`` that A couples: label lookups on its
@@ -460,9 +457,10 @@ _TWO_POINT_KINDS = ("sdots", "s3s3")
 def two_point(state, x, y, volume: Volume, kind: str = "sdots") -> float:
     """<S_x . S_y> ("sdots") or <S3_x S3_y> ("s3s3") in ``state``.
 
-    ``state`` is a StateVector, DensityMatrix, or plain vector.  x == y is
-    allowed (on-site moment).  The value is the real part; for Hermitian
-    observables the imaginary part is zero to rounding.
+    ``state`` is any state :func:`spinmodels.states.expectation` reads: a
+    StateVector, Mixture, BlockDensity, DensityMatrix, or plain vector.
+    x == y is allowed (on-site moment).  The value is the real part; for
+    Hermitian observables the imaginary part is zero to rounding.
     """
     from .states import expectation
 

@@ -290,6 +290,17 @@ class _BlockPlan(NamedTuple):
         idx, w, v = block
         return (self.labels.size - 1 - idx)[::-1], w, None if v is None else v[::-1]
 
+    def places(self, m):
+        """The stored entries of the CSR matrix ``m`` read in block order:
+        the blocks of their rows and columns, then the places of their rows
+        and columns in block order (an index's place in ``members``)."""
+        n = self.labels.size
+        place = np.empty(n, np.intp)
+        place[self.members] = np.arange(n)
+        block = np.repeat(np.arange(self.starts.size - 1), np.diff(self.starts))
+        row, col = place[np.repeat(np.arange(n), np.diff(m.indptr))], place[m.indices]
+        return block[row], block[col], row, col
+
 
 class HermitianEig(NamedTuple):
     """Eigenvalues (ascending), the blocks (None when eigenvectors were not
@@ -376,15 +387,25 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     singles = plan.members[:plan.starts[1]]
     eye = sp.eye_array(singles.size, format="csr") if vectors and singles.size else np.eye(0)
     blocks = [(singles, m.diagonal()[singles].real, eye)]
-    # a CSR matrix is permuted into block order once; its blocks are then slices
-    p = m[plan.members][:, plan.members] if sp.issparse(m) else None
+    if sp.issparse(m):  # the entries inside a block of size > 1, by block, each in CSR order
+        br, bc, row, col = plan.places(m)
+        inside = np.flatnonzero((br == bc) & (br > 0))
+        inside = inside[np.argsort(row[inside], kind="stable")]
+        row, col, data = row[inside], col[inside], m.data[inside]
+        cut = np.searchsorted(row, plan.starts)
     for b in range(1, plan.starts.size - 1):
         s, e = plan.starts[b], plan.starts[b + 1]
         idx = plan.members[s:e]
         if plan.mirror[b] < b:  # J maps this block onto a solved one, reversed
             blocks.append(plan.mirrored(blocks[plan.mirror[b]]))
             continue
-        block = exact_real(m[np.ix_(idx, idx)] if p is None else p[s:e, s:e].toarray())
+        if sp.issparse(m):  # one scatter of the block's entries; duplicates add
+            block = np.zeros((e - s, e - s), m.dtype)
+            np.add.at(block, (row[cut[b]:cut[b + 1]] - s, col[cut[b]:cut[b + 1]] - s),
+                      data[cut[b]:cut[b + 1]])
+        else:
+            block = m[np.ix_(idx, idx)]
+        block = exact_real(block)
         if plan.flip and plan.mirror[b] == b:
             blocks.append((idx, *_mirror_halves(block, vectors)))
         else:

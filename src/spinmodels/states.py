@@ -4,11 +4,20 @@ The three equilibrium checks all evaluate finite-volume identities exactly
 (up to rounding).  ``gibbs`` and ``kms_residual`` work block by block on
 the eigendecomposition of a :class:`spinmodels.spectra.EigenSystem`: pass one
 built once to share it (and its last Gibbs state), or pass H to build one per
-call.  Probes and H stay CSR, so products such as X* [H, X] are sparse, and
-an expectation in a density matrix, Tr(A rho) = sum A_jk rho_kj, is one
-gather of rho at the transposed positions of A's stored entries: O(nnz).
-A density matrix keeps its data's dtype, at least float64: for a real H the
-Gibbs state and the ground-state mixture are float64, half a complex128 rho.
+call.  Probes and H stay CSR, so products such as X* [H, X] are sparse.
+
+No state this module builds is a dim x dim array.  A Gibbs state is a
+:class:`BlockDensity`: rho_b = V_b diag(p_b) V_b^H per block of the
+EigenSystem's plan, the size-1 blocks as their weights, Sigma d_b^2 entries
+in all (20.6 MiB rather than 128 MiB for the xxz_suq2 chain at L=12).  An
+expectation in it, Tr(A rho) = sum A_jk rho_kj, is one gather of rho at the
+transposed positions of A's stored entries inside one block: O(nnz).  A
+ground multiplet, or any ``DensityMatrix.mixture`` or ``pure``, is a
+:class:`Mixture` of vectors and weights, so omega(A) and the stability value
+cost matvecs.  A caller's own dense ``DensityMatrix`` is read by the same
+O(nnz) gather over all of A's entries.  Each state keeps its data's dtype,
+at least float64: for a real H the Gibbs state and the ground-state mixture
+are float64.
 The KMS and entropy checks split into a beta-independent step per probe
 (``kms_terms``, ``eeb_terms``) and a cheap step per beta on its result.  The
 KMS flow side reads t_k = (V^H BA V)_kk from BA's diagonal blocks, which
@@ -22,7 +31,8 @@ weights below ``WEIGHT_FLOOR`` are degenerate.
 * entropy-production bound: beta * omega(X* [H, X]) >= omega(X*X) *
   log(omega(X*X) / omega(X X*)), evaluated as a deficit (>= 0 when the state
   is the Gibbs state at beta);
-* ground-state stability: <psi| A* [H, A] |psi> >= 0 for any ground vector.
+* ground-state stability: <psi| A* [H, A] |psi> >= 0 for any ground vector,
+  on matvecs in a Mixture.
 """
 
 from __future__ import annotations
@@ -35,8 +45,8 @@ import scipy.sparse as sp
 
 from .errors import DegenerateInputError, DimensionMismatchError, DomainError
 from .spectra import EigenSystem
-from .spin_algebra import (_dense, _hermitian, _operands, adjoint, as_matrix, commutator,
-                           hermitian_eig)
+from .spin_algebra import (_BlockPlan, _dense, _hermitian, _operands, adjoint, as_matrix,
+                           commutator, hermitian_eig)
 
 #: Validation tolerance for a state's norm, trace and positivity.
 STATE_TOL = 1e-12
@@ -72,7 +82,10 @@ class StateVector:
 
 
 class DensityMatrix:
-    """A positive semidefinite, unit-trace Hermitian matrix, stored dense."""
+    """A positive semidefinite, unit-trace Hermitian matrix, stored dense: a
+    caller's own rho.  The states this package builds are a :class:`Mixture`
+    (``pure``, ``mixture``) or a :class:`BlockDensity` (``gibbs``,
+    ``maximally_mixed``)."""
 
     __slots__ = ("matrix",)
 
@@ -98,39 +111,111 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def pure(cls, psi) -> "DensityMatrix":
+    def pure(cls, psi) -> "Mixture":
         """|psi><psi| / <psi|psi>, the ``mixture`` of one column."""
         return cls.mixture(np.reshape(psi.amplitudes if isinstance(psi, StateVector) else psi, -1))
 
     @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+    def maximally_mixed(cls, dim: int) -> "BlockDensity":
+        """I / dim, kept as the weights of dim size-1 blocks."""
         if dim < 1:
             raise DomainError(f"dimension must be positive, got {dim}")
-        return cls(np.eye(dim) / dim, validate=False)
+        n = np.arange(dim)
+        plan = _BlockPlan(n, n, np.array([0, dim]), False, np.zeros(1, np.intp))
+        return BlockDensity(plan, np.full(dim, 1.0 / dim))
 
     @classmethod
-    def mixture(cls, vectors) -> "DensityMatrix":
+    def mixture(cls, vectors) -> "Mixture":
         """Uniform mixture of the given (column) vectors — e.g. a ground-space
-        average.  The columns must be orthonormal, as a ground basis is: rho is
-        V V^H divided by its trace, with no orthonormalization."""
+        average.  The columns must be orthonormal, as a ground basis is: the
+        state is V V^H divided by its trace, kept as V and that weight, with
+        no orthonormalization."""
         v = _dense(vectors)
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2 or v.shape[1] == 0:
             raise DomainError("mixture needs a nonempty dim x k column stack")
-        rho = v @ v.conj().T
-        tr = float(np.trace(rho).real)
+        tr = float(np.vdot(v, v).real)
         if tr <= 0:
             raise DomainError("mixture has zero trace")
-        rho /= tr
-        return cls(rho, validate=False)
+        return Mixture(v, np.full(v.shape[1], 1.0 / tr))
+
+
+class Mixture:
+    """The state sum_i w_i |v_i><v_i|, kept as the dim x k column stack
+    ``vectors`` (at least float64, real if real) and the ``weights``, so
+    omega(A) = sum_i w_i <v_i, A v_i> costs k matvecs with A."""
+
+    __slots__ = ("vectors", "weights")
+
+    def __init__(self, vectors: np.ndarray, weights: np.ndarray):
+        self.vectors, self.weights = vectors, weights
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
+
+    def _sum(self, x, y) -> complex:
+        """sum_i w_i <x_i, y_i> over the columns of x and y."""
+        return complex(self.weights @ np.einsum("ij,ij->j", x.conj(), y))
+
+
+class BlockDensity:
+    """A density matrix that vanishes outside the invariant blocks of a
+    :class:`~spinmodels.spin_algebra._BlockPlan`, kept per block in the flat
+    array ``data``: block 0's size-1 blocks as their weights, then each
+    rho_b row-major, Sigma d_b^2 entries in all, not dim^2.  Entry rho_kj of
+    one block sits at ``data[_row[k] + _col[j]]``."""
+
+    __slots__ = ("plan", "data", "_row", "_col")
+
+    def __init__(self, plan, data: np.ndarray):
+        sizes, n0 = np.diff(plan.starts), plan.starts[1]
+        # in block order: each index's place in its block, and where its row starts
+        col = np.arange(plan.labels.size) - np.repeat(plan.starts[:-1], sizes)
+        first = np.cumsum(np.concatenate(([0, n0], sizes[1:] ** 2)))[:-1]  # each block's start
+        row = np.repeat(first, sizes) + col * np.repeat(sizes, sizes)
+        row[:n0], col[:n0] = np.arange(n0), 0  # block 0: a 1 x 1 block per index
+        self.plan, self.data = plan, data
+        self._row, self._col = np.empty_like(row), np.empty_like(col)
+        self._row[plan.members], self._col[plan.members] = row, col
+
+    @property
+    def dim(self) -> int:
+        return self.plan.labels.size
+
+    @property
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(basis indices, rho_b) per block of the plan, views of ``data``:
+        block 0 its weights (1-D), each larger block a d_b x d_b matrix."""
+        s, idx = self.plan.starts, self.plan.members
+        out, at = [(idx[:s[1]], self.data[:s[1]])], s[1]
+        for b in range(1, s.size - 1):
+            d = s[b + 1] - s[b]
+            out.append((idx[s[b]:s[b + 1]], self.data[at:at + d * d].reshape(d, d)))
+            at += d * d
+        return out
+
+
+_STATES = (StateVector, DensityMatrix, Mixture, BlockDensity)
+
+
+def _state(state):
+    """A state object as given, or a raw vector or matrix as a StateVector or
+    DensityMatrix, unvalidated."""
+    if isinstance(state, _STATES):
+        return state
+    arr = np.asarray(state)
+    if arr.ndim not in (1, 2):
+        raise DomainError(f"unsupported state with shape {arr.shape}")
+    return (StateVector if arr.ndim == 1 else DensityMatrix)(arr, validate=False)
 
 
 @dataclass
 class GibbsState:
     """exp(-beta H)/Z together with log Z (Z itself may overflow; log Z never)."""
 
-    rho: DensityMatrix
+    rho: BlockDensity
     log_z: float
     beta: float
 
@@ -147,12 +232,17 @@ def _beta(beta) -> float:
 
 
 def gibbs(h, beta: float) -> GibbsState:
-    """Gibbs state at inverse temperature beta >= 0 (dense route).
+    """Gibbs state at inverse temperature beta >= 0, kept per block.
 
     ``h`` is a Hamiltonian or its EigenSystem, which keeps the last state
-    built and drops it before building another.  rho is built block by block,
-    weights relative to the smallest eigenvalue so no beta overflows, each
-    block re-symmetrized and rho re-normalized in place to hold the invariants.
+    built and drops it before building another.  rho is a
+    :class:`BlockDensity` on the EigenSystem's plan: rho_b = V_b diag(p_b)
+    V_b^H in the blocks' common dtype (float64 for a real H), and the size-1
+    blocks their weights p, relative to the smallest eigenvalue so no beta
+    overflows.  Each block is re-symmetrized, and rho re-normalized in place
+    by its trace, summed in basis order.  A block that the spin flip maps
+    onto an earlier one (see ``_BlockPlan.mirrored``) copies that rho_b with
+    rows and columns reversed.
     """
     beta = _beta(beta)
     es = EigenSystem.of(h)
@@ -161,38 +251,54 @@ def gibbs(h, beta: float) -> GibbsState:
     es.gibbs_memo = None
     w0 = es.eigenvalues[0]
     s = float(np.sum(np.exp(-beta * (es.eigenvalues - w0))))
-    rho = np.zeros((es.dim, es.dim), np.result_type(*(v.dtype for _, _, v in es.blocks)))
-    for b, (idx, w, v) in enumerate(es.blocks):
+    sizes = np.diff(es.plan.starts)
+    data = np.empty(int(sizes[0] + np.sum(sizes[1:] ** 2)),
+                    np.result_type(*(v.dtype for _, _, v in es.blocks)))
+    rho, diagonal = BlockDensity(es.plan, data), np.empty(es.dim, data.dtype)
+    parts = rho.blocks
+    for b, ((idx, w, v), (_, r)) in enumerate(zip(es.blocks, parts)):
         p = np.exp(-beta * (w - w0)) / s
-        if b:
+        if r.ndim == 1:  # the size-1 blocks: their vectors are the identity, p is real
+            r[:] = diagonal[idx] = p
+            continue
+        if es.plan.mirror[b] < b:  # V_b is its mirror's V, rows reversed: so is rho_b
+            r[:] = parts[es.plan.mirror[b]][1][::-1, ::-1]
+        else:
             block = (v * p) @ v.conj().T
-            rho[np.ix_(idx, idx)] = (block + block.conj().T) / 2.0
-        else:  # the size-1 blocks: their vectors are the identity, p is real
-            rho[idx, idx] = p
-    rho /= float(np.trace(rho).real)
+            r[:] = (block + block.conj().T) / 2.0
+        diagonal[idx] = r.diagonal()
+    data /= float(np.sum(diagonal).real)
     log_z = float(np.log(s) - beta * w0)
-    es.gibbs_memo = GibbsState(rho=DensityMatrix(rho, validate=False), log_z=log_z, beta=beta)
+    es.gibbs_memo = GibbsState(rho=rho, log_z=log_z, beta=beta)
     return es.gibbs_memo
 
 
 def expectation(state, a) -> complex:
-    """omega(A) for a StateVector, DensityMatrix, or raw vector/matrix state."""
-    m = as_matrix(a)
-    if not isinstance(state, (StateVector, DensityMatrix)):
-        arr = np.asarray(state)
-        if arr.ndim not in (1, 2):
-            raise DomainError(f"unsupported state with shape {arr.shape}")
-        state = (StateVector if arr.ndim == 1 else DensityMatrix)(arr, validate=False)
+    """omega(A) for a StateVector, Mixture, BlockDensity, DensityMatrix, or
+    raw vector/matrix state.
+
+    In a Mixture, k matvecs with A.  In a density matrix, Tr(A rho) =
+    sum_jk A_jk rho_kj: for a CSR A one O(nnz) gather of rho at the
+    transposed positions of A's stored entries (duplicates add), in a
+    BlockDensity of the entries inside one block, the others reading 0."""
+    m, state = as_matrix(a), _state(state)
     if state.dim != m.shape[0]:
         raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {m.shape[0]}")
     if isinstance(state, StateVector):
         return complex(np.vdot(state.amplitudes, m @ state.amplitudes))
-    # Tr(A rho) = sum_jk A_jk rho_kj; for CSR A one O(nnz) gather of rho at
-    # the transposed positions of A's stored entries (duplicates add)
-    if not sp.issparse(m):
+    if isinstance(state, Mixture):
+        return state._sum(state.vectors, m @ state.vectors)
+    dense = isinstance(state, DensityMatrix)
+    if dense and not sp.issparse(m):
         return complex(np.sum(m * state.matrix.T))
+    m = sp.csr_array(m)  # a dense A in a BlockDensity: its nonzero entries
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return complex(np.dot(m.data, state.matrix[m.indices, rows]))
+    if dense:
+        return complex(np.dot(m.data, state.matrix[m.indices, rows]))
+    label = state.plan.labels
+    inside = np.flatnonzero(label[rows] == label[m.indices])
+    at = state._row[m.indices[inside]] + state._col[rows[inside]]
+    return complex(np.dot(m.data[inside], state.data[at]))
 
 
 def _hamiltonian(h, check: str):
@@ -269,7 +375,7 @@ class EebTerms(NamedTuple):
         """The deficit at ``beta`` in ``state``, as :func:`eeb_deficit`
         defines it: three expectations, O(nnz) each in a density matrix."""
         beta = _beta(beta)
-        if not isinstance(state, (StateVector, DensityMatrix)):
+        if not isinstance(state, _STATES):
             state = np.asarray(state)
             state = DensityMatrix(state) if state.ndim == 2 else StateVector(state)
         w1 = float(expectation(state, self.xdx).real)
@@ -307,6 +413,21 @@ def eeb_deficit(h, beta: float, x, state, *, allow_degenerate: bool = False) -> 
 
 def stability_value(h, state, a) -> float:
     """omega(A* [H, A]), real part — nonnegative for any ground state of H.
-    ``h`` is a Hamiltonian or its EigenSystem."""
-    am, hm = as_matrix(a), _hamiltonian(h, "stability check")
-    return float(expectation(state, adjoint(am) @ commutator(hm, am)).real)
+    ``h`` is a Hamiltonian or its EigenSystem.
+
+    In a StateVector or a Mixture, on matvecs: sum_i w_i (<A psi_i, H A psi_i>
+    - <A psi_i, A H psi_i>), with H psi_i computed, not replaced by
+    E0 psi_i; no adjoint, commutator or operator product is formed.  In a
+    density matrix, the expectation of the product A* [H, A]."""
+    hm = _hamiltonian(h, "stability check")
+    am, hm = _operands(a, hm)
+    state = _state(state)
+    if isinstance(state, StateVector):
+        state = Mixture(state.amplitudes[:, None], np.ones(1))
+    if not isinstance(state, Mixture):
+        return float(expectation(state, adjoint(am) @ commutator(hm, am)).real)
+    if state.dim != am.shape[0]:
+        raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {am.shape[0]}")
+    v = state.vectors
+    x = am @ v
+    return state._sum(x, hm @ x - am @ (hm @ v)).real

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spinmodels import Interaction, assemble_hamiltonian, chain_volume, spin_matrices
+from spinmodels import Interaction, Mixture, assemble_hamiltonian, chain_volume, spin_matrices
 from spinmodels.spin_algebra import eigenvector_columns
 
 
@@ -33,6 +33,22 @@ def eigen_residuals():
         return np.linalg.norm(es.h @ v - v * es.eigenvalues, axis=0)
 
     return residuals
+
+
+@pytest.fixture
+def dense_state():
+    """Oracle: the dense dim x dim rho of a Mixture, sum_i w_i v_i v_i^H, or
+    of a BlockDensity, its blocks scattered into zeros."""
+
+    def dense(state):
+        if isinstance(state, Mixture):
+            return (state.vectors * state.weights) @ state.vectors.conj().T
+        rho = np.zeros((state.dim, state.dim), state.data.dtype)
+        for idx, r in state.blocks:
+            rho[np.ix_(idx, idx)] = r if r.ndim == 2 else np.diag(r)
+        return rho
+
+    return dense
 
 
 @pytest.fixture

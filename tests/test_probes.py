@@ -2,7 +2,9 @@ import numpy as np
 
 from spinmodels import (
     chain_volume,
+    embed,
     operator_norm,
+    probes,
     random_local_operator,
     random_probe_pairs,
 )
@@ -32,3 +34,15 @@ def test_probe_pairs_on_single_site_volume():
     vol = chain_volume(1)
     pairs = random_probe_pairs(vol, 5, 4)
     assert len(pairs) == 4  # no bonds to draw from, still serves site probes
+
+
+def test_probe_pairs_without_b_draw_the_same_a_and_embed_only_a(monkeypatch):
+    vol = chain_volume(5)
+    full = random_probe_pairs(vol, 3, 6)
+    calls = []
+    monkeypatch.setattr(probes, "embed", lambda *args: calls.append(args) or embed(*args))
+    only_a = random_probe_pairs(vol, 3, 6, embed_b=False)
+    assert len(calls) == 6
+    for (a, b), (a2, none) in zip(full, only_a):
+        assert none is None and b is not None
+        assert np.array_equal(a.toarray(), a2.toarray())

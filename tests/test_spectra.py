@@ -29,6 +29,7 @@ from spinmodels import (
     spectra,
     spectral_gap,
     spin_matrices,
+    stability_value,
     structure_factor,
     two_point,
 )
@@ -436,6 +437,10 @@ _MISMATCHES = {
     "kms_terms_a_and_b": lambda: kms_terms(_ES3, _WRONG, _WRONG),
     "kms_terms_a_against_b": lambda: kms_terms(_ES3, _WRONG, np.eye(8)),
     "evolve_state": lambda: evolve_state(_ES3, np.ones(4), 0.5),
+    "stability_value_mixture": lambda: stability_value(_ES3, DensityMatrix.pure(np.ones(4)),
+                                                       np.eye(8)),
+    "stability_value_operator": lambda: stability_value(_ES3, DensityMatrix.pure(np.ones(8)),
+                                                        np.eye(4)),
     "evolve_state_krylov": lambda: evolve_state(
         sp.eye_array(DENSE_CUTOFF + 1, format="csr"), np.ones(4), 0.5),
 }

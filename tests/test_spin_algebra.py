@@ -310,6 +310,32 @@ def test_hermitian_eig_matches_full_eigh_on_permuted_blocks():
         assert hermitian_eig(joined, vectors=False).plan.labels.max() == len(sizes) - 2
 
 
+def test_csr_blocks_are_scattered_bitwise_as_the_dense_blocks(monkeypatch):
+    # the entries of a CSR matrix fill its blocks by one scatter, not by
+    # scipy indexing: canonical, or with unsorted columns, stored zeros and
+    # each entry stored as two halves (which add exactly), the blocks and so
+    # the eigenpairs are those of the dense matrix, bit for bit
+    rng = np.random.default_rng(41)
+    m = _permuted_block_diagonal(rng, [3, 1, 5, 1, 2, 4], [False, False, True, False, False, True])
+    canonical = sp.csr_array(m)
+    rows, cols = canonical.nonzero()
+    rows, cols = np.r_[rows, rows, 0], np.r_[cols, cols, np.flatnonzero(m[0] == 0)[0]]
+    data = np.r_[canonical.data / 2, canonical.data / 2, 0.0]
+    order = np.lexsort((rng.random(rows.size), rows))  # by row, columns shuffled
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=m.shape[0]))]
+    messy = sp.csr_array((data[order], cols[order], indptr), shape=m.shape)
+    assert not messy.has_canonical_format and np.array_equal(messy.toarray(), m)
+    want = hermitian_eig(m)
+    monkeypatch.setattr(sp.csr_array, "__getitem__",
+                        lambda *args: pytest.fail("indexed the CSR matrix"))
+    for given in (canonical, messy):
+        got = hermitian_eig(given)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        for (i, w, v), (i2, w2, v2) in zip(got.blocks[1:], want.blocks[1:]):
+            assert np.array_equal(i, i2) and np.array_equal(w, w2) and np.array_equal(v, v2)
+            assert v.dtype == v2.dtype
+
+
 def test_a_dense_row_with_no_zero_makes_one_block_without_a_graph_search(monkeypatch):
     # such a row joins every index; a graph search on a dense pattern of n^2
     # entries would cost far more than the answer, so none runs

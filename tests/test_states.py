@@ -17,12 +17,15 @@ from spinmodels import (
     DimensionMismatchError,
     DomainError,
     EigenSystem,
+    Mixture,
     RangeLimitError,
     StateVector,
     assemble_hamiltonian,
+    build_model_hamiltonian,
     chain_volume,
     eeb_deficit,
     eeb_terms,
+    embed,
     expectation,
     full_spectrum,
     gibbs,
@@ -34,7 +37,9 @@ from spinmodels import (
     spin_algebra,
     spin_matrices,
     stability_value,
+    states,
 )
+from spinmodels.interactions import MODEL_NAMES, MODELS
 from spinmodels.spin_algebra import eigenvector_columns
 
 
@@ -65,18 +70,19 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative weight
 
 
-def test_density_matrix_constructors():
+def test_density_matrix_constructors(dense_state):
     psi = np.array([1.0, 1.0]) / np.sqrt(2)
     rho = DensityMatrix.pure(psi)
-    assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)))
+    assert isinstance(rho, Mixture) and rho.vectors.shape == (2, 1)
+    assert np.allclose(dense_state(rho), 0.5 * np.ones((2, 2)))
     mm = DensityMatrix.maximally_mixed(4)
-    assert np.allclose(mm.matrix, np.eye(4) / 4)
+    assert np.array_equal(dense_state(mm), np.eye(4) / 4) and mm.data.size == 4
     vecs = np.eye(3)[:, :2]
     mix = DensityMatrix.mixture(vecs)
-    assert np.allclose(mix.matrix, np.diag([0.5, 0.5, 0.0]))
+    assert np.allclose(dense_state(mix), np.diag([0.5, 0.5, 0.0]))
 
 
-def test_gibbs_single_spin_closed_form():
+def test_gibbs_single_spin_closed_form(dense_state):
     ops = spin_matrices(0.5)
     for beta in (0.2, 1.0, 3.7):
         g = gibbs(ops.s3, beta)
@@ -85,16 +91,16 @@ def test_gibbs_single_spin_closed_form():
         assert abs(got - (-np.tanh(beta / 2) / 2)) < 1e-14
     # beta = 0 is the tracial state
     g0 = gibbs(ops.s3, 0.0)
-    assert np.allclose(g0.rho.matrix, np.eye(2) / 2, atol=1e-15)
+    assert np.allclose(dense_state(g0.rho), np.eye(2) / 2, atol=1e-15)
 
 
-def test_gibbs_large_beta_projects_to_ground():
+def test_gibbs_large_beta_projects_to_ground(dense_state):
     # the shifted weights make huge beta safe: no overflow, pure ground state
     h = _two_site(-1.0)
     g = gibbs(h, 1e6)
     v = eigenvector_columns(full_spectrum(h))
     p0 = np.outer(v[:, 0], v[:, 0].conj())
-    assert np.allclose(g.rho.matrix, p0, atol=1e-12)
+    assert np.allclose(dense_state(g.rho), p0, atol=1e-12)
 
 
 def test_gibbs_input_validation():
@@ -123,14 +129,14 @@ def test_expectation_routes_agree():
         assert abs(via_vec - via_rho) < 1e-12
 
 
-def test_expectation_trace_is_elementwise_for_dense_and_csr():
+def test_expectation_trace_is_elementwise_for_dense_and_csr(dense_state):
     rng = np.random.default_rng(31)
     psi = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
     rho = DensityMatrix.mixture(psi)
     dense = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     csr = sp.random_array((12, 12), density=0.2, rng=rng, dtype=complex, format="csr")
     for a, ad in ((dense, dense), (csr, csr.toarray())):
-        want = np.trace(ad @ rho.matrix)
+        want = np.trace(ad @ dense_state(rho))
         assert abs(expectation(rho, a) - want) <= 1e-14
 
 
@@ -175,7 +181,7 @@ def test_gibbs_and_kms_accept_a_shared_eigen_system():
     h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(4, boundary="periodic"))
     es = EigenSystem(h)
     for beta in (0.0, 0.7, 3.0):
-        assert np.array_equal(gibbs(es, beta).rho.matrix, gibbs(h, beta).rho.matrix)
+        assert np.array_equal(gibbs(es, beta).rho.data, gibbs(h, beta).rho.data)
         assert gibbs(es, beta).log_z == gibbs(h, beta).log_z
     rng = np.random.default_rng(4)
     a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -320,12 +326,104 @@ def test_prepared_terms_are_vectors_and_sparse_products():
 
 def test_density_matrices_of_a_real_h_are_float64(dm_chain):
     # a real H gives real eigenvectors, so its Gibbs state and the mixture of
-    # its ground basis are float64, half the bytes of complex128; the complex
-    # dm_chain keeps both complex
+    # its ground basis are float64; the complex dm_chain keeps both complex.
+    # The Gibbs state holds its size-1 blocks' weights and d_b^2 entries per
+    # larger block, the mixture its dim x k vectors
     real = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(8, boundary="periodic"))
     for h, dtype in ((real, np.float64), (dm_chain(8), np.complex128)):
         es = EigenSystem(h)
-        for rho in (gibbs(es, 0.7).rho, DensityMatrix.mixture(ground_space(es).basis)):
-            assert rho.matrix.dtype == dtype
-            assert rho.matrix.nbytes == np.dtype(dtype).itemsize * es.dim**2
-            rho.validate()
+        sizes = np.diff(es.plan.starts)
+        rho, mix = gibbs(es, 0.7).rho, DensityMatrix.mixture(ground_space(es).basis)
+        assert rho.data.dtype == mix.vectors.dtype == dtype
+        assert rho.data.size == sizes[0] + np.sum(sizes[1:] ** 2) < es.dim**2 // 4
+        assert mix.vectors.shape == (es.dim, ground_space(es).degeneracy)
+
+
+_PARAMS = {"xy_field": {"h": 0.3}, "ising": {"h": 0.4}, "xxz_suq2": {"q": 0.5}}
+RECORDS = [(name, boundary) for name in MODEL_NAMES for boundary in ("open", "periodic")
+           if boundary == "open" or not MODELS[name].open_chain_only] + [("dm_chain", "periodic")]
+
+
+@pytest.fixture(params=RECORDS, ids=["-".join(r) for r in RECORDS])
+def record(request, dm_chain):
+    """(H as CSR, its chain volume) for one model record on an open or
+    periodic chain of 8 spins 1/2 or 5 spins 1, or for the DM ring of 8."""
+    name, boundary = request.param
+    if name == "dm_chain":
+        return dm_chain(8), chain_volume(8, "periodic")
+    params = _PARAMS.get(name, {})
+    local_dim = MODELS[name].interaction(params).local_dim
+    vol = chain_volume(8 if local_dim == 2 else 5, boundary, local_dim=local_dim)
+    return build_model_hamiltonian(name, params, vol).tocsr(), vol
+
+
+def _site_operators(vol):
+    """S3 at site 0 keeps H's blocks; S1 at site 0 couples pairs of them."""
+    ops = spin_matrices((vol.local_dim - 1) / 2.0)
+    return [embed(ops.s3, [(0,)], vol), embed(ops.s1, [(0,)], vol)]
+
+
+def _with_duplicates(x, y):
+    """A CSR matrix storing every entry of x and of y, row by row, without
+    summing the positions they share: x + y with duplicate entries."""
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    rows = np.r_[rows, np.repeat(np.arange(y.shape[0]), np.diff(y.indptr))]
+    order = np.argsort(rows, kind="stable")
+    return sp.csr_array((np.r_[x.data, y.data][order], np.r_[x.indices, y.indices][order],
+                         x.indptr + y.indptr), shape=x.shape)
+
+
+def test_block_gibbs_state_equals_one_full_complex_eigh(record, dense_state):
+    h, _ = record
+    es = EigenSystem(h)
+    w, v = np.linalg.eigh(h.toarray().astype(np.complex128))
+    for beta in (0.0, 0.5, 2.0):
+        p = np.exp(-beta * (w - w[0]))
+        want = (v * (p / p.sum())) @ v.conj().T
+        assert np.max(np.abs(dense_state(gibbs(es, beta).rho) - want)) < 1e-13
+
+
+def test_block_expectation_equals_the_dense_gather(record, dense_state):
+    # operators inside H's blocks, across two of them (their entries read 0),
+    # on size-1 blocks (every ising block, the fully polarized states of the
+    # others) and with duplicate CSR entries, which add
+    h, vol = record
+    es = EigenSystem(h)
+    s3, s1 = _site_operators(vol)
+    a, b = random_probe_pairs(vol, 29, 1)[0]
+    ops = [h, s3, s1, a, b @ a, _with_duplicates(h, s3 + s1), _with_duplicates(a, a)]
+    assert _with_duplicates(h, s3).nnz == h.nnz + s3.nnz
+    for beta in (0.0, 1.3):
+        rho = gibbs(es, beta).rho
+        dense = DensityMatrix(dense_state(rho), validate=False)
+        assert expectation(rho, s1) == 0.0
+        for op in ops:
+            want = expectation(dense, op)
+            tol = 1e-14 * max(1.0, float(np.sum(np.abs(op.data))))
+            assert abs(expectation(rho, op) - want) <= tol
+            assert abs(expectation(rho, op.toarray()) - want) <= tol
+
+
+def test_matvec_stability_equals_the_dense_mixture_products(record, dense_state):
+    h, vol = record
+    es = EigenSystem(h)
+    mix = DensityMatrix.mixture(ground_space(es).basis)
+    dense = DensityMatrix(dense_state(mix), validate=False)
+    scale = max(1.0, float(np.max(np.abs(es.eigenvalues))))
+    probes = [op for pair in random_probe_pairs(vol, 31, 4) for op in pair] + _site_operators(vol)
+    for a in probes:
+        want = stability_value(es, dense, a)
+        for hh in (h, h.toarray()):
+            assert abs(stability_value(hh, mix, a) - want) <= 1e-12 * scale
+
+
+def test_stability_in_a_mixture_forms_no_operator_product(monkeypatch):
+    h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(6, boundary="open"))
+    es = EigenSystem(h)
+    mix = DensityMatrix.mixture(ground_space(es).basis)
+    a, _ = random_probe_pairs(chain_volume(6, boundary="open"), 3, 1)[0]
+    want = stability_value(es, mix, a)
+    for name in ("adjoint", "commutator"):
+        monkeypatch.setattr(states, name, lambda *args, name=name: pytest.fail(f"called {name}"))
+    assert stability_value(es, mix, a) == want
+    assert stability_value(es, StateVector(ground_space(es).basis[:, 0]), a) > -1e-12
