@@ -81,16 +81,18 @@ from .spectra import (
 )
 from .states import (
     BlockDensity,
-    DensityMatrix,
     GibbsState,
     Mixture,
-    StateVector,
+    density_matrix,
     eeb_deficit,
     eeb_terms,
     expectation,
     gibbs,
     kms_residual,
     kms_terms,
+    maximally_mixed,
+    mixture,
+    pure,
     stability_value,
 )
 from .dynamics import (

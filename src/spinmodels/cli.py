@@ -48,7 +48,7 @@ from .spin_algebra import (
     operator_norm,
     spin_matrices,
 )
-from .states import DensityMatrix, eeb_terms, expectation, gibbs, kms_terms, stability_value
+from .states import eeb_terms, expectation, gibbs, kms_terms, mixture, stability_value
 from .symmetry import invariance_residual
 
 SCHEMA_VERSION = 1
@@ -393,7 +393,7 @@ def _check_eeb(run: _Run, terms, beta) -> dict:
 
 
 def _check_stability(run: _Run, pairs, beta) -> dict:
-    state = DensityMatrix.mixture(ground_space(run.es).basis)
+    state = mixture(ground_space(run.es).basis)
     return {"min_value": min(stability_value(run.es, state, a) for a, _ in pairs)}
 
 

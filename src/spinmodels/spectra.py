@@ -150,7 +150,8 @@ class EigenSystem:
     def _entries(self, a):
         """A's CSR entries (i, j, d), a dense A converted once, in block order
         (``_BlockPlan.places``), with their pair keys b * nb + c."""
-        m = sp.csr_array(as_matrix(a))
+        m = as_matrix(a)
+        m = m if sp.issparse(m) else sp.csr_array(m)
         if m.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"operator dim {m.shape[0]} does not match Hamiltonian dim {self.dim}"
@@ -458,7 +459,7 @@ def two_point(state, x, y, volume: Volume, kind: str = "sdots") -> float:
     """<S_x . S_y> ("sdots") or <S3_x S3_y> ("s3s3") in ``state``.
 
     ``state`` is any state :func:`spinmodels.states.expectation` reads: a
-    StateVector, Mixture, BlockDensity, DensityMatrix, or plain vector.
+    Mixture, a BlockDensity, or a plain vector (``pure``).
     x == y is allowed (on-site moment).  The value is the real part; for
     Hermitian observables the imaginary part is zero to rounding.
     """

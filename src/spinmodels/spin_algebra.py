@@ -164,9 +164,9 @@ def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def as_matrix(a):
-    """``a`` as an ndarray or, when sparse, a CSR array; DomainError unless
-    it is a square matrix.  The dtype is kept."""
-    m = sp.csr_array(a) if sp.issparse(a) else np.asarray(a)
+    """``a`` as an ndarray or, when sparse, a CSR array (a ``csr_array`` as
+    it is); DomainError unless it is a square matrix.  The dtype is kept."""
+    m = a if isinstance(a, sp.csr_array) else sp.csr_array(a) if sp.issparse(a) else np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -442,7 +442,8 @@ def operator_norm(a, *, cap_dense: int = DENSE_CUTOFF) -> float:
 
     A matrix with no nonzero entry has norm 0.0, with no solver call.  Up to
     ``cap_dense``, ||A|| = s sqrt(lambda_max(X^H X)) for X = A / s and
-    s = max |A_ij|: since ||X|| >= 1 the Gram matrix neither underflows nor
+    s the largest stored |A_ij| (a CSR A is read, not canonicalized in
+    place): since ||X|| >= 1 the Gram matrix neither underflows nor
     overflows, and its largest eigenvalue comes from :func:`hermitian_eig`,
     which solves a CSR Gram block by block, each block in float64 when it is
     real.  A sparse matrix above ``cap_dense`` takes one seeded ARPACK
@@ -459,7 +460,7 @@ def operator_norm(a, *, cap_dense: int = DENSE_CUTOFF) -> float:
             return float(spla.svds(m, k=1, v0=v0, return_singular_vectors=False)[0])
         except spla.ArpackError as exc:
             raise SolverError(f"norm estimate failed: {exc}") from exc
-    s = float(abs(m).max())
+    s = float(np.abs(m.data if sp.issparse(m) else m).max())
     x = m / s
     gram = x.conj().T @ x
     if sp.issparse(gram):

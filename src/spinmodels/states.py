@@ -6,18 +6,18 @@ the eigendecomposition of a :class:`spinmodels.spectra.EigenSystem`: pass one
 built once to share it (and its last Gibbs state), or pass H to build one per
 call.  Probes and H stay CSR, so products such as X* [H, X] are sparse.
 
-No state this module builds is a dim x dim array.  A Gibbs state is a
-:class:`BlockDensity`: rho_b = V_b diag(p_b) V_b^H per block of the
-EigenSystem's plan, the size-1 blocks as their weights, Sigma d_b^2 entries
-in all (20.6 MiB rather than 128 MiB for the xxz_suq2 chain at L=12).  An
-expectation in it, Tr(A rho) = sum A_jk rho_kj, is one gather of rho at the
-transposed positions of A's stored entries inside one block: O(nnz).  A
-ground multiplet, or any ``DensityMatrix.mixture`` or ``pure``, is a
+Two containers hold every state, neither of them a dim x dim array.  A
+Gibbs state (and ``maximally_mixed``) is a :class:`BlockDensity`:
+rho_b = V_b diag(p_b) V_b^H per block of the EigenSystem's plan, the size-1
+blocks as their weights, Sigma d_b^2 entries in all (20.6 MiB rather than
+128 MiB for the xxz_suq2 chain at L=12).  An expectation in it,
+Tr(A rho) = sum A_jk rho_kj, is one gather of rho at the transposed positions
+of A's stored entries inside one block: O(nnz).  Every other state is a
 :class:`Mixture` of vectors and weights, so omega(A) and the stability value
-cost matvecs.  A caller's own dense ``DensityMatrix`` is read by the same
-O(nnz) gather over all of A's entries.  Each state keeps its data's dtype,
-at least float64: for a real H the Gibbs state and the ground-state mixture
-are float64.
+cost matvecs: a ``pure`` state, the ``mixture`` of a ground multiplet, or a
+caller's rho through ``density_matrix``, which checks it and keeps its
+eigenpairs.  Each state keeps its data's dtype, at least float64: for a
+real H the Gibbs state and the ground-state mixture are float64.
 The KMS and entropy checks split into a beta-independent step per probe
 (``kms_terms``, ``eeb_terms``) and a cheap step per beta on its result.  The
 KMS flow side reads t_k = (V^H BA V)_kk from BA's diagonal blocks, which
@@ -46,110 +46,24 @@ import scipy.sparse as sp
 from .errors import DegenerateInputError, DimensionMismatchError, DomainError
 from .spectra import EigenSystem
 from .spin_algebra import (_BlockPlan, _dense, _hermitian, _operands, adjoint, as_matrix,
-                           commutator, hermitian_eig)
+                           commutator, eigenvector_columns, hermitian_eig)
 
-#: Validation tolerance for a state's norm, trace and positivity.
+#: Tolerance for a density matrix's trace and positivity, and the weight
+#: below which ``density_matrix`` drops an eigenpair.
 STATE_TOL = 1e-12
 
 #: Entropy-balance weights omega(X*X), omega(X X*) below this are degenerate.
 WEIGHT_FLOOR = 1e-14
 
 
-class StateVector:
-    """A unit vector in the volume Hilbert space (norm 1 within ``STATE_TOL``)."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes, *, validate: bool = True):
-        amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        if validate:
-            nrm = float(np.linalg.norm(amplitudes))
-            if abs(nrm - 1.0) > STATE_TOL:
-                raise DomainError(f"state vector norm {nrm} is not 1 within {STATE_TOL}")
-        self.amplitudes = amplitudes
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @classmethod
-    def normalized(cls, amplitudes) -> "StateVector":
-        amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        nrm = float(np.linalg.norm(amplitudes))
-        if nrm == 0.0:
-            raise DomainError("cannot normalize the zero vector")
-        return cls(amplitudes / nrm, validate=False)
-
-
-class DensityMatrix:
-    """A positive semidefinite, unit-trace Hermitian matrix, stored dense: a
-    caller's own rho.  The states this package builds are a :class:`Mixture`
-    (``pure``, ``mixture``) or a :class:`BlockDensity` (``gibbs``,
-    ``maximally_mixed``)."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix, *, validate: bool = True):
-        self.matrix = _dense(as_matrix(matrix))
-        if validate:
-            self.validate()
-
-    def validate(self) -> None:
-        """Raise DomainError unless Hermitian (to ``STRUCTURE_TOL``, as every
-        input is), and unit-trace and PSD within ``STATE_TOL``."""
-        m = _hermitian(self.matrix, "density matrix")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > max(STATE_TOL, 1e-12 * m.shape[0]):
-            raise DomainError(f"density matrix trace {tr} is not 1")
-        w = hermitian_eig((m + m.conj().T) / 2.0, vectors=False).eigenvalues
-        wmin = float(np.min(w))
-        if wmin < -STATE_TOL:
-            raise DomainError(f"density matrix has negative eigenvalue {wmin:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def pure(cls, psi) -> "Mixture":
-        """|psi><psi| / <psi|psi>, the ``mixture`` of one column."""
-        return cls.mixture(np.reshape(psi.amplitudes if isinstance(psi, StateVector) else psi, -1))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "BlockDensity":
-        """I / dim, kept as the weights of dim size-1 blocks."""
-        if dim < 1:
-            raise DomainError(f"dimension must be positive, got {dim}")
-        n = np.arange(dim)
-        plan = _BlockPlan(n, n, np.array([0, dim]), False, np.zeros(1, np.intp))
-        return BlockDensity(plan, np.full(dim, 1.0 / dim))
-
-    @classmethod
-    def mixture(cls, vectors) -> "Mixture":
-        """Uniform mixture of the given (column) vectors — e.g. a ground-space
-        average.  The columns must be orthonormal, as a ground basis is: the
-        state is V V^H divided by its trace, kept as V and that weight, with
-        no orthonormalization."""
-        v = _dense(vectors)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.ndim != 2 or v.shape[1] == 0:
-            raise DomainError("mixture needs a nonempty dim x k column stack")
-        tr = float(np.vdot(v, v).real)
-        if tr <= 0:
-            raise DomainError("mixture has zero trace")
-        return Mixture(v, np.full(v.shape[1], 1.0 / tr))
-
-
+@dataclass
 class Mixture:
     """The state sum_i w_i |v_i><v_i|, kept as the dim x k column stack
     ``vectors`` (at least float64, real if real) and the ``weights``, so
     omega(A) = sum_i w_i <v_i, A v_i> costs k matvecs with A."""
 
-    __slots__ = ("vectors", "weights")
-
-    def __init__(self, vectors: np.ndarray, weights: np.ndarray):
-        self.vectors, self.weights = vectors, weights
+    vectors: np.ndarray
+    weights: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -197,18 +111,63 @@ class BlockDensity:
         return out
 
 
-_STATES = (StateVector, DensityMatrix, Mixture, BlockDensity)
+def pure(psi) -> Mixture:
+    """|psi><psi| / <psi|psi>, the ``mixture`` of one column, in psi's dtype
+    (at least float64, real if real)."""
+    return mixture(np.reshape(psi, -1))
+
+
+def mixture(vectors) -> Mixture:
+    """Uniform mixture of the given (column) vectors — e.g. a ground-space
+    average.  The columns must be orthonormal, as a ground basis is: the
+    state is V V^H divided by its trace, kept as V and that weight, with
+    no orthonormalization."""
+    v = _dense(vectors)
+    if v.ndim == 1:
+        v = v[:, None]
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise DomainError("mixture needs a nonempty dim x k column stack")
+    tr = float(np.vdot(v, v).real)
+    if tr <= 0:
+        raise DomainError("mixture has zero trace")
+    return Mixture(v, np.full(v.shape[1], 1.0 / tr))
+
+
+def maximally_mixed(dim: int) -> BlockDensity:
+    """I / dim, kept as the weights of dim size-1 blocks."""
+    if dim < 1:
+        raise DomainError(f"dimension must be positive, got {dim}")
+    n = np.arange(dim)
+    plan = _BlockPlan(n, n, np.array([0, dim]), False, np.zeros(1, np.intp))
+    return BlockDensity(plan, np.full(dim, 1.0 / dim))
+
+
+def density_matrix(matrix) -> Mixture:
+    """A caller's rho as the Mixture of its eigenpairs of weight above
+    ``STATE_TOL``.  DomainError unless rho is Hermitian (to
+    ``STRUCTURE_TOL``, as every input is), and unit-trace and PSD within
+    ``STATE_TOL``."""
+    m = _dense(_hermitian(matrix, "density matrix"))
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > max(STATE_TOL, 1e-12 * m.shape[0]):
+        raise DomainError(f"density matrix trace {tr} is not 1")
+    eig = hermitian_eig((m + m.conj().T) / 2.0)
+    w = eig.eigenvalues
+    if w[0] < -STATE_TOL:
+        raise DomainError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+    keep = np.flatnonzero(w > STATE_TOL)
+    return Mixture(eigenvector_columns(eig, keep), w[keep])
 
 
 def _state(state):
-    """A state object as given, or a raw vector or matrix as a StateVector or
-    DensityMatrix, unvalidated."""
-    if isinstance(state, _STATES):
+    """A Mixture or BlockDensity as given, or a raw vector as ``pure(state)``."""
+    if isinstance(state, (Mixture, BlockDensity)):
         return state
     arr = np.asarray(state)
-    if arr.ndim not in (1, 2):
-        raise DomainError(f"unsupported state with shape {arr.shape}")
-    return (StateVector if arr.ndim == 1 else DensityMatrix)(arr, validate=False)
+    if arr.ndim != 1:
+        raise DomainError(f"a raw state must be a vector, got shape {arr.shape}; "
+                          "pass a dim x dim rho through density_matrix")
+    return pure(arr)
 
 
 @dataclass
@@ -274,27 +233,19 @@ def gibbs(h, beta: float) -> GibbsState:
 
 
 def expectation(state, a) -> complex:
-    """omega(A) for a StateVector, Mixture, BlockDensity, DensityMatrix, or
-    raw vector/matrix state.
+    """omega(A) for a Mixture, a BlockDensity, or a raw vector (``pure``).
 
-    In a Mixture, k matvecs with A.  In a density matrix, Tr(A rho) =
-    sum_jk A_jk rho_kj: for a CSR A one O(nnz) gather of rho at the
-    transposed positions of A's stored entries (duplicates add), in a
-    BlockDensity of the entries inside one block, the others reading 0."""
+    In a Mixture, k matvecs with A.  In a BlockDensity, Tr(A rho) =
+    sum_jk A_jk rho_kj, one O(nnz) gather of rho at the transposed positions
+    of A's stored entries inside one block (duplicates add), the others
+    reading 0."""
     m, state = as_matrix(a), _state(state)
     if state.dim != m.shape[0]:
         raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {m.shape[0]}")
-    if isinstance(state, StateVector):
-        return complex(np.vdot(state.amplitudes, m @ state.amplitudes))
     if isinstance(state, Mixture):
         return state._sum(state.vectors, m @ state.vectors)
-    dense = isinstance(state, DensityMatrix)
-    if dense and not sp.issparse(m):
-        return complex(np.sum(m * state.matrix.T))
-    m = sp.csr_array(m)  # a dense A in a BlockDensity: its nonzero entries
+    m = m if sp.issparse(m) else sp.csr_array(m)  # a dense A: its nonzero entries
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    if dense:
-        return complex(np.dot(m.data, state.matrix[m.indices, rows]))
     label = state.plan.labels
     inside = np.flatnonzero(label[rows] == label[m.indices])
     at = state._row[m.indices[inside]] + state._col[rows[inside]]
@@ -374,10 +325,7 @@ class EebTerms(NamedTuple):
     def deficit(self, beta: float, state, *, allow_degenerate: bool = False) -> float:
         """The deficit at ``beta`` in ``state``, as :func:`eeb_deficit`
         defines it: three expectations, O(nnz) each in a density matrix."""
-        beta = _beta(beta)
-        if not isinstance(state, _STATES):
-            state = np.asarray(state)
-            state = DensityMatrix(state) if state.ndim == 2 else StateVector(state)
+        beta, state = _beta(beta), _state(state)
         w1 = float(expectation(state, self.xdx).real)
         w2 = float(expectation(state, self.xxd).real)
         if w2 < WEIGHT_FLOOR <= w1:
@@ -413,19 +361,17 @@ def eeb_deficit(h, beta: float, x, state, *, allow_degenerate: bool = False) -> 
 
 def stability_value(h, state, a) -> float:
     """omega(A* [H, A]), real part — nonnegative for any ground state of H.
-    ``h`` is a Hamiltonian or its EigenSystem.
+    ``h`` is a Hamiltonian or its EigenSystem; ``state`` a Mixture of ground
+    vectors (``pure``, ``mixture``), anything else a DomainError.
 
-    In a StateVector or a Mixture, on matvecs: sum_i w_i (<A psi_i, H A psi_i>
-    - <A psi_i, A H psi_i>), with H psi_i computed, not replaced by
-    E0 psi_i; no adjoint, commutator or operator product is formed.  In a
-    density matrix, the expectation of the product A* [H, A]."""
+    On matvecs: sum_i w_i (<A psi_i, H A psi_i> - <A psi_i, A H psi_i>),
+    with H psi_i computed, not replaced by E0 psi_i; no adjoint, commutator
+    or operator product is formed."""
     hm = _hamiltonian(h, "stability check")
     am, hm = _operands(a, hm)
-    state = _state(state)
-    if isinstance(state, StateVector):
-        state = Mixture(state.amplitudes[:, None], np.ones(1))
     if not isinstance(state, Mixture):
-        return float(expectation(state, adjoint(am) @ commutator(hm, am)).real)
+        raise DomainError("the stability value takes a Mixture of ground vectors, "
+                          f"got {type(state).__name__}")
     if state.dim != am.shape[0]:
         raise DimensionMismatchError(f"state dim {state.dim} vs operator dim {am.shape[0]}")
     v = state.vectors

@@ -52,6 +52,30 @@ def dense_state():
 
 
 @pytest.fixture
+def dense_trace(dense_state):
+    """Oracle: Tr(A rho) = sum_jk A_jk rho_kj on a state's ``dense_state``,
+    for a dense or sparse A."""
+
+    def trace(state, a):
+        a = a.toarray() if sp.issparse(a) else np.asarray(a)
+        return complex(np.sum(a * dense_state(state).T))
+
+    return trace
+
+
+@pytest.fixture
+def dense_stability(dense_trace):
+    """Oracle: the stability value Tr(A* [H, A] rho), real part, from the
+    dense operator products."""
+
+    def value(h, state, a):
+        h, a = (m.toarray() if sp.issparse(m) else np.asarray(m) for m in (h, a))
+        return dense_trace(state, a.conj().T @ (h @ a - a @ h)).real
+
+    return value
+
+
+@pytest.fixture
 def dm_chain():
     """Builder of a spin-1/2 ring: ferromagnetic Heisenberg exchange plus a
     z-axis Dzyaloshinskii-Moriya term d (S1 S2 - S2 S1) on every bond, a

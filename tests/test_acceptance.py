@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from spinmodels import (
-    DensityMatrix,
     Propagator,
     aklt,
     assemble_hamiltonian,
@@ -29,13 +28,14 @@ from spinmodels import (
     lowest_eigenpairs,
     lr_fit,
     lr_scan,
+    mixture,
     operator_norm,
     pauli_matrices,
+    pure,
     random_probe_pairs,
     spectral_gap,
     spin_matrices,
     stability_value,
-    StateVector,
     suq2_generators,
     total_spin,
     two_point,
@@ -179,7 +179,7 @@ def test_criterion_07_ground_state_stability():
     for i, (name, params) in enumerate(_MODELS):
         h, vol = _model_hamiltonian(name, params, 6)
         gs = ground_space(h)
-        state = DensityMatrix.mixture(gs.basis)
+        state = mixture(gs.basis)
         pairs = random_probe_pairs(vol, 3000 + i, 50)
         for pair in pairs:
             for a in pair:
@@ -188,7 +188,7 @@ def test_criterion_07_ground_state_stability():
     h2 = assemble_hamiltonian(heisenberg(j=1.0), chain_volume(2)).toarray()
     v = eigenvector_columns(full_spectrum(h2))
     a = np.outer(v[:, 0], v[:, 3].conj())
-    witness = stability_value(h2, DensityMatrix.pure(v[:, 3]), a)
+    witness = stability_value(h2, pure(v[:, 3]), a)
     elapsed = time.perf_counter() - t0
     print(f"[criterion 7] min stability value {worst:.3e} (floor -1e-12); "
           f"witness {witness:.3f} (< -0.01), {elapsed:.1f}s")
@@ -241,7 +241,7 @@ def _aklt_ring_summary(length):
     h = assemble_hamiltonian(aklt(), vol)
     gs = ground_space(h)
     gap = spectral_gap(h)
-    state = StateVector(gs.basis[:, 0])
+    state = pure(gs.basis[:, 0])
     corr = [two_point(state, (0,), (r,), vol, kind="sdots").real
             for r in range(1, length // 2 + 1)]
     return gs, gap, corr

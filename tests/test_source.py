@@ -1,6 +1,7 @@
 """Static checks of the package source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,20 +38,19 @@ def test_module_uses_every_name_it_imports(path):
 def _unreferenced_privates(sources: dict[str, str]) -> list[str]:
     """Private (``_``-prefixed, not dunder) module-level functions and
     classes of ``sources`` (module name -> source) that no code outside
-    their own definition names, as a name, an attribute or an import."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
-    out = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                continue
-            names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
-                     for t in trees.values() for top in t.body if top is not node
-                     for n in ast.walk(top) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
-            if node.name not in names:
-                out.append(f"{module}.{node.name}")
-    return out
+    their own definition names, as a name, an attribute or an import: the
+    package-wide count of the name equals the count inside the definition."""
+    total, defs = Counter(), []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            names = Counter(getattr(n, "id", None) or getattr(n, "attr", None)
+                            or getattr(n, "name", None) for n in ast.walk(top)
+                            if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+            total.update(names)
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_") and not top.name.startswith("__")):
+                defs.append((f"{module}.{top.name}", top.name, names[top.name]))
+    return [label for label, name, own in defs if total[name] == own]
 
 
 def test_private_reference_check_sees_an_unused_helper():

@@ -6,14 +6,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from spinmodels import (
-    DensityMatrix,
     DimensionMismatchError,
     DomainError,
     EigenSystem,
     Interaction,
     ResourceCapError,
     SolverError,
-    StateVector,
     assemble_hamiltonian,
     basis_index,
     basis_vector,
@@ -26,6 +24,8 @@ from spinmodels import (
     ising,
     kms_terms,
     low_levels,
+    maximally_mixed,
+    pure,
     spectra,
     spectral_gap,
     spin_matrices,
@@ -403,7 +403,7 @@ def test_ising_ground_degeneracy():
 
 def test_two_point_oracles():
     vol = chain_volume(4, boundary="periodic")
-    neel = StateVector(basis_vector(vol, (0, 1, 0, 1)))
+    neel = pure(basis_vector(vol, (0, 1, 0, 1)))
     # same site: Casimir S(S+1) = 3/4
     assert abs(two_point(neel, (0,), (0,), vol, kind="sdots") - 0.75) < 1e-14
     # product state S3 correlation factorizes
@@ -414,13 +414,13 @@ def test_two_point_oracles():
     sing = np.zeros(4, dtype=complex)
     sing[basis_index(vol2, (0, 1))] = 1 / np.sqrt(2)
     sing[basis_index(vol2, (1, 0))] = -1 / np.sqrt(2)
-    got = two_point(StateVector(sing), (0,), (1,), vol2, kind="sdots")
+    got = two_point(pure(sing), (0,), (1,), vol2, kind="sdots")
     assert abs(got - (-0.75)) < 1e-14
 
 
 def test_two_point_refuses_a_site_outside_the_volume():
     vol = chain_volume(4, boundary="periodic")
-    neel = StateVector(basis_vector(vol, (0, 1, 0, 1)))
+    neel = pure(basis_vector(vol, (0, 1, 0, 1)))
     for x, y in (((4,), (0,)), ((0,), (7,))):
         with pytest.raises(DomainError, match="is not in the volume"):
             two_point(neel, x, y, vol)
@@ -437,10 +437,8 @@ _MISMATCHES = {
     "kms_terms_a_and_b": lambda: kms_terms(_ES3, _WRONG, _WRONG),
     "kms_terms_a_against_b": lambda: kms_terms(_ES3, _WRONG, np.eye(8)),
     "evolve_state": lambda: evolve_state(_ES3, np.ones(4), 0.5),
-    "stability_value_mixture": lambda: stability_value(_ES3, DensityMatrix.pure(np.ones(4)),
-                                                       np.eye(8)),
-    "stability_value_operator": lambda: stability_value(_ES3, DensityMatrix.pure(np.ones(8)),
-                                                        np.eye(4)),
+    "stability_value_mixture": lambda: stability_value(_ES3, pure(np.ones(4)), np.eye(8)),
+    "stability_value_operator": lambda: stability_value(_ES3, pure(np.ones(8)), np.eye(4)),
     "evolve_state_krylov": lambda: evolve_state(
         sp.eye_array(DENSE_CUTOFF + 1, format="csr"), np.ones(4), 0.5),
 }
@@ -454,7 +452,7 @@ def test_a_wrong_size_operator_or_state_is_a_dimension_mismatch(entry):
 
 def test_two_point_accepts_density_matrix():
     vol = chain_volume(2)
-    rho = DensityMatrix.maximally_mixed(4)
+    rho = maximally_mixed(4)
     # tracial state: <S3_0 S3_1> = 0, same-site Casimir unchanged
     assert abs(two_point(rho, (0,), (1,), vol, kind="s3s3")) < 1e-14
     assert abs(two_point(rho, (0,), (0,), vol, kind="sdots") - 0.75) < 1e-14
@@ -462,12 +460,12 @@ def test_two_point_accepts_density_matrix():
 
 def test_structure_factor_reference_states():
     vol = chain_volume(4, boundary="periodic")
-    mixed = DensityMatrix.maximally_mixed(vol.hilbert_dim)
+    mixed = maximally_mixed(vol.hilbert_dim)
     # cross terms vanish in the tracial state: S(k) = <(S3)^2>/N = 1/16
     assert abs(structure_factor(mixed, vol, np.pi) - 1 / 16) < 1e-14
-    neel = StateVector(basis_vector(vol, (0, 1, 0, 1)))
+    neel = pure(basis_vector(vol, (0, 1, 0, 1)))
     assert abs(structure_factor(neel, vol, np.pi) - 0.25) < 1e-14
-    up = StateVector(basis_vector(vol, (0, 0, 0, 0)))
+    up = pure(basis_vector(vol, (0, 0, 0, 0)))
     assert abs(structure_factor(up, vol, np.pi)) < 1e-14
     assert abs(structure_factor(up, vol, 0.0) - 0.25) < 1e-14
 
@@ -477,7 +475,7 @@ def test_structure_factor_detects_afm_order():
     vol = chain_volume(8, boundary="periodic")
     h = assemble_hamiltonian(heisenberg(j=-1.0), vol)
     gs = ground_space(h)
-    state = StateVector(gs.basis[:, 0])
+    state = pure(gs.basis[:, 0])
     s_pi = structure_factor(state, vol, np.pi)
     s_0 = structure_factor(state, vol, 0.0)
     assert s_pi > 5 * abs(s_0)

@@ -4,7 +4,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from spinmodels import (
-    DensityMatrix,
     DimensionMismatchError,
     DomainError,
     EigenSystem,
@@ -15,6 +14,7 @@ from spinmodels import (
     build_model_hamiltonian,
     chain_volume,
     commutator,
+    density_matrix,
     eeb_terms,
     embed,
     evolve_state,
@@ -26,6 +26,7 @@ from spinmodels import (
     lr_scan,
     operator_norm,
     pauli_matrices,
+    pure,
     spin_algebra,
     spin_matrices,
     stability_value,
@@ -453,6 +454,27 @@ def test_operator_rejects_nonsquare():
     assert as_matrix(sp.coo_array(np.eye(2))).format == "csr"
 
 
+def test_operator_norm_leaves_the_callers_csr_as_it_is():
+    h = build_model_hamiltonian("heisenberg", {"J": 1.0}, chain_volume(6, "periodic")).tocsr()
+    order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi in zip(h.indptr[:-1], h.indptr[1:])])
+    m = sp.csr_array((h.data[order], h.indices[order], h.indptr), shape=h.shape)
+    arrays = [x.copy() for x in (m.data, m.indices, m.indptr)]
+    assert not m.has_canonical_format
+    want = np.linalg.svd(h.toarray(), compute_uv=False)[0]
+    assert abs(operator_norm(m) - want) <= 1e-13 * want
+    assert all(np.array_equal(x, y) for x, y in zip(arrays, (m.data, m.indices, m.indptr)))
+    assert not m.has_canonical_format
+
+
+def test_as_matrix_returns_a_csr_array_as_it_is():
+    m = sp.csr_array(np.eye(3))
+    assert as_matrix(m) is m
+    for other in (sp.csr_matrix(np.eye(3)), sp.coo_array(np.eye(3))):
+        out = as_matrix(other)
+        assert isinstance(out, sp.csr_array) and out is not other
+        assert np.array_equal(out.toarray(), np.eye(3))
+
+
 def test_nonsquare_sparse_input_is_refused():
     # DomainError, not scipy's shape or matmul ValueError, at every entry point
     bad = sp.csr_array(np.ones((2, 3)))
@@ -481,8 +503,8 @@ _HERMITIAN_REFUSALS = {
     "EigenSystem": (lambda: EigenSystem(_unpaired(2)), "Hamiltonian"),
     "low_levels_krylov": (lambda: low_levels(_unpaired(2), method="krylov"), "Hamiltonian"),
     "eeb_terms": (lambda: eeb_terms(_unpaired(2), np.eye(2)), "Hamiltonian"),
-    "stability_value": (lambda: stability_value(_unpaired(2), DensityMatrix.maximally_mixed(2),
-                                                np.eye(2)), "Hamiltonian"),
+    "stability_value": (lambda: stability_value(_unpaired(2), pure(np.ones(2)), np.eye(2)),
+                        "Hamiltonian"),
     # above DENSE_CUTOFF: refused before the Krylov exponential runs
     "evolve_state": (lambda: evolve_state(_unpaired(DENSE_CUTOFF + 1, "csr"),
                                           np.ones(DENSE_CUTOFF + 1), 0.5), "Hamiltonian"),
@@ -492,7 +514,7 @@ _HERMITIAN_REFUSALS = {
                   "observable B"),
     "site_term": (lambda: Interaction(2, site_term=_unpaired(2)), "site term"),
     "bond_term": (lambda: Interaction(2, bond_term=_unpaired(4)), "bond term"),
-    "DensityMatrix": (lambda: DensityMatrix(np.eye(2) / 2 + _unpaired(2)), "density matrix"),
+    "density_matrix": (lambda: density_matrix(np.eye(2) / 2 + _unpaired(2)), "density matrix"),
 }
 
 

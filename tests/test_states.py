@@ -12,17 +12,17 @@ import pytest
 import scipy.sparse as sp
 
 from spinmodels import (
+    BlockDensity,
     DegenerateInputError,
-    DensityMatrix,
     DimensionMismatchError,
     DomainError,
     EigenSystem,
     Mixture,
     RangeLimitError,
-    StateVector,
     assemble_hamiltonian,
     build_model_hamiltonian,
     chain_volume,
+    density_matrix,
     eeb_deficit,
     eeb_terms,
     embed,
@@ -33,6 +33,9 @@ from spinmodels import (
     heisenberg,
     kms_residual,
     kms_terms,
+    maximally_mixed,
+    mixture,
+    pure,
     random_probe_pairs,
     spin_algebra,
     spin_matrices,
@@ -40,7 +43,7 @@ from spinmodels import (
     states,
 )
 from spinmodels.interactions import MODEL_NAMES, MODELS
-from spinmodels.spin_algebra import eigenvector_columns
+from spinmodels.spin_algebra import _BlockPlan, eigenvector_columns
 
 
 def _two_site(j):
@@ -48,37 +51,53 @@ def _two_site(j):
     return assemble_hamiltonian(heisenberg(j=j), vol).toarray()
 
 
-def test_state_vector_validation():
-    psi = np.array([1.0, 0.0], dtype=complex)
-    StateVector(psi)
+def test_pure_keeps_the_dtype_and_refuses_the_zero_vector():
+    real, cplx = pure(np.array([3.0, 4.0])), pure(np.array([1.0, 1j]))
+    assert real.vectors.dtype == np.float64 and cplx.vectors.dtype == np.complex128
+    assert real.vectors.shape == (2, 1) and abs(real.weights[0] - 1 / 25) < 1e-17
+    assert abs(expectation(real, np.eye(2)) - 1.0) < 1e-15
+    assert pure([1, 0]).vectors.dtype == np.float64  # integers promote
     with pytest.raises(DomainError):
-        StateVector(2.0 * psi)
-    sv = StateVector.normalized(np.array([3.0, 4.0]))
-    assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-15
-    with pytest.raises(DomainError):
-        StateVector.normalized(np.zeros(4))
+        pure(np.zeros(4))
 
 
 def test_density_matrix_validation():
     good = np.diag([0.5, 0.5]).astype(complex)
-    DensityMatrix(good)
+    density_matrix(good)
     with pytest.raises(DomainError):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+        density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(DomainError):
-        DensityMatrix(np.diag([0.7, 0.7]))  # trace != 1
+        density_matrix(np.diag([0.7, 0.7]))  # trace != 1
     with pytest.raises(DomainError):
-        DensityMatrix(np.diag([1.5, -0.5]))  # negative weight
+        density_matrix(np.diag([1.5, -0.5]))  # negative weight
+
+
+def test_density_matrix_of_a_rank_two_rho_is_a_two_column_mixture():
+    rng = np.random.default_rng(53)
+    for dtype in (np.float64, np.complex128):
+        v = rng.standard_normal((6, 2))
+        if dtype == np.complex128:
+            v = v + 1j * rng.standard_normal((6, 2))
+        v = np.linalg.qr(v)[0]
+        rho = (v * [0.3, 0.7]) @ v.conj().T
+        mix = density_matrix(rho)
+        assert isinstance(mix, Mixture) and mix.vectors.shape == (6, 2)
+        assert mix.vectors.dtype == dtype and np.allclose(mix.weights, [0.3, 0.7], atol=1e-14)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        for op in (a, sp.csr_array(a)):
+            want = complex(np.trace(a @ rho))
+            assert abs(expectation(mix, op) - want) <= 1e-13
 
 
 def test_density_matrix_constructors(dense_state):
     psi = np.array([1.0, 1.0]) / np.sqrt(2)
-    rho = DensityMatrix.pure(psi)
+    rho = pure(psi)
     assert isinstance(rho, Mixture) and rho.vectors.shape == (2, 1)
     assert np.allclose(dense_state(rho), 0.5 * np.ones((2, 2)))
-    mm = DensityMatrix.maximally_mixed(4)
+    mm = maximally_mixed(4)
     assert np.array_equal(dense_state(mm), np.eye(4) / 4) and mm.data.size == 4
     vecs = np.eye(3)[:, :2]
-    mix = DensityMatrix.mixture(vecs)
+    mix = mixture(vecs)
     assert np.allclose(dense_state(mix), np.diag([0.5, 0.5, 0.0]))
 
 
@@ -119,20 +138,32 @@ def test_gibbs_energy_decreases_with_beta():
 
 
 def test_expectation_routes_agree():
+    # a raw vector is read as pure(psi)
     rng = np.random.default_rng(23)
     for _ in range(5):
         psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         psi /= np.linalg.norm(psi)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        via_vec = expectation(StateVector(psi), a)
-        via_rho = expectation(DensityMatrix.pure(psi), a)
+        via_vec = expectation(psi, a)
+        via_rho = expectation(pure(psi), a)
         assert abs(via_vec - via_rho) < 1e-12
+        assert abs(via_rho - np.vdot(psi, a @ psi)) < 1e-12
+
+
+def test_a_raw_matrix_is_not_a_state():
+    rho = np.eye(4) / 4
+    with pytest.raises(DomainError, match="density_matrix"):
+        expectation(rho, np.eye(4))
+    x = np.ones((4, 4))
+    with pytest.raises(DomainError, match="density_matrix"):
+        eeb_terms(np.diag([0.0, 1.0, 2.0, 3.0]), x).deficit(0.5, rho)
+    assert abs(expectation(density_matrix(rho), x) - 1.0) < 1e-15
 
 
 def test_expectation_trace_is_elementwise_for_dense_and_csr(dense_state):
     rng = np.random.default_rng(31)
     psi = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-    rho = DensityMatrix.mixture(psi)
+    rho = mixture(psi)
     dense = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     csr = sp.random_array((12, 12), density=0.2, rng=rng, dtype=complex, format="csr")
     for a, ad in ((dense, dense), (csr, csr.toarray())):
@@ -141,20 +172,23 @@ def test_expectation_trace_is_elementwise_for_dense_and_csr(dense_state):
 
 
 def test_expectation_in_a_random_complex_matrix_reads_stored_entries():
-    # Tr(A rho) for any complex rho: a CSR A may carry unsorted column
-    # indices, duplicate entries (which add) and explicit zeros
+    # Tr(A rho) for any complex rho, here the one block of a BlockDensity
+    # (block 0 empty): a CSR A may carry unsorted column indices, duplicate
+    # entries (which add) and explicit zeros
     rng = np.random.default_rng(37)
-    rho = DensityMatrix(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)),
-                        validate=False)
+    matrix = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    plan = _BlockPlan(np.ones(12, np.intp), np.arange(12), np.array([0, 0, 12]), False,
+                      np.arange(2))
+    rho = BlockDensity(plan, matrix.reshape(-1))
     dense = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     indptr = np.zeros(13, dtype=np.int32)
     indptr[[1, 4, 8, 12]] = [2, 3, 1, 1]  # rows 0, 3, 7 and 11
     messy = sp.csr_array((np.array([1 + 2j, -0.5j, 3.0, 0.25, -1.5, 0.0, 2 - 1j]),
                           np.array([5, 2, 9, 1, 9, 4, 0]), np.cumsum(indptr)), shape=(12, 12))
     assert not messy.has_sorted_indices and messy.nnz == 7
-    scale = np.max(np.abs(rho.matrix)) * 12
+    scale = np.max(np.abs(matrix)) * 12
     for a, ad in ((dense, dense), (sp.csr_array(dense), dense), (messy, messy.toarray())):
-        want = np.trace(ad @ rho.matrix)
+        want = np.trace(ad @ matrix)
         assert abs(expectation(rho, a) - want) <= 1e-14 * scale * max(1.0, np.max(np.abs(ad)))
     for a in (dense[:10, :10], sp.csr_array(dense[:10, :10])):
         with pytest.raises(DimensionMismatchError):
@@ -249,7 +283,7 @@ def test_eeb_witnesses_non_equilibrium_state():
     v = eigenvector_columns(full_spectrum(h))
     gs, exc = v[:, 0], v[:, 3]
     x = np.outer(gs, exc.conj()) + 1e-3 * np.outer(exc, gs.conj())
-    d = eeb_deficit(h, 0.5, x, DensityMatrix.pure(exc))
+    d = eeb_deficit(h, 0.5, x, pure(exc))
     assert d < -1.0
 
 
@@ -257,7 +291,7 @@ def test_eeb_degenerate_weights():
     h = _two_site(-1.0)
     v = eigenvector_columns(full_spectrum(h))
     gs, e1 = v[:, 0], v[:, 1]
-    state = DensityMatrix.pure(gs)
+    state = pure(gs)
     # X annihilates the state: omega(X*X) = 0
     x = np.outer(gs, e1.conj())
     with pytest.raises(DegenerateInputError):
@@ -272,7 +306,7 @@ def test_eeb_degenerate_weights():
 def test_stability_nonnegative_on_ground_states():
     h = _two_site(-1.0)
     v = eigenvector_columns(full_spectrum(h))
-    state = DensityMatrix.pure(v[:, 0])
+    state = pure(v[:, 0])
     rng = np.random.default_rng(43)
     for _ in range(40):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -285,20 +319,27 @@ def test_stability_counterexample_on_excited_state():
     v = eigenvector_columns(full_spectrum(h))
     gs, top = v[:, 0], v[:, 3]
     a = np.outer(gs, top.conj())
-    val = stability_value(h, DensityMatrix.pure(top), a)
+    val = stability_value(h, pure(top), a)
     assert abs(val - (-1.0)) < 1e-12
 
 
 def test_stability_requires_hermitian_hamiltonian():
     with pytest.raises(DomainError):
-        stability_value(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                        DensityMatrix.maximally_mixed(2), np.eye(2))
+        stability_value(np.array([[0.0, 1.0], [0.0, 0.0]]), pure(np.ones(2)), np.eye(2))
+
+
+def test_stability_takes_only_a_mixture():
+    # a ground-state criterion: a Gibbs state or a raw vector is refused
+    h = _two_site(-1.0)
+    for state in (gibbs(h, 1.0).rho, maximally_mixed(4), np.ones(4)):
+        with pytest.raises(DomainError, match="Mixture"):
+            stability_value(h, state, np.eye(4))
 
 
 def test_eeb_requires_hermitian_hamiltonian():
     with pytest.raises(DomainError):
         eeb_deficit(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5, np.eye(2),
-                    DensityMatrix.maximally_mixed(2))
+                    maximally_mixed(2))
 
 
 def test_eeb_and_stability_take_hermiticity_from_an_eigen_system(monkeypatch):
@@ -307,11 +348,11 @@ def test_eeb_and_stability_take_hermiticity_from_an_eigen_system(monkeypatch):
     es = EigenSystem(h)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    state = gibbs(es, 0.8).rho
-    want = (eeb_deficit(h, 0.8, x, state), stability_value(h, state, x))
+    state, ground = gibbs(es, 0.8).rho, mixture(ground_space(es).basis)
+    want = (eeb_deficit(h, 0.8, x, state), stability_value(h, ground, x))
     monkeypatch.setattr(spin_algebra, "is_hermitian",
                         lambda *args: pytest.fail("rescanned H for Hermiticity"))
-    assert (eeb_deficit(es, 0.8, x, state), stability_value(es, state, x)) == want
+    assert (eeb_deficit(es, 0.8, x, state), stability_value(es, ground, x)) == want
 
 
 def test_prepared_terms_are_vectors_and_sparse_products():
@@ -333,7 +374,7 @@ def test_density_matrices_of_a_real_h_are_float64(dm_chain):
     for h, dtype in ((real, np.float64), (dm_chain(8), np.complex128)):
         es = EigenSystem(h)
         sizes = np.diff(es.plan.starts)
-        rho, mix = gibbs(es, 0.7).rho, DensityMatrix.mixture(ground_space(es).basis)
+        rho, mix = gibbs(es, 0.7).rho, mixture(ground_space(es).basis)
         assert rho.data.dtype == mix.vectors.dtype == dtype
         assert rho.data.size == sizes[0] + np.sum(sizes[1:] ** 2) < es.dim**2 // 4
         assert mix.vectors.shape == (es.dim, ground_space(es).degeneracy)
@@ -383,7 +424,7 @@ def test_block_gibbs_state_equals_one_full_complex_eigh(record, dense_state):
         assert np.max(np.abs(dense_state(gibbs(es, beta).rho) - want)) < 1e-13
 
 
-def test_block_expectation_equals_the_dense_gather(record, dense_state):
+def test_block_expectation_equals_the_dense_gather(record, dense_trace):
     # operators inside H's blocks, across two of them (their entries read 0),
     # on size-1 blocks (every ising block, the fully polarized states of the
     # others) and with duplicate CSR entries, which add
@@ -395,24 +436,22 @@ def test_block_expectation_equals_the_dense_gather(record, dense_state):
     assert _with_duplicates(h, s3).nnz == h.nnz + s3.nnz
     for beta in (0.0, 1.3):
         rho = gibbs(es, beta).rho
-        dense = DensityMatrix(dense_state(rho), validate=False)
         assert expectation(rho, s1) == 0.0
         for op in ops:
-            want = expectation(dense, op)
+            want = dense_trace(rho, op)
             tol = 1e-14 * max(1.0, float(np.sum(np.abs(op.data))))
             assert abs(expectation(rho, op) - want) <= tol
             assert abs(expectation(rho, op.toarray()) - want) <= tol
 
 
-def test_matvec_stability_equals_the_dense_mixture_products(record, dense_state):
+def test_matvec_stability_equals_the_dense_mixture_products(record, dense_stability):
     h, vol = record
     es = EigenSystem(h)
-    mix = DensityMatrix.mixture(ground_space(es).basis)
-    dense = DensityMatrix(dense_state(mix), validate=False)
+    mix = mixture(ground_space(es).basis)
     scale = max(1.0, float(np.max(np.abs(es.eigenvalues))))
     probes = [op for pair in random_probe_pairs(vol, 31, 4) for op in pair] + _site_operators(vol)
     for a in probes:
-        want = stability_value(es, dense, a)
+        want = dense_stability(h, mix, a)
         for hh in (h, h.toarray()):
             assert abs(stability_value(hh, mix, a) - want) <= 1e-12 * scale
 
@@ -420,10 +459,10 @@ def test_matvec_stability_equals_the_dense_mixture_products(record, dense_state)
 def test_stability_in_a_mixture_forms_no_operator_product(monkeypatch):
     h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(6, boundary="open"))
     es = EigenSystem(h)
-    mix = DensityMatrix.mixture(ground_space(es).basis)
+    mix = mixture(ground_space(es).basis)
     a, _ = random_probe_pairs(chain_volume(6, boundary="open"), 3, 1)[0]
     want = stability_value(es, mix, a)
     for name in ("adjoint", "commutator"):
         monkeypatch.setattr(states, name, lambda *args, name=name: pytest.fail(f"called {name}"))
     assert stability_value(es, mix, a) == want
-    assert stability_value(es, StateVector(ground_space(es).basis[:, 0]), a) > -1e-12
+    assert stability_value(es, pure(ground_space(es).basis[:, 0]), a) > -1e-12
