@@ -6,8 +6,8 @@ Modules:
     lattice       — finite volumes, CSR embeddings, permutation unitaries
     interactions  — built-in models, Hamiltonian assembly, model registry
     krylov        — block Lanczos low-end eigensolver (sparse route)
-    spectra       — shared eigendecomposition, low-end spectra, gaps, correlations
-    states        — state containers, Gibbs states, equilibrium criteria
+    spectra       — shared eigendecomposition, low-end spectra, gaps
+    states        — state containers, Gibbs states, equilibrium criteria, correlations
     dynamics      — Heisenberg-picture evolution and light-cone scans
     symmetry      — symmetry generators and invariance residuals
     probes        — seeded random local observables
@@ -76,8 +76,6 @@ from .spectra import (
     ground_space,
     low_levels,
     spectral_gap,
-    structure_factor,
-    two_point,
 )
 from .states import (
     BlockDensity,
@@ -94,6 +92,8 @@ from .states import (
     mixture,
     pure,
     stability_value,
+    structure_factor,
+    two_point,
 )
 from .dynamics import (
     LRFit,

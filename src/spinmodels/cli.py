@@ -12,8 +12,11 @@ per task (section keys with defaults and validators, runner, CSV header) and
 value, threshold, pass direction, probe seed, witness).  Results go to
 ``result.json``, plus the task's CSV table when ``output.csv`` names a file,
 written in a canonical form — sorted keys, floats as 17 significant digits
-(``.17g``, which round-trips but is not always shortest) — so identical specs
-produce byte-identical outputs.  Wall-clock time and progress go to stderr only.
+(``.17g``, which round-trips but is not always shortest), numpy values as the
+Python values they hold, CSV cells that are strings as they are — so identical
+specs produce byte-identical outputs.  The dense route of ``spectrum`` lists
+every eigenvalue (dim of them); ``num_eigenvalues`` counts on the krylov route
+only.  Wall-clock time and progress go to stderr only.
 Exit codes (0 on success, else the error type's ``exit_code``): 2 spec
 error, 3 resource cap, 4 solver/numerics failure.
 """
@@ -205,82 +208,39 @@ def parse_spec_file(path) -> RunSpec:
 # ---------------------------------------------------------------------------
 
 
-def _pyify(obj):
-    """Coerce numpy scalars/arrays into plain Python containers."""
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {str(k): _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    return obj
-
-
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise SolverError(f"non-finite value {x!r} in result payload")
     return format(x, ".17g")
 
 
+def _encode(obj) -> str:
+    """The canonical JSON text of one value, numpy values read as the Python
+    values they hold."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        return _format_float(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        obj = {str(k): v for k, v in obj.items()}
+        return "{" + ",".join(f"{json.dumps(k)}:{_encode(obj[k])}" for k in sorted(obj)) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_encode, obj)) + "]"
+    raise SolverError(f"unserializable value of type {type(obj).__name__}")
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, '.17g' floats, no NaN/infinity."""
-    obj = _pyify(obj)
-    parts: list[str] = []
-
-    def emit(o):
-        if o is None:
-            parts.append("null")
-        elif isinstance(o, bool):
-            parts.append("true" if o else "false")
-        elif isinstance(o, int):
-            parts.append(str(o))
-        elif isinstance(o, float):
-            parts.append(_format_float(o))
-        elif isinstance(o, str):
-            parts.append(json.dumps(o, ensure_ascii=True))
-        elif isinstance(o, dict):
-            parts.append("{")
-            for i, k in enumerate(sorted(o)):
-                if i:
-                    parts.append(",")
-                parts.append(json.dumps(str(k), ensure_ascii=True))
-                parts.append(":")
-                emit(o[k])
-            parts.append("}")
-        elif isinstance(o, (list, tuple)):
-            parts.append("[")
-            for i, v in enumerate(o):
-                if i:
-                    parts.append(",")
-                emit(v)
-            parts.append("]")
-        else:
-            raise SolverError(f"unserializable value of type {type(o).__name__}")
-
-    emit(obj)
-    return "".join(parts)
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _format_float(float(v))
-    return str(v)
+    return _encode(obj)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """A CSV table: strings as they are, every other cell as its canonical JSON."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(v if isinstance(v, str) else _encode(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -313,8 +273,7 @@ class _Run:
 
     @cached_property
     def h(self):
-        return assemble_hamiltonian(self.interaction, self.volume,
-                                    max_hilbert_dim=self.cap_sparse)
+        return assemble_hamiltonian(self.interaction, self.volume)
 
     @cached_property
     def es(self) -> EigenSystem:
@@ -326,10 +285,9 @@ def _task_spectrum(run: _Run) -> tuple[dict, list]:
     _progress("spectrum", 1, 1)
     low = low_levels(run.h, run.params["num_eigenvalues"],
                      method=None if method == "auto" else method, cap_dense=run.cap_dense)
-    eigenvalues = [float(v) for v in low.eigenvalues]
-    payload = {"method": low.method, "eigenvalues": eigenvalues, "ground_energy": low.energy,
+    payload = {"method": low.method, "eigenvalues": low.eigenvalues, "ground_energy": low.energy,
                "degeneracy": low.degeneracy, "gap": low.gap, **low.diagnostics}
-    return payload, list(enumerate(eigenvalues))
+    return payload, list(enumerate(low.eigenvalues))
 
 
 def _task_thermal(run: _Run) -> tuple[dict, list]:
@@ -352,15 +310,11 @@ def _task_dynamics(run: _Run) -> tuple[dict, list]:
     _progress("dynamics", 1, 2)
     fit = lr_fit(scan)
     _progress("dynamics", 2, 2)
-    payload = {
-        "times": [float(t) for t in scan.times],
-        "distances": [int(x) for x in scan.distances],
-        "norms": [[float(v) for v in row] for row in scan.norms],
-        "bound": scan.bound,
-        "fit": {key: getattr(fit, key)
-                for key in ("velocity", "decay_rate", "max_violation", "points_used")},
-    }
-    rows = [(float(t), int(x), float(scan.norms[i, j]))
+    payload = {"times": scan.times, "distances": scan.distances, "norms": scan.norms,
+               "bound": scan.bound,
+               "fit": {key: getattr(fit, key)
+                       for key in ("velocity", "decay_rate", "max_violation", "points_used")}}
+    rows = [(t, x, scan.norms[i, j])
             for i, t in enumerate(scan.times) for j, x in enumerate(scan.distances)]
     return payload, rows
 
@@ -483,8 +437,7 @@ def _task_verify(run: _Run) -> tuple[dict, list]:
 
 
 def _scan_point(run: _Run, value: float, params: dict) -> dict:
-    h = assemble_hamiltonian(run.model.interaction(params), run.volume,
-                             max_hilbert_dim=run.cap_sparse)
+    h = assemble_hamiltonian(run.model.interaction(params), run.volume)
     low = low_levels(h, cap_dense=run.cap_dense)
     return {"value": float(value), "ground_energy": low.energy,
             "degeneracy": low.degeneracy, "gap": low.gap}

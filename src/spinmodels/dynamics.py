@@ -225,6 +225,5 @@ def lr_fit(scan: LRScan) -> LRFit:
     v = max(v, 0.0)
     envelope = c0 * np.exp(-c * (xs - v * ts))
     max_violation = float(np.max(ns - envelope, initial=0.0))
-    max_violation = max(max_violation, 0.0)
     return LRFit(velocity=v, decay_rate=c, bound=c0, max_violation=max_violation,
                  points_used=int(np.sum(mask)))

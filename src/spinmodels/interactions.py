@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError, DomainError, ResourceCapError
-from .lattice import MAX_HILBERT_DIM, Volume, _embed_csr, chain_volume
+from .errors import DimensionMismatchError, DomainError
+from .lattice import Volume, _embed_csr, chain_volume
 from .spin_algebra import Spin, _dense, _hermitian, operator_norm, spin_matrices
 from .symmetry import GeneratorSet, suq2_generators, total_spin
 
@@ -165,25 +165,17 @@ def xxz_suq2_chain(length: int, q: float) -> sp.csr_array:
 # ---------------------------------------------------------------------------
 
 
-def assemble_hamiltonian(
-    interaction: Interaction,
-    volume: Volume,
-    *,
-    max_hilbert_dim: int = MAX_HILBERT_DIM,
-) -> sp.csr_array:
+def assemble_hamiltonian(interaction: Interaction, volume: Volume) -> sp.csr_array:
     """Sum the interaction's site term over sites and bond term over bonds.
 
     The result is CSR at every size, float64 for real terms, and Hermitian by
     construction (exactly: embeddings copy entries and sparse sums align them).
+    Any volume is assembled: the Hilbert-space cap is ``build_volume``'s.
     """
     if interaction.local_dim != volume.local_dim:
         raise DimensionMismatchError(
             f"interaction local dim {interaction.local_dim} != "
             f"volume local dim {volume.local_dim}"
-        )
-    if volume.hilbert_dim > max_hilbert_dim:
-        raise ResourceCapError(
-            f"Hilbert dimension {volume.hilbert_dim} exceeds cap {max_hilbert_dim}"
         )
     dim = volume.hilbert_dim
     total = sp.csr_array((dim, dim))
@@ -305,16 +297,8 @@ def _model(name: str) -> Model:
     return MODELS[name]
 
 
-def build_model_hamiltonian(
-    name: str,
-    params: dict | None,
-    volume: Volume,
-    *,
-    max_hilbert_dim: int = MAX_HILBERT_DIM,
-) -> sp.csr_array:
+def build_model_hamiltonian(name: str, params: dict | None, volume: Volume) -> sp.csr_array:
     """Hamiltonian of a named model on a volume it is defined on."""
     model = _model(name)
     model.check_volume(volume)
-    return assemble_hamiltonian(
-        model.interaction(params), volume, max_hilbert_dim=max_hilbert_dim
-    )
+    return assemble_hamiltonian(model.interaction(params), volume)

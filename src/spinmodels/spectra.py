@@ -1,4 +1,4 @@
-"""Spectra, ground spaces, gaps, and equal-time correlations.
+"""Spectra, ground spaces and gaps.
 
 A Hamiltonian is diagonalized once.  :class:`EigenSystem` holds H with its
 decomposition from :func:`spinmodels.spin_algebra.hermitian_eig`, kept as
@@ -39,17 +39,14 @@ import scipy.sparse as sp
 from .errors import (DimensionMismatchError, DomainError, RangeLimitError,
                      ResourceCapError, SolverError)
 from .krylov import lowest_eigenpairs
-from .lattice import Volume, embed
 from .spin_algebra import (
     DENSE_CUTOFF,
     _block_plan,
     _flip_parity,
     _hermitian,
-    adjoint,
     as_matrix,
     eigenvector_columns,
     hermitian_eig,
-    spin_matrices,
 )
 
 #: Relative width of the window that groups eigenvalues into one multiplet.
@@ -446,64 +443,3 @@ def spectral_gap(h, *, method: str | None = None) -> float:
     :func:`low_levels`.
     """
     return low_levels(h, method=method).gap
-
-
-# ---------------------------------------------------------------------------
-# Equal-time correlations
-# ---------------------------------------------------------------------------
-
-_TWO_POINT_KINDS = ("sdots", "s3s3")
-
-
-def two_point(state, x, y, volume: Volume, kind: str = "sdots") -> float:
-    """<S_x . S_y> ("sdots") or <S3_x S3_y> ("s3s3") in ``state``.
-
-    ``state`` is any state :func:`spinmodels.states.expectation` reads: a
-    Mixture, a BlockDensity, or a plain vector (``pure``).
-    x == y is allowed (on-site moment).  The value is the real part; for
-    Hermitian observables the imaginary part is zero to rounding.
-    """
-    from .states import expectation
-
-    if kind not in _TWO_POINT_KINDS:
-        raise DomainError(f"kind must be one of {_TWO_POINT_KINDS}, got {kind!r}")
-    x = tuple(int(c) for c in np.atleast_1d(x).tolist())
-    y = tuple(int(c) for c in np.atleast_1d(y).tolist())
-    ops = spin_matrices((volume.local_dim - 1) / 2.0)
-    if x == y:
-        if kind == "sdots":
-            local = ops.casimir()
-        else:
-            local = ops.s3 @ ops.s3
-        op = embed(local, [x], volume)
-    else:
-        if kind == "sdots":
-            local = ops.exchange()
-        else:
-            local = np.kron(ops.s3, ops.s3)
-        op = embed(local, [x, y], volume)
-    return float(expectation(state, op).real)
-
-
-def structure_factor(state, volume: Volume, momentum) -> float:
-    """S(k) = <M(k)^dagger M(k)> / |volume|^2 with M(k) = sum_x e^{-i k.x} S3_x.
-
-    Real and nonnegative for any valid state; 1/4 at k = (pi,...) for the
-    two-sublattice alternating spin-1/2 product state, S(S+1)/(3 |volume|)
-    at every k for the maximally mixed state.
-    """
-    from .states import expectation
-
-    momentum = np.atleast_1d(np.asarray(momentum, dtype=float))
-    if momentum.shape != (volume.dimension,):
-        raise DomainError(
-            f"momentum needs {volume.dimension} components, got {momentum.shape}"
-        )
-    ops = spin_matrices((volume.local_dim - 1) / 2.0)
-    total = None
-    for site in volume.sites:
-        phase = np.exp(-1j * float(np.dot(momentum, site)))
-        part = embed(phase * ops.s3, [site], volume)
-        total = part if total is None else total + part
-    num = expectation(state, adjoint(total) @ total).real
-    return float(num) / volume.num_sites**2

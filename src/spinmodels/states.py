@@ -1,4 +1,5 @@
-"""State containers, Gibbs states, and the equilibrium criteria.
+"""State containers, Gibbs states, the equilibrium criteria, and equal-time
+correlations.
 
 The three equilibrium checks all evaluate finite-volume identities exactly
 (up to rounding).  ``gibbs`` and ``kms_residual`` work block by block on
@@ -44,9 +45,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateInputError, DimensionMismatchError, DomainError
+from .lattice import Volume, embed
 from .spectra import EigenSystem
 from .spin_algebra import (_BlockPlan, _dense, _hermitian, _operands, adjoint, as_matrix,
-                           commutator, eigenvector_columns, hermitian_eig)
+                           commutator, eigenvector_columns, hermitian_eig, spin_matrices)
 
 #: Tolerance for a density matrix's trace and positivity, and the weight
 #: below which ``density_matrix`` drops an eigenpair.
@@ -250,6 +252,60 @@ def expectation(state, a) -> complex:
     inside = np.flatnonzero(label[rows] == label[m.indices])
     at = state._row[m.indices[inside]] + state._col[rows[inside]]
     return complex(np.dot(m.data[inside], state.data[at]))
+
+
+_TWO_POINT_KINDS = ("sdots", "s3s3")
+
+
+def two_point(state, x, y, volume: Volume, kind: str = "sdots") -> float:
+    """<S_x . S_y> ("sdots") or <S3_x S3_y> ("s3s3") in ``state``.
+
+    ``state`` is any state :func:`expectation` reads: a Mixture, a
+    BlockDensity, or a plain vector (``pure``).
+    x == y is allowed (on-site moment).  The value is the real part; for
+    Hermitian observables the imaginary part is zero to rounding.
+    """
+    if kind not in _TWO_POINT_KINDS:
+        raise DomainError(f"kind must be one of {_TWO_POINT_KINDS}, got {kind!r}")
+    x = tuple(int(c) for c in np.atleast_1d(x).tolist())
+    y = tuple(int(c) for c in np.atleast_1d(y).tolist())
+    ops = spin_matrices((volume.local_dim - 1) / 2.0)
+    if x == y:
+        if kind == "sdots":
+            local = ops.casimir()
+        else:
+            local = ops.s3 @ ops.s3
+        op = embed(local, [x], volume)
+    else:
+        if kind == "sdots":
+            local = ops.exchange()
+        else:
+            local = np.kron(ops.s3, ops.s3)
+        op = embed(local, [x, y], volume)
+    return float(expectation(state, op).real)
+
+
+def structure_factor(state, volume: Volume, momentum) -> float:
+    """S(k) = <M(k)^dagger M(k)> / |volume|^2 with M(k) = sum_x e^{-i k.x} S3_x.
+
+    Real and nonnegative for any valid state; 1/4 at k = (pi,...) for the
+    two-sublattice alternating spin-1/2 product state, S(S+1)/(3 |volume|)
+    at every k for the maximally mixed state.
+    """
+    momentum = np.atleast_1d(np.asarray(momentum, dtype=float))
+    if momentum.shape != (volume.dimension,):
+        raise DomainError(
+            f"momentum needs {volume.dimension} components, got {momentum.shape}"
+        )
+    ops = spin_matrices((volume.local_dim - 1) / 2.0)
+    total = None
+    for site in volume.sites:
+        phase = np.exp(-1j * float(np.dot(momentum, site)))
+        part = embed(phase * ops.s3, [site], volume)
+        total = part if total is None else total + part
+    num = expectation(state, adjoint(total) @ total).real
+    return float(num) / volume.num_sites**2
+
 
 
 def _hamiltonian(h, check: str):

@@ -208,7 +208,7 @@ def test_canonical_json_is_sorted_and_stable():
     obj = {"b": 1, "a": [1.5, 2], "c": {"y": True, "x": None}}
     text = canonical_json(obj)
     assert text == '{"a":[1.5,2],"b":1,"c":{"x":null,"y":true}}'
-    # shortest-roundtrip float text
+    # '.17g' float text: it round-trips, but is not always the shortest that does
     assert canonical_json(0.1) == "0.10000000000000001"
     assert json.loads(canonical_json(1.0 / 3.0)) == 1.0 / 3.0
 
@@ -217,8 +217,20 @@ def test_canonical_json_coerces_numpy():
     obj = {"v": np.float64(2.5), "n": np.int32(3), "arr": np.arange(3.0),
            "flag": np.bool_(True)}
     text = canonical_json(obj)
-    assert json.loads(text) == {"v": 2.5, "n": 3, "arr": [0.0, 1.0, 2.0],
-                                "flag": True}
+    assert text == '{"arr":[0,1,2],"flag":true,"n":3,"v":2.5}'
+
+
+def test_canonical_json_bytes_of_numpy_values_tuples_and_int_keys():
+    # numpy values are written as the Python values they hold
+    assert canonical_json(np.array([[0.5, 1.0], [-2.25, 0.1]])) == \
+        "[[0.5,1],[-2.25,0.10000000000000001]]"
+    assert canonical_json(np.int64(-7)) == "-7"
+    assert canonical_json(np.float32(0.1)) == "0.10000000149011612"
+    assert canonical_json(np.bool_(False)) == "false"
+    assert canonical_json((1, "a", None, (2.5,))) == '[1,"a",null,[2.5]]'
+    # keys are written as strings and sorted as strings
+    assert canonical_json({10: "x", 2: np.arange(2), "1": {}}) == \
+        '{"1":{},"10":"x","2":[0,1]}'
 
 
 def test_canonical_json_rejects_non_finite():
@@ -237,6 +249,14 @@ def test_write_csv_formats(tmp_path):
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,0.5,true"
     assert lines[2].startswith("2,0.3333333333333333")
+
+
+def test_write_csv_cells_reuse_the_json_encoder(tmp_path):
+    # strings as they are, every other cell as its canonical JSON
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c", "d", "e", "f"],
+              [(np.int64(3), np.float64(0.1), True, "kms", np.bool_(False), np.float32(0.5))])
+    assert path.read_bytes() == b"a,b,c,d,e,f\n3,0.10000000000000001,true,kms,false,0.5\n"
 
 
 def test_run_spectrum_end_to_end(tmp_path):

@@ -137,6 +137,13 @@ def test_empty_interaction_gives_zero_hamiltonian():
     assert np.all(h == 0)
 
 
+def test_assembly_keeps_the_cap_the_volume_was_built_under():
+    # the Hilbert-space cap is checked once, by build_volume; 2^17 > 65536
+    vol = build_volume((17,), max_hilbert_dim=1 << 20)
+    h = assemble_hamiltonian(empty(), vol)
+    assert h.format == "csr" and h.shape == (1 << 17, 1 << 17) and h.nnz == 0
+
+
 def test_aklt_bond_projector_properties():
     inter = aklt()
     p = inter.bond_term

@@ -62,3 +62,33 @@ def test_private_reference_check_sees_an_unused_helper():
 def test_every_private_helper_is_referenced_in_the_package():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced_privates(sources) == []
+
+
+def _function_local_package_imports(source: str) -> list[str]:
+    """Imports of a ``spinmodels`` module, relative or absolute, made inside
+    a function: an import cycle between modules, hidden from import time."""
+    tree = ast.parse(source)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    local = [node for fn in ast.walk(tree) if isinstance(fn, functions)
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    found = set()
+    for node in local:
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            names = [alias.name for alias in node.names]
+        found.update((node.lineno, name) for name in names
+                     if name.startswith(".") or name.split(".")[0] == "spinmodels")
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_local_import_check_sees_a_package_import_in_a_function():
+    source = ("import numpy\nfrom . import errors\n\ndef f():\n    from .states import g\n"
+              "    import scipy.sparse.linalg\n\n    def inner():\n        import spinmodels.cli\n")
+    assert _function_local_package_imports(source) == [".states (line 5)",
+                                                       "spinmodels.cli (line 9)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_function_imports_a_package_module(path):
+    assert _function_local_package_imports(path.read_text()) == []
