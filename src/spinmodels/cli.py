@@ -217,6 +217,8 @@ def _format_float(x: float) -> str:
 def _encode(obj) -> str:
     """The canonical JSON text of one value, numpy values read as the Python
     values they hold."""
+    if type(obj) in (float, int):  # exact types first: bools and numpy values are not
+        return _format_float(obj) if type(obj) is float else str(obj)
     if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
     if isinstance(obj, float):

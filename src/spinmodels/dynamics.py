@@ -10,9 +10,9 @@ evolution runs over the block pairs that the operator couples, and the
 result keeps the operator's storage: CSR in gives CSR out, nonzero only on
 those pairs, so S3 at a site (which the built-in models' blocks leave
 invariant) stays block-diagonal, and an exactly flip-even or flip-odd A
-keeps its parity bit for bit.  A light-cone scan of diagonal observables
-(S3 at any spin) keeps alpha_t(A) in H's blocks and norms each block of the
-commutator by one corner SVD (an eigvalsh where B_x takes more than two values);
+keeps its parity bit for bit.  A light-cone scan of diagonal observables (S3 at
+any spin) keeps alpha_t(A) in H's blocks and norms each block and time by one batched
+Gram eigvalsh of its corners (an eigvalsh per x where B_x takes more than two values);
 others take the largest |eigenvalue| of i[alpha_t(A), B_x] from ``commutator``.
 Above the dense cutoff, a Hamiltonian (not an EigenSystem) still gets vector
 propagation through a Krylov-based matrix-exponential action.
@@ -96,16 +96,12 @@ class LRScan:
         self.distances = np.asarray(self.distances, dtype=int)
         self.norms = np.asarray(self.norms, dtype=float)
         if self.norms.shape != (self.times.size, self.distances.size):
-            raise DomainError(
-                f"norms shape {self.norms.shape} does not match grids "
-                f"({self.times.size}, {self.distances.size})"
-            )
-        if np.any(self.norms < 0):
-            raise SolverError("negative commutator norm in scan")
+            raise DomainError(f"norms shape {self.norms.shape} does not match grids "
+                              f"({self.times.size}, {self.distances.size})")
+        if not np.all(np.isfinite(self.norms) & (self.norms >= 0)):
+            raise SolverError("negative or non-finite commutator norm in scan")
         if float(np.max(self.norms, initial=0.0)) > self.bound + 1e-10:
-            raise SolverError(
-                "scan entry exceeds the a-priori commutator bound 2||A||||B||"
-            )
+            raise SolverError("scan entry exceeds the a-priori commutator bound 2||A||||B||")
 
 
 @dataclass
@@ -136,10 +132,11 @@ def lr_scan(
     exactly zero off-site: evolution returns A unchanged at t = 0 and
     embeddings on disjoint supports commute exactly.  Diagonal A and B_x
     (``_diagonal``) keep alpha_t(A) in H's blocks, A itself on block 0: each
-    other block is flowed once per t > 0 (``EigenSystem.flow``) for all x and
-    normed by :func:`_block_norm`, skipping mirror blocks when H, A and every
-    B_x have a flip parity (J C J = +-C).  Other observables take the largest
-    |eigenvalue| of i[alpha_t(A), B_x] from ``hermitian_eig``.
+    other block is flowed once per t > 0 (``EigenSystem.flow``) and normed for
+    all x at once by :func:`_block_norms`, whose corner indices are built once
+    per block; mirror blocks are skipped when H, A and every B_x have a flip
+    parity (J C J = +-C).  Other observables take the largest |eigenvalue| of
+    i[alpha_t(A), B_x] from ``hermitian_eig``.
     """
     if volume.dimension != 1:
         raise DomainError(f"light-cone scans run on chains; volume dims {volume.dims}")
@@ -161,11 +158,11 @@ def lr_scan(
     if _diagonal(a0) and all(_diagonal(bx) for bx in b_ops):
         skip = prop.plan.flip and _flip_parity(a0) != 0 and all(_flip_parity(bx) for bx in b_ops)
         own = {(b, b) for b in range(1, len(prop.blocks)) if not skip or prop.plan.mirror[b] >= b}
+        diagonals = np.array([bx.diagonal().real for bx in b_ops])
         for b, _, x in prop.pairs(a0, own):
-            diagonals = [bx.diagonal()[prop.blocks[b][0]] for bx in b_ops]
+            norm = _block_norms(diagonals[:, prop.blocks[b][0]])
             for i in np.flatnonzero(times):  # the t = 0 row stays zero: alpha_0(A) = A
-                y = prop.flow(b, b, x, 1j * times[i])
-                norms[i] = np.maximum(norms[i], [_block_norm(y, d) for d in diagonals])
+                norms[i] = np.maximum(norms[i], norm(prop.flow(b, b, x, 1j * times[i])))
     else:  # i[alpha_t(A), B] is Hermitian: its norm is its largest |eigenvalue|
         for i, t in enumerate(times):
             at = prop.evolve(a0, float(t))
@@ -175,15 +172,35 @@ def lr_scan(
     return LRScan(times=times, distances=distances, norms=norms, a_norm=a_norm, b_norm=b_norm)
 
 
-def _block_norm(y, d) -> float:
-    """||[Y, D]|| for a Hermitian block Y and D = diag(d): for two values d1 < d2
-    [Y, D] is zero off the corner Y[d = d1][:, d = d2] and its transpose, so (d2 - d1)
-    sigma_max(corner); else the largest |eigenvalue| of i[Y, D] (0 for constant d)."""
-    values, low = np.unique(d), d == d.min()
-    if values.size == 2:
-        return float((values[1] - values[0]) * np.linalg.svd(y[low][:, ~low], compute_uv=False)[0])
-    ic = 1j * y * (d[None, :] - d[:, None])
-    return float(np.abs(np.linalg.eigvalsh(ic)).max()) if values.size > 2 else 0.0
+def _block_norms(d, batch=1 << 17):
+    """Y -> ||[Y, diag(d_r)]|| for each row d_r of ``d``, Y Hermitian.  If d_r takes two
+    values d1 < d2, it is (d2 - d1) sigma_max(C), C = Y[d_r = d1][:, d_r = d2]; corners of
+    one shape are stacked (up to ``batch`` entries) for one Gram G = C^H C on C's narrower
+    side and one eigvalsh.  sigma_max(C)^2 = lambda_max(G) (Golub and Van Loan, Matrix
+    Computations, 8.6), which forming G and eigvalsh move by about n eps ||C||^2 (8.1), so
+    sqrt(max(lambda_max, 0)) is exact to about n eps relative.  More values take the
+    largest |eigenvalue| of i Y * (d_j - d_i); a constant d_r gives 0."""
+    values = 1 + np.count_nonzero(np.diff(np.sort(d, axis=1), axis=1), axis=1)
+    low, batches = d == d.min(axis=1, keepdims=True), []
+    count = np.where(values == 2, low.sum(axis=1), 0)
+    for m in np.unique(count[count > 0]):  # the row and column indices of each corner
+        g = np.flatnonzero(count == m)
+        r, c = np.nonzero(low[g])[1].reshape(g.size, m), np.nonzero(~low[g])[1].reshape(g.size, -1)
+        step = max(1, batch // (m * (d.shape[1] - m)))
+        batches += [(g[e:e + step], r[e:e + step], c[e:e + step]) for e in range(0, g.size, step)]
+
+    def norms(y):
+        out = np.zeros(len(d))
+        for g, r, c in batches:
+            x = y[r[:, :, None], c[:, None, :]]
+            xh = x.conj().swapaxes(1, 2)
+            lam = np.linalg.eigvalsh(xh @ x if x.shape[2] <= x.shape[1] else x @ xh)[:, -1]
+            out[g] = np.ptp(d[g], axis=1) * np.sqrt(np.maximum(lam, 0.0))
+        for r in np.flatnonzero(values > 2):
+            out[r] = np.abs(np.linalg.eigvalsh(1j * y * (d[r][None, :] - d[r][:, None]))).max()
+        return out
+
+    return norms
 
 
 #: Scan norms at or below this are rounding noise and take no part in a fit.

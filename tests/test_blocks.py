@@ -348,21 +348,18 @@ def test_both_routes_copy_mirror_blocks_from_one_plan(name, boundary, monkeypatc
     assert krylov_pairs and all(dense.mirror[b] == c for b, c in krylov_pairs)
 
 
-def test_light_cone_scan_norms_come_from_svd_alone(monkeypatch):
+def test_light_cone_scan_norms_come_from_gram_eigvalsh_alone(monkeypatch):
     # the bench lightcone spec: on each of H's blocks S3_x is diagonal with
-    # two values, so the norm of i[alpha_t(S3_0), S3_x] there is one corner
-    # SVD and no eigvalsh runs; the norms match a dense eigvalsh of the
-    # commutator built from a full complex eigh
+    # two values, so the norm of i[alpha_t(S3_0), S3_x] there is the largest
+    # singular value of one corner, read from a Gram eigvalsh, and no SVD
+    # runs; the norms match a dense eigvalsh of the commutator built from a
+    # full complex eigh
     times, dists = [0.0, 0.5, 1.0, 2.0], list(range(1, 9))
     vol = chain_volume(9, "open")
     s3 = spin_matrices(0.5).s3
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("took an SVD"))
     scan = lr_scan(heisenberg(j=1.0), vol, s3, s3, times, dists)
     monkeypatch.undo()
-    assert calls == []
     w, v, _ = _full_eigh(build_model_hamiltonian("heisenberg", {"J": 1.0}, vol))
     a = embed(s3, [(0,)], vol).toarray()
     for i, t in enumerate(times):
@@ -375,10 +372,11 @@ def test_light_cone_scan_norms_come_from_svd_alone(monkeypatch):
             assert abs(scan.norms[i, j] - want) <= 1e-13
 
 
-def test_light_cone_scan_copies_half_its_corner_svds(monkeypatch):
+def test_light_cone_scan_copies_half_its_corner_norms(monkeypatch):
     # the bench lightcone spec: H, S3_0 and every S3_x have a flip parity, so
-    # the -m blocks of H repeat the +m blocks' norms and are skipped: 96 corner
-    # SVDs (3 times t > 0, 8 distances, 4 of H's 8 blocks).  No alpha_t(A) is
+    # the -m blocks of H repeat the +m blocks' norms and are skipped: 12
+    # stacked eigvalsh calls (3 times t > 0, 4 of H's 8 blocks; in a block of
+    # fixed m all 8 corners have one shape) and no SVD.  No alpha_t(A) is
     # built as a matrix, no commutator is formed, no hermitian_eig runs, and
     # the t = 0 row is written as exact zeros
     from spinmodels import dynamics
@@ -395,7 +393,7 @@ def test_light_cone_scan_copies_half_its_corner_svds(monkeypatch):
     s3 = spin_matrices(0.5).s3
     scan = lr_scan(heisenberg(j=1.0), chain_volume(9, "open"), s3, s3, [0.0, 0.5, 1.0, 2.0],
                    range(1, 9))
-    assert calls == {"svd": 96, "eigvalsh": 0, "commutator": 0, "hermitian_eig": 0}
+    assert calls == {"svd": 0, "eigvalsh": 12, "commutator": 0, "hermitian_eig": 0}
     assert scan.norms[0].tolist() == [0.0] * 8 and np.all(scan.norms[1:] > 0)
 
 
@@ -405,8 +403,9 @@ def test_diagonal_light_cone_route_matches_the_commutator_route_and_full_eigh(
     # for A = B = S3, and for A = S3 + 0.3 (no flip parity, so no mirror
     # block is skipped) with B = 2 S3, the block route matches hermitian_eig
     # of the CSR commutator and the dense commutator of a full complex eigh;
-    # AKLT's three-valued S3 takes the eigvalsh branch, a two-valued S3 one
-    # SVD per block and distance; each block is flowed once per t > 0
+    # AKLT's three-valued S3 takes an eigvalsh per distance, a two-valued S3
+    # one stacked Gram eigvalsh per block (its corners have one shape) and no
+    # SVD; each block is flowed once per t > 0
     params = _PARAMS.get(name, {})
     interaction = MODELS[name].interaction(params)
     vol = chain_volume(4 if interaction.local_dim > 2 else 6, boundary,
@@ -433,7 +432,7 @@ def test_diagonal_light_cone_route_matches_the_commutator_route_and_full_eigh(
         if vol.local_dim > 2:
             assert calls["eigvalsh"] > 0
         else:
-            assert calls == {"flow": 2 * solved, "svd": 2 * solved * len(dists), "eigvalsh": 0}
+            assert calls == {"flow": 2 * solved, "svd": 0, "eigvalsh": 2 * solved}
         a = embed(a_local, [(0,)], vol)
         for i, t in enumerate(times):
             at = es.evolve(a, t)

@@ -259,6 +259,17 @@ def test_write_csv_cells_reuse_the_json_encoder(tmp_path):
     assert path.read_bytes() == b"a,b,c,d,e,f\n3,0.10000000000000001,true,kms,false,0.5\n"
 
 
+def test_write_csv_exact_python_types_take_the_same_text_as_numpy_ones(tmp_path):
+    # a Python float or int is written without the generic walk; bools (an
+    # int subclass) and numpy values (np.float64 is a float subclass) are not
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c", "d", "e", "f"],
+              [(True, np.bool_(True), np.int64(-4), np.float64(0.1), 7, 0.1)])
+    assert path.read_bytes() == (b"a,b,c,d,e,f\n"
+                                 b"true,true,-4,0.10000000000000001,7,0.10000000000000001\n")
+    assert canonical_json([False, 2**70, -0.0]) == "[false,1180591620717411303424,-0]"
+
+
 def test_run_spectrum_end_to_end(tmp_path):
     spec = parse_spec_dict(_spec("spectrum", {"num_eigenvalues": 4},
                                  output={"json": "out.json", "csv": "out.csv"}))

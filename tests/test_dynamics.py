@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ import scipy.sparse.linalg as spla
 from spinmodels import (
     DegenerateInputError,
     DomainError,
+    SolverError,
     EigenSystem,
     LRScan,
     Propagator,
@@ -24,6 +27,7 @@ from spinmodels import (
     lr_scan,
     spin_matrices,
 )
+from spinmodels import dynamics
 
 
 def _chain_hamiltonian(length, j=-1.0, boundary="periodic"):
@@ -211,6 +215,75 @@ def test_lr_fit_needs_enough_points():
     )
     with pytest.raises(DegenerateInputError):
         lr_fit(scan)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lr_scan_refuses_a_non_finite_norm(bad):
+    # a NaN passed the negativity and bound tests silently, and lr_fit then
+    # blamed the input for having too few points above its floor
+    with pytest.raises(SolverError, match="non-finite"):
+        LRScan(times=[0, 1], distances=[1, 2], norms=[[0, 0], [bad, 0.1]],
+               a_norm=0.5, b_norm=0.5)
+
+
+def _hermitian_random(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return x + x.conj().T
+
+
+def _corner_norm(y, d):
+    """||[Y, diag(d)]|| from a full SVD: of the corner when d takes two values."""
+    values = np.unique(d)
+    if values.size != 2:
+        return np.linalg.norm(y * (d[None, :] - d[:, None]), 2)
+    low = d == values[0]
+    return (values[1] - values[0]) * np.linalg.svd(y[low][:, ~low], compute_uv=False)[0]
+
+
+def test_block_norms_match_an_svd_of_each_corner():
+    # rows with 3, 3 and 9 of 12 entries low (groups of two corner shapes,
+    # each normed on its narrower side), a constant row and a three-valued row
+    n, rng = 12, np.random.default_rng(7)
+    rows = [np.where(np.arange(n) < k, -0.5, 0.5)[rng.permutation(n)] for k in (3, 3, 9)]
+    rows += [np.full(n, 0.5), rng.integers(-1, 2, n) * 1.0]
+    d = np.array(rows)
+    for seed in range(3):
+        y = _hermitian_random(n, seed)
+        got = dynamics._block_norms(d)(y)
+        want = [_corner_norm(y, row) for row in d]
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.linalg.norm(y, 2))
+        assert got[3] == 0.0
+        assert np.array_equal(dynamics._block_norms(d, batch=1)(y), got)
+
+
+def test_block_norms_of_an_ill_scaled_corner():
+    # corner entries about 1e-9 inside an O(1) block: the Gram's eigenvalue
+    # is about 1e-18, and its square root still matches the SVD
+    n, low = 10, np.arange(10) < 4
+    y = _hermitian_random(n, 11)
+    y[np.ix_(low, ~low)] *= 1e-9
+    y[np.ix_(~low, low)] *= 1e-9
+    d = np.where(low, -1.0, 1.0)[None, :]
+    got = dynamics._block_norms(d)(y)[0]
+    want = _corner_norm(y, d[0])
+    assert 1e-10 < want < 1e-7
+    assert abs(got - want) <= 1e-14 * max(1.0, np.linalg.norm(y, 2))
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("local_dim", [2, 3])
+def test_a_tiny_batch_cap_changes_no_bit_of_a_scan(local_dim, monkeypatch):
+    # one corner per stack instead of all of a block's corners in one; spin 1
+    # has blocks with two-valued and with three-valued rows
+    vol = chain_volume(8 if local_dim == 2 else 5, boundary="open", local_dim=local_dim)
+    spin = (local_dim - 1) / 2.0
+    s3 = spin_matrices(spin).s3
+    args = (heisenberg(j=1.0, spin=spin), vol, s3, s3, (0.0, 0.5, 1.5), range(1, vol.num_sites))
+    scan = lr_scan(*args)
+    monkeypatch.setattr(dynamics, "_block_norms",
+                        functools.partial(dynamics._block_norms, batch=1))
+    assert np.array_equal(lr_scan(*args).norms, scan.norms)
 
 
 def test_lr_scan_rejects_out_of_volume_distance():
