@@ -148,8 +148,8 @@ def parse_spec_dict(doc: dict) -> RunSpec:
             f"task must be one of {list(TASKS)}, got {task!r}")
     _check_keys(doc, {"schema_version", "task", "model", "volume", task, "seed", "output"},
                 "run spec")
-    sv = doc.get("schema_version", SCHEMA_VERSION)
-    _expect(sv == SCHEMA_VERSION, f"unsupported schema_version {sv!r}")
+    sv = doc.get("schema_version", SCHEMA_VERSION)  # an int: 1.0 and true equal 1 too
+    _expect(type(sv) is int and sv == SCHEMA_VERSION, f"unsupported schema_version {sv!r}")
 
     model = doc.get("model")
     _expect(isinstance(model, dict), "model section must be an object")
@@ -171,9 +171,12 @@ def parse_spec_dict(doc: dict) -> RunSpec:
     output = doc.get("output", {})
     _expect(isinstance(output, dict), "output section must be an object")
     _check_keys(output, {"json", "csv"}, "output")
-    for key in output:
-        _expect(isinstance(output[key], str) and output[key],
-                f"output.{key} must be a nonempty filename")
+    for key, file in output.items():  # plain names: each file lands in --out, apart
+        _expect(isinstance(file, str) and file not in ("", ".", "..")
+                and not {"/", "\\", "\0"} & set(file),
+                f"output.{key} must be a plain file name, got {file!r}")
+    _expect(output.get("csv") != output.get("json", "result.json"),
+            "output.csv and output.json must name different files")
 
     section = doc.get(task, {})
     _expect(isinstance(section, dict), f"{task} section must be an object")

@@ -80,15 +80,6 @@ def _sandwich(l, x, r):
     return x if l is None else _matmul(l, x)
 
 
-def _row_sums(k, g, n):
-    """The n-row array whose row r is the sum of the rows g[k == r]."""
-    order = np.argsort(k, kind="stable")
-    k, first = k[order], np.flatnonzero(np.diff(k[order], prepend=-1))
-    out = np.zeros((n, g.shape[1]), g.dtype)
-    out[k[first]] = np.add.reduceat(g[order], first)
-    return out
-
-
 class EigenSystem:
     """A Hermitian Hamiltonian with its full eigendecomposition, computed once.
 
@@ -98,9 +89,9 @@ class EigenSystem:
     :class:`~spinmodels.spin_algebra.HermitianEig`, float64 when H has no
     imaginary part, and ``plan`` the block plan they were solved from, whose
     block order the evolutions read.  In the eigenbasis, conjugation by
-    exp(itH) is an entrywise phase, so an evolution costs a few products per
-    pair of blocks that the operator couples, or per mirror pair of them (see
-    ``_conjugate``).
+    exp(itH) is an entrywise phase, so an evolution costs one sparse product
+    and three GEMMs per pair of blocks that the operator couples, or per
+    mirror pair of them (see ``pairs`` and ``_conjugate``).
     """
 
     def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF):
@@ -186,13 +177,12 @@ class EigenSystem:
         """Yield (b, c, V_b^H A_bc V_c) for each pair of ``blocks`` that A
         couples, or only for those in the set ``among``.
 
-        A's entries (see ``_entries``) are grouped by pair.  Each pair costs
-        whichever is fewer multiply-adds: the gather-GEMM
-        V_b[i]^H (d * V_c[j]) (nnz d_b d_c), or A_bc, filled from the entries,
-        times V_c and then V_b^H (d_b d_c (d_b + d_c)).  Real blocks meet
-        complex factors in float64 (see ``_matmul``).  Block 0's vectors, the
-        identity, are applied by indexing; between two of its entries the
-        result is A's own entries as a COO array.
+        A's entries (see ``_entries``) are grouped by pair into a COO array
+        A_bc (duplicate entries add), and every pair takes one route: A_bc V_c
+        (nnz d_c multiply-adds), then V_b^H times that (d_b^2 d_c), real
+        blocks meeting complex factors in float64 (see ``_matmul``).  Block
+        0's vectors, the identity, are skipped, so between two of its sides
+        the result is A_bc itself.
         """
         nb, s, v = len(self.blocks), self._start, self._vectors
         key, row, col, data = self._entries(a)
@@ -204,20 +194,9 @@ class EigenSystem:
         bounds = np.flatnonzero(np.diff(key, prepend=-1, append=nb * nb)).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             b, c = divmod(int(key[lo]), nb)
-            shape = (s[b + 1] - s[b], s[c + 1] - s[c])
-            i, j, d = row[lo:hi] - s[b], col[lo:hi] - s[c], data[lo:hi]
-            if v[b] is None and v[c] is None:
-                yield b, c, sp.coo_array((d, (i, j)), shape=shape)
-            elif v[c] is None:  # the columns d V_b[i]^H add up by j
-                yield b, c, _row_sums(j, d[:, None] * v[b][i].conj(), shape[1]).T
-            elif v[b] is None:  # the rows d V_c[j] add up by i
-                yield b, c, _row_sums(i, d[:, None] * v[c][j], shape[0])
-            elif i.size <= sum(shape):
-                yield b, c, _matmul(_adjoint(v[b][i]), d[:, None] * v[c][j])
-            else:
-                x = np.zeros(shape, d.dtype)
-                np.add.at(x, (i, j), d)  # duplicate entries add
-                yield b, c, _sandwich(_adjoint(v[b]), x, v[c])
+            x = sp.coo_array((data[lo:hi], (row[lo:hi] - s[b], col[lo:hi] - s[c])),
+                             shape=(s[b + 1] - s[b], s[c + 1] - s[c]))
+            yield b, c, _sandwich(_adjoint(v[b]), x, v[c])
 
     def flow(self, b, c, x, z):
         """The (b, c) block V_b (x * exp(z (w_j - w_k))) V_c^H of exp(zH) A exp(-zH)

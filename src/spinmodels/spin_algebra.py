@@ -20,14 +20,14 @@ relative to the operator norm.
 
 Every dense eigensolve of an operator (Lanczos and diagonal light-cone scans
 solve their small matrices directly) goes through :func:`hermitian_eig`,
-which splits the matrix into the invariant blocks of its exact nonzero
-pattern, found by a numpy min-label search (Shiloach and Vishkin, 1982), and
-solves each block in float64 when it is real or its imaginary part is
-exactly zero (:func:`exact_real`).  In the decreasing-S3 basis, flipping
-every site's m -> -m is the index reversal i -> n-1-i for every local
-dimension, so a matrix that equals its reversal exactly is flip-symmetric
-with no lattice data: its +-m blocks are solved once per pair, and a block
-that is its own mirror as two halves.
+which splits the matrix, read as CSR, into the invariant blocks of its
+exact nonzero pattern, found by a numpy min-label search (Shiloach and
+Vishkin, 1982), and solves each block in float64 when it is real or its
+imaginary part is exactly zero (:func:`exact_real`).  In the decreasing-S3
+basis, flipping every site's m -> -m is the index reversal i -> n-1-i for
+every local dimension, so a matrix that equals its reversal exactly is
+flip-symmetric with no lattice data: its +-m blocks are solved once per
+pair, and a block that is its own mirror as two halves.
 """
 
 from __future__ import annotations
@@ -338,20 +338,15 @@ def _components(indptr, indices) -> np.ndarray:
 
 
 def _block_plan(m) -> _BlockPlan:
-    """The :class:`_BlockPlan` of an ndarray or CSR matrix, in O(nnz) for CSR,
-    its pattern an undirected graph searched by :func:`_components`.  Stored
-    zeros join no block; ``m`` is not rewritten."""
-    n, ptr, flip = m.shape[0], None, _flip_parity(m) == 1
-    if sp.issparse(m):
-        keep = m.data != 0
-        ptr, cols = np.concatenate(([0], np.cumsum(keep)))[m.indptr], m.indices[keep]
-    else:
-        pattern = m != 0
-        # a dense row with no zero joins every index into one block: no graph search
-        if n and not pattern.all(axis=1).any():
-            pattern = sp.csr_array(pattern)
-            ptr, cols = pattern.indptr, pattern.indices
-    labels = np.zeros(n, dtype=np.intp) if ptr is None else _components(ptr, cols)
+    """The :class:`_BlockPlan` of a CSR matrix in O(nnz), its pattern an
+    undirected graph searched by :func:`_components`; a canonical row that
+    stores all n columns joins every index into one block with no search.
+    Stored zeros join no block; ``m`` is not rewritten."""
+    n, flip = m.shape[0], _flip_parity(m) == 1
+    keep = m.data != 0
+    ptr = np.concatenate(([0], np.cumsum(keep)))[m.indptr]
+    full = m.has_canonical_format and np.any(np.diff(ptr) == n)
+    labels = np.zeros(n, dtype=np.intp) if full else _components(ptr, m.indices[keep])
     sizes = np.bincount(labels)
     block = np.where(sizes > 1, np.cumsum(sizes > 1), 0)[labels]  # each index's block
     members = np.argsort(block, kind="stable")
@@ -364,10 +359,11 @@ def _block_plan(m) -> _BlockPlan:
 def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     """Eigendecomposition of a Hermitian ndarray or CSR matrix, block by block.
 
-    The blocks are those of :func:`_block_plan`, the connected components of
-    the exact nonzero pattern, so each is an invariant subspace spanned by
-    basis vectors and no tolerance decides them: a coupling of any size, noise
-    included, joins two blocks.  Each block of size > 1 is one LAPACK call, in
+    An ndarray is converted to CSR once, on entry.  The blocks are those of
+    :func:`_block_plan`, the connected components of the exact nonzero
+    pattern, so each is an invariant subspace spanned by basis vectors and
+    no tolerance decides them: a coupling of any size, noise included, joins
+    two blocks.  Each block of size > 1 is one LAPACK call, in
     float64 when ``m`` is real or the block's imaginary part is exactly zero
     (:func:`exact_real`), else complex128, reading only the block's lower
     triangle; size-1 blocks are their diagonal entries, read in one step.
@@ -376,35 +372,33 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     scatters them.
 
     ``plan.flip`` is whether J m J == m exactly, J the index reversal i -> n-1-i
-    (spin flip in the decreasing-S3 basis), tested on the input as given.
+    (spin flip in the decreasing-S3 basis), tested on the CSR matrix (a CSR
+    input as given, so it counts only in canonical format).
     No tolerance decides it: a mirrored block copies its solved partner's
     eigenpairs, exact only when the symmetry is, and a block that is its own
     mirror is solved as its halves, even and odd under k -> d-1-k (its
     indices ascend), sorted by eigenvalue.
     """
-    m = as_matrix(m)
+    m = as_matrix(m) if sp.issparse(m) else sp.csr_array(as_matrix(m))
     plan = _block_plan(m)
     singles = plan.members[:plan.starts[1]]
     eye = sp.eye_array(singles.size, format="csr") if vectors and singles.size else np.eye(0)
     blocks = [(singles, m.diagonal()[singles].real, eye)]
-    if sp.issparse(m):  # the entries inside a block of size > 1, by block, each in CSR order
-        br, bc, row, col = plan.places(m)
-        inside = np.flatnonzero((br == bc) & (br > 0))
-        inside = inside[np.argsort(row[inside], kind="stable")]
-        row, col, data = row[inside], col[inside], m.data[inside]
-        cut = np.searchsorted(row, plan.starts)
+    # the entries inside a block of size > 1, by block, each in CSR order
+    br, bc, row, col = plan.places(m)
+    inside = np.flatnonzero((br == bc) & (br > 0))
+    inside = inside[np.argsort(row[inside], kind="stable")]
+    row, col, data = row[inside], col[inside], m.data[inside]
+    cut = np.searchsorted(row, plan.starts)
     for b in range(1, plan.starts.size - 1):
         s, e = plan.starts[b], plan.starts[b + 1]
         idx = plan.members[s:e]
         if plan.mirror[b] < b:  # J maps this block onto a solved one, reversed
             blocks.append(plan.mirrored(blocks[plan.mirror[b]]))
             continue
-        if sp.issparse(m):  # one scatter of the block's entries; duplicates add
-            block = np.zeros((e - s, e - s), m.dtype)
-            np.add.at(block, (row[cut[b]:cut[b + 1]] - s, col[cut[b]:cut[b + 1]] - s),
-                      data[cut[b]:cut[b + 1]])
-        else:
-            block = m[np.ix_(idx, idx)]
+        block = np.zeros((e - s, e - s), m.dtype)  # one scatter; duplicate entries add
+        np.add.at(block, (row[cut[b]:cut[b + 1]] - s, col[cut[b]:cut[b + 1]] - s),
+                  data[cut[b]:cut[b + 1]])
         block = exact_real(block)
         if plan.flip and plan.mirror[b] == b:
             blocks.append((idx, *_mirror_halves(block, vectors)))

@@ -203,8 +203,9 @@ def test_light_cone_scan_of_s1_matches_dense_reference(tmp_path, monkeypatch):
 
 def test_pattern_blocks_are_the_plain_components_in_order(case):
     # the numpy search labels H's blocks, and those of a light-cone
-    # commutator i[alpha_t(S1_0), S1_x], as scipy's components do, and the
-    # eigenvalue-only solve has the same block order and sizes
+    # commutator i[alpha_t(S1_0), S1_x], as scipy's components do, the
+    # eigenvalue-only solve has the same block order and sizes, and the
+    # commutator given as an ndarray is solved as its CSR form, bit for bit
     h, vol = case
     es = EigenSystem(h)
     at = es.evolve(_observables(vol)["s1"], 0.7)
@@ -212,13 +213,18 @@ def test_pattern_blocks_are_the_plain_components_in_order(case):
     c = 1j * (at @ b - b @ at)
     for m in (h, c, c.toarray()):
         _, plain = connected_components(sp.csr_array(m) != 0, directed=False)
-        assert np.array_equal(_block_plan(m).labels, plain)
+        assert np.array_equal(_block_plan(sp.csr_array(m)).labels, plain)
         eig = hermitian_eig(m)
         assert np.array_equal(eig.plan.labels, plain)
         large = [k for k in range(plain.max() + 1) if np.sum(plain == k) > 1]
         assert [idx.tolist() for idx, _, _ in eig.blocks[1:]] == [
             np.flatnonzero(plain == k).tolist() for k in large]
         assert np.array_equal(eig.plan.labels, hermitian_eig(m, vectors=False).plan.labels)
+    dense, csr = hermitian_eig(c.toarray()), hermitian_eig(c)
+    assert np.array_equal(dense.eigenvalues, csr.eigenvalues)
+    assert len(dense.blocks) == len(csr.blocks)
+    for (i, w, v), (i2, w2, v2) in zip(dense.blocks[1:], csr.blocks[1:]):
+        assert np.array_equal(i, i2) and np.array_equal(w, w2) and np.array_equal(v, v2)
 
 
 _RECORDS = [(name, boundary) for name in MODEL_NAMES for boundary in ("open", "periodic")
@@ -480,8 +486,10 @@ def test_pairs_match_the_blocks_of_the_full_product(case):
     h, vol = case
     es = EigenSystem(h)
     cols = _block_vectors(es)
-    # the evolved operator fills its block pairs, so they take the route
-    # through A_bc; the local observables and probes mostly gather
+    # every pair takes the one route V_b^H (A_bc V_c), A_bc a COO array of A's
+    # entries in the pair, and a pair of two block-0 sides is A_bc itself;
+    # the evolved operator fills its block pairs, the local observables and
+    # probes touch few entries of each
     evolved = es.evolve(_observables(vol)["s1"], 0.7)
     ops = [*_observables(vol).values(), evolved,
            *(op for pair in random_probe_pairs(vol, 11, 4) for op in pair)]

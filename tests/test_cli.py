@@ -538,6 +538,44 @@ def test_numeric_flags_below_one_are_spec_errors(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+def _refusal(tmp_path, capsys, doc) -> str:
+    """Run ``doc`` with --out tmp_path/out; assert exit 2 with the SpecFileError
+    JSON and no output directory, and return the error message."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().out.strip())["error"]
+    assert err["kind"] == "SpecFileError" and err["exit_code"] == 2
+    assert not (tmp_path / "out").exists()
+    return err["message"]
+
+
+@pytest.mark.parametrize("output", [{"csv": "result.json"},
+                                    {"json": "same.txt", "csv": "same.txt"}],
+                         ids=["default-json", "both-named"])
+def test_output_files_that_coincide_are_spec_errors(tmp_path, capsys, output):
+    # the CSV would overwrite the result JSON while the run reported success
+    message = _refusal(tmp_path, capsys, _spec("spectrum", {}, output=output))
+    assert message == "output.csv and output.json must name different files"
+
+
+@pytest.mark.parametrize("name", ["../escaped.json", "sub/r.json", "sub\\r.json", ".", "..",
+                                  "a\0b"])
+@pytest.mark.parametrize("key", ["json", "csv"])
+def test_output_names_with_a_directory_part_are_spec_errors(tmp_path, capsys, key, name):
+    # an output file is a plain name inside --out: "../escaped.json" wrote beside it
+    message = _refusal(tmp_path, capsys, _spec("spectrum", {}, output={key: name}))
+    assert message == f"output.{key} must be a plain file name, got {name!r}"
+    assert list(tmp_path.iterdir()) == [tmp_path / "spec.json"]
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_schema_version_is_the_integer_one(tmp_path, capsys, version):
+    # both compare equal to 1, and neither is the integer 1
+    message = _refusal(tmp_path, capsys, dict(_spec("spectrum", {}), schema_version=version))
+    assert message == f"unsupported schema_version {version!r}"
+
+
 def test_parse_spec_file_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -345,7 +345,7 @@ def test_a_dense_row_with_no_zero_makes_one_block_without_a_graph_search(monkeyp
     m = np.outer(psi, psi.conj())
     monkeypatch.setattr(spin_algebra, "_components",
                         lambda *a, **k: pytest.fail("searched the pattern of a full row"))
-    plan = spin_algebra._block_plan(m)
+    plan = spin_algebra._block_plan(sp.csr_array(m))
     assert plan.labels.tolist() == [0] * 9 and plan.starts.tolist() == [0, 0, 9]
     norm2 = np.vdot(psi, psi).real
     assert abs(hermitian_eig(m, vectors=False).eigenvalues[-1] - norm2) < 1e-13 * norm2
