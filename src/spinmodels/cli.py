@@ -51,7 +51,7 @@ from .spin_algebra import (
     operator_norm,
     spin_matrices,
 )
-from .states import eeb_terms, expectation, gibbs, kms_terms, mixture, stability_value
+from .states import _beta, eeb_terms, gibbs, kms_terms, mixture, stability_value
 from .symmetry import invariance_residual
 
 SCHEMA_VERSION = 1
@@ -292,17 +292,20 @@ def _task_spectrum(run: _Run) -> tuple[dict, list]:
                      method=None if method == "auto" else method, cap_dense=run.cap_dense)
     payload = {"method": low.method, "eigenvalues": low.eigenvalues, "ground_energy": low.energy,
                "degeneracy": low.degeneracy, "gap": low.gap, **low.diagnostics}
-    return payload, list(enumerate(low.eigenvalues))
+    return payload, list(enumerate(low.eigenvalues.tolist()))
 
 
 def _task_thermal(run: _Run) -> tuple[dict, list]:
-    betas = run.params["betas"]
-    points = []
+    """log Z = log sum p - beta w0 and E = sum w p / sum p from the eigenvalues
+    w alone, p = exp(-beta (w - w0)) as ``gibbs`` takes them."""
+    betas, points = run.params["betas"], []
+    w = low_levels(run.h, method="dense", cap_dense=run.cap_dense).eigenvalues
     for i, beta in enumerate(betas):
-        state = gibbs(run.es, beta)
-        energy = float(expectation(state.rho, run.h).real)
-        points.append({"beta": beta, "log_z": state.log_z, "energy": energy})
-        del state  # the next rho is built without this one alive
+        beta = _beta(beta)
+        p = np.exp(-beta * (w - w[0]))
+        s = float(np.sum(p))
+        points.append({"beta": beta, "log_z": float(np.log(s) - beta * w[0]),
+                       "energy": float(w @ p) / s})
         _progress("thermal", i + 1, len(betas))
     return {"points": points}, [(p["beta"], p["log_z"], p["energy"]) for p in points]
 

@@ -7,29 +7,25 @@ models, the conserved total-S3 sectors or finer), in float64 when the block
 is real, as all of a built-in H are, and no dim x dim eigenvector matrix.
 Each block is one LAPACK ``eigh``, except when H is exactly spin-flip
 symmetric (``flip``): then each +-m pair of blocks costs one ``eigh``, and a
-block that is its own mirror two of half its size.
-``full_spectrum``, ``ground_space``, ``spectral_gap``, the Gibbs and KMS
-routines of :mod:`spinmodels.states` and the evolutions of
+block that is its own mirror two of half its size.  ``full_spectrum``, the
+Gibbs and KMS routines of :mod:`spinmodels.states` and the evolutions of
 :mod:`spinmodels.dynamics` accept a Hamiltonian (and then build an
 EigenSystem with the default cap) or an EigenSystem built once and shared.
-Its constructor is the only dense-size guard; the cap is an argument.  The
-one imaginary-time guard is the constant ``RANGE_LIMIT``: exp(beta H) runs
-only while |beta| * (w_max - w_min) <= RANGE_LIMIT.
+The one imaginary-time guard is the constant ``RANGE_LIMIT``: exp(beta H)
+runs only while |beta| * (w_max - w_min) <= RANGE_LIMIT.
 
 The low end of the spectrum has one routine, :func:`low_levels`, with two
-independent routes: the EigenSystem (exact, up to the dense cap) and the
-in-house block Lanczos from :mod:`spinmodels.krylov` for sparse operators.
-It picks the route from the dimension but accepts an explicit ``method`` so
-the two can be cross-checked; ``ground_space`` and ``spectral_gap`` are
-views of its result.  Both routes solve the blocks of one plan of H, copy
-solved blocks onto their spin-flip mirrors, and read their window scale from
-their own solves (no norm estimate runs).  A real H is solved in float64 on
-both; a complex H on the dense route in float64 for each block whose
-imaginary part is exactly zero, and on the krylov route in complex128.
+independent routes, picked from the dimension or named by ``method`` so
+they can be cross-checked: the dense route, which reads an EigenSystem or
+solves the same blocks of a bare H for eigenvalues alone (``eigvalsh``),
+and the in-house block Lanczos of :mod:`spinmodels.krylov` for sparse
+operators.  ``ground_space`` and ``spectral_gap`` are views of its result.
+Both dense routes pass one size guard, the cap an argument.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,6 +76,14 @@ def _sandwich(l, x, r):
     return x if l is None else _matmul(l, x)
 
 
+def _dense_hamiltonian(h, cap_dense: int):
+    """``as_matrix(h)`` if Hermitian of dim <= ``cap_dense``: the dense-size guard."""
+    m = _hermitian(h, "Hamiltonian")
+    if m.shape[0] > cap_dense:
+        raise ResourceCapError(f"dense eigensolve refused at dim {m.shape[0]} > {cap_dense}")
+    return m
+
+
 class EigenSystem:
     """A Hermitian Hamiltonian with its full eigendecomposition, computed once.
 
@@ -95,13 +99,7 @@ class EigenSystem:
     """
 
     def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF):
-        m = _hermitian(h, "Hamiltonian")
-        dim = m.shape[0]
-        if dim > cap_dense:
-            raise ResourceCapError(
-                f"dense eigendecomposition refused at dim {dim} > {cap_dense}"
-            )
-        self.h = m
+        m = self.h = _dense_hamiltonian(h, cap_dense)
         self.eigenvalues, self.blocks, self.plan = hermitian_eig(m)
         self.gibbs_memo = None  # the last state built by states.gibbs
         # the plan's block order lists the blocks' basis indices, and their columns, in turn
@@ -111,9 +109,9 @@ class EigenSystem:
         self._rank = np.argsort(np.argsort(w, kind="stable"))  # ascending index
 
     @classmethod
-    def of(cls, h, **kwargs) -> "EigenSystem":
+    def of(cls, h) -> "EigenSystem":
         """``h`` itself if it is an EigenSystem, else a new one built from it."""
-        return h if isinstance(h, cls) else cls(h, **kwargs)
+        return h if isinstance(h, cls) else cls(h)
 
     @property
     def dim(self) -> int:
@@ -270,6 +268,7 @@ class LowLevels:
     ``eigenvalues`` are ascending: the whole spectrum on the dense route, the
     lowest ``num`` on the krylov route.  ``basis`` spans the ground multiplet
     of ``degeneracy`` levels; ``gap`` is 0.0 when no level lies above it.
+    ``basis`` is computed on its first read: from a bare H, solved then.
     The route's own diagnostics are set on its route only: ``block_sizes``,
     the EigenSystem's invariant blocks, and ``flip``, whether H is exactly
     flip-symmetric, on the dense route; on the krylov route
@@ -282,12 +281,16 @@ class LowLevels:
     eigenvalues: np.ndarray
     degeneracy: int
     gap: float
-    basis: np.ndarray
+    _solve_basis: Callable[[], np.ndarray]  # called on the first read of basis
     block_sizes: list[int] | None = None
     flip: bool | None = None
     iterations: int | None = None
     max_residual: float | None = None
     solved_blocks: list[int] | None = None
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return self._solve_basis()
 
     @property
     def energy(self) -> float:
@@ -314,6 +317,15 @@ def _gap(w: np.ndarray, degeneracy: int) -> float:
     return float(w[degeneracy] - w[0]) if degeneracy < w.size else 0.0
 
 
+def _ground_basis(m, blocks, win: float, deg: int) -> np.ndarray:
+    """The ``deg`` lowest eigenvectors of the CSR matrix ``m``: m restricted
+    to its ``blocks`` (eigenvalues only) that hold a level <= ``win``, solved."""
+    idx = np.sort(np.concatenate([i[w <= win] if b == 0 else i for b, (i, w, _)
+                                  in enumerate(blocks) if b == 0 or w[0] <= win]))
+    sub = hermitian_eig(m[idx][:, idx])
+    return eigenvector_columns([(idx[i], w, v) for i, w, v in sub.blocks], np.arange(deg), m.shape[0])
+
+
 def low_levels(
     h, num: int = 1, *, method: str | None = None, cap_dense: int = DENSE_CUTOFF
 ) -> LowLevels:
@@ -330,6 +342,12 @@ def low_levels(
     imaginary part is exactly zero.  The krylov route's runs take
     :func:`~spinmodels.krylov.lowest_eigenpairs`'s default seed and stop at
     residuals ``SOLVER_TOL`` relative to their scale.
+
+    The dense route reads an EigenSystem, or solves a bare H (refused above
+    ``cap_dense``) for eigenvalues alone, one ``eigvalsh`` per solved block.
+    Its ``basis`` is then solved on first read, one ``eigh`` per solved
+    block that holds a ground level: the EigenSystem's vectors bit for bit
+    while H restricted to those blocks is flip-symmetric exactly when H is.
 
     The krylov route gives each block of the plan that
     :func:`~spinmodels.spin_algebra.hermitian_eig` solves (the S3 sectors of
@@ -352,12 +370,16 @@ def low_levels(
         raise DomainError(f"method must be 'dense' or 'krylov', got {method!r}")
 
     if method == "dense":
-        es = EigenSystem.of(h, cap_dense=cap_dense)
-        w = es.eigenvalues
+        if not isinstance(h, EigenSystem):
+            m = sp.csr_array(_dense_hamiltonian(m, cap_dense))
+        eig = h if isinstance(h, EigenSystem) else hermitian_eig(m, vectors=False)
+        w = eig.eigenvalues
         win = _window(w[0], float(np.max(np.abs(w))))
         deg = max(int(np.searchsorted(w, win, side="right")), 1)
-        return LowLevels("dense", w, deg, _gap(w, deg), eigenvector_columns(es, np.arange(deg)),
-                         np.bincount(es.plan.labels).tolist(), es.plan.flip)
+        basis = (lambda: eigenvector_columns(h, np.arange(deg))) if eig is h else (
+            lambda: _ground_basis(m, eig.blocks, win, deg))
+        return LowLevels("dense", w, deg, _gap(w, deg), basis,
+                         np.bincount(eig.plan.labels).tolist(), eig.plan.flip)
 
     if not isinstance(h, EigenSystem):
         _hermitian(m, "Hamiltonian")
@@ -398,27 +420,20 @@ def low_levels(
         # b last, so a self-mirrored block (every block without flip) keeps idx
         found[c], found[b] = plan.mirrored(block), block
         limits[c] = limits[b] = float(res.eigenvalues[-1]) if k < idx.size else np.inf
-    basis = eigenvector_columns(list(found.values()), np.arange(deg), dim)
-    return LowLevels("krylov", w[:num], deg, _gap(w, deg), basis,
+    return LowLevels("krylov", w[:num], deg, _gap(w, deg),
+                     lambda: eigenvector_columns(list(found.values()), np.arange(deg), dim),
                      iterations=sum(r.iterations for _, r in runs),
                      max_residual=max((float(np.max(r.residuals)) for _, r in runs), default=0.0),
                      solved_blocks=[d for d, _ in runs])
 
 
 def ground_space(h, *, method: str | None = None) -> LowLevels:
-    """Lowest eigenvalue with multiplicity, grouped by a relative window.
-
-    The :func:`low_levels` result itself (``energy``, ``degeneracy`` and
-    ``basis``); that routine documents the window and ``method``.
-    """
+    """The :func:`low_levels` result itself: ``energy``, ``degeneracy`` and
+    ``basis`` of the ground multiplet, which that routine's window groups."""
     return low_levels(h, method=method)
 
 
 def spectral_gap(h, *, method: str | None = None) -> float:
-    """Energy difference between the ground multiplet and the next level.
-
-    Returns 0.0 when no eigenvalue lies above the degeneracy window (the
-    operator is a multiple of the identity to within the window).  A view of
-    :func:`low_levels`.
-    """
+    """The :func:`low_levels` gap between the ground multiplet and the next
+    level; 0.0 when no level lies above the window (H is a multiple of I)."""
     return low_levels(h, method=method).gap

@@ -303,13 +303,13 @@ class _BlockPlan(NamedTuple):
 
 
 class HermitianEig(NamedTuple):
-    """Eigenvalues (ascending), the blocks (None when eigenvectors were not
-    asked for) as (basis indices, eigenvalues, eigenvectors): all size-1
-    blocks together with an identity, then each larger block; the plan they
-    were solved from, its block b in blocks[b]."""
+    """Eigenvalues (ascending), the blocks as (basis indices, eigenvalues,
+    eigenvectors, None when not asked for): all size-1 blocks together with
+    an identity, then each larger block; the plan they were solved from, its
+    block b in blocks[b]."""
 
     eigenvalues: np.ndarray
-    blocks: list[tuple] | None
+    blocks: list[tuple]
     plan: _BlockPlan
 
 
@@ -363,8 +363,8 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     :func:`_block_plan`, the connected components of the exact nonzero
     pattern, so each is an invariant subspace spanned by basis vectors and
     no tolerance decides them: a coupling of any size, noise included, joins
-    two blocks.  Each block of size > 1 is one LAPACK call, in
-    float64 when ``m`` is real or the block's imaginary part is exactly zero
+    two blocks.  Each block of size > 1 is one LAPACK ``eigh`` (``eigvalsh``
+    without ``vectors``), in float64 when ``m`` is real or the block's imaginary part is exactly zero
     (:func:`exact_real`), else complex128, reading only the block's lower
     triangle; size-1 blocks are their diagonal entries, read in one step.
     Eigenvalues are merged by a stable ascending sort.  The eigenvectors stay
@@ -383,7 +383,7 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
     plan = _block_plan(m)
     singles = plan.members[:plan.starts[1]]
     eye = sp.eye_array(singles.size, format="csr") if vectors and singles.size else np.eye(0)
-    blocks = [(singles, m.diagonal()[singles].real, eye)]
+    blocks = [(singles, m.diagonal()[singles].real, eye if vectors else None)]
     # the entries inside a block of size > 1, by block, each in CSR order
     br, bc, row, col = plan.places(m)
     inside = np.flatnonzero((br == bc) & (br > 0))
@@ -406,7 +406,7 @@ def hermitian_eig(m, vectors: bool = True) -> HermitianEig:
             blocks.append((idx, *np.linalg.eigh(block)) if vectors
                           else (idx, np.linalg.eigvalsh(block), None))
     w = np.sort(np.concatenate([w for _, w, _ in blocks]), kind="stable")
-    return HermitianEig(w, blocks if vectors else None, plan)
+    return HermitianEig(w, blocks, plan)
 
 
 def eigenvector_columns(eig, columns=slice(None), rows=None) -> np.ndarray:

@@ -716,18 +716,41 @@ def test_near_flip_and_non_canonical_csr_take_the_path_without_the_flip(solves):
         assert np.max(np.abs(eig.eigenvalues - np.linalg.eigvalsh(near))) < 1e-13 * 8
 
 
-def test_spectrum_dense_spec_makes_six_eigh_calls(tmp_path, solves):
+def test_spectrum_dense_spec_makes_six_eigvalsh_calls(tmp_path, solves):
     # the bench spectrum_dense spec: L=10 Heisenberg ring, sectors
-    # 10, 45, 120, 210, 252, 210, ... solved as 10, 45, 120, 210, 126, 126
+    # 10, 45, 120, 210, 252, 210, ... solved as 10, 45, 120, 210, 126, 126,
+    # eigenvalues only: the payload reads no eigenvector
     doc = {"schema_version": 1, "task": "spectrum",
            "model": {"name": "heisenberg", "params": {"J": -1.0}},
            "volume": {"dims": [10], "boundary": "periodic"},
            "spectrum": {"method": "dense", "num_eigenvalues": 6}}
     payload = json.loads(run_spec(parse_spec_dict(doc), tmp_path).read_text())["payload"]
     assert sorted(k for _, k in solves) == [10, 45, 120, 126, 126, 210]
-    assert {name for name, _ in solves} == {"eigh"}
+    assert {name for name, _ in solves} == {"eigvalsh"}
     assert payload["flip"] is True
     assert payload["block_sizes"] == [1, 10, 45, 120, 210, 252, 210, 120, 45, 10, 1]
+
+
+def test_ground_basis_is_solved_on_first_read_from_the_ground_blocks(tmp_path, solves):
+    # the L=10 antiferromagnetic ring: its singlet lies in the self-mirrored
+    # m = 0 sector, so reading basis makes the two eigh calls of its halves
+    # and no other; a spectrum or a scan reads no basis and calls no eigh
+    h = build_model_hamiltonian("heisenberg", {"J": -1.0}, chain_volume(10, "periodic")).tocsr()
+    low = spectra.low_levels(h, method="dense")
+    assert {name for name, _ in solves} == {"eigvalsh"}
+    solves.clear()
+    basis = low.basis
+    assert solves == [("eigh", 126), ("eigh", 126)]
+    assert low.basis is basis and len(solves) == 2
+    assert np.array_equal(basis, spectra.low_levels(EigenSystem(h)).basis)
+    solves.clear()
+    for task, section, model in (
+            ("spectrum", {"method": "dense"}, {"name": "heisenberg", "params": {"J": -1.0}}),
+            ("scan", {"variable": "J", "values": [-1.0, 0.5]}, {"name": "heisenberg", "params": {}})):
+        doc = {"schema_version": 1, "task": task, "model": model,
+               "volume": {"dims": [10], "boundary": "periodic"}, task: section}
+        run_spec(parse_spec_dict(doc), tmp_path / task)
+    assert solves and {name for name, _ in solves} == {"eigvalsh"}
 
 
 def test_flip_partner_blocks_are_reversed_copies():

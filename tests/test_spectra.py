@@ -1,5 +1,7 @@
 """Spectral analysis: full spectra, ground spaces, gaps, correlations."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,7 +20,9 @@ from spinmodels import (
     build_model_hamiltonian,
     chain_volume,
     evolve_state,
+    expectation,
     full_spectrum,
+    gibbs,
     ground_space,
     heisenberg,
     ising,
@@ -33,6 +37,7 @@ from spinmodels import (
     structure_factor,
     two_point,
 )
+from spinmodels.cli import parse_spec_dict, run_spec
 from spinmodels.interactions import MODEL_NAMES, MODELS
 from spinmodels.krylov import lowest_eigenpairs
 from spinmodels.spectra import DEGENERACY_TOL
@@ -116,12 +121,74 @@ def test_eigen_system_is_shared_by_the_spectral_views():
     assert full_spectrum(es) is es
     assert np.array_equal(full_spectrum(h).eigenvalues, es.eigenvalues)
     gs = ground_space(es)
-    assert gs.energy == ground_space(h).energy == es.eigenvalues[0]
-    assert spectral_gap(es) == spectral_gap(h)
+    assert gs.energy == es.eigenvalues[0]
     low = low_levels(es)
     assert low.method == "dense"
     assert np.array_equal(low.eigenvalues, es.eigenvalues)
-    assert (low.degeneracy, low.gap) == (gs.degeneracy, spectral_gap(h))
+    assert (low.degeneracy, low.gap) == (gs.degeneracy, spectral_gap(es))
+    # a bare H takes the eigenvalue-only route, another LAPACK driver
+    scale = 1e-13 * max(1.0, float(np.max(np.abs(es.eigenvalues))))
+    assert abs(ground_space(h).energy - gs.energy) <= scale
+    assert abs(spectral_gap(h) - spectral_gap(es)) <= scale
+    assert ground_space(h).degeneracy == gs.degeneracy
+
+
+# ---------------------------------------------------------------------------
+# The eigenvalue-only dense route against the EigenSystem route
+# ---------------------------------------------------------------------------
+
+# every MODELS record, the field models with and without the field that
+# breaks the spin flip, at L=8 (L=5 for spin 1), open and periodic
+_EIGENVALUE_RECORDS = [("heisenberg", {"J": 1.0}), ("heisenberg", {"J": -1.0}),
+                       ("xy_field", {"h": 0.0}), ("xy_field", {"h": 0.3}),
+                       ("ising", {"h": 0.0}), ("ising", {"h": 0.4}), ("aklt", {}),
+                       ("xxz_suq2", {"q": 0.5})]
+_EIGENVALUE_CASES = [(name, params, boundary) for name, params in _EIGENVALUE_RECORDS
+                     for boundary in ("open", "periodic")
+                     if boundary == "open" or not MODELS[name].open_chain_only]
+_EIGENVALUE_IDS = [f"{n}-{'-'.join(map(str, p.values()))}-{b}" for n, p, b in _EIGENVALUE_CASES]
+
+
+def _record_volume(name, params, boundary):
+    local_dim = MODELS[name].interaction(params).local_dim
+    return chain_volume(5 if local_dim > 2 else 8, boundary, local_dim=local_dim)
+
+
+@pytest.mark.parametrize("name, params, boundary", _EIGENVALUE_CASES, ids=_EIGENVALUE_IDS)
+def test_eigenvalue_route_matches_the_eigen_system_route(name, params, boundary):
+    # the same blocks through eigvalsh instead of eigh; the ground basis,
+    # solved on first read from the ground blocks alone, bit for bit
+    assert {n for n, _ in _EIGENVALUE_RECORDS} == set(MODELS)
+    h = build_model_hamiltonian(name, params, _record_volume(name, params, boundary))
+    want = low_levels(EigenSystem(h))
+    got = low_levels(h, method="dense")
+    scale = 1e-13 * max(1.0, float(np.max(np.abs(want.eigenvalues))))
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= scale
+    assert (got.degeneracy, got.block_sizes, got.flip) == (want.degeneracy, want.block_sizes,
+                                                           want.flip)
+    assert abs(got.gap - want.gap) <= scale
+    assert got.basis.dtype == want.basis.dtype
+    assert np.array_equal(got.basis, want.basis)
+
+
+@pytest.mark.parametrize("name, params, boundary", _EIGENVALUE_CASES, ids=_EIGENVALUE_IDS)
+def test_thermal_sums_match_gibbs_and_expectation(tmp_path, name, params, boundary):
+    # the thermal task's log Z and E from the eigenvalues alone against a
+    # block-stored Gibbs state and Tr(H rho); above --cap-dense thermal exits
+    # 3 (test_cap_dense_reaches_every_task)
+    vol = _record_volume(name, params, boundary)
+    doc = {"schema_version": 1, "task": "thermal", "model": {"name": name, "params": params},
+           "volume": {"dims": list(vol.dims), "boundary": boundary},
+           "thermal": {"betas": [0.0, 0.5, 2.0, 10.0]}}
+    points = json.loads(run_spec(parse_spec_dict(doc), tmp_path).read_text())["payload"]["points"]
+    h = build_model_hamiltonian(name, params, vol)
+    es = EigenSystem(h)
+    assert [p["beta"] for p in points] == [0.0, 0.5, 2.0, 10.0]
+    for point in points:
+        state = gibbs(es, point["beta"])
+        energy = expectation(state.rho, h).real
+        assert abs(point["log_z"] - state.log_z) <= 1e-13 * max(1.0, abs(state.log_z))
+        assert abs(point["energy"] - energy) <= 1e-13 * max(1.0, abs(energy))
 
 
 def test_eigen_system_cap_is_an_argument():
