@@ -9,11 +9,10 @@ as one block of eigenvectors per invariant block of H's nonzero pattern.  An
 evolution runs over the block pairs that the operator couples, and the
 result keeps the operator's storage: CSR in gives CSR out, nonzero only on
 those pairs, so S3 at a site (which the built-in models' blocks leave
-invariant) stays block-diagonal, and an exactly flip-even or flip-odd A
-keeps its parity bit for bit.  A light-cone scan of diagonal observables (S3 at
-any spin) keeps alpha_t(A) in H's blocks and norms each block and time by one batched
-Gram eigvalsh of its corners (an eigvalsh per x where B_x takes more than two values);
-others take the largest |eigenvalue| of i[alpha_t(A), B_x] from ``commutator``.
+invariant) stays block-diagonal.  A light-cone scan of diagonal observables
+(S3 at any spin) keeps alpha_t(A) in H's blocks and norms each block and time by one
+batched Gram eigvalsh of its corners (an eigvalsh per x where B_x takes more than two
+values); others take the largest |eigenvalue| of i[alpha_t(A), B_x] from ``commutator``.
 Above the dense cutoff, a Hamiltonian (not an EigenSystem) still gets vector
 propagation through a Krylov-based matrix-exponential action.
 """
@@ -28,10 +27,9 @@ import scipy.sparse as sp
 from .errors import DegenerateInputError, DimensionMismatchError, DomainError, SolverError
 from .interactions import Interaction, assemble_hamiltonian
 from .lattice import Volume, embed
-from .spectra import EigenSystem
+from .spectra import EigenSystem, _finite
 from .spin_algebra import (
     DENSE_CUTOFF,
-    _diagonal,
     _flip_parity,
     _hermitian,
     as_matrix,
@@ -42,6 +40,12 @@ from .spin_algebra import (
 
 #: Earlier name of EigenSystem, kept importable.
 Propagator = EigenSystem
+
+
+def _diagonal(m) -> bool:
+    """Whether ``m`` is canonical CSR with at most one entry a row, on the diagonal."""
+    return (sp.issparse(m) and m.nnz <= m.shape[0] and m.has_canonical_format
+            and np.array_equal(m.indices, np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))))
 
 
 def evolve(h, a, t: float):
@@ -68,7 +72,7 @@ def evolve_state(h, psi: np.ndarray, t: float) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (m.shape[0],):
         raise DimensionMismatchError(f"state shape {psi.shape} does not match dim {m.shape[0]}")
-    return expm_multiply(-1j * float(t) * sp.csr_array(m), psi)
+    return expm_multiply(-1j * _finite(t, "time t") * sp.csr_array(m), psi)
 
 
 # ---------------------------------------------------------------------------

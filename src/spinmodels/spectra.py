@@ -11,8 +11,10 @@ block that is its own mirror two of half its size.  ``full_spectrum``, the
 Gibbs and KMS routines of :mod:`spinmodels.states` and the evolutions of
 :mod:`spinmodels.dynamics` accept a Hamiltonian (and then build an
 EigenSystem with the default cap) or an EigenSystem built once and shared.
-The one imaginary-time guard is the constant ``RANGE_LIMIT``: exp(beta H)
-runs only while |beta| * (w_max - w_min) <= RANGE_LIMIT.
+An evolution flows every block pair that the operator couples and refuses
+a non-finite time.  The one imaginary-time guard is the constant
+``RANGE_LIMIT``: exp(beta H) runs only while |beta| * (w_max - w_min) <=
+RANGE_LIMIT.
 
 The low end of the spectrum has one routine, :func:`low_levels`, with two
 independent routes, picked from the dimension or named by ``method`` so
@@ -38,7 +40,6 @@ from .krylov import lowest_eigenpairs
 from .spin_algebra import (
     DENSE_CUTOFF,
     _block_plan,
-    _flip_parity,
     _hermitian,
     as_matrix,
     eigenvector_columns,
@@ -76,6 +77,13 @@ def _sandwich(l, x, r):
     return x if l is None else _matmul(l, x)
 
 
+def _finite(x, what: str) -> float:
+    """float(x), or DomainError naming ``what`` unless it is finite."""
+    if not np.isfinite(x := float(x)):
+        raise DomainError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _dense_hamiltonian(h, cap_dense: int):
     """``as_matrix(h)`` if Hermitian of dim <= ``cap_dense``: the dense-size guard."""
     m = _hermitian(h, "Hamiltonian")
@@ -94,8 +102,8 @@ class EigenSystem:
     imaginary part, and ``plan`` the block plan they were solved from, whose
     block order the evolutions read.  In the eigenbasis, conjugation by
     exp(itH) is an entrywise phase, so an evolution costs one sparse product
-    and three GEMMs per pair of blocks that the operator couples, or per
-    mirror pair of them (see ``pairs`` and ``_conjugate``).
+    and three GEMMs per pair of blocks that the operator couples (see
+    ``pairs`` and ``flow``).
     """
 
     def __init__(self, h, *, cap_dense: int = DENSE_CUTOFF):
@@ -105,8 +113,6 @@ class EigenSystem:
         # the plan's block order lists the blocks' basis indices, and their columns, in turn
         self._start, self._basis = self.plan.starts, self.plan.members
         self._vectors = [None] + [v for _, _, v in self.blocks[1:]]  # None: the identity
-        w = np.concatenate([w for _, w, _ in self.blocks])
-        self._rank = np.argsort(np.argsort(w, kind="stable"))  # ascending index
 
     @classmethod
     def of(cls, h) -> "EigenSystem":
@@ -126,9 +132,9 @@ class EigenSystem:
                     for x in self._vectors[1:]), default=0.0)
 
     def require_range(self, beta: float) -> None:
-        """Refuse imaginary time beta when |beta| * spread exceeds RANGE_LIMIT."""
+        """Refuse imaginary time beta unless |beta| * spread <= RANGE_LIMIT."""
         exponent = abs(beta) * float(self.eigenvalues[-1] - self.eigenvalues[0])
-        if exponent > RANGE_LIMIT:
+        if not exponent <= RANGE_LIMIT:
             raise RangeLimitError(
                 f"imaginary-time exponent {exponent:.3g} exceeds range limit {RANGE_LIMIT}"
             )
@@ -144,12 +150,6 @@ class EigenSystem:
             )
         br, bc, row, col = self.plan.places(m)
         return br * len(self.blocks) + bc, row, col, m.data
-
-    def coupled(self, a) -> set[tuple[int, int]]:
-        """The pairs (b, c) of ``blocks`` that A couples: label lookups on its
-        entries, no product."""
-        keys = np.flatnonzero(np.bincount(self._entries(a)[0])).tolist()
-        return {divmod(k, len(self.blocks)) for k in keys}
 
     def eigen_diagonal(self, a) -> np.ndarray:
         """The diagonal of V^H A V in block order from A's entries (i, j, d)
@@ -205,59 +205,42 @@ class EigenSystem:
             return x
         return _sandwich(v[b], x * np.exp(z * (wb[:, None] - wc[None, :])), _adjoint(v[c]))
 
-    def _conjugate(self, a, z=None):
-        """V^H A V in the order of ``eigenvalues`` when ``z`` is None, else
-        exp(zH) A exp(-zH) = V (V^H A V * exp(z (w_j - w_k))) V^H, A itself at
-        z = 0; stored as A is.
-
-        Under a flip-symmetric H, a flow of A with J A J == s A exactly
-        (s = +-1) computes only the first of each pair (b, c) and its mirror,
-        then adds the image s J Y J of all it computed: the pairs it skipped,
-        and, for a pair that is its own mirror, the other half of an average.
-        So J A_t J == s A_t holds bitwise.  The eigenbasis form keeps every
-        pair: self-mirrored blocks' eigenvectors are even and odd halves."""
-        m, mirror = as_matrix(a), self.plan.mirror
+    def _conjugate(self, a, z):
+        """exp(zH) A exp(-zH) = V (V^H A V * exp(z (w_j - w_k))) V^H, A itself
+        at z = 0, stored as A is: one ``flow`` of each pair that ``pairs`` yields."""
+        m = as_matrix(a)
         if z == 0:
             return m
-        s = _flip_parity(m) if z is not None and self.plan.flip else 0
-        target = self._rank if z is None else self._basis
-        first = {min((b, c), (mirror[b], mirror[c])) for b, c in self.coupled(m)} if s else None
+        basis, s = self._basis, self._start
         parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-        for b, c, x in self.pairs(m, first):
-            x = sp.coo_array(x if z is None else self.flow(b, c, x, z))
-            if s and (mirror[b], mirror[c]) == (b, c):
-                x.data = x.data / 2  # its image adds the other half
-            parts.append((target[self._start[b] + x.row], target[self._start[c] + x.col], x.data))
+        for b, c, x in self.pairs(m):
+            x = sp.coo_array(self.flow(b, c, x, z))
+            parts.append((basis[s[b] + x.row], basis[s[c] + x.col], x.data))
         rows, cols, vals = map(np.concatenate, zip(*parts))
-        if s:  # J is the index reversal
-            n = self.dim - 1
-            rows, cols, vals = np.r_[rows, n - rows], np.r_[cols, n - cols], np.r_[vals, s * vals]
         out = sp.coo_array((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
         return out if sp.issparse(m) else out.toarray()
 
-    def to_eigenbasis(self, a):
-        """V^dagger A V in the order of ``eigenvalues``, stored as A is."""
-        return self._conjugate(a)
-
     def evolve(self, a, t: float):
         """alpha_t(A) = exp(itH) A exp(-itH), stored as A is.  t = 0 returns
-        A unchanged."""
-        return self._conjugate(a, 1j * float(t))
+        A unchanged; a non-finite t is refused."""
+        return self._conjugate(a, 1j * _finite(t, "time t"))
 
     def evolve_imaginary(self, a, beta: float):
-        """exp(-beta H) A exp(beta H), stored as A is.  Refused when
-        |beta| * spread > RANGE_LIMIT."""
-        self.require_range(float(beta))
-        return self._conjugate(a, -float(beta))
+        """exp(-beta H) A exp(beta H), stored as A is.  Refused when beta is
+        not finite or |beta| * spread > RANGE_LIMIT."""
+        beta = _finite(beta, "imaginary time beta")
+        self.require_range(beta)
+        return self._conjugate(a, -beta)
 
     def evolve_vector(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """Schroedinger evolution exp(-itH) psi, block by block."""
+        """Schroedinger evolution exp(-itH) psi, block by block; t must be finite."""
+        t = _finite(t, "time t")
         psi = np.asarray(psi, dtype=np.complex128)
         if psi.shape != (self.dim,):
             raise DimensionMismatchError(f"state shape {psi.shape} does not match dim {self.dim}")
         out = np.empty_like(psi)
         for idx, w, v in self.blocks:
-            out[idx] = v @ (np.exp(-1j * float(t) * w) * (v.conj().T @ psi[idx]))
+            out[idx] = v @ (np.exp(-1j * t * w) * (v.conj().T @ psi[idx]))
         return out
 
 

@@ -216,26 +216,9 @@ def exact_real(m: np.ndarray) -> np.ndarray:
     return m.real if np.iscomplexobj(m) and not m.imag.any() else m
 
 
-def _diagonal(m) -> bool:
-    """Whether ``m`` is canonical CSR with at most one entry a row, on the diagonal."""
-    return (sp.issparse(m) and m.nnz <= m.shape[0] and m.has_canonical_format
-            and np.array_equal(m.indices, np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))))
-
-
 def commutator(a, b):
-    """[A, B] = AB - BA, as the ndarray or CSR matrix that the product gives;
-    for a CSR pair of a canonical X and a :func:`_diagonal` D (a missing d_i
-    counts 0) in O(nnz): [X, D] is x_ij d_j - d_i x_ij and [D, X] its
-    negative, zeros dropped, the products' entries in canonical order."""
+    """[A, B] = AB - BA, as the ndarray or CSR matrix that the products give."""
     ma, mb = _operands(a, b)
-    for x, d, left in ((ma, mb, False), (mb, ma, True)):
-        if _diagonal(d) and sp.issparse(x) and x.has_canonical_format:
-            full = d.diagonal()
-            xd, dx = x.data * full[x.indices], np.repeat(full, np.diff(x.indptr)) * x.data
-            data = dx - xd if left else xd - dx
-            kept = np.flatnonzero(data != 0)
-            return sp.csr_array((data[kept], x.indices[kept], np.searchsorted(kept, x.indptr)),
-                                shape=x.shape)
     return ma @ mb - mb @ ma
 
 

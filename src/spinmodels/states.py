@@ -180,10 +180,6 @@ class GibbsState:
     log_z: float
     beta: float
 
-    @property
-    def z(self) -> float:
-        return float(np.exp(self.log_z))
-
 
 def _beta(beta) -> float:
     beta = float(beta)

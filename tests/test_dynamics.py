@@ -110,6 +110,23 @@ def test_range_limit_holds_at_its_boundary_on_every_route():
     assert kms_residual(es, RANGE_LIMIT, ops.sp, ops.sm) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_are_refused(bad):
+    # nan > RANGE_LIMIT is False, so the range guard alone let a NaN beta
+    # through to a NaN-filled result; every evolution refuses it up front
+    ops = spin_matrices(0.5)
+    es = EigenSystem(ops.s3)
+    big = assemble_hamiltonian(ising(j=1.0, h=0.0), chain_volume(13))  # the Krylov route
+    for call in (lambda: es.evolve(ops.sm, bad), lambda: es.evolve_imaginary(ops.sm, bad),
+                 lambda: es.evolve_vector(np.array([1.0, 0.0]), bad),
+                 lambda: evolve_state(ops.s3, np.array([1.0, 0.0]), bad),
+                 lambda: evolve_state(big, np.zeros(big.shape[0]), bad)):
+        with pytest.raises(DomainError, match="finite"):
+            call()
+    with pytest.raises(RangeLimitError):
+        es.require_range(np.nan)
+
+
 def test_state_evolution_phase_and_norm():
     h = _chain_hamiltonian(4)
     w, v = np.linalg.eigh(h)

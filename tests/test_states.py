@@ -105,7 +105,7 @@ def test_gibbs_single_spin_closed_form(dense_state):
     ops = spin_matrices(0.5)
     for beta in (0.2, 1.0, 3.7):
         g = gibbs(ops.s3, beta)
-        assert abs(g.z - 2 * np.cosh(beta / 2)) < 1e-12
+        assert abs(np.exp(g.log_z) - 2 * np.cosh(beta / 2)) < 1e-12
         got = expectation(g.rho, ops.s3).real
         assert abs(got - (-np.tanh(beta / 2) / 2)) < 1e-14
     # beta = 0 is the tracial state
