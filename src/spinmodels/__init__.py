@@ -46,7 +46,6 @@ from .lattice import (
     Volume,
     basis_digits,
     basis_index,
-    basis_vector,
     build_volume,
     chain_volume,
     embed,
@@ -62,6 +61,7 @@ from .interactions import (
     ising,
     lambda_norm,
     resolve_q,
+    su2_spin,
     xxz_suq2,
     xxz_suq2_chain,
     xy_field,

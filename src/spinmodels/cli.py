@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .errors import DimensionMismatchError, DomainError, SolverError, SpecFileError, SpinModelError
 from .dynamics import lr_fit, lr_scan
-from .interactions import MODEL_NAMES, MODELS, assemble_hamiltonian
+from .interactions import MODEL_NAMES, MODELS, assemble_hamiltonian, su2_spin
 from .lattice import MAX_HILBERT_DIM, build_volume
 from .probes import random_probe_pairs
 from .spectra import DEGENERACY_TOL, EigenSystem, ground_space, low_levels
@@ -285,11 +285,19 @@ class _Run:
         return EigenSystem(self.h, cap_dense=self.cap_dense)
 
 
+def _low_levels(run: _Run, h, interaction, num: int = 1, method: str | None = None):
+    """``low_levels`` of h; the krylov route, and it alone, is given the SU(2)
+    certificate of the interaction h was assembled from."""
+    krylov = method == "krylov" or method is None and h.shape[0] > run.cap_dense
+    return low_levels(h, num, method=method, cap_dense=run.cap_dense,
+                      spin=su2_spin(interaction) if krylov else None)
+
+
 def _task_spectrum(run: _Run) -> tuple[dict, list]:
     method = run.params["method"]
     _progress("spectrum", 1, 1)
-    low = low_levels(run.h, run.params["num_eigenvalues"],
-                     method=None if method == "auto" else method, cap_dense=run.cap_dense)
+    low = _low_levels(run, run.h, run.interaction, run.params["num_eigenvalues"],
+                      None if method == "auto" else method)
     payload = {"method": low.method, "eigenvalues": low.eigenvalues, "ground_energy": low.energy,
                "degeneracy": low.degeneracy, "gap": low.gap, **low.diagnostics}
     return payload, list(enumerate(low.eigenvalues.tolist()))
@@ -445,10 +453,10 @@ def _task_verify(run: _Run) -> tuple[dict, list]:
 
 
 def _scan_point(run: _Run, value: float, params: dict) -> dict:
-    h = assemble_hamiltonian(run.model.interaction(params), run.volume)
-    low = low_levels(h, cap_dense=run.cap_dense)
-    return {"value": float(value), "ground_energy": low.energy,
-            "degeneracy": low.degeneracy, "gap": low.gap}
+    interaction = run.model.interaction(params)
+    low = _low_levels(run, assemble_hamiltonian(interaction, run.volume), interaction)
+    return {"value": float(value), "ground_energy": low.energy, "degeneracy": low.degeneracy,
+            "gap": low.gap, **({"route": low.route} if low.route else {})}
 
 
 def _task_scan(run: _Run) -> tuple[dict, list]:

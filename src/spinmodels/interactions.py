@@ -21,7 +21,8 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, DomainError
 from .lattice import Volume, _embed_csr, chain_volume
-from .spin_algebra import Spin, _dense, _hermitian, operator_norm, spin_matrices
+from .spin_algebra import (STRUCTURE_TOL, Spin, _dense, _hermitian, commutator, operator_norm,
+                           spin_matrices)
 from .symmetry import GeneratorSet, suq2_generators, total_spin
 
 
@@ -151,6 +152,20 @@ def xxz_suq2(q: float) -> Interaction:
         + a * (np.kron(eye2, ops.s3) - np.kron(ops.s3, eye2))
     )
     return Interaction(local_dim=2, bond_term=bond, name="xxz_suq2")
+
+
+def su2_spin(interaction: Interaction) -> float | None:
+    """The local spin s if the site and bond terms each commute with their
+    support's total S+ and S3 within STRUCTURE_TOL * max(1, ||term||), else
+    None: the certificate that the assembled H commutes with the total S+,
+    S- = (S+)^T and S3, read by the krylov route of ``spectra.low_levels``."""
+    ops = spin_matrices((interaction.local_dim - 1) / 2.0)
+    pair = [np.kron(x, ops.identity) + np.kron(ops.identity, x) for x in (ops.sp, ops.s3)]
+    for term, gens in ((interaction.site_term, (ops.sp, ops.s3)), (interaction.bond_term, pair)):
+        if term is not None and any(operator_norm(commutator(term, g))
+                                    > STRUCTURE_TOL * max(1.0, operator_norm(term)) for g in gens):
+            return None
+    return ops.spin.value
 
 
 def xxz_suq2_chain(length: int, q: float) -> sp.csr_array:

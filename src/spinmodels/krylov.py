@@ -23,11 +23,13 @@ complex128, even when its imaginary part is zero.
 Blocks matter for degenerate multiplets: the Krylov space grown from one
 starting block can never hold more of an eigenspace than the starting block's
 slice of it, so a multiplet of dimension m needs block_size >= m to come out
-complete.  The low-end routine :func:`spinmodels.spectra.low_levels` runs
-once per block of H's plan (an S3 sector, or a +-m pair of them), where a
-multiplet spanning the sectors has one state each, with the block as wide as
-its pairs, and reruns a block twice as wide only when its top pair is among
-the levels it reports; the default block of 4 is for generic low-end queries.
+complete.  The low-end routine :func:`spinmodels.spectra.low_levels` runs on
+S3 sectors, where a multiplet spanning the sectors has one state each: once
+on the lowest sector alone when given the local spin of an SU(2)-invariant H,
+else once per block of H's plan (a sector, or a +-m pair).  A block is as
+wide as its pairs, and a run is repeated twice as wide only when its top pair
+is among the levels it reports; the default block of 4 is for generic
+low-end queries.
 
 This is the sparse counterpart to dense LAPACK diagonalization; the test
 suite cross-checks the two routes (and ARPACK) against each other.

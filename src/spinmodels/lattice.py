@@ -183,13 +183,6 @@ def basis_digits(volume: Volume, index: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def basis_vector(volume: Volume, digits) -> np.ndarray:
-    """Unit vector of the product state with the given digits."""
-    vec = np.zeros(volume.hilbert_dim, dtype=np.complex128)
-    vec[basis_index(volume, digits)] = 1.0
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # Embedding local operators
 # ---------------------------------------------------------------------------

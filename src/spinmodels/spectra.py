@@ -44,6 +44,7 @@ from .spin_algebra import (
     as_matrix,
     eigenvector_columns,
     hermitian_eig,
+    spin_matrices,
 )
 
 #: Relative width of the window that groups eigenvalues into one multiplet.
@@ -256,8 +257,9 @@ class LowLevels:
     the EigenSystem's invariant blocks, and ``flip``, whether H is exactly
     flip-symmetric, on the dense route; on the krylov route
     ``solved_blocks``, the size of the block of each Lanczos run in solve
-    order, ``iterations``, the steps of all runs, and ``max_residual``, the
-    largest ||H v - theta v|| of their pairs (0 and 0.0 with no run).
+    order, ``iterations``, the steps of all runs, ``max_residual``, the
+    largest ||H v - theta v|| of their pairs (0 and 0.0 with no run), and
+    ``route``, "su2_sector" (with ``spins``, S of each eigenvalue) or "sectors".
     """
 
     method: str
@@ -270,6 +272,8 @@ class LowLevels:
     iterations: int | None = None
     max_residual: float | None = None
     solved_blocks: list[int] | None = None
+    route: str | None = None
+    spins: np.ndarray | None = None
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -282,9 +286,9 @@ class LowLevels:
     @property
     def diagnostics(self) -> dict:
         """The route's own diagnostics by name, for a result payload."""
-        dense = self.method == "dense"
-        keys = ("block_sizes", "flip") if dense else ("iterations", "max_residual", "solved_blocks")
-        return {key: getattr(self, key) for key in keys}
+        keys = (("block_sizes", "flip") if self.method == "dense" else
+                ("iterations", "max_residual", "solved_blocks", "route", "spins"))
+        return {key: getattr(self, key) for key in keys if key != "spins" or self.spins is not None}
 
 
 def full_spectrum(h) -> EigenSystem:
@@ -309,41 +313,113 @@ def _ground_basis(m, blocks, win: float, deg: int) -> np.ndarray:
     return eigenvector_columns([(idx[i], w, v) for i, w, v in sub.blocks], np.arange(deg), m.shape[0])
 
 
-def low_levels(
-    h, num: int = 1, *, method: str | None = None, cap_dense: int = DENSE_CUTOFF
-) -> LowLevels:
+def _raising(src, tgt, n: int, c, dim: int) -> sp.csr_array:
+    """Total S+ from the basis states ``src`` into the ranks of the sorted ``tgt``:
+    at each site's stride t, a digit d > 0 drops to d - 1 (index - t), weight c[d - 1]."""
+    parts, t = [], 1
+    while t < dim:
+        d = src // t % n
+        up = np.flatnonzero(d)
+        parts.append((np.searchsorted(tgt, src[up] - t), up, c[d[up] - 1]))
+        t *= n
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    return sp.csr_array((vals, (rows, cols)), shape=(tgt.size, src.size))
+
+
+def _su2_levels(m, num: int, spin) -> LowLevels | None:
+    """The krylov route on the sector m0 of an H that commutes with the total
+    S+ and S3 of local ``spin`` (see :func:`low_levels`), or None."""
+    ops, dim, sums = spin_matrices(spin), m.shape[0], np.zeros(1, np.intp)
+    n, c = ops.dim, np.diag(ops.sp, 1)
+    while sums.size < dim:  # base-n digit sums, accumulated site by site
+        sums = (sums[:, None] + np.arange(n)).ravel()
+    if sums.size != dim:
+        raise DimensionMismatchError(f"dim {dim} is not a power of the local dimension {n}")
+    top = int(sums[-1]) // 2  # the digit sum of sector m0 = L s - top, 0 or 1/2
+    m0, src, tgt = sums[-1] / 2 - top, np.flatnonzero(sums == top), np.flatnonzero(sums == top - 1)
+    h0, up = m[src][:, src], _raising(src, tgt, n, c, dim)
+    k, runs = min(src.size, max(num, 6)), []
+    while True:
+        runs.append(res := lowest_eigenpairs(h0, k, block_size=k))
+        theta, width, starts = res.eigenvalues, _window(0.0, res.scale), [0]
+        for j in range(1, k):  # a level over width above its cluster's first opens a cluster
+            if theta[j] > theta[starts[-1]] + width:
+                starts.append(j)
+        x = up @ res.eigenvectors
+        gram, rot, g = x.conj().T @ x, np.zeros((k, k), x.dtype), np.empty(k)
+        for a, b in zip(starts, starts[1:] + [k]):  # S^2 commutes with H: rotate each cluster
+            g[a:b], rot[a:b, a:b] = np.linalg.eigh(gram[a:b, a:b])
+        s = np.sqrt(g + (m0 + 0.5) ** 2) - 0.5  # S(S+1) = ||S+ psi||^2 + m0 (m0 + 1)
+        if not np.abs(s - (level_s := m0 + np.round(s - m0))).max() <= 1e-8:
+            return None
+        w, spins = (np.repeat(a, (2 * level_s + 1).astype(int)) for a in (theta, level_s))
+        deg = int(np.sum(w <= theta[0] + width))
+        need = max(num, deg + 1)
+        if k == src.size or need <= w.size and theta[-1] > w[need - 1] + width:
+            break
+        k = min(src.size, 2 * k)
+
+    def ladder():  # each Casimir-rotated ground vector with its S+ and S- images
+        g0, full = (starts + [k])[1], np.arange(dim)
+        raising, psi = _raising(full, full, n, c, dim), np.zeros((dim, g0), res.eigenvectors.dtype)
+        psi[src] = res.eigenvectors @ rot[:, :g0]
+        cols = [psi]
+        for j in range(g0):
+            for op, steps in ((raising, level_s[j] - m0), (raising.T, level_s[j] + m0)):
+                v = psi[:, j]
+                for _ in range(round(steps)):
+                    v = op @ v
+                    cols.append(v[:, None] / np.linalg.norm(v))
+        return np.hstack(cols)
+
+    return LowLevels("krylov", w[:num], deg, _gap(w, deg), ladder,
+                     iterations=sum(r.iterations for r in runs),
+                     max_residual=max(float(np.max(r.residuals)) for r in runs),
+                     solved_blocks=[src.size] * len(runs), route="su2_sector", spins=spins[:num])
+
+
+def low_levels(h, num: int = 1, *, method: str | None = None, cap_dense: int = DENSE_CUTOFF,
+               spin=None) -> LowLevels:
     """Ground multiplet, gap, and at least the ``num`` lowest eigenvalues.
 
     Eigenvalues within ``DEGENERACY_TOL * max(1, ||H||)`` of the minimum
-    count as one multiplet.  ``method`` is "dense", "krylov", or None (dense
-    for an EigenSystem or when the dimension is at most ``cap_dense``, block
-    Lanczos otherwise).  Each route takes ||H|| from its own solve: the
-    dense route max |eigenvalue|, the krylov route the largest |Ritz value|
-    of its Lanczos runs (:attr:`~spinmodels.krylov.KrylovResult.scale`) and
-    |entry| of its size-1 blocks.  A real H runs in float64 on both routes; a
-    complex one in complex128, except for the dense route's blocks whose
-    imaginary part is exactly zero.  The krylov route's runs take
-    :func:`~spinmodels.krylov.lowest_eigenpairs`'s default seed and stop at
-    residuals ``SOLVER_TOL`` relative to their scale.
+    count as one multiplet, ||H|| read from the route's own solve: max
+    |eigenvalue|, or the largest |Ritz value| of the Lanczos runs
+    (:attr:`~spinmodels.krylov.KrylovResult.scale`) and |entry| of the
+    size-1 blocks.  ``method`` is "dense", "krylov", or None (dense for an
+    EigenSystem or a dimension at most ``cap_dense``).  Lanczos runs, in the
+    dtype of H, take :func:`~spinmodels.krylov.lowest_eigenpairs`'s default
+    seed, k = max(num, 6) pairs, block as wide, and stop at residuals
+    ``SOLVER_TOL`` relative to their scale.
 
     The dense route reads an EigenSystem, or solves a bare H (refused above
-    ``cap_dense``) for eigenvalues alone, one ``eigvalsh`` per solved block.
+    ``cap_dense``) for eigenvalues alone, one ``eigvalsh`` per solved block,
+    in float64 unless the block's imaginary part is nonzero.
     Its ``basis`` is then solved on first read, one ``eigh`` per solved
     block that holds a ground level: the EigenSystem's vectors bit for bit
     while H restricted to those blocks is flip-symmetric exactly when H is.
 
-    The krylov route gives each block of the plan that
+    Given ``spin``, the local spin of an H that commutes with the total S+
+    and S3 (see :func:`~spinmodels.interactions.su2_spin`), the krylov route
+    ("su2_sector") runs on the S3 sector m0 = 0 or 1/2 alone, which holds a
+    state of every multiplet.  A level of spin S, read from the Casimir
+    S(S+1) = ||S+ psi||^2 + m0 (m0 + 1) (inside a window cluster from the
+    eigenvalues of the Gram (S+ V)^H (S+ V)), counts 2S+1 times, and
+    ``basis`` is the S+ and S- ladder of the rotated ground vectors.  A
+    label over 1e-8 from m0 plus an integer falls back to the plan route.
+
+    The plan route ("sectors") runs on each block of the plan that
     :func:`~spinmodels.spin_algebra.hermitian_eig` solves (the S3 sectors of
-    the built-in models) one Lanczos run of max(num, 6) pairs, block as wide;
-    size-1 blocks are their diagonal entries, and the mirror of a solved
-    block of a flip-symmetric H copies it as there.  Blocks are visited by
-    their Gershgorin bound min_i (h_ii - sum_{j != i} |h_ij|), which none of
-    their eigenvalues undercuts (Golub and Van Loan, *Matrix Computations*,
-    Thm 7.2.1).  Invariant: the lowest max(num, degeneracy + 1) values lie
-    more than the window width below the bound of every unsolved block and
-    the top Ritz value of every run short of its block; until they do, the
-    limiting block is solved, or its run repeated with twice the pairs.  A
+    the built-in models), visited by their Gershgorin bound min_i (h_ii -
+    sum_{j != i} |h_ij|), which no eigenvalue undercuts (Golub and Van Loan,
+    *Matrix Computations*, Thm 7.2.1); size-1 blocks are their diagonal
+    entries, a flip-symmetric H's mirror block copies its partner, and a
     ground multiplet over ``MAX_SPARSE_DEGENERACY`` is a SolverError.
+    Invariant of both: the lowest max(num, degeneracy + 1) values, with
+    multiplicity, lie more than the window width below the bound of every
+    unsolved block and the top Ritz value of every run short of its block;
+    until they do, the limiting block is solved, or its run repeated with
+    twice the pairs.
     """
     m = h.h if isinstance(h, EigenSystem) else as_matrix(h)
     dim = m.shape[0]
@@ -367,6 +443,8 @@ def low_levels(
     if not isinstance(h, EigenSystem):
         _hermitian(m, "Hamiltonian")
     msp = m if sp.issparse(m) else sp.csr_array(m)
+    if spin is not None and (low := _su2_levels(msp, num, spin)) is not None:
+        return low
     plan, diag = (h.plan if isinstance(h, EigenSystem) else _block_plan(msp)), msp.diagonal()
     # Gershgorin radii from the arrays: scipy's abs() sorts them, and m's data with them
     radius = np.bincount(np.repeat(np.arange(dim), np.diff(msp.indptr)), abs(msp.data), dim)
@@ -407,7 +485,7 @@ def low_levels(
                      lambda: eigenvector_columns(list(found.values()), np.arange(deg), dim),
                      iterations=sum(r.iterations for _, r in runs),
                      max_residual=max((float(np.max(r.residuals)) for _, r in runs), default=0.0),
-                     solved_blocks=[d for d, _ in runs])
+                     solved_blocks=[d for d, _ in runs], route="sectors")
 
 
 def ground_space(h, *, method: str | None = None) -> LowLevels:

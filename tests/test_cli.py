@@ -324,6 +324,32 @@ def test_krylov_spectrum_payload_records_solver_diagnostics(tmp_path):
     assert run_spec(spec, tmp_path / "b").read_text() == text
 
 
+def test_krylov_payloads_name_their_route(tmp_path):
+    # an SU(2)-invariant model's krylov spectrum solves one sector and lists
+    # the spin of each eigenvalue; a field breaks the certificate; a scan
+    # point names its route on the krylov route only
+    def payload(spec, out, **caps):
+        path = run_spec(parse_spec_dict(spec), tmp_path / out, **caps)
+        return json.loads(path.read_text())["payload"]
+
+    ring = {"dims": [8], "boundary": "periodic"}
+    su2 = payload(_spec("spectrum", {"method": "krylov"}, volume=ring), "su2")
+    assert su2["route"] == "su2_sector" and su2["solved_blocks"] == [70]
+    assert su2["spins"] == [0, 1, 1, 1, 0, 1]
+    field = payload(_spec("spectrum", {"method": "krylov"}, volume=ring,
+                          model={"name": "xy_field", "params": {"h": 0.3}}), "field")
+    assert field["route"] == "sectors" and "spins" not in field
+    scan = {"variable": "q", "values": [0.5, 1.0]}
+    chain = {"dims": [6], "boundary": "open"}
+    model = {"name": "xxz_suq2", "params": {}}
+    points = payload(_spec("scan", scan, model=model, volume=chain), "scan-krylov",
+                     cap_dense=16)["points"]
+    assert [p["route"] for p in points] == ["sectors", "su2_sector"]
+    assert [p["degeneracy"] for p in points] == [7, 7]
+    dense = payload(_spec("scan", scan, model=model, volume=chain), "scan-dense")["points"]
+    assert all("route" not in p for p in dense)
+
+
 def test_run_thermal_consistency(tmp_path):
     spec = parse_spec_dict(_spec("thermal", {"betas": [0.0, 0.5, 1.0, 2.0]}))
     doc = json.loads(run_spec(spec, tmp_path).read_text())

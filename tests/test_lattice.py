@@ -13,7 +13,6 @@ from spinmodels import (
     SitePermutation,
     basis_digits,
     basis_index,
-    basis_vector,
     build_volume,
     chain_volume,
     embed,
@@ -69,11 +68,14 @@ def test_basis_index_digit_roundtrip():
 
 
 def test_basis_vector_one_hot():
+    # the basis vector at basis_index of digits (1, 0) is the product state
+    # down (x) up: S3 at site 0 reads -1/2 on it, at site 1 +1/2
     vol = chain_volume(2)
-    v = basis_vector(vol, (1, 0))
-    assert v.shape == (4,)
-    assert v[basis_index(vol, (1, 0))] == 1.0
-    assert np.sum(np.abs(v)) == 1.0
+    v = np.zeros(vol.hilbert_dim)
+    v[basis_index(vol, (1, 0))] = 1.0
+    s3 = spin_matrices(0.5).s3
+    assert np.array_equal(embed(s3, [(0,)], vol) @ v, -0.5 * v)
+    assert np.array_equal(embed(s3, [(1,)], vol) @ v, 0.5 * v)
 
 
 def test_hilbert_cap_enforced():

@@ -16,7 +16,6 @@ from spinmodels import (
     SolverError,
     assemble_hamiltonian,
     basis_index,
-    basis_vector,
     build_model_hamiltonian,
     chain_volume,
     evolve_state,
@@ -38,7 +37,7 @@ from spinmodels import (
     two_point,
 )
 from spinmodels.cli import parse_spec_dict, run_spec
-from spinmodels.interactions import MODEL_NAMES, MODELS
+from spinmodels.interactions import MODEL_NAMES, MODELS, su2_spin, xxz_suq2, xy_field
 from spinmodels.krylov import lowest_eigenpairs
 from spinmodels.spectra import DEGENERACY_TOL
 from spinmodels.spin_algebra import (
@@ -393,9 +392,10 @@ def test_ferromagnet_ring_makes_one_run_per_flip_pair(lanczos_runs):
 
 
 def test_gershgorin_bounds_skip_sectors(lanczos_runs):
-    # the spectrum_krylov bench spec (L=13 antiferromagnet ring): the m = 1/2
-    # and m = 3/2 sectors are solved, their mirrors copied, and every other
-    # sector's bound lies above the sixth level
+    # the plan route (no spin given) on the spectrum_krylov bench H, the L=13
+    # antiferromagnet ring, which the CLI now solves on its SU(2) route: the
+    # m = 1/2 and m = 3/2 sectors are solved, their mirrors copied, and every
+    # other sector's bound lies above the sixth level
     h = build_model_hamiltonian("heisenberg", {"J": -1.0}, chain_volume(13, "periodic"))
     low = low_levels(h, 6, method="krylov")
     assert low.solved_blocks == [d for d, _ in lanczos_runs] == [1716, 1287]
@@ -412,6 +412,117 @@ def test_a_diagonal_hamiltonian_makes_no_lanczos_run(lanczos_runs):
     assert np.array_equal(low.eigenvalues, dense.eigenvalues[:6])
     assert (low.degeneracy, low.gap) == (dense.degeneracy, dense.gap)
     _check_ground_basis(low, h, abs(low.energy))
+
+
+# ---------------------------------------------------------------------------
+# The SU(2) route: one Lanczos run on the lowest S3 sector, levels counted
+# 2S+1 times from their Casimir
+# ---------------------------------------------------------------------------
+
+
+def _chain(name, params, length, boundary):
+    """(H, local spin certificate) of a registry model on a chain."""
+    interaction = MODELS[name].interaction(params)
+    vol = chain_volume(length, boundary, local_dim=interaction.local_dim)
+    return assemble_hamiltonian(interaction, vol), su2_spin(interaction)
+
+
+def _su2(name, params, length, boundary, num=6):
+    h, spin = _chain(name, params, length, boundary)
+    low = low_levels(h, num, method="krylov", spin=spin)
+    assert low.route == "su2_sector" and low.spins.size == low.eigenvalues.size
+    return h, low
+
+
+_SU2_RECORDS = [(name, params, boundary)
+                for name, params in (("heisenberg", {"J": -1.0}), ("heisenberg", {"J": 1.0}),
+                                     ("heisenberg", {"J": -1.0, "spin": 1}), ("aklt", {}))
+                for boundary in ("open", "periodic")]
+
+
+@pytest.mark.parametrize("name, params, boundary", _SU2_RECORDS,
+                         ids=[f"{n}-{p}-{b}" for n, p, b in _SU2_RECORDS])
+def test_su2_route_matches_dense_and_counts_the_whole_space(lanczos_runs, name, params, boundary):
+    h, spin = _chain(name, params, 6 if params.get("spin") or name == "aklt" else 10, boundary)
+    low = low_levels(h, 6, method="krylov", spin=spin)
+    assert low.route == "su2_sector"
+    dense = low_levels(h, method="dense")
+    scale = max(1.0, np.abs(dense.eigenvalues).max())
+    assert np.abs(low.eigenvalues - dense.eigenvalues[:6]).max() <= 1e-10 * scale
+    assert low.degeneracy == dense.degeneracy and abs(low.gap - dense.gap) <= 1e-10 * scale
+    sector = lanczos_runs[0][0]
+    assert low.solved_blocks == [d for d, _ in lanczos_runs] == [sector] * len(lanczos_runs)
+    _check_ground_basis(low, h, scale)
+    # k equal to the sector size: every level, each 2S+1 times, is the whole spectrum
+    full = low_levels(h, h.shape[0], method="krylov", spin=spin)
+    assert full.solved_blocks == [sector] and full.eigenvalues.size == h.shape[0]
+    assert np.abs(full.eigenvalues - dense.eigenvalues).max() <= 1e-10 * scale
+    values, counts = np.unique(full.spins, return_counts=True)
+    assert np.all(counts % (2 * values + 1) == 0)
+
+
+@pytest.mark.parametrize("spin, length, boundary", [
+    (0.5, 6, "periodic"), (0.5, 10, "periodic"), (0.5, 8, "open"), (0.5, 7, "open"),
+    (0.5, 9, "open"), (1, 4, "periodic"), (1, 6, "open"), (1, 5, "open")])
+def test_lieb_mattis_ground_spin(spin, length, boundary):
+    # E. Lieb and D. Mattis, J. Math. Phys. 3, 749 (1962): S.S couplings that
+    # are antiferromagnetic between the sublattices A and B of a connected
+    # bipartite lattice (even rings, open chains) give a unique ground
+    # multiplet of S = |S_A - S_B| = spin * |N_A - N_B|
+    _, low = _su2("heisenberg", {"J": -1.0, "spin": spin}, length, boundary)
+    ground = spin * (length % 2)
+    assert low.spins[0] == ground and low.degeneracy == 2 * ground + 1
+
+
+@pytest.mark.parametrize("spin, length, boundary", [
+    (0.5, 10, "periodic"), (0.5, 9, "open"), (1, 6, "periodic")])
+def test_ferromagnet_ground_spin_is_maximal(spin, length, boundary):
+    _, low = _su2("heisenberg", {"J": 1.0, "spin": spin}, length, boundary)
+    assert low.spins[0] == length * spin and low.degeneracy == 2 * length * spin + 1
+
+
+def test_aklt_edge_spins_and_ring_gap_level():
+    # the open chain's four zero-energy states are S=0 + S=1 (two spin-1/2
+    # edges), split by the Gram of S+ V; the ring's gap level is a triplet
+    _, chain = _su2("aklt", {}, 7, "open")
+    assert chain.degeneracy == 4 and sorted(chain.spins[:4]) == [0, 1, 1, 1]
+    assert abs(chain.energy) <= 1e-12
+    _, ring = _su2("aklt", {}, 7, "periodic")
+    assert ring.degeneracy == 1 and ring.spins[0] == 0
+    assert ring.spins[1:4].tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("interaction", [
+    xy_field(0.3), xy_field(0.0), xxz_suq2(0.5),
+    Interaction(2, site_term=-0.3 * spin_matrices(0.5).s3, bond_term=heisenberg(-1.0).bond_term)],
+    ids=["xy_field", "xy_field-h0", "xxz_suq2", "heisenberg-field"])
+def test_models_without_su2_take_the_plan_route_unchanged(interaction):
+    assert su2_spin(interaction) is None
+    h = assemble_hamiltonian(interaction, chain_volume(8, "open"))
+    plain = low_levels(h, 6, method="krylov")
+    given = low_levels(h, 6, method="krylov", spin=su2_spin(interaction))
+    for key in ("eigenvalues", "degeneracy", "gap", "iterations", "max_residual",
+                "solved_blocks", "route", "spins"):
+        assert np.array_equal(getattr(given, key), getattr(plain, key)), key
+    assert plain.route == "sectors" and plain.spins is None
+    assert "spins" not in plain.diagnostics and plain.diagnostics["route"] == "sectors"
+
+
+def test_labels_off_the_ladder_fall_back_to_the_plan_route():
+    # spin 1/2 claimed for the XY chain in a field: its sector vectors have
+    # no integral Casimir, so the plan route runs and says so
+    h = assemble_hamiltonian(xy_field(0.3), chain_volume(8, "open"))
+    low = low_levels(h, 6, method="krylov", spin=0.5)
+    plain = low_levels(h, 6, method="krylov")
+    assert low.route == "sectors" and np.array_equal(low.eigenvalues, plain.eigenvalues)
+    with pytest.raises(DimensionMismatchError, match="power of the local dimension 3"):
+        low_levels(h, 6, method="krylov", spin=1)
+
+
+def test_su_q2_at_q_1_is_certified_from_its_terms():
+    # the certificate reads the local terms, not the model's name
+    assert su2_spin(xxz_suq2(1.0)) == 0.5
+    assert su2_spin(heisenberg(1.0, spin=1.5)) == 1.5
 
 
 def _block_with_spectrum(w, seed):
@@ -468,9 +579,16 @@ def test_ising_ground_degeneracy():
     assert abs(spectral_gap(h) - 0.5) < 1e-12  # one domain wall costs 1/2
 
 
+def _product_state(vol, digits):
+    """The basis vector of the product state with ``digits``, complex."""
+    v = np.zeros(vol.hilbert_dim, np.complex128)
+    v[basis_index(vol, digits)] = 1.0
+    return v
+
+
 def test_two_point_oracles():
     vol = chain_volume(4, boundary="periodic")
-    neel = pure(basis_vector(vol, (0, 1, 0, 1)))
+    neel = pure(_product_state(vol, (0, 1, 0, 1)))
     # same site: Casimir S(S+1) = 3/4
     assert abs(two_point(neel, (0,), (0,), vol, kind="sdots") - 0.75) < 1e-14
     # product state S3 correlation factorizes
@@ -487,7 +605,7 @@ def test_two_point_oracles():
 
 def test_two_point_refuses_a_site_outside_the_volume():
     vol = chain_volume(4, boundary="periodic")
-    neel = pure(basis_vector(vol, (0, 1, 0, 1)))
+    neel = pure(_product_state(vol, (0, 1, 0, 1)))
     for x, y in (((4,), (0,)), ((0,), (7,))):
         with pytest.raises(DomainError, match="is not in the volume"):
             two_point(neel, x, y, vol)
@@ -530,9 +648,9 @@ def test_structure_factor_reference_states():
     mixed = maximally_mixed(vol.hilbert_dim)
     # cross terms vanish in the tracial state: S(k) = <(S3)^2>/N = 1/16
     assert abs(structure_factor(mixed, vol, np.pi) - 1 / 16) < 1e-14
-    neel = pure(basis_vector(vol, (0, 1, 0, 1)))
+    neel = pure(_product_state(vol, (0, 1, 0, 1)))
     assert abs(structure_factor(neel, vol, np.pi) - 0.25) < 1e-14
-    up = pure(basis_vector(vol, (0, 0, 0, 0)))
+    up = pure(_product_state(vol, (0, 0, 0, 0)))
     assert abs(structure_factor(up, vol, np.pi)) < 1e-14
     assert abs(structure_factor(up, vol, 0.0) - 0.25) < 1e-14
 

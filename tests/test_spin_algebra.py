@@ -163,7 +163,7 @@ def test_dimension_mismatch_raises():
             commutator(b, a)
 
 
-def _diagonal_route_cases():
+def _sparse_and_diagonal_cases():
     """(X, d) pairs: real and complex X with some exact zeros stored, and
     diagonals whose repeated values make d_j - d_i and x d_j - d_i x vanish."""
     rng = np.random.default_rng(41)
@@ -184,15 +184,15 @@ def _assert_dense_commutator(got, a, b):
     assert np.max(np.abs(got.toarray() - (ad @ bd - bd @ ad))) <= tol
 
 
-def test_diagonal_commutators_are_the_product_entries_bitwise():
-    for x, d in _diagonal_route_cases():
+def test_commutators_with_a_diagonal_match_the_dense_products():
+    for x, d in _sparse_and_diagonal_cases():
         diag = sp.csr_array((d, np.arange(d.size), np.arange(d.size + 1)))  # zeros stored
         assert diag.nnz == d.size and x.has_canonical_format
         for a, b in ((x, diag), (diag, x)):
             _assert_dense_commutator(commutator(a, b), a, b)
 
 
-def test_diagonal_route_counts_missing_diagonal_entries_as_zero():
+def test_commutators_with_an_embedded_spin1_s3_match_the_dense_products():
     # embed drops spin-1 S3's zeros: S3 at a site of the AKLT chain of 4 sites
     # stores 54 of 81 diagonal entries; its commutators with H and with an
     # evolved S1, and those of a shift with that S1, are the dense products'
@@ -207,8 +207,8 @@ def test_diagonal_route_counts_missing_diagonal_entries_as_zero():
         _assert_dense_commutator(commutator(a, b), a, b)
 
 
-def test_non_canonical_diagonals_and_dense_operands_take_the_products():
-    x, d = next(_diagonal_route_cases())
+def test_commutators_of_non_canonical_and_dense_operands_are_the_products_bitwise():
+    x, d = next(_sparse_and_diagonal_cases())
     n = d.size
     # the diagonal with its first entry stored as two halves: n + 1 entries
     split = sp.csr_array((np.concatenate(([d[0] / 2], d)), np.concatenate(([0], np.arange(n))),
