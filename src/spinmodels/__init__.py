@@ -35,7 +35,6 @@ from .spin_algebra import (
     adjoint,
     commutator,
     is_hermitian,
-    ladder_coefficient,
     operator_norm,
     pauli_matrices,
     spin_matrices,
@@ -56,7 +55,6 @@ from .interactions import (
     aklt,
     assemble_hamiltonian,
     build_model_hamiltonian,
-    empty,
     heisenberg,
     ising,
     lambda_norm,
@@ -99,9 +97,6 @@ from .dynamics import (
     LRFit,
     LRScan,
     Propagator,
-    evolve,
-    evolve_imaginary,
-    evolve_state,
     lr_fit,
     lr_scan,
 )

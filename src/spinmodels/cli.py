@@ -159,6 +159,9 @@ def parse_spec_dict(doc: dict) -> RunSpec:
             f"model.name must be one of {list(MODEL_NAMES)}, got {name!r}")
     params = model.get("params", {})
     _expect(isinstance(params, dict), "model.params must be an object")
+    for key, value in params.items():  # checked, not rewritten: the echo keeps the spec's text
+        nullable = MODELS[name].defaults.get(key, 0) is None  # xxz_suq2's q and delta
+        (_optional(_number()) if nullable else _number())(value, f"model.params.{key}")
 
     volume = doc.get("volume")
     _expect(isinstance(volume, dict), "volume section must be an object")
@@ -471,6 +474,8 @@ def _task_scan(run: _Run) -> tuple[dict, list]:
 
 
 def _verify_finish(section: dict, model: str, seed) -> dict:
+    repeated = sorted({name for name in section["checks"] if section["checks"].count(name) > 1})
+    _expect(not repeated, f"verify.checks names {repeated} more than once")
     drawn = [name for name in section["checks"] if CHECKS[name].seed is not None]
     _expect(seed is not None or not drawn,
             f"verify checks {drawn} draw random probes and require a seed")

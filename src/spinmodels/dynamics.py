@@ -3,7 +3,7 @@
 Evolution is by exact eigendecomposition of the Hamiltonian — no
 Trotterization anywhere: in the eigenbasis, conjugation by exp(itH) is an
 entrywise phase exp(it(w_j - w_k)), and imaginary time replaces the phase by
-exp(-beta(w_j - w_k)).  The decomposition is the shared
+exp(-beta(w_j - w_k)).  The evolutions are methods of the shared
 :class:`spinmodels.spectra.EigenSystem` (``Propagator`` is its old name), kept
 as one block of eigenvectors per invariant block of H's nonzero pattern.  An
 evolution runs over the block pairs that the operator couples, and the
@@ -13,8 +13,6 @@ invariant) stays block-diagonal.  A light-cone scan of diagonal observables
 (S3 at any spin) keeps alpha_t(A) in H's blocks and norms each block and time by one
 batched Gram eigvalsh of its corners (an eigvalsh per x where B_x takes more than two
 values); others take the largest |eigenvalue| of i[alpha_t(A), B_x] from ``commutator``.
-Above the dense cutoff, a Hamiltonian (not an EigenSystem) still gets vector
-propagation through a Krylov-based matrix-exponential action.
 """
 
 from __future__ import annotations
@@ -24,15 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateInputError, DimensionMismatchError, DomainError, SolverError
+from .errors import DegenerateInputError, DomainError, SolverError
 from .interactions import Interaction, assemble_hamiltonian
 from .lattice import Volume, embed
-from .spectra import EigenSystem, _finite
+from .spectra import EigenSystem
 from .spin_algebra import (
     DENSE_CUTOFF,
     _flip_parity,
     _hermitian,
-    as_matrix,
     commutator,
     hermitian_eig,
     operator_norm,
@@ -46,33 +43,6 @@ def _diagonal(m) -> bool:
     """Whether ``m`` is canonical CSR with at most one entry a row, on the diagonal."""
     return (sp.issparse(m) and m.nnz <= m.shape[0] and m.has_canonical_format
             and np.array_equal(m.indices, np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))))
-
-
-def evolve(h, a, t: float):
-    """One-shot Heisenberg evolution, stored as ``a`` is; ``h`` is a
-    Hamiltonian or its EigenSystem."""
-    return EigenSystem.of(h).evolve(a, t)
-
-
-def evolve_imaginary(h, a, beta: float):
-    """One-shot imaginary-time conjugation exp(-beta H) A exp(beta H),
-    refused when |beta| * spread > RANGE_LIMIT."""
-    return EigenSystem.of(h).evolve_imaginary(a, beta)
-
-
-def evolve_state(h, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-itH) psi; a Hamiltonian above DENSE_CUTOFF takes the sparse Krylov
-    exponential.  An EigenSystem, built under its own ``cap_dense``, takes its
-    eigendecomposition at any size."""
-    if isinstance(h, EigenSystem) or as_matrix(h).shape[0] <= DENSE_CUTOFF:
-        return EigenSystem.of(h).evolve_vector(psi, t)
-    m = _hermitian(h, "Hamiltonian")
-    from scipy.sparse.linalg import expm_multiply
-
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (m.shape[0],):
-        raise DimensionMismatchError(f"state shape {psi.shape} does not match dim {m.shape[0]}")
-    return expm_multiply(-1j * _finite(t, "time t") * sp.csr_array(m), psi)
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,6 @@ def aklt() -> Interaction:
     return Interaction(local_dim=3, bond_term=bond, name="aklt")
 
 
-def empty(local_dim: int = 2) -> Interaction:
-    """The zero interaction (assembles to the zero Hamiltonian)."""
-    return Interaction(local_dim=local_dim, name="empty")
-
-
 def resolve_q(q: float | None = None, delta: float | None = None) -> float:
     """Deformation parameter from either q in (0, 1] or anisotropy delta >= 1.
 

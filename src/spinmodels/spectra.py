@@ -7,14 +7,13 @@ models, the conserved total-S3 sectors or finer), in float64 when the block
 is real, as all of a built-in H are, and no dim x dim eigenvector matrix.
 Each block is one LAPACK ``eigh``, except when H is exactly spin-flip
 symmetric (``flip``): then each +-m pair of blocks costs one ``eigh``, and a
-block that is its own mirror two of half its size.  ``full_spectrum``, the
-Gibbs and KMS routines of :mod:`spinmodels.states` and the evolutions of
-:mod:`spinmodels.dynamics` accept a Hamiltonian (and then build an
-EigenSystem with the default cap) or an EigenSystem built once and shared.
-An evolution flows every block pair that the operator couples and refuses
-a non-finite time.  The one imaginary-time guard is the constant
-``RANGE_LIMIT``: exp(beta H) runs only while |beta| * (w_max - w_min) <=
-RANGE_LIMIT.
+block that is its own mirror two of half its size.  ``full_spectrum`` and
+the Gibbs and KMS routines of :mod:`spinmodels.states` accept a Hamiltonian
+(and then build an EigenSystem with the default cap) or an EigenSystem
+built once and shared.  The evolutions are EigenSystem's own methods; each
+flows every block pair that the operator couples and refuses a non-finite
+time.  The one imaginary-time guard is the constant ``RANGE_LIMIT``:
+exp(beta H) runs only while |beta| * (w_max - w_min) <= RANGE_LIMIT.
 
 The low end of the spectrum has one routine, :func:`low_levels`, with two
 independent routes, picked from the dimension or named by ``method`` so

@@ -49,10 +49,9 @@ SOLVER_TOL = 1e-10
 
 #: Largest Hilbert-space dimension diagonalized densely: the default of
 #: ``--cap-dense`` and of every ``cap_dense`` argument, which also decides
-#: where ``operator_norm`` switches to ARPACK.  ``evolve_state`` of a bare
-#: Hamiltonian switches to its Krylov exponential above it; an EigenSystem
-#: carries its own cap.  Storage never depends on it: operators built from
-#: local terms are CSR at every size.
+#: where ``operator_norm`` switches to ARPACK; an EigenSystem carries its
+#: own cap.  Storage never depends on it: operators built from local terms
+#: are CSR at every size.
 DENSE_CUTOFF = 4096
 
 
@@ -85,26 +84,6 @@ class Spin:
     def dim(self) -> int:
         """Local Hilbert-space dimension 2S+1."""
         return self.two_s + 1
-
-
-def ladder_coefficient(s, m) -> float:
-    """Matrix element of S+ between |m> and |m-1>: sqrt(S(S+1) - m(m-1)).
-
-    Args:
-        s: spin value (Spin or half-integer).
-        m: S3 eigenvalue, must lie on the ladder -S <= m <= S with S - m integral.
-    """
-    spin = Spin.coerce(s)
-    two_m = round(2.0 * float(m))
-    if (
-        abs(2.0 * float(m) - two_m) > 1e-12
-        or (spin.two_s - two_m) % 2 != 0
-        or not -spin.two_s <= two_m <= spin.two_s
-    ):
-        raise DomainError(f"m={m!r} is not a valid projection for spin {spin.value}")
-    sv = spin.value
-    mv = two_m / 2.0
-    return math.sqrt(sv * (sv + 1.0) - mv * (mv - 1.0))
 
 
 @dataclass(frozen=True)
@@ -146,7 +125,7 @@ def spin_matrices(s) -> SpinOperators:
     """
     spin = Spin.coerce(s)
     proj = spin.value - np.arange(spin.dim)  # S, S-1, ..., -S
-    up = np.diag([ladder_coefficient(spin, m) for m in proj[:-1]], 1)
+    up = np.diag(np.sqrt(spin.value * (spin.value + 1.0) - proj[:-1] * (proj[:-1] - 1.0)), 1)
     down = up.T.copy()
     return SpinOperators(spin=spin, s1=(up + down) / 2.0, s2=(up - down) / 2.0j, s3=np.diag(proj),
                          sp=up, sm=down, identity=np.eye(spin.dim))

@@ -497,6 +497,51 @@ def test_non_finite_numbers_are_spec_errors(tmp_path, capsys, where, value):
     assert not (tmp_path / "out").exists()
 
 
+_NON_NUMBER_PARAMS = {
+    "J-string": ("heisenberg", {"J": "-1"}),
+    "J-true": ("heisenberg", {"J": True}),
+    "spin-true": ("heisenberg", {"J": -1, "spin": True}),
+    "J-null": ("heisenberg", {"J": None}),
+    "J-list": ("heisenberg", {"J": [1.0]}),
+    "q-string": ("xxz_suq2", {"q": "0.5"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_NUMBER_PARAMS))
+def test_model_params_that_are_not_numbers_are_spec_errors(tmp_path, capsys, case):
+    # the builders call float(), which reads "-1" as -1 and true as 1 and
+    # fails on a null J with a TypeError; each is refused at parse time
+    name, params = _NON_NUMBER_PARAMS[case]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec("spectrum", {}, model={"name": name, "params": params},
+                                          volume={"dims": [4], "boundary": "open"})))
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().out.strip())["error"]
+    assert err["kind"] == "SpecFileError" and err["exit_code"] == 2
+    key = case.split("-")[0]
+    assert err["message"] == f"model.params.{key} must be a finite number"
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_params_are_echoed_as_given(tmp_path):
+    # validated, not rewritten: an int stays an int and a null stays null
+    doc = _spec("spectrum", {}, model={"name": "xxz_suq2", "params": {"q": 1, "delta": None}},
+                volume={"dims": [4], "boundary": "open"})
+    text = run_spec(parse_spec_dict(doc), tmp_path).read_text()
+    assert '"model":{"name":"xxz_suq2","params":{"delta":null,"q":1}}' in text
+
+
+def test_a_verify_check_named_twice_is_a_spec_error(tmp_path, capsys):
+    # the checks were merged into one result while the echoed spec listed both
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec("verify", {"checks": ["kms", "kms", "algebra"]}, seed=0)))
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().out.strip())["error"]
+    assert err["kind"] == "SpecFileError" and err["exit_code"] == 2
+    assert err["message"] == "verify.checks names ['kms'] more than once"
+    assert not (tmp_path / "out").exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     doc_in = _spec("verify", {"betas": [0.5, 1.0], "num_probes": 6}, seed=21)
     spec = parse_spec_dict(doc_in)
@@ -611,8 +656,8 @@ def test_parse_spec_file_bad_json(tmp_path):
 
 def test_a_run_loads_neither_scipy_linalg_nor_sparse_linalg_nor_csgraph(tmp_path):
     # a fresh interpreter imports the package and runs every runspec; numpy
-    # and scipy.sparse are all it needs: the ARPACK norm above the dense cap
-    # and expm_multiply import scipy.sparse.linalg where they run
+    # and scipy.sparse are all it needs: only the ARPACK norm above the dense
+    # cap imports scipy.sparse.linalg, where it runs
     script = f"""
 import json, sys
 from pathlib import Path

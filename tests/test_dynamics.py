@@ -16,13 +16,9 @@ from spinmodels import (
     RangeLimitError,
     assemble_hamiltonian,
     chain_volume,
-    evolve,
-    evolve_imaginary,
-    evolve_state,
     heisenberg,
     ising,
     kms_residual,
-    low_levels,
     lr_fit,
     lr_scan,
     spin_matrices,
@@ -39,7 +35,7 @@ def test_zero_time_returns_input_unchanged():
     h = _chain_hamiltonian(3)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    out = evolve(h, a, 0.0)
+    out = EigenSystem(h).evolve(a, 0.0)
     assert np.array_equal(out, a)
 
 
@@ -47,7 +43,7 @@ def test_single_spin_phase_oracle():
     # [S3, S+] = S+ so conjugation just multiplies by a phase
     ops = spin_matrices(0.5)
     for t in (0.3, 1.0, -2.2):
-        got = evolve(ops.s3, ops.sp, t)
+        got = EigenSystem(ops.s3).evolve(ops.sp, t)
         assert np.allclose(got, np.exp(1j * t) * ops.sp, atol=1e-14)
 
 
@@ -58,7 +54,7 @@ def test_matches_expm_oracle():
     t = 0.8
     u = scipy.linalg.expm(1j * t * h)
     want = u @ a @ u.conj().T
-    assert np.allclose(evolve(h, a, t), want, atol=1e-12)
+    assert np.allclose(EigenSystem(h).evolve(a, t), want, atol=1e-12)
 
 
 def test_group_law_and_automorphism():
@@ -81,15 +77,16 @@ def test_group_law_and_automorphism():
 
 def test_energy_is_conserved():
     h = _chain_hamiltonian(3)
-    assert np.max(np.abs(evolve(h, h, 1.3) - h)) < 1e-12
+    assert np.max(np.abs(EigenSystem(h).evolve(h, 1.3) - h)) < 1e-12
 
 
 def test_imaginary_time_oracle_and_guard():
     ops = spin_matrices(0.5)
-    got = evolve_imaginary(ops.s3, ops.sm, 2.0)
+    es = EigenSystem(ops.s3)
+    got = es.evolve_imaginary(ops.sm, 2.0)
     assert np.allclose(got, np.exp(2.0) * ops.sm, atol=1e-13)
     with pytest.raises(RangeLimitError):
-        evolve_imaginary(ops.s3, ops.sm, 1e4)
+        es.evolve_imaginary(ops.sm, 1e4)
 
 
 def test_range_limit_holds_at_its_boundary_on_every_route():
@@ -99,13 +96,12 @@ def test_range_limit_holds_at_its_boundary_on_every_route():
     es = EigenSystem(ops.s3)
     routes = (lambda beta: es.evolve_imaginary(ops.sm, beta),
               lambda beta: es.evolve_imaginary(ops.sm, -beta),
-              lambda beta: evolve_imaginary(ops.s3, ops.sm, beta),
               lambda beta: kms_residual(ops.s3, beta, ops.sp, ops.sm))
     for route in routes:
         assert np.isfinite(route(RANGE_LIMIT)).all()
         with pytest.raises(RangeLimitError):
             route(np.nextafter(RANGE_LIMIT, np.inf))
-    got = evolve_imaginary(ops.s3, ops.sm, RANGE_LIMIT)
+    got = EigenSystem(ops.s3).evolve_imaginary(ops.sm, RANGE_LIMIT)
     assert abs(got[1, 0] / np.exp(RANGE_LIMIT) - 1.0) < 1e-13
     assert kms_residual(es, RANGE_LIMIT, ops.sp, ops.sm) < 1e-12
 
@@ -116,11 +112,8 @@ def test_non_finite_times_are_refused(bad):
     # through to a NaN-filled result; every evolution refuses it up front
     ops = spin_matrices(0.5)
     es = EigenSystem(ops.s3)
-    big = assemble_hamiltonian(ising(j=1.0, h=0.0), chain_volume(13))  # the Krylov route
     for call in (lambda: es.evolve(ops.sm, bad), lambda: es.evolve_imaginary(ops.sm, bad),
-                 lambda: es.evolve_vector(np.array([1.0, 0.0]), bad),
-                 lambda: evolve_state(ops.s3, np.array([1.0, 0.0]), bad),
-                 lambda: evolve_state(big, np.zeros(big.shape[0]), bad)):
+                 lambda: es.evolve_vector(np.array([1.0, 0.0]), bad)):
         with pytest.raises(DomainError, match="finite"):
             call()
     with pytest.raises(RangeLimitError):
@@ -129,53 +122,32 @@ def test_non_finite_times_are_refused(bad):
 
 def test_state_evolution_phase_and_norm():
     h = _chain_hamiltonian(4)
+    es = EigenSystem(h)
     w, v = np.linalg.eigh(h)
     # eigenstates only pick up a phase
-    psi_t = evolve_state(h, v[:, 0], 1.7)
+    psi_t = es.evolve_vector(v[:, 0], 1.7)
     assert np.allclose(psi_t, np.exp(-1j * 1.7 * w[0]) * v[:, 0], atol=1e-12)
     rng = np.random.default_rng(17)
     psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     psi /= np.linalg.norm(psi)
-    psi_t = evolve_state(h, psi, 2.4)
+    psi_t = es.evolve_vector(psi, 2.4)
     assert abs(np.linalg.norm(psi_t) - 1.0) < 1e-12
     # Schroedinger and Heisenberg pictures agree
     a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     lhs = np.vdot(psi_t, a @ psi_t)
-    rhs = np.vdot(psi, evolve(h, a, 2.4) @ psi)
+    rhs = np.vdot(psi, es.evolve(a, 2.4) @ psi)
     assert abs(lhs - rhs) < 1e-11
 
 
-def test_state_evolution_above_the_dense_cutoff():
-    # dim 8192 > DENSE_CUTOFF: exp(-itH) psi is expm_multiply's Krylov action
-    # on the CSR H, checked on the block Lanczos ground vector
-    h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(13, boundary="periodic"))
-    low = low_levels(h)
-    assert low.method == "krylov"
-    psi = low.basis[:, 0]
-    psi_t = evolve_state(h, psi, 1.7)
-    assert np.abs(psi_t - np.exp(-1j * 1.7 * low.energy) * psi).max() <= 1e-10
-    assert abs(np.linalg.norm(psi_t) - 1.0) <= 1e-12
-    rng = np.random.default_rng(29)
-    phi = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-    phi /= np.linalg.norm(phi)
-    assert abs(np.linalg.norm(evolve_state(h, phi, 1.7)) - 1.0) <= 1e-12
-
-
-def test_state_evolution_through_an_eigensystem_at_any_size(monkeypatch):
-    # dim 8192 > DENSE_CUTOFF: a bare H takes expm_multiply; an EigenSystem
-    # built under a cap of 8192 takes its eigendecomposition; the two agree
+def test_state_evolution_through_an_eigensystem_at_any_size():
+    # dim 8192 > DENSE_CUTOFF: an EigenSystem built under a cap of 8192 takes
+    # its eigendecomposition and agrees with scipy's Krylov exponential action
     h = assemble_hamiltonian(heisenberg(j=-1.0), chain_volume(13, boundary="periodic"))
     rng = np.random.default_rng(31)
     psi = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
     psi /= np.linalg.norm(psi)
-    calls = []
-    expm_multiply = spla.expm_multiply
-    monkeypatch.setattr(spla, "expm_multiply",
-                        lambda *a, **k: calls.append(1) or expm_multiply(*a, **k))
-    sparse = evolve_state(h, psi, 1.3)
-    assert calls == [1]
-    dense = evolve_state(EigenSystem(h, cap_dense=h.shape[0]), psi, 1.3)
-    assert calls == [1]
+    sparse = spla.expm_multiply(-1.3j * h, psi)
+    dense = EigenSystem(h, cap_dense=h.shape[0]).evolve_vector(psi, 1.3)
     assert np.abs(dense - sparse).max() <= 1e-12
 
 
@@ -317,18 +289,7 @@ def test_lr_scan_rejects_empty_grids(times, distances):
         lr_scan(heisenberg(j=1.0), chain_volume(4, boundary="open"), s3, s3, times, distances)
 
 
-def test_one_shot_helpers_accept_an_eigen_system():
-    h = _chain_hamiltonian(3)
-    es = EigenSystem(h)
-    assert Propagator is EigenSystem
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    psi = rng.standard_normal(8) + 0j
-    assert np.array_equal(evolve(es, a, 0.4), evolve(h, a, 0.4))
-    assert np.array_equal(evolve_imaginary(es, a, 0.4), evolve_imaginary(h, a, 0.4))
-    assert np.array_equal(evolve_state(es, psi, 0.4), evolve_state(h, psi, 0.4))
-
-
 def test_propagator_requires_hermitian():
+    assert Propagator is EigenSystem
     with pytest.raises(DomainError):
         Propagator(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -19,7 +19,6 @@ from spinmodels import (
     build_model_hamiltonian,
     build_volume,
     chain_volume,
-    empty,
     heisenberg,
     invariance_residual,
     ising,
@@ -133,14 +132,14 @@ def test_xy_field_reference():
 
 def test_empty_interaction_gives_zero_hamiltonian():
     vol = chain_volume(3)
-    h = assemble_hamiltonian(empty(), vol).toarray()
+    h = assemble_hamiltonian(Interaction(local_dim=2), vol).toarray()
     assert np.all(h == 0)
 
 
 def test_assembly_keeps_the_cap_the_volume_was_built_under():
     # the Hilbert-space cap is checked once, by build_volume; 2^17 > 65536
     vol = build_volume((17,), max_hilbert_dim=1 << 20)
-    h = assemble_hamiltonian(empty(), vol)
+    h = assemble_hamiltonian(Interaction(local_dim=2), vol)
     assert h.format == "csr" and h.shape == (1 << 17, 1 << 17) and h.nnz == 0
 
 

@@ -18,7 +18,6 @@ from spinmodels import (
     basis_index,
     build_model_hamiltonian,
     chain_volume,
-    evolve_state,
     expectation,
     full_spectrum,
     gibbs,
@@ -41,7 +40,6 @@ from spinmodels.interactions import MODEL_NAMES, MODELS, su2_spin, xxz_suq2, xy_
 from spinmodels.krylov import lowest_eigenpairs
 from spinmodels.spectra import DEGENERACY_TOL
 from spinmodels.spin_algebra import (
-    DENSE_CUTOFF,
     _block_plan,
     eigenvector_columns,
     hermitian_eig,
@@ -621,11 +619,9 @@ _MISMATCHES = {
     "evolve": lambda: _ES3.evolve(_WRONG, 0.5),
     "kms_terms_a_and_b": lambda: kms_terms(_ES3, _WRONG, _WRONG),
     "kms_terms_a_against_b": lambda: kms_terms(_ES3, _WRONG, np.eye(8)),
-    "evolve_state": lambda: evolve_state(_ES3, np.ones(4), 0.5),
+    "evolve_vector": lambda: _ES3.evolve_vector(np.ones(4), 0.5),
     "stability_value_mixture": lambda: stability_value(_ES3, pure(np.ones(4)), np.eye(8)),
     "stability_value_operator": lambda: stability_value(_ES3, pure(np.ones(8)), np.eye(4)),
-    "evolve_state_krylov": lambda: evolve_state(
-        sp.eye_array(DENSE_CUTOFF + 1, format="csr"), np.ones(4), 0.5),
 }
 
 

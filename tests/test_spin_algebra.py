@@ -17,11 +17,9 @@ from spinmodels import (
     density_matrix,
     eeb_terms,
     embed,
-    evolve_state,
     expectation,
     heisenberg,
     is_hermitian,
-    ladder_coefficient,
     low_levels,
     lr_scan,
     operator_norm,
@@ -74,13 +72,13 @@ def test_spin_one_matrices_match_reference():
     assert np.array_equal(ops.s3, S3_SPIN1)
 
 
-def test_ladder_coefficient_closed_form():
-    # sqrt(S(S+1) - m(m-1)) for the step m -> m-1
-    assert ladder_coefficient(0.5, 0.5) == 1.0
-    assert abs(ladder_coefficient(1.0, 1.0) - np.sqrt(2.0)) < 1e-15
-    assert abs(ladder_coefficient(1.0, 0.0) - np.sqrt(2.0)) < 1e-15
-    assert abs(ladder_coefficient(1.5, 0.5) - 2.0) < 1e-15
-    assert abs(ladder_coefficient(1.5, -0.5) - np.sqrt(3.0)) < 1e-15
+def test_raising_superdiagonal_is_the_closed_form():
+    # sqrt(S(S+1) - m(m-1)) for the step m -> m-1, m = S, S-1, ... down the superdiagonal
+    assert np.diag(spin_matrices(0.5).sp, 1)[0] == 1.0
+    assert np.abs(np.diag(spin_matrices(1.0).sp, 1) - np.sqrt(2.0)).max() < 1e-15
+    c = np.diag(spin_matrices(1.5).sp, 1)
+    assert abs(c[1] - 2.0) < 1e-15
+    assert abs(c[2] - np.sqrt(3.0)) < 1e-15
 
 
 def test_ladder_action_on_weight_basis():
@@ -97,7 +95,7 @@ def test_ladder_action_on_weight_basis():
                 assert np.allclose(up, 0.0)
             else:
                 want = np.zeros(d, dtype=complex)
-                want[k - 1] = ladder_coefficient(s, m + 1)
+                want[k - 1] = np.sqrt(s * (s + 1) - (m + 1) * m)
                 assert np.allclose(up, want, atol=1e-15)
 
 
@@ -472,11 +470,10 @@ def test_nonsquare_sparse_input_is_refused():
         embed(bad, [(0,)], vol)
 
 
-def _unpaired(dim, fmt="dense"):
+def _unpaired(dim):
     """A dim x dim matrix whose one entry (0, 1) = 1 has no partner:
     ||A - A^H||_max = 1."""
-    m = sp.csr_array(([1.0], ([0], [1])), shape=(dim, dim))
-    return m if fmt == "csr" else m.toarray()
+    return sp.csr_array(([1.0], ([0], [1])), shape=(dim, dim)).toarray()
 
 
 _S3 = spin_matrices(0.5).s3
@@ -488,9 +485,6 @@ _HERMITIAN_REFUSALS = {
     "eeb_terms": (lambda: eeb_terms(_unpaired(2), np.eye(2)), "Hamiltonian"),
     "stability_value": (lambda: stability_value(_unpaired(2), pure(np.ones(2)), np.eye(2)),
                         "Hamiltonian"),
-    # above DENSE_CUTOFF: refused before the Krylov exponential runs
-    "evolve_state": (lambda: evolve_state(_unpaired(DENSE_CUTOFF + 1, "csr"),
-                                          np.ones(DENSE_CUTOFF + 1), 0.5), "Hamiltonian"),
     "lr_scan_a": (lambda: lr_scan(heisenberg(), chain_volume(3), _unpaired(2), _S3, [0.5], [1]),
                   "observable A"),
     "lr_scan_b": (lambda: lr_scan(heisenberg(), chain_volume(3), _S3, _unpaired(2), [0.5], [1]),

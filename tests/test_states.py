@@ -239,12 +239,10 @@ def test_kms_residual_stays_at_rounding_for_deep_beta():
 def test_kms_identity_fails_for_wrong_temperature():
     """The residual is a real test: evaluating the equilibrium identity with a
     state at the wrong temperature leaves a visible gap."""
-    from spinmodels import evolve_imaginary
-
     ops = spin_matrices(0.5)
     beta_state, beta_dyn = 0.5, 2.0
     g = gibbs(ops.s3, beta_state)
-    shifted = evolve_imaginary(ops.s3, ops.sm, beta_dyn)
+    shifted = EigenSystem(ops.s3).evolve_imaginary(ops.sm, beta_dyn)
     lhs = expectation(g.rho, ops.sp @ shifted)
     rhs = expectation(g.rho, ops.sm @ ops.sp)
     assert abs(lhs - rhs) > 0.1
