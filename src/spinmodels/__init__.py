@@ -3,7 +3,7 @@
 Modules:
     spin_algebra  — spin-S matrices, ndarray / CSR operators, norms, commutators,
                     the block-by-block Hermitian eigensolver
-    lattice       — finite volumes, CSR embeddings, permutation unitaries
+    lattice       — finite volumes, basis indexing, CSR embeddings
     interactions  — built-in models, Hamiltonian assembly, model registry
     krylov        — block Lanczos low-end eigensolver (sparse route)
     spectra       — shared eigendecomposition, low-end spectra, gaps
@@ -41,14 +41,12 @@ from .spin_algebra import (
 )
 from .lattice import (
     MAX_HILBERT_DIM,
-    SitePermutation,
     Volume,
     basis_digits,
     basis_index,
     build_volume,
     chain_volume,
     embed,
-    permutation_unitary,
 )
 from .interactions import (
     Interaction,

@@ -253,99 +253,3 @@ def embed(local_op, support, volume: Volume) -> sp.csr_array:
     """
     sites = _normalize_support(support, volume)
     return _embed_csr(local_op, sites, volume)
-
-
-# ---------------------------------------------------------------------------
-# Site permutations and their unitaries
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SitePermutation:
-    """A bijection of a volume's site set.
-
-    Only permutations that preserve the bond set implement symmetries of a
-    translation-invariant Hamiltonian; ``preserves_edges`` checks that.
-    """
-
-    mapping: dict
-
-    def __post_init__(self):
-        m = dict(self.mapping)
-        if set(m.keys()) != set(m.values()):
-            raise DomainError("mapping is not a bijection of its site set")
-        object.__setattr__(self, "mapping", m)
-
-    def __call__(self, site: Site) -> Site:
-        try:
-            return self.mapping[site]
-        except KeyError:
-            raise DomainError(f"site {site} not in permutation domain") from None
-
-    def inverse(self) -> "SitePermutation":
-        return SitePermutation({v: k for k, v in self.mapping.items()})
-
-    def compose(self, other: "SitePermutation") -> "SitePermutation":
-        """self after other: x -> self(other(x))."""
-        if set(self.mapping) != set(other.mapping):
-            raise DomainError("permutations act on different site sets")
-        return SitePermutation({x: self.mapping[y] for x, y in other.mapping.items()})
-
-    def preserves_edges(self, volume: Volume) -> bool:
-        def canon(a, b):
-            return (a, b) if volume.rank[a] <= volume.rank[b] else (b, a)
-
-        imaged = {canon(self(a), self(b)) for a, b in volume.edges}
-        return imaged == set(volume.edges)
-
-    @classmethod
-    def identity(cls, volume: Volume) -> "SitePermutation":
-        return cls({s: s for s in volume.sites})
-
-    @classmethod
-    def translation(cls, volume: Volume, shift) -> "SitePermutation":
-        """x -> x + shift (mod dims).  Edge-preserving only on periodic volumes."""
-        shift = tuple(int(c) for c in np.atleast_1d(shift).tolist())
-        if len(shift) != volume.dimension:
-            raise DomainError(
-                f"shift has {len(shift)} components for a {volume.dimension}-d volume"
-            )
-        return cls(
-            {
-                s: tuple((c + dc) % t for c, dc, t in zip(s, shift, volume.dims))
-                for s in volume.sites
-            }
-        )
-
-    @classmethod
-    def swap(cls, volume: Volume, a: Site, b: Site) -> "SitePermutation":
-        if a not in volume.rank or b not in volume.rank:
-            raise DomainError(f"swap sites {a}, {b} must lie in the volume")
-        m = {s: s for s in volume.sites}
-        m[a], m[b] = b, a
-        return cls(m)
-
-
-def permutation_unitary(perm, volume: Volume) -> sp.csr_array:
-    """The unitary that relabels sites by ``perm``, as a CSR permutation matrix.
-
-    Moves the digit at site x to site g(x), so U A U^dagger carries an
-    operator supported on x to one supported on g(x), and the map g -> U_g
-    is a homomorphism: U_g U_h = U_{g.compose(h)}.  Entries are exactly 0/1.
-    """
-    if not isinstance(perm, SitePermutation):
-        perm = SitePermutation(perm)
-    if set(perm.mapping) != set(volume.sites):
-        raise DomainError("permutation domain does not match the volume's sites")
-    n = volume.local_dim
-    L = volume.num_sites
-    dim = volume.hilbert_dim
-    strides = volume.strides()
-    # target_stride[slot] = stride of the slot the digit moves to
-    target = np.array(
-        [strides[volume.rank[perm(site)]] for site in volume.sites], dtype=np.int64
-    )
-    idx = np.arange(dim, dtype=np.int64)
-    digits = (idx[:, None] // strides[None, :]) % n
-    rows = digits @ target
-    return sp.csr_array(sp.coo_array((np.ones(dim), (rows, idx)), shape=(dim, dim)))

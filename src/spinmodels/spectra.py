@@ -19,9 +19,9 @@ The low end of the spectrum has one routine, :func:`low_levels`, with two
 independent routes, picked from the dimension or named by ``method`` so
 they can be cross-checked: the dense route, which reads an EigenSystem or
 solves the same blocks of a bare H for eigenvalues alone (``eigvalsh``),
-and the in-house block Lanczos of :mod:`spinmodels.krylov` for sparse
-operators.  ``ground_space`` and ``spectral_gap`` are views of its result.
-Both dense routes pass one size guard, the cap an argument.
+and one loop of :mod:`spinmodels.krylov` block Lanczos runs over invariant
+blocks.  ``ground_space`` and ``spectral_gap`` are views of its result; both
+dense routes pass one size guard, the cap an argument.
 """
 
 from __future__ import annotations
@@ -250,15 +250,14 @@ class LowLevels:
 
     ``eigenvalues`` are ascending: the whole spectrum on the dense route, the
     lowest ``num`` on the krylov route.  ``basis`` spans the ground multiplet
-    of ``degeneracy`` levels; ``gap`` is 0.0 when no level lies above it.
-    ``basis`` is computed on its first read: from a bare H, solved then.
-    The route's own diagnostics are set on its route only: ``block_sizes``,
-    the EigenSystem's invariant blocks, and ``flip``, whether H is exactly
-    flip-symmetric, on the dense route; on the krylov route
-    ``solved_blocks``, the size of the block of each Lanczos run in solve
-    order, ``iterations``, the steps of all runs, ``max_residual``, the
-    largest ||H v - theta v|| of their pairs (0 and 0.0 with no run), and
-    ``route``, "su2_sector" (with ``spins``, S of each eigenvalue) or "sectors".
+    of ``degeneracy`` levels, computed on first read (from a bare H, solved
+    then); ``gap`` is 0.0 when no level lies above it.  Diagnostics are set
+    on their route only: dense, ``block_sizes`` (the EigenSystem's invariant
+    blocks) and ``flip`` (H exactly flip-symmetric); krylov, ``solved_blocks``
+    (the block size of each Lanczos run of its one loop, in order),
+    ``iterations`` (the steps of all runs), ``max_residual`` (the largest
+    ||H v - theta v|| of their pairs; 0 and 0.0 with no run) and ``route``,
+    "su2_sector" (with ``spins``, S of each eigenvalue) or "sectors".
     """
 
     method: str
@@ -325,9 +324,8 @@ def _raising(src, tgt, n: int, c, dim: int) -> sp.csr_array:
     return sp.csr_array((vals, (rows, cols)), shape=(tgt.size, src.size))
 
 
-def _su2_levels(m, num: int, spin) -> LowLevels | None:
-    """The krylov route on the sector m0 of an H that commutes with the total
-    S+ and S3 of local ``spin`` (see :func:`low_levels`), or None."""
+def _su2_levels(m, spin):
+    """:func:`_lanczos_levels`'s blocks (the sector m0 alone), found, mirrored and label."""
     ops, dim, sums = spin_matrices(spin), m.shape[0], np.zeros(1, np.intp)
     n, c = ops.dim, np.diag(ops.sp, 1)
     while sums.size < dim:  # base-n digit sums, accumulated site by site
@@ -336,90 +334,124 @@ def _su2_levels(m, num: int, spin) -> LowLevels | None:
         raise DimensionMismatchError(f"dim {dim} is not a power of the local dimension {n}")
     top = int(sums[-1]) // 2  # the digit sum of sector m0 = L s - top, 0 or 1/2
     m0, src, tgt = sums[-1] / 2 - top, np.flatnonzero(sums == top), np.flatnonzero(sums == top - 1)
-    h0, up = m[src][:, src], _raising(src, tgt, n, c, dim)
-    k, runs = min(src.size, max(num, 6)), []
-    while True:
-        runs.append(res := lowest_eigenpairs(h0, k, block_size=k))
+    up = _raising(src, tgt, n, c, dim)
+
+    def label(res, short):
+        """Weights 2S+1, spins S and ladder basis (a ``short`` run's top cluster out), or Nones."""
         theta, width, starts = res.eigenvalues, _window(0.0, res.scale), [0]
-        for j in range(1, k):  # a level over width above its cluster's first opens a cluster
+        for j in range(1, theta.size):  # a level over width above its cluster's first opens a cluster
             if theta[j] > theta[starts[-1]] + width:
                 starts.append(j)
-        x = up @ res.eigenvectors
+        k = starts.pop() if short else theta.size
+        x = up @ res.eigenvectors[:, :k]
         gram, rot, g = x.conj().T @ x, np.zeros((k, k), x.dtype), np.empty(k)
         for a, b in zip(starts, starts[1:] + [k]):  # S^2 commutes with H: rotate each cluster
             g[a:b], rot[a:b, a:b] = np.linalg.eigh(gram[a:b, a:b])
         s = np.sqrt(g + (m0 + 0.5) ** 2) - 0.5  # S(S+1) = ||S+ psi||^2 + m0 (m0 + 1)
-        if not np.abs(s - (level_s := m0 + np.round(s - m0))).max() <= 1e-8:
-            return None
-        w, spins = (np.repeat(a, (2 * level_s + 1).astype(int)) for a in (theta, level_s))
-        deg = int(np.sum(w <= theta[0] + width))
+        if not np.max(np.abs(s - (level_s := m0 + np.round(s - m0))), initial=0.0) <= 1e-8:
+            return None, None, None
+        weights = (2 * level_s + 1).astype(int)
+
+        def ladder():  # each Casimir-rotated ground vector with its S+ and S- images
+            g0, full = (starts + [k])[1], np.arange(dim)
+            raising, psi = _raising(full, full, n, c, dim), np.zeros((dim, g0), x.dtype)
+            psi[src], cols = res.eigenvectors[:, :k] @ rot[:, :g0], [psi]
+            for j in range(g0):
+                for op, steps in ((raising, level_s[j] - m0), (raising.T, level_s[j] + m0)):
+                    v = psi[:, j]
+                    for _ in range(round(steps)):
+                        cols.append((v := op @ v)[:, None] / np.linalg.norm(v))
+            return np.hstack(cols)
+
+        return weights, np.repeat(level_s, weights), ladder
+
+    return [(src, -np.inf, 0)], {}, None, label
+
+
+def _lanczos_levels(m, num: int, blocks, found, mirrored=None, label=None) -> LowLevels | None:
+    """The one krylov loop of :func:`low_levels` on the CSR ``m`` over ``blocks``, (indices,
+    lower bound, mirror), from ``found`` (indices, eigenvalues, eigenvectors) solved;
+    ``mirrored`` copies a block onto its mirror, and a None from ``label`` returns None."""
+    # block -> the value below which it may hide levels, inf once a run covers it
+    limits = {b: bound for b, (_, bound, _) in enumerate(blocks)}
+    pairs, runs, spins, basis = {}, [], None, None  # pairs: block -> k of its last run
+    while True:
+        w = np.sort(np.concatenate([np.empty(0), *(w for _, w, _ in found.values())]), kind="stable")
+        # found's values hold the size-1 entries and lie inside their runs' scales
+        scale = max([r.scale for _, r in runs] + [float(np.max(abs(w), initial=0.0))])
+        win = _window(w[0], scale) if w.size else np.inf
+        deg = int(np.sum(w <= win))
         need = max(num, deg + 1)
-        if k == src.size or need <= w.size and theta[-1] > w[need - 1] + width:
+        cutoff = w[need - 1] + (win - w[0]) if need <= w.size else np.inf
+        limit, b = min((v, b) for b, v in limits.items())
+        done = limit > cutoff or limit == np.inf
+        if deg > MAX_SPARSE_DEGENERACY and (done or b in found):
+            raise SolverError(f"ground-space degeneracy exceeds {MAX_SPARSE_DEGENERACY}; "
+                              "use the dense route")
+        if done:
             break
-        k = min(src.size, 2 * k)
-
-    def ladder():  # each Casimir-rotated ground vector with its S+ and S- images
-        g0, full = (starts + [k])[1], np.arange(dim)
-        raising, psi = _raising(full, full, n, c, dim), np.zeros((dim, g0), res.eigenvectors.dtype)
-        psi[src] = res.eigenvectors @ rot[:, :g0]
-        cols = [psi]
-        for j in range(g0):
-            for op, steps in ((raising, level_s[j] - m0), (raising.T, level_s[j] + m0)):
-                v = psi[:, j]
-                for _ in range(round(steps)):
-                    v = op @ v
-                    cols.append(v[:, None] / np.linalg.norm(v))
-        return np.hstack(cols)
-
-    return LowLevels("krylov", w[:num], deg, _gap(w, deg), ladder,
-                     iterations=sum(r.iterations for r in runs),
-                     max_residual=max(float(np.max(r.residuals)) for r in runs),
-                     solved_blocks=[src.size] * len(runs), route="su2_sector", spins=spins[:num])
+        idx, _, c = blocks[b]
+        k = pairs[b] = pairs[c] = min(idx.size, max(2 * pairs.get(b, 0), num, 6))
+        # block as wide as k so a k-fold multiplet survives the Krylov slice
+        res = lowest_eigenpairs(m[idx][:, idx], k, block_size=k)
+        runs.append((idx.size, res))
+        short = k < idx.size
+        weights, spins, basis = label(res, short) if label else (np.ones(k, np.intp), None, None)
+        if weights is None:
+            return None
+        block = (idx, np.repeat(res.eigenvalues[:weights.size], weights), res.eigenvectors)
+        found[c], found[b] = mirrored(block) if c != b else block, block
+        limits[b] = limits[c] = float(res.eigenvalues[min(weights.size, k - 1)]) if short else np.inf
+    basis = basis or (lambda: eigenvector_columns(list(found.values()), np.arange(deg), m.shape[0]))
+    return LowLevels("krylov", w[:num], deg, _gap(w, deg), basis,
+                     iterations=sum(r.iterations for _, r in runs),
+                     max_residual=max((float(np.max(r.residuals)) for _, r in runs), default=0.0),
+                     solved_blocks=[d for d, _ in runs], route="su2_sector" if label else "sectors",
+                     spins=None if spins is None else spins[:num])
 
 
 def low_levels(h, num: int = 1, *, method: str | None = None, cap_dense: int = DENSE_CUTOFF,
                spin=None) -> LowLevels:
     """Ground multiplet, gap, and at least the ``num`` lowest eigenvalues.
 
-    Eigenvalues within ``DEGENERACY_TOL * max(1, ||H||)`` of the minimum
-    count as one multiplet, ||H|| read from the route's own solve: max
-    |eigenvalue|, or the largest |Ritz value| of the Lanczos runs
-    (:attr:`~spinmodels.krylov.KrylovResult.scale`) and |entry| of the
-    size-1 blocks.  ``method`` is "dense", "krylov", or None (dense for an
-    EigenSystem or a dimension at most ``cap_dense``).  Lanczos runs, in the
-    dtype of H, take :func:`~spinmodels.krylov.lowest_eigenpairs`'s default
-    seed, k = max(num, 6) pairs, block as wide, and stop at residuals
-    ``SOLVER_TOL`` relative to their scale.
+    ``num`` is an integer >= 1; ``method`` is "dense", "krylov", or None
+    (dense for an EigenSystem or a dimension at most ``cap_dense``).  Levels
+    within ``DEGENERACY_TOL * max(1, ||H||)`` of the lowest are one
+    multiplet, ||H|| read from the route's own solve: max |eigenvalue|, or
+    the largest |Ritz value| of the runs and |entry| of the size-1 blocks.
 
     The dense route reads an EigenSystem, or solves a bare H (refused above
-    ``cap_dense``) for eigenvalues alone, one ``eigvalsh`` per solved block,
-    in float64 unless the block's imaginary part is nonzero.
-    Its ``basis`` is then solved on first read, one ``eigh`` per solved
-    block that holds a ground level: the EigenSystem's vectors bit for bit
-    while H restricted to those blocks is flip-symmetric exactly when H is.
+    ``cap_dense``) for eigenvalues alone, one ``eigvalsh`` per block, in
+    float64 unless its imaginary part is nonzero; ``basis`` is solved on first
+    read, one ``eigh`` per block with a ground level, the EigenSystem's vectors
+    bit for bit while H on those blocks is flip-symmetric exactly when H is.
+
+    The krylov route is one loop of Lanczos runs (in H's dtype, the default
+    seed, k = max(num, 6) pairs, block as wide, residuals ``SOLVER_TOL``
+    relative to their scale) on blocks with lower bounds.  Invariant: the
+    lowest max(num, degeneracy + 1) reported values, with multiplicity, lie
+    more than the window width below the bound of every unsolved block and
+    the lowest Ritz value that each run short of its block left unreported
+    (else its top one); until they do, the limiting block is solved, or its
+    run repeated with twice the pairs.  A ground multiplet over
+    ``MAX_SPARSE_DEGENERACY``, weights counted, is a SolverError.
 
     Given ``spin``, the local spin of an H that commutes with the total S+
-    and S3 (see :func:`~spinmodels.interactions.su2_spin`), the krylov route
-    ("su2_sector") runs on the S3 sector m0 = 0 or 1/2 alone, which holds a
-    state of every multiplet.  A level of spin S, read from the Casimir
-    S(S+1) = ||S+ psi||^2 + m0 (m0 + 1) (inside a window cluster from the
-    eigenvalues of the Gram (S+ V)^H (S+ V)), counts 2S+1 times, and
-    ``basis`` is the S+ and S- ladder of the rotated ground vectors.  A
-    label over 1e-8 from m0 plus an integer falls back to the plan route.
-
-    The plan route ("sectors") runs on each block of the plan that
-    :func:`~spinmodels.spin_algebra.hermitian_eig` solves (the S3 sectors of
-    the built-in models), visited by their Gershgorin bound min_i (h_ii -
-    sum_{j != i} |h_ij|), which no eigenvalue undercuts (Golub and Van Loan,
-    *Matrix Computations*, Thm 7.2.1); size-1 blocks are their diagonal
-    entries, a flip-symmetric H's mirror block copies its partner, and a
-    ground multiplet over ``MAX_SPARSE_DEGENERACY`` is a SolverError.
-    Invariant of both: the lowest max(num, degeneracy + 1) values, with
-    multiplicity, lie more than the window width below the bound of every
-    unsolved block and the top Ritz value of every run short of its block;
-    until they do, the limiting block is solved, or its run repeated with
-    twice the pairs.
+    and S3 (see :func:`~spinmodels.interactions.su2_spin`), the one block
+    ("su2_sector") is the S3 sector m0 = 0 or 1/2, unbounded, which holds a
+    state of every multiplet.  A level of spin S, from S(S+1) = ||S+ psi||^2
+    + m0 (m0 + 1) in the Gram (S+ V)^H (S+ V) of its window cluster, weighs
+    2S+1; a short run leaves its top cluster, which may be cut, unreported;
+    ``basis`` is the S+ and S- ladder of the rotated ground vectors.
+    Otherwise, or if a label lies over 1e-8 from m0 plus an integer, the
+    blocks ("sectors") are those of ``hermitian_eig`` (the S3 sectors of the
+    built-in models) with Gershgorin bounds min_i (h_ii - sum_{j != i}
+    |h_ij|) (Golub and Van Loan, *Matrix Computations*, Thm 7.2.1); size-1
+    blocks are their diagonal entries, a flip-symmetric H's mirror block
+    copies its partner's.
     """
+    if isinstance(num, bool) or not isinstance(num, (int, np.integer)) or num < 1:
+        raise DomainError(f"num must be an integer >= 1, got {num!r}")
     m = h.h if isinstance(h, EigenSystem) else as_matrix(h)
     dim = m.shape[0]
     if method is None:
@@ -442,7 +474,7 @@ def low_levels(h, num: int = 1, *, method: str | None = None, cap_dense: int = D
     if not isinstance(h, EigenSystem):
         _hermitian(m, "Hamiltonian")
     msp = m if sp.issparse(m) else sp.csr_array(m)
-    if spin is not None and (low := _su2_levels(msp, num, spin)) is not None:
+    if spin is not None and (low := _lanczos_levels(msp, num, *_su2_levels(msp, spin))):
         return low
     plan, diag = (h.plan if isinstance(h, EigenSystem) else _block_plan(msp)), msp.diagonal()
     # Gershgorin radii from the arrays: scipy's abs() sorts them, and m's data with them
@@ -450,41 +482,8 @@ def low_levels(h, num: int = 1, *, method: str | None = None, cap_dense: int = D
     bound = np.minimum.reduceat((diag.real - radius + abs(diag))[plan.members], plan.starts[1:-1])
     singles = plan.members[:plan.starts[1]]
     eye = sp.eye_array(singles.size, dtype=np.result_type(msp.dtype, np.float64), format="csr")
-    found = {0: (singles, diag.real[singles], eye)}  # plan block -> (indices, values, vectors)
-    # plan block -> the value below which it may hide levels: its bound, then
-    # the top Ritz value of its last run, inf once a run covers the block
-    limits = dict(enumerate(bound, start=1))
-    runs = []  # (block size, KrylovResult) of each Lanczos run
-    while True:
-        w = np.sort(np.concatenate([w for _, w, _ in found.values()]), kind="stable")
-        scale = max([r.scale for _, r in runs] + [float(np.max(abs(found[0][1]), initial=0.0))])
-        win = _window(w[0], scale) if w.size else np.inf
-        deg = int(np.sum(w <= win))
-        need = max(num, deg + 1)
-        cutoff = w[need - 1] + (win - w[0]) if need <= w.size else np.inf
-        limit, b = min(((v, b) for b, v in limits.items()), default=(np.inf, None))
-        done = limit > cutoff or limit == np.inf
-        if deg > MAX_SPARSE_DEGENERACY and (done or b in found):
-            raise SolverError(
-                f"ground-space degeneracy exceeds {MAX_SPARSE_DEGENERACY}; "
-                "use the dense route"
-            )
-        if done:
-            break
-        idx = plan.members[plan.starts[b]:plan.starts[b + 1]]
-        k = min(idx.size, max(2 * found[b][1].size if b in found else 0, num, 6))
-        # block as wide as k so a k-fold multiplet survives the Krylov slice
-        res = lowest_eigenpairs(msp[idx][:, idx], k, block_size=k)
-        runs.append((idx.size, res))
-        block, c = (idx, res.eigenvalues, res.eigenvectors), int(plan.mirror[b])
-        # b last, so a self-mirrored block (every block without flip) keeps idx
-        found[c], found[b] = plan.mirrored(block), block
-        limits[c] = limits[b] = float(res.eigenvalues[-1]) if k < idx.size else np.inf
-    return LowLevels("krylov", w[:num], deg, _gap(w, deg),
-                     lambda: eigenvector_columns(list(found.values()), np.arange(deg), dim),
-                     iterations=sum(r.iterations for _, r in runs),
-                     max_residual=max((float(np.max(r.residuals)) for _, r in runs), default=0.0),
-                     solved_blocks=[d for d, _ in runs], route="sectors")
+    blocks = list(zip(np.split(plan.members, plan.starts[1:-1]), [np.inf, *bound], plan.mirror))
+    return _lanczos_levels(msp, num, blocks, {0: (singles, diag.real[singles], eye)}, plan.mirrored)
 
 
 def ground_space(h, *, method: str | None = None) -> LowLevels:

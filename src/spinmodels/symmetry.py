@@ -22,7 +22,6 @@ from .errors import DimensionMismatchError, DomainError
 from .lattice import Volume, embed
 from .spin_algebra import (
     DENSE_CUTOFF,
-    STRUCTURE_TOL,
     as_matrix,
     commutator,
     operator_norm,
@@ -87,29 +86,18 @@ def suq2_generators(volume: Volume, q: float) -> GeneratorSet:
 
 
 def invariance_residual(h, symmetry, *, cap_dense: int = DENSE_CUTOFF) -> float:
-    """How far ``h`` is from commuting with a symmetry.
-
-    ``symmetry`` is a GeneratorSet, giving max_G ||[H, G]||, or a single
-    unitary U, giving ||U^dagger H U - H||.  For a Hermitian unitary the two
-    coincide.  Each norm is exact up to ``cap_dense`` and an ARPACK ``svds``
-    estimate above it, with no Hermiticity test (see
+    """max_G ||[H, G]|| over the generators G of the GeneratorSet ``symmetry``:
+    how far ``h`` is from commuting with them; anything else is a DomainError.
+    Each norm is exact up to ``cap_dense`` and an ARPACK ``svds`` estimate
+    above it, with no Hermiticity test (see
     :func:`~spinmodels.spin_algebra.operator_norm`).
     """
-    hm = as_matrix(h)
-    if isinstance(symmetry, GeneratorSet):
-        worst = 0.0
-        for _, g in symmetry:
-            gm = as_matrix(g)
-            if gm.shape != hm.shape:
-                raise DimensionMismatchError(
-                    f"generator shape {gm.shape} vs Hamiltonian {hm.shape}"
-                )
-            worst = max(worst, operator_norm(commutator(hm, gm), cap_dense=cap_dense))
-        return worst
-    um = as_matrix(symmetry)
-    if um.shape != hm.shape:
-        raise DimensionMismatchError(f"unitary shape {um.shape} vs Hamiltonian {hm.shape}")
-    if float(abs(um.conj().T @ um - sp.eye_array(um.shape[0])).max()) > STRUCTURE_TOL:
-        raise DomainError("single-operator invariance check requires a unitary")
-    conj = um.conj().T @ hm @ um
-    return operator_norm(conj - hm, cap_dense=cap_dense)
+    if not isinstance(symmetry, GeneratorSet):
+        raise DomainError(f"symmetry must be a GeneratorSet, got {type(symmetry).__name__}")
+    hm, worst = as_matrix(h), 0.0
+    for _, g in symmetry:
+        gm = as_matrix(g)
+        if gm.shape != hm.shape:
+            raise DimensionMismatchError(f"generator shape {gm.shape} vs Hamiltonian {hm.shape}")
+        worst = max(worst, operator_norm(commutator(hm, gm), cap_dense=cap_dense))
+    return worst

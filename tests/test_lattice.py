@@ -1,4 +1,4 @@
-"""Lattice geometry, basis indexing, operator embedding, site permutations."""
+"""Lattice geometry, basis indexing, operator embedding."""
 
 import itertools
 
@@ -10,13 +10,11 @@ from spinmodels import (
     DimensionMismatchError,
     DomainError,
     ResourceCapError,
-    SitePermutation,
     basis_digits,
     basis_index,
     build_volume,
     chain_volume,
     embed,
-    permutation_unitary,
     spin_matrices,
 )
 
@@ -168,53 +166,3 @@ def test_embed_rejects_bad_support():
         embed(ops.s3, ((0,), (0,)), vol)  # repeated site
     with pytest.raises(DimensionMismatchError):
         embed(np.eye(3), ((0,),), vol)  # local dim mismatch
-
-
-def test_permutation_identity_and_inverse():
-    vol = chain_volume(5, boundary="periodic")
-    ident = SitePermutation.identity(vol)
-    tr = SitePermutation.translation(vol, 2)
-    assert tr.compose(tr.inverse()).mapping == ident.mapping
-    assert tr.inverse().compose(tr).mapping == ident.mapping
-
-
-def test_permutation_unitary_is_homomorphism():
-    vol = chain_volume(4, boundary="periodic")
-    t1 = SitePermutation.translation(vol, 1)
-    u1 = permutation_unitary(t1, vol).toarray()
-    u2 = permutation_unitary(t1.compose(t1), vol).toarray()
-    assert np.array_equal(u2, u1 @ u1)
-    # unitary with 0/1 entries
-    assert np.array_equal(u1 @ u1.conj().T, np.eye(16))
-    assert set(np.unique(u1)) <= {0.0, 1.0}
-
-
-def test_permutation_unitary_transports_support():
-    vol = chain_volume(4, boundary="periodic")
-    ops = spin_matrices(0.5)
-    t1 = SitePermutation.translation(vol, 1)
-    u = permutation_unitary(t1, vol).toarray()
-    for x in range(4):
-        ax = embed(ops.s3, ((x,),), vol).toarray()
-        ay = embed(ops.s3, (t1((x,)),), vol).toarray()
-        assert np.array_equal(u @ ax @ u.conj().T, ay)
-
-
-def test_swap_preserves_edges_only_when_symmetric():
-    vol = chain_volume(4, boundary="open")
-    # reflecting the whole chain maps edges to edges
-    reflect = SitePermutation({(x,): (3 - x,) for x in range(4)})
-    assert reflect.preserves_edges(vol)
-    # swapping the ends of two bonds does not
-    sw = SitePermutation.swap(vol, (0,), (2,))
-    assert not sw.preserves_edges(vol)
-    # wrap-around shift of an open chain is a permutation but not a symmetry
-    tr = SitePermutation.translation(vol, 1)
-    assert not tr.preserves_edges(vol)
-    assert tr.preserves_edges(chain_volume(4, boundary="periodic"))
-
-
-def test_permutation_rejects_non_bijection():
-    vol = chain_volume(3)
-    with pytest.raises(DomainError):
-        SitePermutation({(0,): (1,), (1,): (1,), (2,): (0,)})

@@ -18,6 +18,7 @@ from spinmodels import (
     basis_index,
     build_model_hamiltonian,
     chain_volume,
+    embed,
     expectation,
     full_spectrum,
     gibbs,
@@ -488,6 +489,74 @@ def test_aklt_edge_spins_and_ring_gap_level():
     _, ring = _su2("aklt", {}, 7, "periodic")
     assert ring.degeneracy == 1 and ring.spins[0] == 0
     assert ring.spins[1:4].tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("name, params, length, num", [
+    ("aklt", {}, 4, 1), ("aklt", {}, 4, 6), ("heisenberg", {"J": -1.0}, 8, 40)])
+def test_a_run_short_of_its_sector_leaves_its_cut_top_cluster_unreported(
+        lanczos_runs, name, params, length, num):
+    # each run's last Ritz values split a degenerate cluster, whose Casimir
+    # labels are then not integers; that cluster lies above the levels the
+    # invariant needs, so it goes unreported and one run on sector m0 does
+    h, low = _su2(name, params, length, "periodic", num)
+    dense = low_levels(h, method="dense")
+    scale = max(1.0, np.abs(dense.eigenvalues).max())
+    assert low.solved_blocks == [d for d, _ in lanczos_runs] == [lanczos_runs[0][0]]
+    assert lanczos_runs[0][1] < lanczos_runs[0][0]
+    assert np.abs(low.eigenvalues - dense.eigenvalues[:num]).max() <= 1e-10 * scale
+    assert low.degeneracy == dense.degeneracy and abs(low.gap - dense.gap) <= 1e-10 * scale
+
+
+def _all_to_all(spin, length, seed=None):
+    """sum_{i<j} J_ij S_i.S_j, SU(2) with no lattice: J_ij seeded uniform in
+    [-1, 1], or all 1 without a seed."""
+    ops, rng = spin_matrices(spin), np.random.default_rng(seed)
+    vol = chain_volume(length, "open", local_dim=ops.dim)
+    return sum((1.0 if seed is None else rng.uniform(-1.0, 1.0))
+               * embed(ops.exchange(), [(i,), (j,)], vol)
+               for i in range(length) for j in range(i + 1, length))
+
+
+def test_a_run_with_no_level_below_its_cut_top_cluster_repeats_with_twice_the_pairs(lanczos_runs):
+    # sum_{i<j} S_i.S_j = (S^2 - 6) / 2 on 8 spins 1/2: sector m0 holds 14
+    # singlets, then 28 triplets and 20 quintets. The runs of 6 and 12
+    # pairs are one cut cluster of singlets and report nothing; the run of
+    # 24 reports the singlets alone, one short of max(num, deg + 1) = 15
+    h = _all_to_all(0.5, 8)
+    low = low_levels(h, 1, method="krylov", spin=0.5)
+    dense = low_levels(h, method="dense")
+    assert lanczos_runs == [(70, 6), (70, 12), (70, 24), (70, 48)]
+    assert low.route == "su2_sector" and low.solved_blocks == [70] * 4
+    assert low.degeneracy == dense.degeneracy == 14 and low.spins.tolist() == [0.0]
+    assert abs(low.energy + 3.0) <= 1e-12 and abs(low.gap - dense.gap) <= 1e-10
+    _check_ground_basis(low, h, 6.0)
+
+
+@pytest.mark.parametrize("spin, length, seed", [(0.5, 8, 0), (0.5, 8, 1), (1, 5, 2)])
+def test_random_all_to_all_su2_hamiltonians_take_the_one_sector_route(spin, length, seed):
+    h = _all_to_all(spin, length, seed)
+    dense = low_levels(h, method="dense")
+    w, scale = dense.eigenvalues, max(1.0, np.abs(dense.eigenvalues).max())
+    full = low_levels(h, h.shape[0], method="krylov", spin=spin)
+    assert full.route == "su2_sector" and np.abs(full.eigenvalues - w).max() <= 1e-10 * scale
+    values, counts = np.unique(full.spins, return_counts=True)
+    assert np.all(counts % (2 * values + 1) == 0)
+    for num in range(1, 40, 2):
+        low = low_levels(h, num, method="krylov", spin=spin)
+        assert low.route == "su2_sector", num
+        assert np.abs(low.eigenvalues - w[:num]).max() <= 1e-10 * scale
+        assert np.array_equal(low.spins, full.spins[:num])
+        assert low.degeneracy == dense.degeneracy and abs(low.gap - dense.gap) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("num", [0, -3, 1.5, 2.0, "3", True, None])
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_num_must_be_a_positive_integer(method, num):
+    h, spin = _chain("heisenberg", {"J": -1.0}, 6, "periodic")
+    for given in (None, spin):
+        with pytest.raises(DomainError, match="num must be an integer"):
+            low_levels(h, num, method=method, spin=given)
+    assert low_levels(h, np.int64(3), method=method).eigenvalues.size >= 3
 
 
 @pytest.mark.parametrize("interaction", [

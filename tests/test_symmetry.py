@@ -5,14 +5,12 @@ import scipy.sparse as sp
 from spinmodels import (
     DomainError,
     GeneratorSet,
-    SitePermutation,
     assemble_hamiltonian,
     chain_volume,
     embed,
     heisenberg,
     aklt,
     invariance_residual,
-    permutation_unitary,
     random_local_operator,
     resolve_q,
     suq2_generators,
@@ -113,7 +111,6 @@ def test_local_builders_return_csr(length):
         (embed(ops.s1, [(1,)], vol), dim * n, real),
         (embed(np.kron(ops.s3, ops.sp), [(0,), (length - 1,)], vol), dim * n**2, real),
         (assemble_hamiltonian(heisenberg(j=-1.0), vol), len(vol.edges) * dim * n**2, real),
-        (permutation_unitary(SitePermutation.translation(vol, 1), vol), dim, real),
         (random_local_operator(vol, 5, num_sites=1), dim * n, cplx),
         (random_local_operator(vol, 5, num_sites=2), dim * n**2, cplx),
     ]
@@ -137,12 +134,13 @@ def test_suq2_domain_checks():
 
 
 def test_invariance_residual_with_unitary():
+    # a bare operator, unitary or not, is refused: only a GeneratorSet is checked
     vol = chain_volume(4, boundary="periodic")
     h = assemble_hamiltonian(heisenberg(j=-1.0), vol)
-    u = permutation_unitary(SitePermutation.translation(vol, 1), vol)
-    assert invariance_residual(h, u) == 0.0  # dyadic entries transport exactly
-    with pytest.raises(DomainError):
-        invariance_residual(h, 2.0 * u.toarray())  # not unitary
+    for bad in (sp.eye_array(16, format="csr"), np.eye(16), total_spin(vol).generators["S3"]):
+        with pytest.raises(DomainError):
+            invariance_residual(h, bad)
+    assert invariance_residual(h, total_spin(vol)) < 1e-12
 
 
 def test_generator_set_iterates_labelled_pairs():
