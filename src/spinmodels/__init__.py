@@ -42,7 +42,6 @@ from .spin_algebra import (
 from .lattice import (
     MAX_HILBERT_DIM,
     Volume,
-    basis_digits,
     basis_index,
     build_volume,
     chain_volume,

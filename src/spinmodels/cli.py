@@ -42,7 +42,7 @@ from .dynamics import lr_fit, lr_scan
 from .interactions import MODEL_NAMES, MODELS, assemble_hamiltonian, su2_spin
 from .lattice import MAX_HILBERT_DIM, build_volume
 from .probes import random_probe_pairs
-from .spectra import DEGENERACY_TOL, EigenSystem, ground_space, low_levels
+from .spectra import DEGENERACY_TOL, EigenSystem, _su2_levels, ground_space, low_levels
 from .spin_algebra import (
     DENSE_CUTOFF,
     SOLVER_TOL,
@@ -288,18 +288,22 @@ class _Run:
         return EigenSystem(self.h, cap_dense=self.cap_dense)
 
 
-def _low_levels(run: _Run, h, interaction, num: int = 1, method: str | None = None):
-    """``low_levels`` of h; the krylov route, and it alone, is given the SU(2)
-    certificate of the interaction h was assembled from."""
-    krylov = method == "krylov" or method is None and h.shape[0] > run.cap_dense
-    return low_levels(h, num, method=method, cap_dense=run.cap_dense,
-                      spin=su2_spin(interaction) if krylov else None)
+def _low_levels(run: _Run, interaction, full, num: int = 1, method: str | None = None):
+    """``low_levels`` of the H that ``full()`` assembles from ``interaction``; on the
+    krylov route, with the SU(2) certificate, of its sector m0 built from the terms,
+    and ``full`` is called only if that route falls back to the plan route."""
+    dim = run.volume.hilbert_dim
+    krylov = method == "krylov" or method is None and dim > run.cap_dense
+    if krylov and (spin := su2_spin(interaction)) is not None and (low := _su2_levels(
+            lambda states: assemble_hamiltonian(interaction, run.volume, states), dim, num, spin)):
+        return low
+    return low_levels(full(), num, method=method, cap_dense=run.cap_dense)
 
 
 def _task_spectrum(run: _Run) -> tuple[dict, list]:
     method = run.params["method"]
     _progress("spectrum", 1, 1)
-    low = _low_levels(run, run.h, run.interaction, run.params["num_eigenvalues"],
+    low = _low_levels(run, run.interaction, lambda: run.h, run.params["num_eigenvalues"],
                       None if method == "auto" else method)
     payload = {"method": low.method, "eigenvalues": low.eigenvalues, "ground_energy": low.energy,
                "degeneracy": low.degeneracy, "gap": low.gap, **low.diagnostics}
@@ -457,7 +461,7 @@ def _task_verify(run: _Run) -> tuple[dict, list]:
 
 def _scan_point(run: _Run, value: float, params: dict) -> dict:
     interaction = run.model.interaction(params)
-    low = _low_levels(run, assemble_hamiltonian(interaction, run.volume), interaction)
+    low = _low_levels(run, interaction, lambda: assemble_hamiltonian(interaction, run.volume))
     return {"value": float(value), "ground_energy": low.energy, "degeneracy": low.degeneracy,
             "gap": low.gap, **({"route": low.route} if low.route else {})}
 

@@ -4,7 +4,10 @@ An Interaction is a translation-invariant bundle of at most one single-site
 term and one nearest-neighbour bond term (both Hermitian matrices in the
 product basis, first tensor factor = lower-ranked site; real for every
 built-in model).  Assembly sums the site term over all sites and the bond
-term over all bonds of a volume.  Every built-in model, the SU_q(2)-symmetric
+term over all bonds of a volume, on the whole product basis or on sorted basis
+states alone: the CLI's SU(2) route builds its S3 sector m0 so, no full H, and
+builds the full H only when that route falls back (no ``su2_spin`` certificate,
+or a label off the ladder).  Every built-in model, the SU_q(2)-symmetric
 deformed chain included, is such a bundle; ``MODELS`` holds one record per
 named model (parameters, builder, symmetry generators, scan variables,
 allowed volumes).
@@ -151,14 +154,15 @@ def xxz_suq2(q: float) -> Interaction:
 
 def su2_spin(interaction: Interaction) -> float | None:
     """The local spin s if the site and bond terms each commute with their
-    support's total S+ and S3 within STRUCTURE_TOL * max(1, ||term||), else
-    None: the certificate that the assembled H commutes with the total S+,
-    S- = (S+)^T and S3, read by the krylov route of ``spectra.low_levels``."""
+    support's total S+ within STRUCTURE_TOL * max(1, ||term||) and with its
+    total S3 exactly (no entry changes the digit sum), else None: the
+    certificate that the assembled H commutes with the total S+, S- = (S+)^T
+    and S3, and keeps each S3 sector, read by the CLI's krylov route."""
     ops = spin_matrices((interaction.local_dim - 1) / 2.0)
     pair = [np.kron(x, ops.identity) + np.kron(ops.identity, x) for x in (ops.sp, ops.s3)]
     for term, gens in ((interaction.site_term, (ops.sp, ops.s3)), (interaction.bond_term, pair)):
-        if term is not None and any(operator_norm(commutator(term, g))
-                                    > STRUCTURE_TOL * max(1.0, operator_norm(term)) for g in gens):
+        if term is not None and any(operator_norm(commutator(term, g)) > tol for g, tol in
+                                    zip(gens, (STRUCTURE_TOL * max(1.0, operator_norm(term)), 0))):
             return None
     return ops.spin.value
 
@@ -175,8 +179,10 @@ def xxz_suq2_chain(length: int, q: float) -> sp.csr_array:
 # ---------------------------------------------------------------------------
 
 
-def assemble_hamiltonian(interaction: Interaction, volume: Volume) -> sp.csr_array:
-    """Sum the interaction's site term over sites and bond term over bonds.
+def assemble_hamiltonian(interaction: Interaction, volume: Volume, states=None) -> sp.csr_array:
+    """Sum the interaction's site term over sites and bond term over bonds,
+    or, given sorted basis indices ``states``, its restriction H[states][:, states]
+    built from the terms (see ``lattice._embed_csr``), with no full H.
 
     The result is CSR at every size, float64 for real terms, and Hermitian by
     construction (exactly: embeddings copy entries and sparse sums align them).
@@ -187,14 +193,14 @@ def assemble_hamiltonian(interaction: Interaction, volume: Volume) -> sp.csr_arr
             f"interaction local dim {interaction.local_dim} != "
             f"volume local dim {volume.local_dim}"
         )
-    dim = volume.hilbert_dim
+    dim = volume.hilbert_dim if states is None else len(states)
     total = sp.csr_array((dim, dim))
     if interaction.site_term is not None:
         for site in volume.sites:
-            total = total + _embed_csr(interaction.site_term, [site], volume)
+            total = total + _embed_csr(interaction.site_term, [site], volume, states)
     if interaction.bond_term is not None:
         for edge in volume.edges:
-            total = total + _embed_csr(interaction.bond_term, list(edge), volume)
+            total = total + _embed_csr(interaction.bond_term, list(edge), volume, states)
     return total
 
 

@@ -171,18 +171,6 @@ def basis_index(volume: Volume, digits) -> int:
     return idx
 
 
-def basis_digits(volume: Volume, index: int) -> tuple[int, ...]:
-    """Inverse of basis_index."""
-    if not 0 <= index < volume.hilbert_dim:
-        raise DomainError(f"basis index {index} outside 0..{volume.hilbert_dim - 1}")
-    n = volume.local_dim
-    out = []
-    for _ in range(volume.num_sites):
-        out.append(index % n)
-        index //= n
-    return tuple(reversed(out))
-
-
 # ---------------------------------------------------------------------------
 # Embedding local operators
 # ---------------------------------------------------------------------------
@@ -201,15 +189,17 @@ def _normalize_support(support, volume: Volume) -> list[Site]:
     return sites
 
 
-def _embed_csr(local_op, support: list[Site], volume: Volume) -> sp.csr_array:
-    """CSR embedding of ``local_op`` acting on ``support`` (identity elsewhere).
+def _embed_csr(local_op, support: list[Site], volume: Volume, states=None) -> sp.csr_array:
+    """CSR embedding of ``local_op`` acting on ``support`` (identity elsewhere),
+    or, given sorted basis indices ``states``, its restriction E[states][:, states].
 
     Entry values are copied verbatim from the local matrix, in its dtype (at
     least float64) — the embedding itself introduces no floating-point
     arithmetic, so operators embedded on disjoint supports commute exactly.
     Row r holds the local row that r's digits on the support spell, its
     columns shifted by r's other digits, in increasing column order: the CSR
-    is canonical as built.
+    is canonical as built.  The restriction ranks the columns in ``states`` by
+    a dim-long lookup table and drops those outside it.
     """
     n, k, dim = volume.local_dim, len(support), volume.hilbert_dim
     local = _dense(as_matrix(local_op))  # DomainError unless square
@@ -232,15 +222,22 @@ def _embed_csr(local_op, support: list[Site], volume: Volume) -> sp.csr_array:
     counts = np.bincount(rows_l, minlength=n ** k)
     first = np.cumsum(counts) - counts
 
-    index = np.arange(dim, dtype=np.int64)
+    index = np.arange(dim, dtype=np.int64) if states is None else np.asarray(states, np.int64)
     on_support = digits(index, strides)
     local_row = on_support @ local_strides
     rest = index - on_support @ strides
     per_row = counts[local_row]
     indptr = np.concatenate(([0], np.cumsum(per_row)))
     entry = np.repeat(first[local_row] - indptr[:-1], per_row) + np.arange(indptr[-1])
-    cols = col_off[entry] + np.repeat(rest, per_row)
-    return sp.csr_array((vals[entry], cols, indptr), shape=(dim, dim))
+    cols, vals = col_off[entry] + np.repeat(rest, per_row), vals[entry]
+    if states is not None:  # rank each target in ``states``; drop those outside it
+        rank = np.full(dim, -1)
+        rank[index] = np.arange(index.size)
+        cols = rank[cols]
+        if not (kept := cols >= 0).all():
+            indptr = np.concatenate(([0], np.cumsum(kept)))[indptr]
+            cols, vals = cols[kept], vals[kept]
+    return sp.csr_array((vals, cols, indptr), shape=(index.size, index.size))
 
 
 def embed(local_op, support, volume: Volume) -> sp.csr_array:

@@ -324,9 +324,20 @@ def _raising(src, tgt, n: int, c, dim: int) -> sp.csr_array:
     return sp.csr_array((vals, (rows, cols)), shape=(tgt.size, src.size))
 
 
-def _su2_levels(m, spin):
-    """:func:`_lanczos_levels`'s blocks (the sector m0 alone), found, mirrored and label."""
-    ops, dim, sums = spin_matrices(spin), m.shape[0], np.zeros(1, np.intp)
+def _sliced_sector(m, states):
+    """The SU(2) route's block of a bare CSR ``m``: m[states][:, states], or
+    None if a stored nonzero couples the states to the rest."""
+    inside = np.zeros(m.shape[0], bool)
+    inside[states] = True
+    leak = (np.repeat(inside, np.diff(m.indptr)) != inside[m.indices]) & (m.data != 0)
+    return None if leak.any() else m[states][:, states]
+
+
+def _su2_levels(sector, dim: int, num: int, spin) -> LowLevels | None:
+    """:func:`_lanczos_levels` on the sector m0 alone, labelled; its block is
+    ``sector(states)`` for its basis states in ascending index, and None
+    there (the sector is not invariant) or from the labels returns None."""
+    ops, sums = spin_matrices(spin), np.zeros(1, np.intp)
     n, c = ops.dim, np.diag(ops.sp, 1)
     while sums.size < dim:  # base-n digit sums, accumulated site by site
         sums = (sums[:, None] + np.arange(n)).ravel()
@@ -334,6 +345,8 @@ def _su2_levels(m, spin):
         raise DimensionMismatchError(f"dim {dim} is not a power of the local dimension {n}")
     top = int(sums[-1]) // 2  # the digit sum of sector m0 = L s - top, 0 or 1/2
     m0, src, tgt = sums[-1] / 2 - top, np.flatnonzero(sums == top), np.flatnonzero(sums == top - 1)
+    if (h0 := sector(src)) is None:
+        return None
     up = _raising(src, tgt, n, c, dim)
 
     def label(res, short):
@@ -365,13 +378,15 @@ def _su2_levels(m, spin):
 
         return weights, np.repeat(level_s, weights), ladder
 
-    return [(src, -np.inf, 0)], {}, None, label
+    return _lanczos_levels(lambda idx: h0, dim, num, [(src, -np.inf, 0)], {}, label=label)
 
 
-def _lanczos_levels(m, num: int, blocks, found, mirrored=None, label=None) -> LowLevels | None:
-    """The one krylov loop of :func:`low_levels` on the CSR ``m`` over ``blocks``, (indices,
-    lower bound, mirror), from ``found`` (indices, eigenvalues, eigenvectors) solved;
-    ``mirrored`` copies a block onto its mirror, and a None from ``label`` returns None."""
+def _lanczos_levels(sub, dim: int, num: int, blocks, found, mirrored=None,
+                    label=None) -> LowLevels | None:
+    """The one krylov loop of :func:`low_levels` over ``blocks``, (indices, lower bound,
+    mirror), of a dim x dim H whose block on those indices is ``sub(indices)``, from
+    ``found`` (indices, eigenvalues, eigenvectors) solved; ``mirrored`` copies a block
+    onto its mirror, and a None from ``label`` returns None."""
     # block -> the value below which it may hide levels, inf once a run covers it
     limits = {b: bound for b, (_, bound, _) in enumerate(blocks)}
     pairs, runs, spins, basis = {}, [], None, None  # pairs: block -> k of its last run
@@ -393,7 +408,7 @@ def _lanczos_levels(m, num: int, blocks, found, mirrored=None, label=None) -> Lo
         idx, _, c = blocks[b]
         k = pairs[b] = pairs[c] = min(idx.size, max(2 * pairs.get(b, 0), num, 6))
         # block as wide as k so a k-fold multiplet survives the Krylov slice
-        res = lowest_eigenpairs(m[idx][:, idx], k, block_size=k)
+        res = lowest_eigenpairs(sub(idx), k, block_size=k)
         runs.append((idx.size, res))
         short = k < idx.size
         weights, spins, basis = label(res, short) if label else (np.ones(k, np.intp), None, None)
@@ -402,7 +417,7 @@ def _lanczos_levels(m, num: int, blocks, found, mirrored=None, label=None) -> Lo
         block = (idx, np.repeat(res.eigenvalues[:weights.size], weights), res.eigenvectors)
         found[c], found[b] = mirrored(block) if c != b else block, block
         limits[b] = limits[c] = float(res.eigenvalues[min(weights.size, k - 1)]) if short else np.inf
-    basis = basis or (lambda: eigenvector_columns(list(found.values()), np.arange(deg), m.shape[0]))
+    basis = basis or (lambda: eigenvector_columns(list(found.values()), np.arange(deg), dim))
     return LowLevels("krylov", w[:num], deg, _gap(w, deg), basis,
                      iterations=sum(r.iterations for _, r in runs),
                      max_residual=max((float(np.max(r.residuals)) for _, r in runs), default=0.0),
@@ -439,16 +454,18 @@ def low_levels(h, num: int = 1, *, method: str | None = None, cap_dense: int = D
     Given ``spin``, the local spin of an H that commutes with the total S+
     and S3 (see :func:`~spinmodels.interactions.su2_spin`), the one block
     ("su2_sector") is the S3 sector m0 = 0 or 1/2, unbounded, which holds a
-    state of every multiplet.  A level of spin S, from S(S+1) = ||S+ psi||^2
-    + m0 (m0 + 1) in the Gram (S+ V)^H (S+ V) of its window cluster, weighs
-    2S+1; a short run leaves its top cluster, which may be cut, unreported;
-    ``basis`` is the S+ and S- ladder of the rotated ground vectors.
-    Otherwise, or if a label lies over 1e-8 from m0 plus an integer, the
-    blocks ("sectors") are those of ``hermitian_eig`` (the S3 sectors of the
-    built-in models) with Gershgorin bounds min_i (h_ii - sum_{j != i}
-    |h_ij|) (Golub and Van Loan, *Matrix Computations*, Thm 7.2.1); size-1
-    blocks are their diagonal entries, a flip-symmetric H's mirror block
-    copies its partner's.
+    state of every multiplet, sliced out of H (the CLI's spectrum and scan
+    build it from the terms instead, ``assemble_hamiltonian`` with ``states``,
+    and no full H).  A level of spin S, from S(S+1) = ||S+ psi||^2 + m0 (m0 +
+    1) in the Gram (S+ V)^H (S+ V) of its window cluster, weighs 2S+1; a
+    short run leaves its top cluster, which may be cut, unreported; ``basis``
+    is the S+ and S- ladder of the rotated ground vectors.  Otherwise, or if
+    a stored nonzero of H couples m0 to another sector, or a label lies over
+    1e-8 from m0 plus an integer, the blocks ("sectors") are those of
+    ``hermitian_eig`` (the S3 sectors of the built-in models) with Gershgorin
+    bounds min_i (h_ii - sum_{j != i} |h_ij|) (Golub and Van Loan, *Matrix
+    Computations*, Thm 7.2.1); size-1 blocks are their diagonal entries, a
+    flip-symmetric H's mirror block copies its partner's.
     """
     if isinstance(num, bool) or not isinstance(num, (int, np.integer)) or num < 1:
         raise DomainError(f"num must be an integer >= 1, got {num!r}")
@@ -474,7 +491,7 @@ def low_levels(h, num: int = 1, *, method: str | None = None, cap_dense: int = D
     if not isinstance(h, EigenSystem):
         _hermitian(m, "Hamiltonian")
     msp = m if sp.issparse(m) else sp.csr_array(m)
-    if spin is not None and (low := _lanczos_levels(msp, num, *_su2_levels(msp, spin))):
+    if spin is not None and (low := _su2_levels(lambda s: _sliced_sector(msp, s), dim, num, spin)):
         return low
     plan, diag = (h.plan if isinstance(h, EigenSystem) else _block_plan(msp)), msp.diagonal()
     # Gershgorin radii from the arrays: scipy's abs() sorts them, and m's data with them
@@ -483,7 +500,8 @@ def low_levels(h, num: int = 1, *, method: str | None = None, cap_dense: int = D
     singles = plan.members[:plan.starts[1]]
     eye = sp.eye_array(singles.size, dtype=np.result_type(msp.dtype, np.float64), format="csr")
     blocks = list(zip(np.split(plan.members, plan.starts[1:-1]), [np.inf, *bound], plan.mirror))
-    return _lanczos_levels(msp, num, blocks, {0: (singles, diag.real[singles], eye)}, plan.mirrored)
+    return _lanczos_levels(lambda idx: msp[idx][:, idx], dim, num, blocks,
+                           {0: (singles, diag.real[singles], eye)}, plan.mirrored)
 
 
 def ground_space(h, *, method: str | None = None) -> LowLevels:

@@ -350,6 +350,28 @@ def test_krylov_payloads_name_their_route(tmp_path):
     assert all("route" not in p for p in dense)
 
 
+def test_krylov_tasks_assemble_sector_m0_alone_unless_the_route_falls_back(tmp_path, monkeypatch):
+    # the spectrum and scan tasks of a certified model build the m0 rows and
+    # columns from the terms (C(10, 5) = 252 of 1024) and no full H; a field
+    # withholds the certificate, and the full H is built once
+    sizes, assemble = [], cli.assemble_hamiltonian
+
+    def counted(interaction, volume, states=None):
+        sizes.append(volume.hilbert_dim if states is None else len(states))
+        return assemble(interaction, volume, states)
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", counted)
+    ring = {"dims": [10], "boundary": "periodic"}
+    for task, section, model, want in (
+            ("spectrum", {"method": "krylov"}, None, [252]),
+            ("scan", {"variable": "J", "values": [-1.0, 1.0]}, _FREE_J, [252, 252]),
+            ("spectrum", {"method": "krylov"}, {"name": "xy_field", "params": {"h": 0.3}}, [1024])):
+        sizes.clear()
+        run_spec(parse_spec_dict(_spec(task, section, model=model, volume=ring)), tmp_path / task,
+                 cap_dense=16)
+        assert sizes == want, task
+
+
 def test_run_thermal_consistency(tmp_path):
     spec = parse_spec_dict(_spec("thermal", {"betas": [0.0, 0.5, 1.0, 2.0]}))
     doc = json.loads(run_spec(spec, tmp_path).read_text())

@@ -364,3 +364,45 @@ def test_every_record_assembles_a_float64_h_equal_to_its_complex_form(name, para
     else:
         assert np.array_equal(h.indptr, want.indptr) and np.array_equal(h.indices, want.indices)
         assert np.array_equal(h.data, want.data.real)
+
+
+def _digit_sums(n, length):
+    """The base-n digit sum of every basis index, digit by digit."""
+    index = np.arange(n**length)
+    return sum(index // n**x % n for x in range(length))
+
+
+_SECTOR_CASES = [(name, params, boundary, length)
+                 for name, params, boundary in _REAL_CASES
+                 for length in range(2, 7 if name == "aklt" or params.get("spin") == 1 else 11)]
+
+
+@pytest.mark.parametrize("name, params, boundary, length", _SECTOR_CASES,
+                         ids=[f"{n}-{p['spin']}-{b}-{L}" if "spin" in p else f"{n}-{b}-{L}"
+                              for n, p, b, L in _SECTOR_CASES])
+def test_a_sector_assembled_from_the_terms_is_the_sector_of_the_full_h(
+        name, params, boundary, length):
+    # every digit sum (S3 sector), the size-1 sectors included: the restricted
+    # assembly holds exactly the arrays of the slice of the full H
+    interaction = MODELS[name].interaction(params)
+    n = interaction.local_dim
+    vol = chain_volume(length, boundary, local_dim=n)
+    h, sums = assemble_hamiltonian(interaction, vol), _digit_sums(n, length)
+    for total in range((n - 1) * length + 1):
+        states = np.flatnonzero(sums == total)
+        got, want = assemble_hamiltonian(interaction, vol, states), h[states][:, states]
+        assert got.shape == want.shape == (states.size, states.size)
+        for key in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), (total, key)
+
+
+def test_a_restriction_to_states_that_h_leaves_drops_the_entries_outside():
+    # states that no term keeps: each row keeps only the columns inside them
+    interaction = MODELS["heisenberg"].interaction({"J": -1.0})
+    vol = chain_volume(6, "periodic")
+    h = assemble_hamiltonian(interaction, vol)
+    states = np.flatnonzero(np.random.default_rng(3).random(vol.hilbert_dim) < 0.4)
+    got, want = assemble_hamiltonian(interaction, vol, states), h[states][:, states]
+    assert got.nnz < h[states].nnz
+    for key in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key

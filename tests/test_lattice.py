@@ -10,13 +10,19 @@ from spinmodels import (
     DimensionMismatchError,
     DomainError,
     ResourceCapError,
-    basis_digits,
     basis_index,
     build_volume,
     chain_volume,
     embed,
     spin_matrices,
 )
+
+
+def basis_digits(vol, index):
+    """The digits of a basis index, rank 0 first: the inverse of basis_index."""
+    assert 0 <= index < vol.hilbert_dim
+    return tuple(index // vol.local_dim ** (vol.num_sites - 1 - x) % vol.local_dim
+                 for x in range(vol.num_sites))
 
 
 def test_chain_sites_and_edges_open():

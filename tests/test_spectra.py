@@ -18,6 +18,7 @@ from spinmodels import (
     basis_index,
     build_model_hamiltonian,
     chain_volume,
+    cli,
     embed,
     expectation,
     full_spectrum,
@@ -584,6 +585,43 @@ def test_labels_off_the_ladder_fall_back_to_the_plan_route():
     assert low.route == "sectors" and np.array_equal(low.eigenvalues, plain.eigenvalues)
     with pytest.raises(DimensionMismatchError, match="power of the local dimension 3"):
         low_levels(h, 6, method="krylov", spin=1)
+
+
+def _leaky_heisenberg():
+    """The Heisenberg J=-1 bond plus 1e-14 (S+S+ + S-S-) on the L=10 ring: it
+    commutes with the total S+ within STRUCTURE_TOL, but couples m0 to m0 +- 2."""
+    ops = spin_matrices(0.5)
+    bond = heisenberg(-1.0).bond_term + 1e-14 * (np.kron(ops.sp, ops.sp) + np.kron(ops.sm, ops.sm))
+    return Interaction(2, bond_term=bond), chain_volume(10, "periodic")
+
+
+def _assert_plan_route_matches_dense(low, h):
+    dense = low_levels(h, method="dense")
+    scale = max(1.0, np.abs(dense.eigenvalues).max())
+    assert low.route == "sectors" and low.spins is None
+    assert np.abs(low.eigenvalues - dense.eigenvalues[:low.eigenvalues.size]).max() <= 1e-12 * scale
+
+
+def test_a_spin_claimed_for_h_that_leaves_sector_m0_runs_the_plan_route():
+    # slicing path: a stored nonzero in m0's rows or columns outside m0 is found
+    interaction, vol = _leaky_heisenberg()
+    h = assemble_hamiltonian(interaction, vol)
+    _assert_plan_route_matches_dense(low_levels(h, 6, method="krylov", spin=0.5), h)
+
+
+def test_the_cli_builds_sector_m0_only_for_terms_that_keep_the_digit_sum_exactly():
+    # native path: a term entry that changes the digit sum, however small,
+    # withholds the certificate, so the full H is built and the plan route runs
+    interaction, vol = _leaky_heisenberg()
+    assert su2_spin(interaction) is None
+    assert su2_spin(Interaction(2, bond_term=heisenberg(-1.0).bond_term)) == 0.5
+    h = assemble_hamiltonian(interaction, vol)
+    spec = parse_spec_dict({"task": "spectrum", "model": {"name": "heisenberg", "params": {"J": -1.0}},
+                            "volume": {"dims": [10], "boundary": "periodic"}})
+    run, built = cli._Run(spec, workers=1, cap_dense=16, cap_sparse=1024), []
+    low = cli._low_levels(run, interaction, lambda: built.append(h) or h, 6, "krylov")
+    assert built == [h]
+    _assert_plan_route_matches_dense(low, h)
 
 
 def test_su_q2_at_q_1_is_certified_from_its_terms():
